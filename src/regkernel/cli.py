@@ -181,8 +181,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     _print_config("predict", {"model": str(args.model), "in": str(args.infile),
                               **model.params.to_dict()})
-    text = Path(args.infile).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
+    # a bad symbol on any line fails the run before any label is printed
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            model.params.alphabet.encode(line)
+        except ValueError as e:
+            raise ParseError(str(e), lineno) from e
     for line in lines:
         label = predict(model, line)
         print("+1" if label > 0 else "-1")

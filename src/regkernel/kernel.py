@@ -14,10 +14,18 @@ state is accepting independently with probability 1/2.  Taking A as the
 number of tables on which x and y end in the same state (out of
 T = n**(n*k) tables),
 
-    P_n(x, y) = (1/4) * (1 + A / T),
+    P_n(x, y) = (1/4) * (1 + A / T).
 
-which the enumeration oracle in this module reproduces exactly.  The
-Monte Carlo path estimates P_n as the joint-acceptance fraction over m
+A is computed by a lazy walk that fills in only the table cells the two
+strings visit and treats all unvisited states as one weighted branch, so
+it never lists the T tables.  Enumerating every table (and every DFA)
+remains in this module as the independent oracle: the tests check the
+walk against it, and ``verify --suite bounds`` and the benchmark
+reference are computed from it.  The ``cap`` argument still bounds
+T = n**(n*k) on both paths, so the exact path refuses the same state
+counts it always did.
+
+The Monte Carlo path estimates P_n as the joint-acceptance fraction over m
 uniformly sampled DFAs; both bounds 1/4 <= P_n <= 1/2 hold, so a
 multiplicative Chernoff bound gives a relative-error guarantee with a
 sample budget independent of n and the strings.
@@ -197,7 +205,88 @@ def derive_pair_seed(master_seed: int, n: int, x: str, y: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact path: transition-table enumeration
+# Exact path: lazy table walk
+# ---------------------------------------------------------------------------
+
+
+def agreement_count(
+    x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
+) -> int:
+    """Number of transition tables on which x and y end in the same state.
+
+    A lazy walk (the principle of deferred decisions): x, then y, is run
+    from state 0 on a partial table that is filled in only when the walk
+    reaches an unassigned cell.  The v states visited so far carry the
+    canonical labels 0..v-1.  At an unassigned cell the walk branches to
+    each visited state, and to one fresh state labelled v that stands,
+    with weight n - v, for all n - v unvisited states: any relabeling of
+    unvisited states maps completions to completions and keeps the end
+    states equal or unequal.  A finished branch whose two end states agree
+    contributes its weight times n**(unassigned cells).
+
+    ``cap`` bounds the table count n**(n*k) exactly as for the enumeration
+    oracle, so a state count refused there is refused here.
+    """
+    k = len(alphabet)
+    total = table_count(n, k)
+    if total > cap:
+        raise CapExceededError(total, cap)
+    walks = (alphabet.encode(x), alphabet.encode(y))
+    # cell q*k + c holds the successor of state q on symbol c, -1 if unassigned
+    table = [-1] * (n * k)
+    count = 0
+
+    def walk(phase: int, i: int, q: int, v: int, weight: int, end_x: int, free: int) -> None:
+        nonlocal count
+        s = walks[phase]
+        while i < len(s):
+            cell = q * k + s[i]
+            if table[cell] < 0:
+                break
+            q = table[cell]
+            i += 1
+        else:  # the string ended on assigned cells
+            if phase == 0:
+                walk(1, 0, 0, v, weight, q, free)
+            elif q == end_x:
+                count += weight * n**free
+            return
+        for r in range(v):
+            table[cell] = r
+            walk(phase, i + 1, r, v, weight, end_x, free - 1)
+        if v < n:
+            table[cell] = v
+            walk(phase, i + 1, v, v + 1, weight * (n - v), end_x, free - 1)
+        table[cell] = -1
+
+    walk(0, 0, 0, 1, 1, 0, n * k)
+    return count
+
+
+def exact_pn(
+    x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
+) -> Fraction:
+    """Exact joint-acceptance fraction P_n(x, y) = (1/4) * (1 + A/T).
+
+    A is the table agreement count and T the table total; the accepting
+    bits contribute the closed 1/4 factor because each state is accepting
+    independently with probability 1/2.
+    """
+    a = agreement_count(x, y, n, alphabet, cap)
+    t = table_count(n, len(alphabet))
+    return Fraction(t + a, 4 * t)
+
+
+def exact_kn(x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP) -> int:
+    """Exact count of n-state DFAs accepting both x and y."""
+    value = exact_pn(x, y, n, alphabet, cap) * dfa_space_size(n, len(alphabet))
+    if value.denominator != 1:
+        raise AssertionError(f"K_n must be an integer, got {value}")
+    return value.numerator
+
+
+# ---------------------------------------------------------------------------
+# Enumeration oracle: every transition table, for tests and verification
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 18
@@ -231,47 +320,13 @@ def _walk(cells: np.ndarray, encoded: Sequence[int]) -> np.ndarray:
     return state
 
 
-def agreement_count(
-    x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> int:
-    """Number of transition tables on which x and y end in the same state."""
-    ex = alphabet.encode(x)
-    ey = alphabet.encode(y)
-    total = 0
-    for _, cells in _table_chunks(n, len(alphabet), cap):
-        total += int(np.count_nonzero(_walk(cells, ex) == _walk(cells, ey)))
-    return total
-
-
-def exact_pn(
-    x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> Fraction:
-    """Exact joint-acceptance fraction P_n(x, y) = (1/4) * (1 + A/T).
-
-    A is the table agreement count and T the table total; the accepting
-    bits contribute the closed 1/4 factor because each state is accepting
-    independently with probability 1/2.
-    """
-    a = agreement_count(x, y, n, alphabet, cap)
-    t = table_count(n, len(alphabet))
-    return Fraction(t + a, 4 * t)
-
-
-def exact_kn(x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP) -> int:
-    """Exact count of n-state DFAs accepting both x and y."""
-    value = exact_pn(x, y, n, alphabet, cap) * dfa_space_size(n, len(alphabet))
-    if value.denominator != 1:
-        raise AssertionError(f"K_n must be an integer, got {value}")
-    return value.numerator
-
-
 def kn_by_enumeration(
     x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
 ) -> int:
     """Oracle for exact_kn: literally walk every DFA and test both strings.
 
-    Much slower than exact_kn; exists so the closed-form path can be
-    cross-checked against the definition.
+    Much slower than exact_kn; exists so the lazy walk and the closed form
+    can be cross-checked against the definition.
     """
     count = 0
     for dfa in enumerate_dfas(n, alphabet, cap):
@@ -389,6 +444,19 @@ def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> floa
 # ---------------------------------------------------------------------------
 
 
+def _check_exact_cap(n_used: int, params: KernelParams, cap: int) -> None:
+    """Refuse, before any term is evaluated, an exact sum whose largest
+    state count has more than ``cap`` transition tables.  n**(n*k) grows
+    with n, so the largest term decides for the whole sum."""
+    if n_used < 1:
+        return
+    required = table_count(n_used, len(params.alphabet))
+    if required > cap:
+        raise CapExceededError(
+            required, cap, hint="use monte-carlo mode for large state counts"
+        )
+
+
 def kernel_value(
     x: str, y: str, params: KernelParams, cap: int = DEFAULT_TABLE_CAP
 ) -> KernelValue:
@@ -406,20 +474,16 @@ def kernel_value(
     same = 1 if x == y else 0
 
     if params.mode == "exact":
-        try:
-            if params.scaling == "paper":
-                total = same
-                for n in range(1, n_used + 1):
-                    total += exact_kn(x, y, n, params.alphabet, cap)
-                return KernelValue(total, params.mode, params.scaling, n_used, truncated)
-            acc = Fraction(same)
+        _check_exact_cap(n_used, params, cap)
+        if params.scaling == "paper":
+            total = same
             for n in range(1, n_used + 1):
-                acc += Fraction(params.weight_for(n)) * exact_pn(x, y, n, params.alphabet, cap)
-            return KernelValue(float(acc), params.mode, params.scaling, n_used, truncated)
-        except CapExceededError as e:
-            raise CapExceededError(
-                e.required, e.cap, hint="use monte-carlo mode for large state counts"
-            ) from e
+                total += exact_kn(x, y, n, params.alphabet, cap)
+            return KernelValue(total, params.mode, params.scaling, n_used, truncated)
+        acc = Fraction(same)
+        for n in range(1, n_used + 1):
+            acc += Fraction(params.weight_for(n)) * exact_pn(x, y, n, params.alphabet, cap)
+        return KernelValue(float(acc), params.mode, params.scaling, n_used, truncated)
 
     m = required_samples(params.epsilon, params.failure_prob)
     cert = ApproxCertificate(params.epsilon, params.failure_prob, m, params.master_seed)
@@ -474,6 +538,8 @@ def gram_matrix(
             raise ValueError(f"duplicate string {s!r} in Gram input")
         seen.add(s)
         params.alphabet.encode(s)
+    if params.mode == "exact" and strings:
+        _check_exact_cap(min(max(map(len, strings)), params.n_max), params, cap)
     count = len(strings)
     pairs = [(i, j) for i in range(count) for j in range(i, count)]
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from .automata import Alphabet, DfaSpace, dfa_space_size, sample_dfa, table_count
 from .embedding import ConceptUniverse, InstanceKey, SparseVec, phi, score, separator
@@ -310,6 +309,9 @@ def uniform_sampling_chisquare(
     Returns (statistic, critical value, per-DFA observed counts); the
     sampler passes when the statistic is at most the critical value.
     """
+    # imported here, its only use, so that starting the CLI does not load scipy
+    from scipy import stats
+
     space = DfaSpace(n, alphabet)
     size = space.size
     rng = np.random.default_rng(seed)

@@ -18,6 +18,7 @@ from regkernel import (
     KernelParams,
     dfa_space_size,
     enumerate_strings,
+    exact_pn,
     gram_matrix,
     kernel_value,
     label_strings,
@@ -83,21 +84,20 @@ def test_criterion_1_bounds(grid_strings, grids):
 
 
 def test_criterion_2_two_path_identity(grid_strings, grids):
-    """Closed-form P_n equals full-DFA-enumeration P_n, exactly, gridwide."""
+    """Lazy-walk P_n equals full-DFA-enumeration P_n, exactly, gridwide."""
     count = len(grid_strings)
     mismatches = 0
     for n in (1, 2, 3):
-        agree, joint = grids[n]
-        t = table_count(n, 2)
+        _, joint = grids[n]
         space = dfa_space_size(n, 2)
-        for i in range(count):
-            for j in range(count):
-                if Fraction(t + int(agree[i, j]), 4 * t) != Fraction(int(joint[i, j]), space):
+        for i, x in enumerate(grid_strings):
+            for j, y in enumerate(grid_strings):
+                if exact_pn(x, y, n, AB) != Fraction(int(joint[i, j]), space):
                     mismatches += 1
     report(
         "2 two-path identity",
         mismatches == 0,
-        f"agreement formula == enumeration on 3 x {count * count} pairs",
+        f"lazy-walk closed form == enumeration on 3 x {count * count} pairs",
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -194,6 +197,24 @@ def test_train_alphabet_mismatch_exit_2(tmp_path, capsys, parity, ab):
     assert "alphabet" in stderr
 
 
+def test_predict_validates_all_lines_before_output(tmp_path, capsys, parity, ab):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=2)
+    model_path = tmp_path / "parity.model"
+    code, _, _ = run_cli(
+        capsys, "train", "--dataset", str(dataset), "--mode", "exact",
+        "--nmax", "2", "--seed", "0", "--out", str(model_path),
+    )
+    assert code == 0
+    strings_file = tmp_path / "strings.txt"
+    strings_file.write_text("ab\nacb\nba\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys, "predict", "--model", str(model_path), "--in", str(strings_file),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "'c'" in stderr and "line 2" in stderr
+
+
 def test_predict_missing_model_exit_2(tmp_path, capsys):
     code, _, stderr = run_cli(
         capsys, "predict", "--model", str(tmp_path / "none.model"),
@@ -235,3 +256,15 @@ def test_config_line_is_replayable_json(capsys):
     assert config["master_seed"] == 12
     assert config["mode"] == "exact"
     assert config["command"] == "kernel"
+
+
+def test_cli_start_does_not_import_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys; import regkernel.cli as c; c.build_parser(); "
+        "sys.exit(1 if 'scipy' in sys.modules else 0)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert result.returncode == 0, "importing the CLI loaded scipy"

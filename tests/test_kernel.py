@@ -13,6 +13,7 @@ from regkernel import (
     KernelParams,
     agreement_count,
     dfa_space_size,
+    enumerate_strings,
     exact_kn,
     exact_pn,
     gram_matrix,
@@ -113,6 +114,36 @@ def test_exact_kn_symmetric(x, y, n):
 def test_cap_error_propagates(ab):
     with pytest.raises(CapExceededError):
         agreement_count("a", "b", 3, ab, cap=10)
+
+
+def test_agreement_count_matches_grid_all_short_pairs(ab):
+    # the lazy walk against full table enumeration, every pair up to length 4
+    strings = enumerate_strings(ab, 4)
+    for n in (1, 2, 3):
+        grid = agreement_count_grid(strings, n, ab)
+        for i, x in enumerate(strings):
+            for j, y in enumerate(strings):
+                assert agreement_count(x, y, n, ab) == grid[i, j], (x, y, n)
+
+
+def test_agreement_count_matches_oracle_larger_n(ab):
+    for x, y in [("ababa", "abbaa"), ("aab", "bba"), ("abab", "")]:
+        assert agreement_count(x, y, 4, ab) == brute_agreement(x, y, 4)
+    # counted once by enumerating all 5**10 tables
+    assert agreement_count("ababa", "abbaa", 5, ab) == 4305125
+
+
+@given(
+    x=st.text(alphabet="ab", max_size=5),
+    y=st.text(alphabet="ab", max_size=5),
+    n=st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_agreement_count_symmetric_and_bounded(x, y, n):
+    ab = Alphabet(("a", "b"))
+    a = agreement_count(x, y, n, ab)
+    assert a == agreement_count(y, x, n, ab)
+    assert 0 <= a <= n ** (2 * n)
 
 
 # ---------------------------------------------------------------------
@@ -300,6 +331,18 @@ def test_kernel_cap_error_suggests_monte_carlo(ab):
     params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
     with pytest.raises(CapExceededError, match="monte-carlo"):
         kernel_value("aaaaaaaaa", "aaaaaaaab", params, cap=10**6)
+
+
+def test_kernel_cap_checked_before_any_term(ab, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term was evaluated before the cap check")
+
+    monkeypatch.setattr("regkernel.kernel.agreement_count", refuse)
+    params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
+    with pytest.raises(CapExceededError, match="monte-carlo"):
+        kernel_value("aaaaaaaaa", "aaaaaaaab", params, cap=10**6)
+    with pytest.raises(CapExceededError, match="monte-carlo"):
+        gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params, cap=10**6)
 
 
 def test_kernel_params_validation(ab):

@@ -28,7 +28,15 @@ counts it always did.
 The Monte Carlo path estimates P_n as the joint-acceptance fraction over m
 uniformly sampled DFAs; both bounds 1/4 <= P_n <= 1/2 hold, so a
 multiplicative Chernoff bound gives a relative-error guarantee with a
-sample budget independent of n and the strings.
+sample budget independent of n and the strings.  For each n the m DFAs
+are drawn once, from a stream seeded only by (master_seed, n), and every
+string is walked over the same sample, as with random features (Rahimi &
+Recht, NIPS 2007).  With A the m x S matrix of acceptance indicators, the
+joint counts of all pairs are the exact integer entries of A^T A.  A
+value therefore depends only on its two strings, the seed and m:
+``kernel_value(x, y)`` equals the Gram entry bit for bit, and Monte Carlo
+Grams are symmetric and PSD by construction.  The certificate holds per
+entry; entries that share a sample are correlated.
 """
 
 from __future__ import annotations
@@ -58,6 +66,10 @@ SCALINGS = ("paper", "normalized")
 
 _SEED_MASK = (1 << 64) - 1
 _SEED_DOMAIN = b"regkernel.pair.v1"
+_SAMPLE_DOMAIN = b"regkernel.sample.v2"
+# Samples per block of the joint-count product: each block is multiplied in
+# float64 (exact for sums of at most 2**53 ones) and summed in int64.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,8 @@ class KernelParams:
         min(|x|, |y|, n_max) and records whether it was truncated.
     epsilon, failure_prob: relative accuracy and confidence parameter of
         the Monte Carlo certificate.
-    master_seed: 64-bit seed from which every per-pair stream is derived.
+    master_seed: 64-bit seed; the Monte Carlo sample of state count n is
+        drawn from a stream seeded by (master_seed, n) alone.
     """
 
     alphabet: Alphabet
@@ -189,9 +202,9 @@ def derive_pair_seed(master_seed: int, n: int, x: str, y: str) -> int:
     as little-endian u64, then the two strings in lexicographically
     sorted order, each as a little-endian u64 byte length followed by its
     UTF-8 bytes.  The first 8 digest bytes, little-endian, are the seed.
-    Sorting makes the derived stream a function of the unordered pair, so
-    Monte Carlo values are symmetric bit for bit, independent of
-    evaluation order and thread count.
+    Sorting makes the derived stream a function of the unordered pair.
+    The Monte Carlo path no longer uses per-pair streams; it seeds one
+    shared sample per (master_seed, n) with derive_sample_seed.
     """
     lo, hi = sorted((x, y))
     h = hashlib.sha256()
@@ -201,6 +214,19 @@ def derive_pair_seed(master_seed: int, n: int, x: str, y: str) -> int:
         data = s.encode("utf-8")
         h.update(struct.pack("<Q", len(data)))
         h.update(data)
+    return int.from_bytes(h.digest()[:8], "little")
+
+
+def derive_sample_seed(master_seed: int, n: int) -> int:
+    """Stable 64-bit stream seed of the shared Monte Carlo sample of n.
+
+    SHA-256 over a domain tag, then the master seed and n as little-endian
+    u64 (the layout of derive_pair_seed without the strings); the first 8
+    digest bytes, little-endian, are the seed.
+    """
+    h = hashlib.sha256()
+    h.update(_SAMPLE_DOMAIN)
+    h.update(struct.pack("<QQ", master_seed & _SEED_MASK, n))
     return int.from_bytes(h.digest()[:8], "little")
 
 
@@ -399,44 +425,75 @@ def joint_accept_count_grid(
 # ---------------------------------------------------------------------------
 
 
-def _mc_joint_count(
-    x: str, y: str, n: int, m: int, alphabet: Alphabet, master_seed: int
-) -> int:
-    """Number of jointly accepting DFAs among m uniform samples.
+def draw_dfa_sample(
+    n: int, m: int, alphabet: Alphabet, master_seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The m uniformly sampled n-state DFAs that every string shares.
 
-    The stream is seeded from the unordered pair via derive_pair_seed and
-    consumed in a fixed batch layout: all m transition tables (m*n*k
-    uniform cells), then all m accepting masks (m*n fair bits).  Each
-    sampled DFA has exactly the distribution of automata.sample_dfa.
+    The stream is seeded by derive_sample_seed(master_seed, n) and consumed
+    in a fixed layout: all m transition tables (int32, shape (m, n, k),
+    uniform cells), then all m accepting masks (uint8, shape (m, n), fair
+    bits).  Each DFA has exactly the distribution of automata.sample_dfa.
     """
-    k = len(alphabet)
-    ex = alphabet.encode(x)
-    ey = alphabet.encode(y)
-    rng = np.random.default_rng(derive_pair_seed(master_seed, n, x, y))
-    tables = rng.integers(0, n, size=(m, n, k))
-    masks = rng.integers(0, 2, size=(m, n))
-    rows = np.arange(m)
-    sx = np.zeros(m, dtype=np.int64)
-    for ci in ex:
-        sx = tables[rows, sx, ci]
-    sy = np.zeros(m, dtype=np.int64)
-    for ci in ey:
-        sy = tables[rows, sy, ci]
-    return int(np.count_nonzero(masks[rows, sx] & masks[rows, sy]))
+    rng = np.random.default_rng(derive_sample_seed(master_seed, n))
+    tables = rng.integers(0, n, size=(m, n, len(alphabet)), dtype=np.int32)
+    masks = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+    return tables, masks
+
+
+def _acceptance(
+    tables: np.ndarray, masks: np.ndarray, encoded: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """(m, S) float64 0/1 matrix: entry (t, j) is 1 when DFA t accepts
+    string j.
+
+    States of all m DFAs are numbered t*n + q, and succ[c] maps each to
+    its successor on symbol c, so a walk costs one ``take`` per symbol.
+    """
+    m, n, k = tables.shape
+    succ = np.moveaxis(tables, 2, 0).astype(np.intp, order="C")
+    succ += (np.arange(m, dtype=np.intp) * n)[:, None]
+    succ = succ.reshape(k, m * n)
+    accept = masks.ravel()
+    start = np.arange(0, m * n, n, dtype=np.intp)
+    out = np.empty((m, len(encoded)), dtype=np.float64)
+    for j, e in enumerate(encoded):
+        pos = start
+        for c in e:
+            pos = succ[c].take(pos)
+        out[:, j] = accept.take(pos)
+    return out
+
+
+def mc_joint_counts(
+    strings: Sequence[str], n: int, m: int, alphabet: Alphabet, master_seed: int
+) -> np.ndarray:
+    """(S, S) int64 matrix of joint-acceptance counts among the m shared
+    DFAs of state count n: the exact integer product A^T A of the (m, S)
+    acceptance matrix A, formed in float64 over blocks of _BLOCK samples
+    and summed in int64.  Only one block of A exists at a time."""
+    tables, masks = draw_dfa_sample(n, m, alphabet, master_seed)
+    encoded = [alphabet.encode(s) for s in strings]
+    counts = np.zeros((len(strings), len(strings)), dtype=np.int64)
+    for lo in range(0, m, _BLOCK):
+        block = _acceptance(tables[lo : lo + _BLOCK], masks[lo : lo + _BLOCK], encoded)
+        counts += (block.T @ block).astype(np.int64)
+    return counts
 
 
 def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> float:
-    """Monte Carlo estimate of P_n: joint-acceptance fraction over m
-    uniformly sampled n-state DFAs.
+    """Monte Carlo estimate of P_n: joint-acceptance fraction over the m
+    shared n-state DFAs of the seed.
 
-    Deterministic given (seed, n, x, y, m, alphabet), symmetric in (x, y)
-    by seed construction, and an unbiased estimator of exact_pn.
+    Deterministic given (seed, n, x, y, m, alphabet), symmetric in (x, y),
+    equal to the estimate a Gram reads for the same pair, and an unbiased
+    estimator of exact_pn.
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
-    return _mc_joint_count(x, y, n, m, alphabet, seed) / m
+    return int(mc_joint_counts((x, y), n, m, alphabet, seed)[0, 1]) / m
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +514,33 @@ def _check_exact_cap(n_used: int, params: KernelParams, cap: int) -> None:
         )
 
 
+def _summation_limit(x: str, y: str, params: KernelParams) -> tuple[int, bool]:
+    """n_used = min(|x|, |y|, n_max), and whether n_max cut the sum short."""
+    limit = min(len(x), len(y))
+    n_used = min(limit, params.n_max)
+    return n_used, n_used < limit
+
+
+def _mc_value(x: str, y: str, counts: Sequence[int], params: KernelParams, m: int) -> KernelValue:
+    """Monte Carlo kernel value from the joint counts of x and y, counts[n-1]
+    out of m for n = 1..n_used (later entries are ignored).  Both
+    kernel_value and gram_matrix assemble their values here, so equal
+    counts give bit-identical values."""
+    n_used, truncated = _summation_limit(x, y, params)
+    same = 1 if x == y else 0
+    cert = ApproxCertificate(params.epsilon, params.failure_prob, m, params.master_seed)
+    if params.scaling == "paper":
+        acc = Fraction(same)
+        for n in range(1, n_used + 1):
+            acc += Fraction(int(counts[n - 1]), m) * dfa_space_size(n, len(params.alphabet))
+        value = float(acc)
+    else:
+        value = float(same)
+        for n in range(1, n_used + 1):
+            value += params.weight_for(n) * (int(counts[n - 1]) / m)
+    return KernelValue(value, params.mode, params.scaling, n_used, truncated, cert)
+
+
 def kernel_value(
     x: str, y: str, params: KernelParams, cap: int = DEFAULT_TABLE_CAP
 ) -> KernelValue:
@@ -464,17 +548,16 @@ def kernel_value(
 
     The identity term 1{x = y} is always present; the sum runs over
     n = 1..min(|x|, |y|, n_max).  Symmetric in (x, y) bit for bit in
-    every mode.
+    every mode, and in Monte Carlo mode equal bit for bit to the entry of
+    any Gram matrix that contains both strings.
     """
     params.alphabet.encode(x)
     params.alphabet.encode(y)
-    limit = min(len(x), len(y))
-    n_used = min(limit, params.n_max)
-    truncated = n_used < limit
-    same = 1 if x == y else 0
+    n_used, truncated = _summation_limit(x, y, params)
 
     if params.mode == "exact":
         _check_exact_cap(n_used, params, cap)
+        same = 1 if x == y else 0
         if params.scaling == "paper":
             total = same
             for n in range(1, n_used + 1):
@@ -486,19 +569,11 @@ def kernel_value(
         return KernelValue(float(acc), params.mode, params.scaling, n_used, truncated)
 
     m = required_samples(params.epsilon, params.failure_prob)
-    cert = ApproxCertificate(params.epsilon, params.failure_prob, m, params.master_seed)
-    if params.scaling == "paper":
-        acc = Fraction(same)
-        for n in range(1, n_used + 1):
-            count = _mc_joint_count(x, y, n, m, params.alphabet, params.master_seed)
-            acc += Fraction(count, m) * dfa_space_size(n, len(params.alphabet))
-        return KernelValue(float(acc), params.mode, params.scaling, n_used, truncated, cert)
-    total_f = float(same)
-    for n in range(1, n_used + 1):
-        total_f += params.weight_for(n) * mc_pn(
-            x, y, n, m, params.alphabet, params.master_seed
-        )
-    return KernelValue(total_f, params.mode, params.scaling, n_used, truncated, cert)
+    counts = [
+        mc_joint_counts((x, y), n, m, params.alphabet, params.master_seed)[0, 1]
+        for n in range(1, n_used + 1)
+    ]
+    return _mc_value(x, y, counts, params, m)
 
 
 @dataclass(frozen=True)
@@ -527,10 +602,13 @@ def gram_matrix(
 ) -> GramMatrix:
     """Pairwise kernel values; each unordered pair is evaluated once.
 
-    Deterministic given params.master_seed regardless of jobs: per-pair
-    streams are derived independently, so parallel evaluation returns
-    exactly the sequential result.
+    Exact mode evaluates the pairs on ``jobs`` threads.  Monte Carlo mode
+    draws one shared sample per n and reads every entry off its joint
+    counts on one thread, whatever ``jobs`` is.  The result does not
+    depend on ``jobs``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     strings = tuple(strings)
     seen = set()
     for s in strings:
@@ -538,20 +616,32 @@ def gram_matrix(
             raise ValueError(f"duplicate string {s!r} in Gram input")
         seen.add(s)
         params.alphabet.encode(s)
-    if params.mode == "exact" and strings:
-        _check_exact_cap(min(max(map(len, strings)), params.n_max), params, cap)
     count = len(strings)
     pairs = [(i, j) for i in range(count) for j in range(i, count)]
+    n_top = min(max(map(len, strings), default=0), params.n_max)
 
-    def evaluate(pair):
-        i, j = pair
-        return kernel_value(strings[i], strings[j], params, cap)
+    if params.mode == "exact":
+        _check_exact_cap(n_top, params, cap)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(evaluate, pairs))
+        def evaluate(pair):
+            i, j = pair
+            return kernel_value(strings[i], strings[j], params, cap)
+
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                values = list(pool.map(evaluate, pairs))
+        else:
+            values = [evaluate(p) for p in pairs]
     else:
-        values = [evaluate(p) for p in pairs]
+        m = required_samples(params.epsilon, params.failure_prob)
+        per_n = [
+            mc_joint_counts(strings, n, m, params.alphabet, params.master_seed)
+            for n in range(1, n_top + 1)
+        ]
+        values = [
+            _mc_value(strings[i], strings[j], [c[i, j] for c in per_n], params, m)
+            for i, j in pairs
+        ]
 
     grid: list[list[KernelValue | None]] = [[None] * count for _ in range(count)]
     for (i, j), kv in zip(pairs, values):
@@ -562,6 +652,12 @@ def gram_matrix(
         entries=tuple(tuple(row) for row in grid),  # type: ignore[arg-type]
         params=params,
     )
+
+
+def format_version(params: KernelParams) -> int:
+    """Version of the Gram sidecar and model formats for these parameters:
+    2 for Monte Carlo (one shared sample per n), 1 for exact."""
+    return 1 if params.mode == "exact" else 2
 
 
 def format_scalar(v: int | float) -> str:
@@ -584,7 +680,7 @@ def gram_metadata_json(gram: GramMatrix) -> str:
     """Sidecar metadata: the full KernelParams (master_seed included) and
     the string list, enough to replay the matrix bit for bit."""
     meta = {
-        "format": "regkernel gram v1",
+        "format": f"regkernel gram v{format_version(gram.params)}",
         "params": gram.params.to_dict(),
         "strings": list(gram.strings),
     }

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .automata import Alphabet, CapExceededError, Dfa, ParseError, iter_strings
-from .kernel import GramMatrix, KernelParams, kernel_value
+from .kernel import GramMatrix, KernelParams, format_version, kernel_value
 
 DEFAULT_STRING_CAP = 1_000_000
 
@@ -202,13 +202,16 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def model_to_text(model: PerceptronModel) -> str:
     """Two metadata lines then one ``<alpha>\\t<string>`` line per support
-    string, in training order."""
+    string, in training order.  The header is ``model v2`` for a Monte
+    Carlo model (one shared sample per n) and ``model v1`` for an exact
+    one."""
     meta = {
         "params": model.params.to_dict(),
         "epochs_run": model.epochs_run,
         "errors_per_epoch": list(model.errors_per_epoch),
     }
-    lines = ["model v1", "meta " + json.dumps(meta, sort_keys=True)]
+    lines = [f"model v{format_version(model.params)}",
+             "meta " + json.dumps(meta, sort_keys=True)]
     for s, coeff in model.support:
         lines.append(f"{coeff}\t{s}")
     return "\n".join(lines) + "\n"
@@ -216,8 +219,8 @@ def model_to_text(model: PerceptronModel) -> str:
 
 def model_from_text(text: str) -> PerceptronModel:
     lines = text.splitlines()
-    if not lines or lines[0] != "model v1":
-        raise ParseError("expected 'model v1' header", 1)
+    if not lines or lines[0] not in ("model v1", "model v2"):
+        raise ParseError("expected 'model v1' or 'model v2' header", 1)
     if len(lines) < 2 or not lines[1].startswith("meta "):
         raise ParseError("expected 'meta <json>' line", 2)
     try:
@@ -227,6 +230,13 @@ def model_from_text(text: str) -> PerceptronModel:
         errors = tuple(int(e) for e in meta["errors_per_epoch"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed metadata: {e}", 2) from e
+    expected = f"model v{format_version(params)}"
+    if lines[0] != expected:
+        hint = "" if params.mode == "exact" else (
+            "; Monte Carlo values now come from one shared sample per n, so retrain"
+        )
+        raise ParseError(f"{params.mode} model needs a '{expected}' header, "
+                         f"got '{lines[0]}'{hint}", 1)
     support = []
     for lineno, raw in enumerate(lines[2:], start=3):
         if not raw.strip():

@@ -268,3 +268,70 @@ def test_cli_start_does_not_import_scipy():
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert result.returncode == 0, "importing the CLI loaded scipy"
+
+
+# ---------------------------------------------------------------------
+# format versions and --jobs
+# ---------------------------------------------------------------------
+
+def test_gram_monte_carlo_rerun_is_byte_identical_v2(tmp_path, capsys, parity, ab):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    out = tmp_path / "mc.csv"
+    meta_path = tmp_path / "mc.csv.meta.json"
+    args = (
+        "gram", "--dataset", str(dataset), "--mode", "mc", "--nmax", "3",
+        "--seed", "9", "--out", str(out),
+    )
+    outputs = []
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, *args)
+        assert code == 0
+        outputs.append((out.read_bytes(), meta_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["format"] == "regkernel gram v2"
+
+    code, _, _ = run_cli(capsys, "gram", "--dataset", str(dataset), "--mode", "exact",
+                         "--nmax", "2", "--out", str(out))
+    assert code == 0
+    assert json.loads(meta_path.read_bytes())["format"] == "regkernel gram v1"
+
+
+def test_monte_carlo_model_v1_is_refused(tmp_path, capsys, parity, ab):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    strings_file = tmp_path / "strings.txt"
+    strings_file.write_text("aa\nab\n", encoding="utf-8")
+    models = {}
+    for mode in ("exact", "mc"):
+        models[mode] = tmp_path / f"{mode}.model"
+        code, _, _ = run_cli(
+            capsys, "train", "--dataset", str(dataset), "--mode", mode, "--nmax", "2",
+            "--seed", "4", "--out", str(models[mode]),
+        )
+        assert code == 0
+    assert models["exact"].read_text().startswith("model v1\n")
+    mc_text = models["mc"].read_text()
+    assert mc_text.startswith("model v2\n")
+    code, stdout, _ = run_cli(
+        capsys, "predict", "--model", str(models["mc"]), "--in", str(strings_file),
+    )
+    assert code == 0 and len(stdout.splitlines()) == 2
+
+    models["mc"].write_text(mc_text.replace("model v2", "model v1", 1), encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys, "predict", "--model", str(models["mc"]), "--in", str(strings_file),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "retrain" in stderr
+
+
+def test_gram_jobs_zero_exit_2(tmp_path, capsys, parity, ab):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=2)
+    code, stdout, stderr = run_cli(
+        capsys, "gram", "--dataset", str(dataset), "--jobs", "0",
+        "--out", str(tmp_path / "g.csv"),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "jobs" in stderr
+    assert not (tmp_path / "g.csv").exists()

@@ -432,3 +432,83 @@ def test_gram_csv_and_metadata(ab):
 def test_format_scalar():
     assert format_scalar(12345678901234567890) == "12345678901234567890"
     assert format_scalar(0.1) == "0.10000000000000001"
+
+
+# ---------------------------------------------------------------------
+# Monte Carlo: one shared sample per n
+# ---------------------------------------------------------------------
+
+def mc_params(ab, scaling="normalized", seed=5, epsilon=0.1, failure_prob=0.05):
+    return KernelParams(
+        alphabet=ab, n_max=3, mode="monte-carlo", scaling=scaling,
+        epsilon=epsilon, failure_prob=failure_prob, master_seed=seed,
+    )
+
+
+def test_mc_acceptance_matches_plain_walk(ab):
+    from regkernel.kernel import _acceptance, draw_dfa_sample
+
+    strings = enumerate_strings(ab, 4)
+    for n in (1, 2, 3):
+        tables, masks = draw_dfa_sample(n, 200, ab, 13)
+        assert tables.shape == (200, n, 2) and masks.shape == (200, n)
+        accepts = _acceptance(tables, masks, [ab.encode(s) for s in strings])
+        for t in range(200):
+            for j, s in enumerate(strings):
+                q = 0
+                for c in ab.encode(s):
+                    q = tables[t, q, c]
+                assert accepts[t, j] == masks[t, q]
+
+
+def test_mc_kernel_value_equals_gram_entry(ab):
+    strings = enumerate_strings(ab, 4)
+    assert len(strings) == 31
+    for scaling in ("paper", "normalized"):
+        # the budget of the benchmark's Monte Carlo workload
+        params = mc_params(ab, scaling, epsilon=0.05, failure_prob=0.01)
+        gram = gram_matrix(strings, params)
+        for i, x in enumerate(strings):
+            for j in range(i, len(strings)):
+                assert kernel_value(x, strings[j], params) == gram.entries[i][j]
+
+
+def test_mc_gram_permutation_equivariant(ab):
+    strings = enumerate_strings(ab, 4)
+    order = np.random.default_rng(0).permutation(len(strings))
+    params = mc_params(ab)
+    gram = gram_matrix(strings, params).to_array()
+    permuted = gram_matrix([strings[i] for i in order], params).to_array()
+    assert np.array_equal(permuted, gram[np.ix_(order, order)])
+
+
+def test_mc_gram_draws_one_sample_per_n(ab, monkeypatch):
+    from regkernel import kernel
+
+    drawn = []
+    real = kernel.draw_dfa_sample
+
+    def counting(n, m, alphabet, master_seed):
+        drawn.append(n)
+        return real(n, m, alphabet, master_seed)
+
+    monkeypatch.setattr(kernel, "draw_dfa_sample", counting)
+    gram_matrix(enumerate_strings(ab, 4), mc_params(ab))
+    assert drawn == [1, 2, 3]
+
+
+def test_mc_pn_reads_the_shared_sample(ab):
+    # mc_pn and every Gram that contains the pair read the same counts
+    m = required_samples(0.1, 0.05)
+    expected = mc_pn("ab", "ba", 1, m, ab, 5) + mc_pn("ab", "ba", 2, m, ab, 5)
+    for strings in (["ab", "ba"], ["", "ba", "a", "ab", "bb"]):
+        gram = gram_matrix(strings, mc_params(ab, seed=5))
+        assert gram.value(strings.index("ab"), strings.index("ba")) == expected
+
+
+def test_gram_rejects_jobs_below_one(ab):
+    for mode in ("exact", "monte-carlo"):
+        params = KernelParams(alphabet=ab, n_max=2, mode=mode)
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                gram_matrix(["a", "b"], params, jobs=jobs)

@@ -51,6 +51,7 @@ from .kernel import (
 from .learner import (
     Dataset,
     PerceptronModel,
+    decision_values,
     enumerate_strings,
     label_strings,
     load_dataset,
@@ -82,6 +83,7 @@ __all__ = [
     "agreement_count",
     "alpha_embed",
     "chi",
+    "decision_values",
     "derive_pair_seed",
     "dfa_space_size",
     "enumerate_dfas",

@@ -35,7 +35,7 @@ from .kernel import (
     gram_to_csv,
     kernel_value,
 )
-from .learner import load_dataset, load_model, predict, save_model, train
+from .learner import decision_values, load_dataset, load_model, save_model, train
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -189,9 +189,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
             model.params.alphabet.encode(line)
         except ValueError as e:
             raise ParseError(str(e), lineno) from e
-    for line in lines:
-        label = predict(model, line)
-        print("+1" if label > 0 else "-1")
+    # every value, and so every cap check, comes before the first label
+    for value in decision_values(model, lines):
+        print("+1" if value > 0 else "-1")
     return EXIT_OK
 
 

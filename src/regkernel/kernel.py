@@ -31,12 +31,17 @@ multiplicative Chernoff bound gives a relative-error guarantee with a
 sample budget independent of n and the strings.  For each n the m DFAs
 are drawn once, from a stream seeded only by (master_seed, n), and every
 string is walked over the same sample, as with random features (Rahimi &
-Recht, NIPS 2007).  With A the m x S matrix of acceptance indicators, the
-joint counts of all pairs are the exact integer entries of A^T A.  A
-value therefore depends only on its two strings, the seed and m:
-``kernel_value(x, y)`` equals the Gram entry bit for bit, and Monte Carlo
-Grams are symmetric and PSD by construction.  The certificate holds per
-entry; entries that share a sample are correlated.
+Recht, NIPS 2007).  With A and B the acceptance-indicator matrices of two
+string lists over the m samples, the joint counts of every cross pair are
+the exact integer entries of A^T B (A^T A for a Gram; a trained model's
+support against its queries for prediction).  The product is formed over
+blocks of samples sized by a budget on samples x strings, so memory stays
+flat however many strings take part, and block size never changes a
+count.  A value therefore depends only on its two strings, the seed and
+m: ``kernel_value(x, y)`` equals the Gram entry and the prediction term
+bit for bit, and Monte Carlo Grams are symmetric and PSD by construction.
+The certificate holds per entry; entries that share a sample are
+correlated.
 """
 
 from __future__ import annotations
@@ -67,9 +72,10 @@ SCALINGS = ("paper", "normalized")
 _SEED_MASK = (1 << 64) - 1
 _SEED_DOMAIN = b"regkernel.pair.v1"
 _SAMPLE_DOMAIN = b"regkernel.sample.v2"
-# Samples per block of the joint-count product: each block is multiplied in
-# float64 (exact for sums of at most 2**53 ones) and summed in int64.
-_BLOCK = 4096
+# Cells (samples x strings) per block of the joint-count product: each
+# block is multiplied in float32, exact because a block sums at most
+# _BLOCK_CELLS <= 2**24 ones, and the blocks are summed in int64.
+_BLOCK_CELLS = 4096 * 32
 
 
 @dataclass(frozen=True)
@@ -444,7 +450,7 @@ def draw_dfa_sample(
 def _acceptance(
     tables: np.ndarray, masks: np.ndarray, encoded: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """(m, S) float64 0/1 matrix: entry (t, j) is 1 when DFA t accepts
+    """(m, S) float32 0/1 matrix: entry (t, j) is 1 when DFA t accepts
     string j.
 
     States of all m DFAs are numbered t*n + q, and succ[c] maps each to
@@ -456,7 +462,7 @@ def _acceptance(
     succ = succ.reshape(k, m * n)
     accept = masks.ravel()
     start = np.arange(0, m * n, n, dtype=np.intp)
-    out = np.empty((m, len(encoded)), dtype=np.float64)
+    out = np.empty((m, len(encoded)), dtype=np.float32)
     for j, e in enumerate(encoded):
         pos = start
         for c in e:
@@ -466,19 +472,34 @@ def _acceptance(
 
 
 def mc_joint_counts(
-    strings: Sequence[str], n: int, m: int, alphabet: Alphabet, master_seed: int
+    rows: Sequence[str],
+    n: int,
+    m: int,
+    alphabet: Alphabet,
+    master_seed: int,
+    cols: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """(S, S) int64 matrix of joint-acceptance counts among the m shared
-    DFAs of state count n: the exact integer product A^T A of the (m, S)
-    acceptance matrix A, formed in float64 over blocks of _BLOCK samples
-    and summed in int64.  Only one block of A exists at a time."""
+    """(R, C) int64 matrix of joint-acceptance counts among the m shared
+    DFAs of state count n: entry (i, j) counts the samples that accept both
+    rows[i] and cols[j] (cols defaults to rows).  It is the exact integer
+    product A^T B of the acceptance matrices, formed in float32 over blocks
+    of at most _BLOCK_CELLS samples x strings and summed in int64.  Each
+    distinct string is walked once, and only one block exists at a time."""
+    cols = rows if cols is None else cols
+    # distinct strings, rows first: the row strings are a leading slice of
+    # each block, so a block is multiplied without copying any column
+    index: dict[str, int] = {}
+    for s in (*rows, *cols):
+        index.setdefault(s, len(index))
+    distinct_rows = len(set(rows))
+    encoded = [alphabet.encode(s) for s in index]
     tables, masks = draw_dfa_sample(n, m, alphabet, master_seed)
-    encoded = [alphabet.encode(s) for s in strings]
-    counts = np.zeros((len(strings), len(strings)), dtype=np.int64)
-    for lo in range(0, m, _BLOCK):
-        block = _acceptance(tables[lo : lo + _BLOCK], masks[lo : lo + _BLOCK], encoded)
-        counts += (block.T @ block).astype(np.int64)
-    return counts
+    step = max(1, _BLOCK_CELLS // max(1, len(encoded)))
+    counts = np.zeros((distinct_rows, len(encoded)), dtype=np.int64)
+    for lo in range(0, m, step):
+        block = _acceptance(tables[lo : lo + step], masks[lo : lo + step], encoded)
+        counts += (block[:, :distinct_rows].T @ block).astype(np.int64)
+    return counts[np.ix_([index[s] for s in rows], [index[s] for s in cols])]
 
 
 def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> float:

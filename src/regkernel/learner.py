@@ -13,12 +13,33 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .automata import Alphabet, CapExceededError, Dfa, ParseError, iter_strings
-from .kernel import GramMatrix, KernelParams, format_version, kernel_value
+from .automata import (
+    DEFAULT_TABLE_CAP,
+    Alphabet,
+    CapExceededError,
+    Dfa,
+    ParseError,
+    iter_strings,
+)
+from .kernel import (
+    GramMatrix,
+    KernelParams,
+    _check_exact_cap,
+    _mc_value,
+    format_version,
+    kernel_value,
+    mc_joint_counts,
+    required_samples,
+)
 
 DEFAULT_STRING_CAP = 1_000_000
 
 LABELS = (1, -1)
+
+# Monte Carlo queries scored per joint-count call.  A block of samples holds
+# a fixed number of cells, so with more strings its samples get too few to
+# amortise the per-symbol walk; chunking keeps prediction linear in queries.
+_QUERY_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -137,17 +158,59 @@ def train(gram: GramMatrix, labels: Sequence[int], max_epochs: int) -> Perceptro
     )
 
 
+def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | float]:
+    """sum_i alpha_i * K(s_i, x) for every x, under the model's training
+    parameters.
+
+    Every x is validated, and an exact model's table cap is checked for
+    the largest term, before any kernel work.  Monte Carlo mode reads the
+    support against up to _QUERY_CHUNK of xs at a time from one joint-count
+    call per n, so each n's sample is drawn once per chunk; exact mode
+    evaluates each pair with kernel_value.  Each sum runs over the support
+    in model order, so a value equals the per-pair sum bit for bit.
+    """
+    params = model.params
+    xs = list(xs)
+    for x in xs:
+        params.alphabet.encode(x)
+    support = [s for s, _ in model.support]
+    n_top = min(max(map(len, support), default=0), max(map(len, xs), default=0),
+                params.n_max)
+    if params.mode == "exact":
+        _check_exact_cap(n_top, params, DEFAULT_TABLE_CAP)
+        columns = [[kernel_value(s, x, params).value for s in support] for x in xs]
+    else:
+        m = required_samples(params.epsilon, params.failure_prob)
+        columns = []
+        for lo in range(0, len(xs), _QUERY_CHUNK):
+            chunk = xs[lo : lo + _QUERY_CHUNK]
+            per_n = [
+                mc_joint_counts(support, n, m, params.alphabet, params.master_seed, chunk)
+                for n in range(1, n_top + 1)
+            ]
+            columns += [
+                [_mc_value(s, x, [c[i, j] for c in per_n], params, m).value
+                 for i, s in enumerate(support)]
+                for j, x in enumerate(chunk)
+            ]
+    # a plain left-to-right loop, as in train: sum() of floats is compensated
+    # on Python >= 3.12 and would not reproduce the training sums bit for bit
+    totals: list[int | float] = []
+    for column in columns:
+        total: int | float = 0
+        for (_, coeff), value in zip(model.support, column):
+            total += coeff * value
+        totals.append(total)
+    return totals
+
+
 def decision_value(model: PerceptronModel, x: str) -> int | float:
     """sum_i alpha_i * K(s_i, x) under the model's training parameters."""
-    total: int | float = 0
-    for s, coeff in model.support:
-        total += coeff * kernel_value(s, x, model.params).value
-    return total
+    return decision_values(model, [x])[0]
 
 
 def predict(model: PerceptronModel, x: str) -> int:
     """+1 when the decision value is strictly positive, else -1."""
-    model.params.alphabet.encode(x)
     return 1 if decision_value(model, x) > 0 else -1
 
 

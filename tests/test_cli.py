@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from regkernel import label_strings, enumerate_strings, parse_dfa
+from regkernel import KernelParams, label_strings, enumerate_strings, parse_dfa
 from regkernel.cli import main
-from regkernel.learner import dataset_to_text
+from regkernel.learner import PerceptronModel, dataset_to_text, load_model, predict, save_model
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +221,108 @@ def test_predict_missing_model_exit_2(tmp_path, capsys):
         "--in", str(tmp_path / "none.txt"),
     )
     assert code == 2
+
+
+def count_sample_draws(monkeypatch):
+    """Record the state count of every draw_dfa_sample call."""
+    from regkernel import kernel
+
+    drawn = []
+    real = kernel.draw_dfa_sample
+
+    def counting(n, m, alphabet, master_seed):
+        drawn.append(n)
+        return real(n, m, alphabet, master_seed)
+
+    monkeypatch.setattr(kernel, "draw_dfa_sample", counting)
+    return drawn
+
+
+def test_predict_exact_cap_exits_3_before_any_label(tmp_path, capsys, ab):
+    # the first two queries are cheap; the third needs n = 6, 6**12 tables
+    model_path = tmp_path / "big.model"
+    save_model(PerceptronModel(
+        support=(("aaaaaa", 1),), params=KernelParams(alphabet=ab, n_max=6),
+        epochs_run=1, errors_per_epoch=(0,),
+    ), model_path)
+    strings_file = tmp_path / "strings.txt"
+    strings_file.write_text("a\nab\naaaaaa\nb\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys, "predict", "--model", str(model_path), "--in", str(strings_file),
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "transition tables" in stderr
+
+
+def test_predict_draws_one_sample_per_n(tmp_path, capsys, parity, ab, monkeypatch):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=4)
+    model_path = tmp_path / "mc.model"
+    code, _, _ = run_cli(
+        capsys, "train", "--dataset", str(dataset), "--mode", "mc", "--nmax", "3",
+        "--seed", "8", "--out", str(model_path),
+    )
+    assert code == 0
+    model = load_model(model_path)
+    assert len(model.support) > 1
+    queries = [s for s in enumerate_strings(ab, 6) if len(s) >= 5]
+    strings_file = tmp_path / "strings.txt"
+    strings_file.write_text("\n".join(queries) + "\n", encoding="utf-8")
+    expected = ["+1" if predict(model, x) > 0 else "-1" for x in queries[:4]]
+
+    drawn = count_sample_draws(monkeypatch)
+    code, stdout, _ = run_cli(
+        capsys, "predict", "--model", str(model_path), "--in", str(strings_file),
+    )
+    assert code == 0
+    assert drawn == [1, 2, 3]
+    labels = stdout.splitlines()
+    assert len(labels) == len(queries) == 96
+    assert labels[:4] == expected
+
+
+def test_predict_edge_cases(tmp_path, capsys, parity, ab, monkeypatch):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    models = {"trained": tmp_path / "mc.model", "empty": tmp_path / "empty.model"}
+    code, _, _ = run_cli(
+        capsys, "train", "--dataset", str(dataset), "--mode", "mc", "--nmax", "3",
+        "--seed", "8", "--out", str(models["trained"]),
+    )
+    assert code == 0
+    trained = load_model(models["trained"])
+    save_model(PerceptronModel(support=(), params=trained.params, epochs_run=1,
+                               errors_per_epoch=(0,)), models["empty"])
+    queries = ["ab", "", "ba", "abab"]
+    strings_file = tmp_path / "strings.txt"
+    empty_file = tmp_path / "none.txt"
+    strings_file.write_text("\n".join(queries) + "\n", encoding="utf-8")
+    empty_file.write_text("", encoding="utf-8")
+    drawn = count_sample_draws(monkeypatch)
+
+    # an empty support labels everything -1 without drawing a sample
+    code, stdout, _ = run_cli(
+        capsys, "predict", "--model", str(models["empty"]), "--in", str(strings_file),
+    )
+    assert code == 0
+    assert stdout.splitlines() == ["-1"] * 4
+    assert drawn == []
+
+    # an empty query file prints no labels
+    code, stdout, _ = run_cli(
+        capsys, "predict", "--model", str(models["trained"]), "--in", str(empty_file),
+    )
+    assert code == 0
+    assert stdout == ""
+    assert drawn == []
+
+    # the empty line is scored like any other query
+    code, stdout, _ = run_cli(
+        capsys, "predict", "--model", str(models["trained"]), "--in", str(strings_file),
+    )
+    assert code == 0
+    assert stdout.splitlines() == [
+        "+1" if predict(trained, x) > 0 else "-1" for x in queries
+    ]
 
 
 # ---------------------------------------------------------------------

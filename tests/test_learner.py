@@ -5,9 +5,11 @@ from regkernel import (
     CapExceededError,
     Dataset,
     KernelParams,
+    decision_values,
     enumerate_dfas,
     enumerate_strings,
     gram_matrix,
+    kernel_value,
     label_strings,
     predict,
     train,
@@ -17,6 +19,7 @@ from regkernel.learner import (
     PerceptronModel,
     dataset_from_text,
     dataset_to_text,
+    decision_value,
     load_model,
     model_from_text,
     save_model,
@@ -175,6 +178,85 @@ def test_predict_alphabet_mismatch(ab):
     )
     with pytest.raises(ValueError, match="not in alphabet"):
         predict(model, "xyz")
+
+
+def mc_params(ab, scaling, epsilon=0.05, failure_prob=0.01):
+    # the budget of the benchmark's Monte Carlo workload
+    return KernelParams(alphabet=ab, n_max=3, mode="monte-carlo", scaling=scaling,
+                        epsilon=epsilon, failure_prob=failure_prob, master_seed=101)
+
+
+def parity_gram_and_model(parity, ab, params):
+    ds = label_strings(parity, enumerate_strings(ab, 4))
+    gram = gram_matrix(ds.strings, params)
+    return gram, train(gram, ds.labels, max_epochs=200)
+
+
+def test_decision_values_equal_per_pair_sums(parity, ab):
+    # support strings, longer strings, and the empty string, in one call
+    queries = ["", "a", "ba", "abab", "aabba", "bbbbbb", "ababab"]
+    models = [
+        parity_gram_and_model(parity, ab, params)[1]
+        for params in (mc_params(ab, "paper", 0.1, 0.05),
+                       mc_params(ab, "normalized", 0.1, 0.05),
+                       exact_params(ab, n_max=3))
+    ]
+    for model in models:
+        assert model.support
+        expected = []
+        for x in queries:
+            total = 0
+            for s, coeff in model.support:
+                total += coeff * kernel_value(s, x, model.params).value
+            expected.append(total)
+        assert decision_values(model, queries) == expected
+        assert [decision_value(model, x) for x in queries] == expected
+
+
+def test_decision_values_reproduce_training_dual_sums(parity, ab):
+    # on every training string, the decision value is the dual sum the
+    # perceptron read off the Gram: sum_j alpha_j * G[j][i], bit for bit
+    for scaling in ("paper", "normalized"):
+        gram, model = parity_gram_and_model(parity, ab, mc_params(ab, scaling))
+        position = {s: i for i, s in enumerate(gram.strings)}
+        expected = []
+        for i in range(len(gram.strings)):
+            total = 0
+            for s, coeff in model.support:
+                total += coeff * gram.value(position[s], i)
+            expected.append(total)
+        assert decision_values(model, gram.strings) == expected
+
+
+def test_decision_values_across_query_chunks(parity, ab):
+    from regkernel.learner import _QUERY_CHUNK
+
+    _, model = parity_gram_and_model(parity, ab, mc_params(ab, "normalized", 0.1, 0.05))
+    queries = [s for s in enumerate_strings(ab, 8) if len(s) >= 6][: _QUERY_CHUNK + 40]
+    values = decision_values(model, queries)
+    around = slice(_QUERY_CHUNK - 3, _QUERY_CHUNK + 3)
+    assert values[around] == [decision_value(model, x) for x in queries[around]]
+
+
+def test_decision_values_empty_inputs(ab):
+    model = PerceptronModel(
+        support=(), params=mc_params(ab, "normalized"), epochs_run=1, errors_per_epoch=(0,)
+    )
+    assert decision_values(model, ["", "ab", "bbb"]) == [0, 0, 0]
+    assert decision_values(model, []) == []
+
+
+def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term was evaluated before the cap check")
+
+    monkeypatch.setattr("regkernel.kernel.agreement_count", refuse)
+    model = PerceptronModel(
+        support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
+        errors_per_epoch=(0,),
+    )
+    with pytest.raises(CapExceededError, match="monte-carlo"):
+        decision_values(model, ["a", "ab", "aaaaaa", "b"])
 
 
 def test_parity_model_generalizes(parity, ab):

@@ -144,7 +144,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     gram = gram_matrix(dataset.strings, params, jobs=args.jobs)
     count = len(dataset.strings)
-    _note(args, f"evaluated {count * (count + 1) // 2} pairs "
+    _note(args, f"Gram of {count * (count + 1) // 2} pairs "
                 f"in {time.perf_counter() - started:.2f}s")
     out = Path(args.out)
     out.write_text(gram_to_csv(gram), encoding="utf-8")
@@ -164,6 +164,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"dataset alphabet {dataset.alphabet.text!r} does not match "
             f"--alphabet {params.alphabet.text!r}"
         )
+    if args.epochs < 1:
+        raise ValueError(f"max_epochs must be >= 1, got {args.epochs}")
     _print_config("train", {**params.to_dict(), "dataset": str(args.dataset),
                             "epochs": args.epochs, "out": str(args.out),
                             "jobs": args.jobs})

@@ -17,13 +17,26 @@ T = n**(n*k) tables),
     P_n(x, y) = (1/4) * (1 + A / T).
 
 A is computed by a lazy walk that fills in only the table cells the two
-strings visit and treats all unvisited states as one weighted branch, so
-it never lists the T tables.  Enumerating every table (and every DFA)
-remains in this module as the independent oracle: the tests check the
-walk against it, and ``verify --suite bounds`` and the benchmark
-reference are computed from it.  The ``cap`` argument still bounds
-T = n**(n*k) on both paths, so the exact path refuses the same state
-counts it always did.
+strings visit and treats all unvisited states as one branch, so it never
+lists the T tables.  One walk at the largest state count N gives A(n) for
+every n <= N: it records a histogram h[v, c] of its finished equal-end
+branches by states visited v and cells assigned c, and
+
+    A(n) = sum_{v <= n} h[v, c] * (n-1)(n-2)...(n-v+1) * n**(n*k - c),
+
+so a kernel value walks each pair once, not once per n.  Enumerating
+every table (and every DFA) remains in this module as the independent
+oracle: the tests check the walk against it, and ``verify --suite
+bounds`` and the benchmark reference are computed from it.  The ``cap``
+argument still bounds T = n**(n*k) on both paths, so the exact path
+refuses the same state counts it always did.
+
+Permuting the symbols permutes the columns of a uniform table and leaves
+its distribution unchanged, and K is symmetric, so every exact value is
+constant on the class of (x, y) under symbol permutation and swapping.
+An exact Gram, and exact prediction, evaluate one canonical pair per
+class and fill the class from it.  That memo lives for one call: nothing
+is cached between calls.
 
 The Monte Carlo path estimates P_n as the joint-acceptance fraction over m
 uniformly sampled DFAs; both bounds 1/4 <= P_n <= 1/2 hold, so a
@@ -53,7 +66,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -241,35 +254,44 @@ def derive_sample_seed(master_seed: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def agreement_count(
-    x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> int:
-    """Number of transition tables on which x and y end in the same state.
+def agreement_counts(
+    x: str, y: str, n_top: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
+) -> list[int]:
+    """[A(1), ..., A(n_top)], where A(n) is the number of n-state
+    transition tables on which x and y end in the same state.
 
-    A lazy walk (the principle of deferred decisions): x, then y, is run
-    from state 0 on a partial table that is filled in only when the walk
-    reaches an unassigned cell.  The v states visited so far carry the
-    canonical labels 0..v-1.  At an unassigned cell the walk branches to
-    each visited state, and to one fresh state labelled v that stands,
-    with weight n - v, for all n - v unvisited states: any relabeling of
-    unvisited states maps completions to completions and keeps the end
-    states equal or unequal.  A finished branch whose two end states agree
-    contributes its weight times n**(unassigned cells).
+    A lazy walk (the principle of deferred decisions) at n_top states: x,
+    then y, is run from state 0 on a partial table that is filled in only
+    when the walk reaches an unassigned cell.  The v states visited so far
+    carry the canonical labels 0..v-1.  At an unassigned cell the walk
+    branches to each visited state, and to one fresh state labelled v that
+    stands for all unvisited states: any relabeling of unvisited states maps
+    completions to completions and keeps the end states equal or unequal.
 
-    ``cap`` bounds the table count n**(n*k) exactly as for the enumeration
-    oracle, so a state count refused there is refused here.
+    A finished branch whose two end states agree adds 1 to h[v, c], where
+    v is the number of states it visited and c the number of cells it
+    assigned.  None of its decisions depends on n except the fresh branches,
+    which stand for n - 1, n - 2, ..., n - v + 1 states in turn, and its
+    n*k - c unassigned cells are free, so for every n <= n_top
+
+        A(n) = sum_{v <= n} h[v, c] * (n-1)(n-2)...(n-v+1) * n**(n*k - c).
+
+    ``cap`` bounds the table count n_top**(n_top*k) exactly as for the
+    enumeration oracle, and is checked before the walk; the count grows
+    with n, so every smaller n is within it too.
     """
+    if n_top < 1:
+        raise ValueError(f"state count must be >= 1, got {n_top}")
     k = len(alphabet)
-    total = table_count(n, k)
+    total = table_count(n_top, k)
     if total > cap:
         raise CapExceededError(total, cap)
     walks = (alphabet.encode(x), alphabet.encode(y))
     # cell q*k + c holds the successor of state q on symbol c, -1 if unassigned
-    table = [-1] * (n * k)
-    count = 0
+    table = [-1] * (n_top * k)
+    hist = [[0] * (n_top * k + 1) for _ in range(n_top + 1)]
 
-    def walk(phase: int, i: int, q: int, v: int, weight: int, end_x: int, free: int) -> None:
-        nonlocal count
+    def walk(phase: int, i: int, q: int, v: int, end_x: int, assigned: int) -> None:
         s = walks[phase]
         while i < len(s):
             cell = q * k + s[i]
@@ -279,20 +301,52 @@ def agreement_count(
             i += 1
         else:  # the string ended on assigned cells
             if phase == 0:
-                walk(1, 0, 0, v, weight, q, free)
+                walk(1, 0, 0, v, q, assigned)
             elif q == end_x:
-                count += weight * n**free
+                hist[v][assigned] += 1
             return
         for r in range(v):
             table[cell] = r
-            walk(phase, i + 1, r, v, weight, end_x, free - 1)
-        if v < n:
+            walk(phase, i + 1, r, v, end_x, assigned + 1)
+        if v < n_top:
             table[cell] = v
-            walk(phase, i + 1, v, v + 1, weight * (n - v), end_x, free - 1)
+            walk(phase, i + 1, v, v + 1, end_x, assigned + 1)
         table[cell] = -1
 
-    walk(0, 0, 0, 1, 1, 0, n * k)
-    return count
+    walk(0, 0, 0, 1, 0, 0)
+    counts = []
+    for n in range(1, n_top + 1):
+        count = 0
+        falling = 1  # (n-1)(n-2)...(n-v+1)
+        for v in range(1, n + 1):
+            for c, h in enumerate(hist[v]):
+                if h:
+                    count += h * falling * n ** (n * k - c)
+            falling *= n - v
+        counts.append(count)
+    return counts
+
+
+def agreement_count(
+    x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
+) -> int:
+    """Number of n-state transition tables on which x and y end in the same
+    state: the last entry of agreement_counts at n."""
+    return agreement_counts(x, y, n, alphabet, cap)[-1]
+
+
+def _pn_from_agreement(a: int, n: int, k: int) -> Fraction:
+    """P_n = (1/4) * (1 + A/T) from the agreement count A of n states."""
+    t = table_count(n, k)
+    return Fraction(t + a, 4 * t)
+
+
+def _kn_from_pn(pn: Fraction, n: int, k: int) -> int:
+    """K_n = P_n * |DFA space of n states|, which must be an integer."""
+    value = pn * dfa_space_size(n, k)
+    if value.denominator != 1:
+        raise AssertionError(f"K_n must be an integer, got {value}")
+    return value.numerator
 
 
 def exact_pn(
@@ -304,17 +358,12 @@ def exact_pn(
     bits contribute the closed 1/4 factor because each state is accepting
     independently with probability 1/2.
     """
-    a = agreement_count(x, y, n, alphabet, cap)
-    t = table_count(n, len(alphabet))
-    return Fraction(t + a, 4 * t)
+    return _pn_from_agreement(agreement_count(x, y, n, alphabet, cap), n, len(alphabet))
 
 
 def exact_kn(x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP) -> int:
     """Exact count of n-state DFAs accepting both x and y."""
-    value = exact_pn(x, y, n, alphabet, cap) * dfa_space_size(n, len(alphabet))
-    if value.denominator != 1:
-        raise AssertionError(f"K_n must be an integer, got {value}")
-    return value.numerator
+    return _kn_from_pn(exact_pn(x, y, n, alphabet, cap), n, len(alphabet))
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +627,18 @@ def kernel_value(
 
     if params.mode == "exact":
         _check_exact_cap(n_used, params, cap)
+        k = len(params.alphabet)
+        counts = agreement_counts(x, y, n_used, params.alphabet, cap) if n_used else []
+        pns = [_pn_from_agreement(a, n, k) for n, a in enumerate(counts, start=1)]
         same = 1 if x == y else 0
         if params.scaling == "paper":
             total = same
-            for n in range(1, n_used + 1):
-                total += exact_kn(x, y, n, params.alphabet, cap)
+            for n, pn in enumerate(pns, start=1):
+                total += _kn_from_pn(pn, n, k)
             return KernelValue(total, params.mode, params.scaling, n_used, truncated)
         acc = Fraction(same)
-        for n in range(1, n_used + 1):
-            acc += Fraction(params.weight_for(n)) * exact_pn(x, y, n, params.alphabet, cap)
+        for n, pn in enumerate(pns, start=1):
+            acc += Fraction(params.weight_for(n)) * pn
         return KernelValue(float(acc), params.mode, params.scaling, n_used, truncated)
 
     m = required_samples(params.epsilon, params.failure_prob)
@@ -595,6 +647,48 @@ def kernel_value(
         for n in range(1, n_used + 1)
     ]
     return _mc_value(x, y, counts, params, m)
+
+
+def _canonical_pair(x: str, y: str, alphabet: Alphabet) -> tuple[str, str]:
+    """Representative of the class of (x, y) under symbol permutation and
+    swapping, on which every exact value is constant.
+
+    Each order of the pair is relabeled by first appearance of its symbols
+    (over the first string, then the second) onto the alphabet's own order;
+    the smaller of the two relabeled pairs is the representative.
+    """
+
+    def relabel(first: str, second: str) -> tuple[str, str]:
+        names: dict[str, str] = {}
+        for ch in first + second:
+            if ch not in names:
+                names[ch] = alphabet.symbols[len(names)]
+        return "".join(map(names.get, first)), "".join(map(names.get, second))
+
+    return min(relabel(x, y), relabel(y, x))
+
+
+def _exact_values(
+    pairs: Iterable[tuple[str, str]], params: KernelParams, cap: int, jobs: int = 1
+) -> list[KernelValue]:
+    """Exact kernel_value of every pair, evaluating each canonical pair once
+    (on ``jobs`` threads) and filling all pairs of its class from it.  The
+    memo lives for this call only."""
+    slots: dict[tuple[str, str], int] = {}
+    slot_of_pair = [
+        slots.setdefault(_canonical_pair(x, y, params.alphabet), len(slots))
+        for x, y in pairs
+    ]
+
+    def evaluate(key: tuple[str, str]) -> KernelValue:
+        return kernel_value(key[0], key[1], params, cap)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            values = list(pool.map(evaluate, slots))
+    else:
+        values = [evaluate(key) for key in slots]
+    return [values[slot] for slot in slot_of_pair]
 
 
 @dataclass(frozen=True)
@@ -621,9 +715,10 @@ def gram_matrix(
     cap: int = DEFAULT_TABLE_CAP,
     jobs: int = 1,
 ) -> GramMatrix:
-    """Pairwise kernel values; each unordered pair is evaluated once.
+    """Pairwise kernel values; each unordered pair is evaluated at most once.
 
-    Exact mode evaluates the pairs on ``jobs`` threads.  Monte Carlo mode
+    Exact mode evaluates one pair per symbol-permutation class on ``jobs``
+    threads and fills the whole class from it.  Monte Carlo mode
     draws one shared sample per n and reads every entry off its joint
     counts on one thread, whatever ``jobs`` is.  The result does not
     depend on ``jobs``.
@@ -643,16 +738,7 @@ def gram_matrix(
 
     if params.mode == "exact":
         _check_exact_cap(n_top, params, cap)
-
-        def evaluate(pair):
-            i, j = pair
-            return kernel_value(strings[i], strings[j], params, cap)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                values = list(pool.map(evaluate, pairs))
-        else:
-            values = [evaluate(p) for p in pairs]
+        values = _exact_values(((strings[i], strings[j]) for i, j in pairs), params, cap, jobs)
     else:
         m = required_samples(params.epsilon, params.failure_prob)
         per_n = [

@@ -25,9 +25,9 @@ from .kernel import (
     GramMatrix,
     KernelParams,
     _check_exact_cap,
+    _exact_values,
     _mc_value,
     format_version,
-    kernel_value,
     mc_joint_counts,
     required_samples,
 )
@@ -166,8 +166,9 @@ def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | flo
     the largest term, before any kernel work.  Monte Carlo mode reads the
     support against up to _QUERY_CHUNK of xs at a time from one joint-count
     call per n, so each n's sample is drawn once per chunk; exact mode
-    evaluates each pair with kernel_value.  Each sum runs over the support
-    in model order, so a value equals the per-pair sum bit for bit.
+    evaluates one (support string, x) pair per symbol-permutation class with
+    kernel_value.  Each sum runs over the support in model order, so a value
+    equals the per-pair sum bit for bit.
     """
     params = model.params
     xs = list(xs)
@@ -178,7 +179,11 @@ def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | flo
                 params.n_max)
     if params.mode == "exact":
         _check_exact_cap(n_top, params, DEFAULT_TABLE_CAP)
-        columns = [[kernel_value(s, x, params).value for s in support] for x in xs]
+        values = _exact_values(((s, x) for x in xs for s in support), params,
+                               DEFAULT_TABLE_CAP)
+        width = len(support)
+        columns = [[kv.value for kv in values[j * width : (j + 1) * width]]
+                   for j in range(len(xs))]
     else:
         m = required_samples(params.epsilon, params.failure_prob)
         columns = []

@@ -437,3 +437,21 @@ def test_gram_jobs_zero_exit_2(tmp_path, capsys, parity, ab):
     assert stdout == ""
     assert "jobs" in stderr
     assert not (tmp_path / "g.csv").exists()
+
+
+def test_train_epochs_zero_exits_2_before_any_kernel_work(tmp_path, capsys, parity, ab,
+                                                          monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel work started before --epochs was checked")
+
+    monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    model_path = tmp_path / "m.model"
+    code, stdout, stderr = run_cli(
+        capsys, "train", "--dataset", str(dataset), "--mode", "exact", "--nmax", "3",
+        "--epochs", "0", "--out", str(model_path),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "max_epochs must be >= 1" in stderr
+    assert not model_path.exists()

@@ -12,6 +12,7 @@ from regkernel import (
     CapExceededError,
     KernelParams,
     agreement_count,
+    agreement_counts,
     dfa_space_size,
     enumerate_strings,
     exact_kn,
@@ -144,6 +145,111 @@ def test_agreement_count_symmetric_and_bounded(x, y, n):
     a = agreement_count(x, y, n, ab)
     assert a == agreement_count(y, x, n, ab)
     assert 0 <= a <= n ** (2 * n)
+
+
+def test_agreement_counts_match_grid_all_short_pairs(ab):
+    # one walk at n = 3 against full table enumeration at every n <= 3
+    strings = enumerate_strings(ab, 4)
+    grids = [agreement_count_grid(strings, n, ab) for n in (1, 2, 3)]
+    for i, x in enumerate(strings):
+        for j, y in enumerate(strings):
+            assert agreement_counts(x, y, 3, ab) == [g[i, j] for g in grids], (x, y)
+
+
+def test_agreement_counts_match_oracle_larger_n(ab):
+    for x, y in [("ababa", "abbaa"), ("aab", "bba"), ("abab", "")]:
+        assert agreement_counts(x, y, 4, ab) == [brute_agreement(x, y, n) for n in (1, 2, 3, 4)]
+    assert agreement_counts("ababa", "abbaa", 5, ab)[-1] == 4305125
+
+
+def test_agreement_counts_cap_checked_at_n_top(ab):
+    # 3**6 = 729 tables at n_top = 3; the smaller counts are not returned either
+    with pytest.raises(CapExceededError):
+        agreement_counts("a", "b", 3, ab, cap=728)
+    assert len(agreement_counts("a", "b", 3, ab, cap=729)) == 3
+    with pytest.raises(ValueError):
+        agreement_counts("a", "b", 0, ab)
+
+
+@given(
+    x=st.text(alphabet="ab", max_size=5),
+    y=st.text(alphabet="ab", max_size=5),
+    n=st.integers(1, 4),
+    extra=st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_agreement_counts_prefix_does_not_depend_on_n_top(x, y, n, extra):
+    ab = Alphabet(("a", "b"))
+    top = min(4, n + extra)
+    assert agreement_counts(x, y, top, ab)[n - 1] == agreement_counts(x, y, n, ab)[-1]
+
+
+# ---------------------------------------------------------------------
+# symbol permutation
+# ---------------------------------------------------------------------
+
+def permute(s: str, alphabet: Alphabet, perm: tuple[str, ...]) -> str:
+    return s.translate(str.maketrans("".join(alphabet.symbols), "".join(perm)))
+
+
+@pytest.mark.parametrize("symbols,max_len,n_top", [("ab", 4, 3), ("abc", 3, 2)])
+def test_enumerated_agreement_invariant_under_symbol_permutation(symbols, max_len, n_top):
+    # the math the exact memo relies on, checked on the enumeration oracle
+    alphabet = Alphabet(tuple(symbols))
+    strings = enumerate_strings(alphabet, max_len)
+    for n in range(1, n_top + 1):
+        grid = agreement_count_grid(strings, n, alphabet)
+        for perm in itertools.permutations(symbols):
+            permuted = [permute(s, alphabet, perm) for s in strings]
+            assert np.array_equal(agreement_count_grid(permuted, n, alphabet), grid), (n, perm)
+
+
+@pytest.mark.parametrize("scaling,weights", [
+    ("paper", None), ("normalized", None), ("normalized", (0.3, 1.7, 0.1)),
+])
+def test_exact_gram_equals_per_pair_kernel_value_three_symbols(scaling, weights):
+    abc = Alphabet(("a", "b", "c"))
+    strings = enumerate_strings(abc, 2) + ["abc", "cab", "bba", "cca"]
+    params = KernelParams(alphabet=abc, n_max=3, mode="exact", scaling=scaling,
+                          weights=weights)
+    gram = gram_matrix(strings, params, jobs=2)
+    for i, x in enumerate(strings):
+        for j, y in enumerate(strings):
+            kv = kernel_value(x, y, params)
+            assert gram.entries[i][j] == kv, (x, y)
+            assert type(gram.value(i, j)) is type(kv.value)
+
+
+def test_exact_gram_walks_each_canonical_pair_once(ab, monkeypatch):
+    from regkernel import kernel
+
+    calls = []
+    original = kernel.agreement_counts
+
+    def counting(x, y, n_top, *args, **kwargs):
+        calls.append((x, y, n_top))
+        return original(x, y, n_top, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "agreement_counts", counting)
+    strings = enumerate_strings(ab, 3)
+    gram_matrix(strings, KernelParams(alphabet=ab, n_max=3, mode="exact", scaling="paper"))
+    # The 14 non-empty strings make 105 unordered pairs with n_used >= 1.
+    # Swapping a and b fixes none of them and pairs them into orbits, except
+    # the 7 pairs {x, swapped x} that it maps to themselves: (105 + 7) / 2.
+    assert len(calls) == 56
+    assert len(set(calls)) == 56
+
+
+def test_kernel_cap_checked_before_the_walk(ab, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk started before the cap check")
+
+    monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
+    params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
+    with pytest.raises(CapExceededError, match="monte-carlo"):
+        kernel_value("aaaaaaaaa", "aaaaaaaab", params, cap=10**6)
+    with pytest.raises(CapExceededError, match="monte-carlo"):
+        gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params, cap=10**6)
 
 
 # ---------------------------------------------------------------------

@@ -259,6 +259,19 @@ def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
         decision_values(model, ["a", "ab", "aaaaaa", "b"])
 
 
+def test_decision_values_check_exact_cap_before_the_walk(ab, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk started before the cap check")
+
+    monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
+    model = PerceptronModel(
+        support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
+        errors_per_epoch=(0,),
+    )
+    with pytest.raises(CapExceededError, match="monte-carlo"):
+        decision_values(model, ["a", "ab", "aaaaaa", "b"])
+
+
 def test_parity_model_generalizes(parity, ab):
     ds = label_strings(parity, enumerate_strings(ab, 4))
     gram = gram_matrix(ds.strings, exact_params(ab, n_max=3))

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Upper bound on how many transition tables an exhaustive walk may touch.
 DEFAULT_TABLE_CAP = 10_000_000

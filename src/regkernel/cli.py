@@ -12,13 +12,13 @@ Exit codes: 0 success, 2 usage or input error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import secrets
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .automata import (
     Alphabet,
@@ -72,6 +72,20 @@ def _kernel_params(args: argparse.Namespace, seed: int) -> KernelParams:
     )
 
 
+def _check_out_path(out: str) -> None:
+    """Refuse, before any kernel work, an output path that cannot be written
+    as a file (its parent is not an existing directory, or it is one), with
+    the error that writing it would have raised."""
+    path = Path(out)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), out)
+
+
 def _add_kernel_flags(p: argparse.ArgumentParser, scaling_default: str = "paper") -> None:
     p.add_argument("--mode", choices=sorted(MODE_ALIASES), default="exact",
                    help="exact enumeration or monte-carlo estimation")
@@ -93,6 +107,8 @@ def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    import numpy as np
+
     seed = _resolve_seed(args.seed)
     alphabet = Alphabet(tuple(args.alphabet))
     if args.states < 1:
@@ -139,6 +155,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
             f"dataset alphabet {dataset.alphabet.text!r} does not match "
             f"--alphabet {params.alphabet.text!r}"
         )
+    _check_out_path(args.out)
     _print_config("gram", {**params.to_dict(), "dataset": str(args.dataset),
                            "out": str(args.out), "jobs": args.jobs})
     started = time.perf_counter()
@@ -166,6 +183,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     if args.epochs < 1:
         raise ValueError(f"max_epochs must be >= 1, got {args.epochs}")
+    _check_out_path(args.out)
     _print_config("train", {**params.to_dict(), "dataset": str(args.dataset),
                             "epochs": args.epochs, "out": str(args.out),
                             "jobs": args.jobs})

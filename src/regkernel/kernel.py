@@ -55,6 +55,11 @@ m: ``kernel_value(x, y)`` equals the Gram entry and the prediction term
 bit for bit, and Monte Carlo Grams are symmetric and PSD by construction.
 The certificate holds per entry; entries that share a sample are
 correlated.
+
+numpy is imported inside the Monte Carlo and enumeration-oracle functions
+(and ``GramMatrix.to_array``) only, and the thread pool only when
+``jobs > 1``: the exact path is pure Python, so importing this module, and
+every exact command, loads neither.
 """
 
 from __future__ import annotations
@@ -63,12 +68,9 @@ import hashlib
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .automata import (
     DEFAULT_TABLE_CAP,
@@ -78,6 +80,9 @@ from .automata import (
     enumerate_dfas,
     table_count,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODES = ("exact", "monte-carlo")
 SCALINGS = ("paper", "normalized")
@@ -380,6 +385,8 @@ def _table_chunks(n: int, k: int, cap: int):
     rank is digit n*k-1-(q*k+i) of the rank in base n (first cell most
     significant), matching automata.enumerate_tables.
     """
+    import numpy as np
+
     total = table_count(n, k)
     if total > cap:
         raise CapExceededError(total, cap)
@@ -393,6 +400,8 @@ def _table_chunks(n: int, k: int, cap: int):
 
 def _walk(cells: np.ndarray, encoded: Sequence[int]) -> np.ndarray:
     """End states of one string on a batch of transition tables."""
+    import numpy as np
+
     m = cells.shape[0]
     state = np.zeros(m, dtype=np.int64)
     rows = np.arange(m)
@@ -432,6 +441,8 @@ def end_state_grid(
 ) -> np.ndarray:
     """(T, S) matrix of end states: row per transition table in rank order,
     column per string.  Materializes all tables; intended for small n."""
+    import numpy as np
+
     encoded = [alphabet.encode(s) for s in strings]
     total = table_count(n, len(alphabet))
     if total > cap:
@@ -448,6 +459,8 @@ def agreement_count_grid(
 ) -> np.ndarray:
     """(S, S) matrix of pairwise table agreement counts over one shared
     end-state grid; entry (i, j) equals agreement_count(strings[i], strings[j])."""
+    import numpy as np
+
     ends = end_state_grid(strings, n, alphabet, cap)
     s = len(strings)
     counts = np.empty((s, s), dtype=np.int64)
@@ -465,6 +478,8 @@ def joint_accept_count_grid(
     product of acceptance indicators; no use of the agreement identity,
     so it serves as the independent oracle for the closed-form path.
     """
+    import numpy as np
+
     ends = end_state_grid(strings, n, alphabet, cap)
     s = len(strings)
     counts = np.zeros((s, s), dtype=np.int64)
@@ -490,6 +505,8 @@ def draw_dfa_sample(
     uniform cells), then all m accepting masks (uint8, shape (m, n), fair
     bits).  Each DFA has exactly the distribution of automata.sample_dfa.
     """
+    import numpy as np
+
     rng = np.random.default_rng(derive_sample_seed(master_seed, n))
     tables = rng.integers(0, n, size=(m, n, len(alphabet)), dtype=np.int32)
     masks = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
@@ -505,6 +522,8 @@ def _acceptance(
     States of all m DFAs are numbered t*n + q, and succ[c] maps each to
     its successor on symbol c, so a walk costs one ``take`` per symbol.
     """
+    import numpy as np
+
     m, n, k = tables.shape
     succ = np.moveaxis(tables, 2, 0).astype(np.intp, order="C")
     succ += (np.arange(m, dtype=np.intp) * n)[:, None]
@@ -534,6 +553,8 @@ def mc_joint_counts(
     product A^T B of the acceptance matrices, formed in float32 over blocks
     of at most _BLOCK_CELLS samples x strings and summed in int64.  Each
     distinct string is walked once, and only one block exists at a time."""
+    import numpy as np
+
     cols = rows if cols is None else cols
     # distinct strings, rows first: the row strings are a leading slice of
     # each block, so a block is multiplied without copying any column
@@ -684,6 +705,8 @@ def _exact_values(
         return kernel_value(key[0], key[1], params, cap)
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             values = list(pool.map(evaluate, slots))
     else:
@@ -706,6 +729,8 @@ class GramMatrix:
         return [[kv.value for kv in row] for row in self.entries]
 
     def to_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.numeric(), dtype=float)
 
 

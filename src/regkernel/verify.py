@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .automata import Alphabet, dfa_space_size, table_count
 from .embedding import ConceptUniverse, InstanceKey, SparseVec, phi, score, separator
@@ -25,6 +24,9 @@ from .kernel import (
     required_samples,
 )
 from .learner import enumerate_strings
+
+if TYPE_CHECKING:
+    import numpy as np
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -224,6 +226,8 @@ def suite_concentration(
     error across many master seeds, and checks the estimator mean for
     bias at a small budget.
     """
+    import numpy as np
+
     alphabet = alphabet or Alphabet(("a", "b"))
     from .kernel import exact_pn
 
@@ -280,6 +284,8 @@ def suite_psd(
 ) -> list[Check]:
     """Gram positive semidefiniteness: the minimum eigenvalue of an exact
     Gram matrix may dip below zero only by floating round-off."""
+    import numpy as np
+
     alphabet = alphabet or Alphabet(("a", "b"))
     strings = enumerate_strings(alphabet, string_max_len)[:n_strings]
     params = KernelParams(alphabet=alphabet, n_max=n_max, mode="exact", scaling="paper")
@@ -315,6 +321,8 @@ def uniform_sampling_chisquare(
     value, per-DFA observed counts); the sampler passes when the statistic
     is at most the critical value.
     """
+    import numpy as np
+
     # imported here, its only use, so that starting the CLI does not load scipy
     from scipy import stats
 

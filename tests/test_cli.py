@@ -455,3 +455,107 @@ def test_train_epochs_zero_exits_2_before_any_kernel_work(tmp_path, capsys, pari
     assert stdout == ""
     assert "max_epochs must be >= 1" in stderr
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["gram", "train"])
+def test_unwritable_out_exits_2_before_any_kernel_work(tmp_path, capsys, parity, ab,
+                                                      monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel work started before --out was checked")
+
+    monkeypatch.setattr("regkernel.cli.gram_matrix", refuse)
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for out, message in ((tmp_path / "missing" / "g.csv", "No such file or directory"),
+                         (blocker / "g.csv", "Not a directory"),
+                         (tmp_path, "Is a directory")):
+        code, stdout, stderr = run_cli(
+            capsys, command, "--dataset", str(dataset), "--mode", "exact",
+            "--nmax", "3", "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert message in stderr and str(out) in stderr
+
+
+# ---------------------------------------------------------------------
+# cold start: each test runs in a fresh interpreter
+# ---------------------------------------------------------------------
+
+def run_fresh(*argv, cwd=None):
+    """``python *argv`` in a fresh interpreter that imports from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=120)
+
+
+LOADED = "print(json.dumps([m for m in ('numpy', 'concurrent.futures') if m in sys.modules]))"
+
+
+@pytest.mark.parametrize("setup", ["import regkernel",
+                                   "import regkernel.cli as c; c.build_parser()"])
+def test_import_loads_neither_numpy_nor_thread_pool(setup):
+    result = run_fresh("-c", f"import json, sys; {setup}; {LOADED}")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+def test_exact_commands_never_load_numpy(tmp_path, parity, ab):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    queries = tmp_path / "queries.txt"
+    queries.write_text("aa\nab\naba\n", encoding="utf-8")
+    model = tmp_path / "m.model"
+    runs = [
+        ["kernel", "--mode", "exact", "--nmax", "3", "--seed", "0", "abab", "abba"],
+        ["gram", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
+         "--out", str(tmp_path / "g.csv")],
+        ["train", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
+         "--out", str(model)],
+        ["predict", "--model", str(model), "--in", str(queries)],
+    ]
+    code = ("import json, sys; from regkernel.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            f"print(json.dumps(codes)); {LOADED}")
+    result = run_fresh("-c", code, json.dumps(runs))
+    assert result.returncode == 0, result.stderr
+    *_, codes, loaded = result.stdout.splitlines()
+    assert json.loads(codes) == [0, 0, 0, 0]
+    assert json.loads(loaded) == []
+
+
+def test_fresh_exact_gram_jobs_2_equals_jobs_1(tmp_path, parity, ab):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        result = run_fresh("-m", "regkernel.cli", "gram", "--dataset", str(dataset),
+                           "--mode", "exact", "--scaling", "normalized", "--nmax", "3",
+                           "--seed", "0", "--jobs", jobs, "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_fresh_monte_carlo_gram_rerun_is_byte_identical(tmp_path, parity, ab):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    out = tmp_path / "mc.csv"
+    outputs = []
+    for _ in range(2):
+        result = run_fresh("-m", "regkernel.cli", "gram", "--dataset", str(dataset),
+                           "--mode", "mc", "--nmax", "3", "--seed", "9", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        outputs.append((out.read_bytes(), (tmp_path / "mc.csv.meta.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_fresh_sample_and_verify_psd_exit_0(tmp_path):
+    result = run_fresh("-m", "regkernel.cli", "sample", "--states", "2", "--count", "2",
+                       "--seed", "3", "--out", str(tmp_path / "dfas"))
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 2
+    result = run_fresh("-m", "regkernel.cli", "verify", "--suite", "psd")
+    assert result.returncode == 0, result.stderr
+    assert "psd.min_eigenvalue\tPASS" in result.stdout

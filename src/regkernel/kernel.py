@@ -56,6 +56,13 @@ bit for bit, and Monte Carlo Grams are symmetric and PSD by construction.
 The certificate holds per entry; entries that share a sample are
 correlated.
 
+Both modes share one count-then-assemble path, ``kernel_block``: a
+counting step (agreement counts A_n out of n**(n*k) tables per class, or
+joint counts out of m samples per n) and one value function that maps a
+pair's identity term and its counts for n = 1..n_used to its value.
+kernel_value, gram_matrix and prediction all read their values from it,
+and a Gram is one matrix of those values.
+
 numpy is imported inside the Monte Carlo and enumeration-oracle functions
 (and ``GramMatrix.to_array``) only, and the thread pool only when
 ``jobs > 1``: the exact path is pure Python, so importing this module, and
@@ -70,7 +77,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .automata import (
     DEFAULT_TABLE_CAP,
@@ -135,10 +142,15 @@ class KernelParams:
         if not 0 <= int(self.master_seed) <= _SEED_MASK:
             raise ValueError("master_seed must fit in 64 bits")
         if self.weights is not None:
-            ws = tuple(float(w) for w in self.weights)
+            try:
+                ws = tuple(float(w) for w in self.weights)
+            except OverflowError as e:  # an int beyond the float range
+                raise ValueError(f"weights must be finite: {e}") from e
             object.__setattr__(self, "weights", ws)
             if len(ws) < self.n_max:
                 raise ValueError(f"need {self.n_max} weights, got {len(ws)}")
+            if not all(math.isfinite(w) for w in ws):
+                raise ValueError("weights must be finite")
             if any(w < 0 for w in ws):
                 raise ValueError("weights must be non-negative")
 
@@ -346,12 +358,11 @@ def _pn_from_agreement(a: int, n: int, k: int) -> Fraction:
     return Fraction(t + a, 4 * t)
 
 
-def _kn_from_pn(pn: Fraction, n: int, k: int) -> int:
-    """K_n = P_n * |DFA space of n states|, which must be an integer."""
-    value = pn * dfa_space_size(n, k)
-    if value.denominator != 1:
-        raise AssertionError(f"K_n must be an integer, got {value}")
-    return value.numerator
+def _kn_from_agreement(a: int, n: int, k: int) -> int:
+    """K_n = P_n * |DFA space of n states| = (T + A) * 2**n / 4, with T the
+    table count: an integer, since 4 divides 2**n for n >= 2 and at n = 1
+    every table agrees (T + A = 2)."""
+    return (table_count(n, k) + a) * 2**n // 4
 
 
 def exact_pn(
@@ -368,7 +379,7 @@ def exact_pn(
 
 def exact_kn(x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP) -> int:
     """Exact count of n-state DFAs accepting both x and y."""
-    return _kn_from_pn(exact_pn(x, y, n, alphabet, cap), n, len(alphabet))
+    return _kn_from_agreement(agreement_count(x, y, n, alphabet, cap), n, len(alphabet))
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +603,6 @@ def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _check_exact_cap(n_used: int, params: KernelParams, cap: int) -> None:
-    """Refuse, before any term is evaluated, an exact sum whose largest
-    state count has more than ``cap`` transition tables.  n**(n*k) grows
-    with n, so the largest term decides for the whole sum."""
-    if n_used < 1:
-        return
-    required = table_count(n_used, len(params.alphabet))
-    if required > cap:
-        raise CapExceededError(
-            required, cap, hint="use monte-carlo mode for large state counts"
-        )
-
-
 def _summation_limit(x: str, y: str, params: KernelParams) -> tuple[int, bool]:
     """n_used = min(|x|, |y|, n_max), and whether n_max cut the sum short."""
     limit = min(len(x), len(y))
@@ -612,62 +610,34 @@ def _summation_limit(x: str, y: str, params: KernelParams) -> tuple[int, bool]:
     return n_used, n_used < limit
 
 
-def _mc_value(x: str, y: str, counts: Sequence[int], params: KernelParams, m: int) -> KernelValue:
-    """Monte Carlo kernel value from the joint counts of x and y, counts[n-1]
-    out of m for n = 1..n_used (later entries are ignored).  Both
-    kernel_value and gram_matrix assemble their values here, so equal
-    counts give bit-identical values."""
-    n_used, truncated = _summation_limit(x, y, params)
-    same = 1 if x == y else 0
-    cert = ApproxCertificate(params.epsilon, params.failure_prob, m, params.master_seed)
-    if params.scaling == "paper":
-        acc = Fraction(same)
-        for n in range(1, n_used + 1):
-            acc += Fraction(int(counts[n - 1]), m) * dfa_space_size(n, len(params.alphabet))
-        value = float(acc)
-    else:
-        value = float(same)
-        for n in range(1, n_used + 1):
-            value += params.weight_for(n) * (int(counts[n - 1]) / m)
-    return KernelValue(value, params.mode, params.scaling, n_used, truncated, cert)
+def _pair_value(same: int, counts: Sequence[int], params: KernelParams, m: int) -> int | float:
+    """The kernel value of one pair from its identity term 1{x = y} and its
+    counts for n = 1..n_used: agreement counts A_n out of n**(n*k) tables
+    in exact mode, joint acceptances out of m samples in Monte Carlo mode.
 
-
-def kernel_value(
-    x: str, y: str, params: KernelParams, cap: int = DEFAULT_TABLE_CAP
-) -> KernelValue:
-    """Evaluate the kernel K(x, y) under the given parameters.
-
-    The identity term 1{x = y} is always present; the sum runs over
-    n = 1..min(|x|, |y|, n_max).  Symmetric in (x, y) bit for bit in
-    every mode, and in Monte Carlo mode equal bit for bit to the entry of
-    any Gram matrix that contains both strings.
-    """
-    params.alphabet.encode(x)
-    params.alphabet.encode(y)
-    n_used, truncated = _summation_limit(x, y, params)
-
+    Exact paper values are integers; exact normalized and Monte Carlo paper
+    values are rational sums rounded once to float; Monte Carlo normalized
+    values are a left-to-right float sum."""
+    k = len(params.alphabet)
     if params.mode == "exact":
-        _check_exact_cap(n_used, params, cap)
-        k = len(params.alphabet)
-        counts = agreement_counts(x, y, n_used, params.alphabet, cap) if n_used else []
-        pns = [_pn_from_agreement(a, n, k) for n, a in enumerate(counts, start=1)]
-        same = 1 if x == y else 0
         if params.scaling == "paper":
             total = same
-            for n, pn in enumerate(pns, start=1):
-                total += _kn_from_pn(pn, n, k)
-            return KernelValue(total, params.mode, params.scaling, n_used, truncated)
+            for n, a in enumerate(counts, start=1):
+                total += _kn_from_agreement(a, n, k)
+            return total
         acc = Fraction(same)
-        for n, pn in enumerate(pns, start=1):
-            acc += Fraction(params.weight_for(n)) * pn
-        return KernelValue(float(acc), params.mode, params.scaling, n_used, truncated)
-
-    m = required_samples(params.epsilon, params.failure_prob)
-    counts = [
-        mc_joint_counts((x, y), n, m, params.alphabet, params.master_seed)[0, 1]
-        for n in range(1, n_used + 1)
-    ]
-    return _mc_value(x, y, counts, params, m)
+        for n, a in enumerate(counts, start=1):
+            acc += Fraction(params.weight_for(n)) * _pn_from_agreement(a, n, k)
+        return float(acc)
+    if params.scaling == "paper":
+        acc = Fraction(same)
+        for n, c in enumerate(counts, start=1):
+            acc += Fraction(c, m) * dfa_space_size(n, k)
+        return float(acc)
+    value = float(same)
+    for n, c in enumerate(counts, start=1):
+        value += params.weight_for(n) * (c / m)
+    return value
 
 
 def _canonical_pair(x: str, y: str, alphabet: Alphabet) -> tuple[str, str]:
@@ -689,49 +659,120 @@ def _canonical_pair(x: str, y: str, alphabet: Alphabet) -> tuple[str, str]:
     return min(relabel(x, y), relabel(y, x))
 
 
-def _exact_values(
-    pairs: Iterable[tuple[str, str]], params: KernelParams, cap: int, jobs: int = 1
-) -> list[KernelValue]:
-    """Exact kernel_value of every pair, evaluating each canonical pair once
-    (on ``jobs`` threads) and filling all pairs of its class from it.  The
-    memo lives for this call only."""
-    slots: dict[tuple[str, str], int] = {}
-    slot_of_pair = [
-        slots.setdefault(_canonical_pair(x, y, params.alphabet), len(slots))
-        for x, y in pairs
-    ]
+def kernel_block(
+    rows: Sequence[str],
+    cols: Sequence[str] | None,
+    params: KernelParams,
+    cap: int = DEFAULT_TABLE_CAP,
+    jobs: int = 1,
+) -> list[list[int | float]]:
+    """Kernel values of every (rows[i], cols[j]) pair, as an R x C matrix.
 
-    def evaluate(key: tuple[str, str]) -> KernelValue:
-        return kernel_value(key[0], key[1], params, cap)
+    With ``cols`` None the block is the symmetric Gram of ``rows`` and only
+    its upper triangle is evaluated.  Every string is validated, and an
+    exact sum's table cap checked for its largest term, before any count.
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    The counting step: exact mode walks one canonical pair per
+    symbol-permutation class, with agreement_counts at that pair's n_used,
+    on ``jobs`` threads and with a memo that lives for this call; Monte
+    Carlo mode makes one mc_joint_counts call per n on one thread.  Then
+    _pair_value turns each pair's identity term and counts into its value,
+    once per class in exact mode.  kernel_value, gram_matrix and
+    prediction all read their values from here.
+    """
+    symmetric = cols is None
+    cols = rows if cols is None else cols
+    for s in (*rows, *cols):
+        params.alphabet.encode(s)
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i if symmetric else 0, len(cols))]
+    n_top = min(max(map(len, rows), default=0), max(map(len, cols), default=0), params.n_max)
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(evaluate, slots))
+    if params.mode == "exact":
+        # n**(n*k) grows with n, so the largest term decides for every pair
+        required = table_count(n_top, len(params.alphabet)) if n_top else 0
+        if required > cap:
+            raise CapExceededError(
+                required, cap, hint="use monte-carlo mode for large state counts"
+            )
+        slots: dict[tuple[str, str], int] = {}
+        slot_of_pair = [
+            slots.setdefault(_canonical_pair(rows[i], cols[j], params.alphabet), len(slots))
+            for i, j in pairs
+        ]
+
+        def evaluate(pair: tuple[str, str]) -> int | float:
+            x, y = pair
+            n_used = _summation_limit(x, y, params)[0]
+            counts = agreement_counts(x, y, n_used, params.alphabet, cap) if n_used else []
+            return _pair_value(int(x == y), counts, params, 0)
+
+        if jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                class_values = list(pool.map(evaluate, slots))
+        else:
+            class_values = [evaluate(pair) for pair in slots]
+        values = [class_values[slot] for slot in slot_of_pair]
     else:
-        values = [evaluate(key) for key in slots]
-    return [values[slot] for slot in slot_of_pair]
+        m = required_samples(params.epsilon, params.failure_prob)
+        per_n = [
+            mc_joint_counts(rows, n, m, params.alphabet, params.master_seed,
+                            None if symmetric else cols).tolist()
+            for n in range(1, n_top + 1)
+        ]
+        values = []
+        for i, j in pairs:
+            x, y = rows[i], cols[j]
+            n_used = _summation_limit(x, y, params)[0]
+            values.append(_pair_value(int(x == y), [c[i][j] for c in per_n[:n_used]], params, m))
+
+    block: list[list[int | float]] = [[0] * len(cols) for _ in rows]
+    for (i, j), value in zip(pairs, values):
+        block[i][j] = value
+        if symmetric:
+            block[j][i] = value
+    return block
+
+
+def kernel_value(
+    x: str, y: str, params: KernelParams, cap: int = DEFAULT_TABLE_CAP
+) -> KernelValue:
+    """Evaluate the kernel K(x, y) under the given parameters.
+
+    The identity term 1{x = y} is always present; the sum runs over
+    n = 1..min(|x|, |y|, n_max).  The value is the 1 x 1 kernel_block of
+    the pair, so it is symmetric in (x, y) and equal to the entry of any
+    Gram matrix that contains both strings, bit for bit in every mode.
+    """
+    value = kernel_block([x], [y], params, cap)[0][0]
+    n_used, truncated = _summation_limit(x, y, params)
+    cert = None
+    if params.mode == "monte-carlo":
+        m = required_samples(params.epsilon, params.failure_prob)
+        cert = ApproxCertificate(params.epsilon, params.failure_prob, m, params.master_seed)
+    return KernelValue(value, params.mode, params.scaling, n_used, truncated, cert)
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric matrix of kernel values over an ordered string list."""
+    """Symmetric matrix of kernel values over an ordered string list:
+    ``values[i][j]`` is K(strings[i], strings[j]) under ``params``."""
 
     strings: tuple[str, ...]
-    entries: tuple[tuple[KernelValue, ...], ...]
     params: KernelParams
+    values: tuple[tuple[int | float, ...], ...]
 
     def value(self, i: int, j: int) -> int | float:
-        return self.entries[i][j].value
+        return self.values[i][j]
 
     def numeric(self) -> list[list[int | float]]:
-        return [[kv.value for kv in row] for row in self.entries]
+        return [list(row) for row in self.values]
 
     def to_array(self) -> np.ndarray:
         import numpy as np
 
-        return np.array(self.numeric(), dtype=float)
+        return np.array(self.values, dtype=float)
 
 
 def gram_matrix(
@@ -740,12 +781,9 @@ def gram_matrix(
     cap: int = DEFAULT_TABLE_CAP,
     jobs: int = 1,
 ) -> GramMatrix:
-    """Pairwise kernel values; each unordered pair is evaluated at most once.
-
-    Exact mode evaluates one pair per symbol-permutation class on ``jobs``
-    threads and fills the whole class from it.  Monte Carlo mode
-    draws one shared sample per n and reads every entry off its joint
-    counts on one thread, whatever ``jobs`` is.  The result does not
+    """The symmetric kernel_block of distinct strings: each unordered pair
+    is evaluated at most once, and exact mode walks one pair per
+    symbol-permutation class on ``jobs`` threads.  The result does not
     depend on ``jobs``.
     """
     if jobs < 1:
@@ -756,34 +794,8 @@ def gram_matrix(
         if s in seen:
             raise ValueError(f"duplicate string {s!r} in Gram input")
         seen.add(s)
-        params.alphabet.encode(s)
-    count = len(strings)
-    pairs = [(i, j) for i in range(count) for j in range(i, count)]
-    n_top = min(max(map(len, strings), default=0), params.n_max)
-
-    if params.mode == "exact":
-        _check_exact_cap(n_top, params, cap)
-        values = _exact_values(((strings[i], strings[j]) for i, j in pairs), params, cap, jobs)
-    else:
-        m = required_samples(params.epsilon, params.failure_prob)
-        per_n = [
-            mc_joint_counts(strings, n, m, params.alphabet, params.master_seed)
-            for n in range(1, n_top + 1)
-        ]
-        values = [
-            _mc_value(strings[i], strings[j], [c[i, j] for c in per_n], params, m)
-            for i, j in pairs
-        ]
-
-    grid: list[list[KernelValue | None]] = [[None] * count for _ in range(count)]
-    for (i, j), kv in zip(pairs, values):
-        grid[i][j] = kv
-        grid[j][i] = kv
-    return GramMatrix(
-        strings=strings,
-        entries=tuple(tuple(row) for row in grid),  # type: ignore[arg-type]
-        params=params,
-    )
+    values = kernel_block(strings, None, params, cap, jobs)
+    return GramMatrix(strings=strings, params=params, values=tuple(map(tuple, values)))
 
 
 def format_version(params: KernelParams) -> int:
@@ -803,8 +815,8 @@ def gram_to_csv(gram: GramMatrix) -> str:
     """CSV with header row s0..s{k-1}; one row per string, same order."""
     count = len(gram.strings)
     lines = [",".join(f"s{i}" for i in range(count))]
-    for row in gram.entries:
-        lines.append(",".join(format_scalar(kv.value) for kv in row))
+    for row in gram.values:
+        lines.append(",".join(map(format_scalar, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -9,34 +9,25 @@ exact tie classified as negative (the membership rule is strict).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .automata import (
-    DEFAULT_TABLE_CAP,
     Alphabet,
     CapExceededError,
     Dfa,
     ParseError,
     iter_strings,
 )
-from .kernel import (
-    GramMatrix,
-    KernelParams,
-    _check_exact_cap,
-    _exact_values,
-    _mc_value,
-    format_version,
-    mc_joint_counts,
-    required_samples,
-)
+from .kernel import GramMatrix, KernelParams, format_version, kernel_block
 
 DEFAULT_STRING_CAP = 1_000_000
 
 LABELS = (1, -1)
 
-# Monte Carlo queries scored per joint-count call.  A block of samples holds
+# Monte Carlo queries scored per kernel block.  A block of samples holds
 # a fixed number of cells, so with more strings its samples get too few to
 # amortise the per-symbol walk; chunking keeps prediction linear in queries.
 _QUERY_CHUNK = 256
@@ -85,6 +76,12 @@ class PerceptronModel:
         for s, coeff in self.support:
             if coeff == 0:
                 raise ValueError(f"support string {s!r} has zero coefficient")
+            try:
+                finite = math.isfinite(coeff)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"support string {s!r} has a non-finite coefficient")
 
     @property
     def final_errors(self) -> int:
@@ -162,50 +159,32 @@ def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | flo
     """sum_i alpha_i * K(s_i, x) for every x, under the model's training
     parameters.
 
-    Every x is validated, and an exact model's table cap is checked for
-    the largest term, before any kernel work.  Monte Carlo mode reads the
-    support against up to _QUERY_CHUNK of xs at a time from one joint-count
-    call per n, so each n's sample is drawn once per chunk; exact mode
-    evaluates one (support string, x) pair per symbol-permutation class with
-    kernel_value.  Each sum runs over the support in model order, so a value
-    equals the per-pair sum bit for bit.
+    Every x is validated before any kernel work.  The values are the
+    kernel_block of the support against the queries: all of them in one
+    block for an exact model, so the table cap is checked for the largest
+    term before any walk and the class memo spans every query; up to
+    _QUERY_CHUNK at a time for a Monte Carlo model, so each n's sample is
+    drawn once per chunk.  Each sum runs over the support in model order,
+    so a value equals the per-pair sum bit for bit.
     """
     params = model.params
     xs = list(xs)
     for x in xs:
         params.alphabet.encode(x)
     support = [s for s, _ in model.support]
-    n_top = min(max(map(len, support), default=0), max(map(len, xs), default=0),
-                params.n_max)
-    if params.mode == "exact":
-        _check_exact_cap(n_top, params, DEFAULT_TABLE_CAP)
-        values = _exact_values(((s, x) for x in xs for s in support), params,
-                               DEFAULT_TABLE_CAP)
-        width = len(support)
-        columns = [[kv.value for kv in values[j * width : (j + 1) * width]]
-                   for j in range(len(xs))]
-    else:
-        m = required_samples(params.epsilon, params.failure_prob)
-        columns = []
-        for lo in range(0, len(xs), _QUERY_CHUNK):
-            chunk = xs[lo : lo + _QUERY_CHUNK]
-            per_n = [
-                mc_joint_counts(support, n, m, params.alphabet, params.master_seed, chunk)
-                for n in range(1, n_top + 1)
-            ]
-            columns += [
-                [_mc_value(s, x, [c[i, j] for c in per_n], params, m).value
-                 for i, s in enumerate(support)]
-                for j, x in enumerate(chunk)
-            ]
-    # a plain left-to-right loop, as in train: sum() of floats is compensated
-    # on Python >= 3.12 and would not reproduce the training sums bit for bit
+    step = _QUERY_CHUNK if params.mode == "monte-carlo" else max(1, len(xs))
     totals: list[int | float] = []
-    for column in columns:
-        total: int | float = 0
-        for (_, coeff), value in zip(model.support, column):
-            total += coeff * value
-        totals.append(total)
+    for lo in range(0, len(xs), step):
+        chunk = xs[lo : lo + step]
+        block = kernel_block(support, chunk, params)
+        # a plain left-to-right loop, as in train: sum() of floats is
+        # compensated on Python >= 3.12 and would not reproduce the training
+        # sums bit for bit
+        for j in range(len(chunk)):
+            total: int | float = 0
+            for (_, coeff), row in zip(model.support, block):
+                total += coeff * row[j]
+            totals.append(total)
     return totals
 
 

@@ -10,23 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .automata import Alphabet, dfa_space_size, table_count
 from .embedding import ConceptUniverse, InstanceKey, SparseVec, phi, score, separator
 from .kernel import (
     KernelParams,
     agreement_count_grid,
-    draw_dfa_sample,
     gram_matrix,
     joint_accept_count_grid,
     mc_pn,
     required_samples,
 )
 from .learner import enumerate_strings
-
-if TYPE_CHECKING:
-    import numpy as np
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -302,42 +297,6 @@ def suite_psd(
             f"(tolerance {-tolerance:.1e})",
         )
     ]
-
-
-def uniform_sampling_chisquare(
-    n: int,
-    alphabet: Alphabet,
-    draws: int,
-    seed: int,
-    significance: float = 0.001,
-) -> tuple[float, float, np.ndarray]:
-    """Chi-square goodness-of-fit of draw_dfa_sample, the Monte Carlo
-    kernel's sampler, against the enumerated space.
-
-    The draws come from one draw_dfa_sample(n, draws, alphabet, seed) call
-    and are indexed in enumeration order (DfaSpace.index_of): the table
-    rank in base n, first cell most significant, times 2**n, plus the
-    accepting mask with bit q for state q.  Returns (statistic, critical
-    value, per-DFA observed counts); the sampler passes when the statistic
-    is at most the critical value.
-    """
-    import numpy as np
-
-    # imported here, its only use, so that starting the CLI does not load scipy
-    from scipy import stats
-
-    size = dfa_space_size(n, len(alphabet))
-    tables, masks = draw_dfa_sample(n, draws, alphabet, seed)
-    index = np.zeros(draws, dtype=np.int64)
-    for cell in tables.reshape(draws, -1).T:
-        index = index * n + cell
-    for q in range(n - 1, -1, -1):
-        index = index * 2 + masks[:, q]
-    observed = np.bincount(index, minlength=size)
-    expected = draws / size
-    statistic = float(((observed - expected) ** 2 / expected).sum())
-    critical = float(stats.chi2.isf(significance, size - 1))
-    return statistic, critical, observed
 
 
 SUITES = {

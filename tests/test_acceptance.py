@@ -30,8 +30,7 @@ from regkernel import (
     table_count,
     train,
 )
-from regkernel.kernel import agreement_count_grid, joint_accept_count_grid
-from regkernel.verify import uniform_sampling_chisquare
+from regkernel.kernel import agreement_count_grid, draw_dfa_sample, joint_accept_count_grid
 
 AB = Alphabet(("a", "b"))
 QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
@@ -219,6 +218,40 @@ def test_criterion_7b_learnability_monte_carlo(parity_dataset):
         converged >= 90,
         f"{converged}/100 seeds reached zero training errors",
     )
+
+
+def uniform_sampling_chisquare(
+    n: int,
+    alphabet: Alphabet,
+    draws: int,
+    seed: int,
+    significance: float = 0.001,
+) -> tuple[float, float, np.ndarray]:
+    """Chi-square goodness-of-fit of draw_dfa_sample, the Monte Carlo
+    kernel's sampler, against the enumerated space.
+
+    The draws come from one draw_dfa_sample(n, draws, alphabet, seed) call
+    and are indexed in enumeration order (DfaSpace.index_of): the table
+    rank in base n, first cell most significant, times 2**n, plus the
+    accepting mask with bit q for state q.  Returns (statistic, critical
+    value, per-DFA observed counts); the sampler passes when the statistic
+    is at most the critical value.
+    """
+    # imported here, its only use, so that the other criteria run without scipy
+    from scipy import stats
+
+    size = dfa_space_size(n, len(alphabet))
+    tables, masks = draw_dfa_sample(n, draws, alphabet, seed)
+    index = np.zeros(draws, dtype=np.int64)
+    for cell in tables.reshape(draws, -1).T:
+        index = index * n + cell
+    for q in range(n - 1, -1, -1):
+        index = index * 2 + masks[:, q]
+    observed = np.bincount(index, minlength=size)
+    expected = draws / size
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    critical = float(stats.chi2.isf(significance, size - 1))
+    return statistic, critical, observed
 
 
 def test_criterion_8_uniform_sampling_chisquare():

@@ -427,6 +427,30 @@ def test_monte_carlo_model_v1_is_refused(tmp_path, capsys, parity, ab):
     assert "retrain" in stderr
 
 
+def test_predict_refuses_non_finite_model_numbers(tmp_path, capsys):
+    def model(header, mode, weights, support):
+        params = json.dumps({"alphabet": "ab", "epsilon": 0.1, "failure_prob": 0.05,
+                             "master_seed": 1, "mode": mode, "n_max": 2,
+                             "scaling": "normalized", "weights": weights})
+        meta = f'{{"epochs_run": 1, "errors_per_epoch": [0], "params": {params}}}'
+        return f"{header}\nmeta {meta}\n{support}"
+
+    strings_file = tmp_path / "strings.txt"
+    strings_file.write_text("ab\nba\n", encoding="utf-8")
+    texts = (
+        model("model v2", "monte-carlo", [float("nan"), 1.0], "1\tab\n"),
+        model("model v1", "exact", [float("inf"), 1.0], "1\tab\n"),
+        model("model v1", "exact", None, "nan\tab\n1\tba\n"),
+    )
+    for text in texts:
+        path = tmp_path / "bad.model"
+        path.write_text(text, encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "predict", "--model", str(path),
+                                       "--in", str(strings_file))
+        assert (code, stdout) == (2, ""), text
+        assert "Traceback" not in stderr
+
+
 def test_gram_jobs_zero_exit_2(tmp_path, capsys, parity, ab):
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=2)
     code, stdout, stderr = run_cli(

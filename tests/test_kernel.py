@@ -216,7 +216,7 @@ def test_exact_gram_equals_per_pair_kernel_value_three_symbols(scaling, weights)
     for i, x in enumerate(strings):
         for j, y in enumerate(strings):
             kv = kernel_value(x, y, params)
-            assert gram.entries[i][j] == kv, (x, y)
+            assert gram.value(i, j) == kv.value, (x, y)
             assert type(gram.value(i, j)) is type(kv.value)
 
 
@@ -576,7 +576,34 @@ def test_mc_kernel_value_equals_gram_entry(ab):
         gram = gram_matrix(strings, params)
         for i, x in enumerate(strings):
             for j in range(i, len(strings)):
-                assert kernel_value(x, strings[j], params) == gram.entries[i][j]
+                kv = kernel_value(x, strings[j], params)
+                assert gram.value(i, j) == kv.value
+                assert type(gram.value(i, j)) is type(kv.value)
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+def test_gram_and_predict_build_no_per_entry_objects(ab, mode, monkeypatch):
+    from regkernel import kernel
+    from regkernel.learner import PerceptronModel, decision_values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a KernelValue was built outside kernel_value")
+
+    strings = enumerate_strings(ab, 3)
+    params = KernelParams(alphabet=ab, n_max=3, mode=mode, scaling="normalized",
+                          master_seed=5)
+    real = kernel.KernelValue
+    monkeypatch.setattr(kernel, "KernelValue", refuse)
+    gram = gram_matrix(strings, params)
+    model = PerceptronModel(support=(("ab", 1), ("aab", -2)), params=params, epochs_run=1,
+                            errors_per_epoch=(0,))
+    scores = decision_values(model, strings)
+    monkeypatch.setattr(kernel, "KernelValue", real)
+    kv = kernel_value("ab", "aab", params)
+    assert isinstance(kv, real)
+    assert gram.value(strings.index("ab"), strings.index("aab")) == kv.value
+    assert scores[strings.index("ab")] == (
+        kernel_value("ab", "ab", params).value - 2 * kv.value)
 
 
 def test_mc_gram_permutation_equivariant(ab):

@@ -14,7 +14,7 @@ from regkernel import (
     predict,
     train,
 )
-from regkernel.kernel import GramMatrix, KernelValue
+from regkernel.kernel import GramMatrix
 from regkernel.learner import (
     PerceptronModel,
     dataset_from_text,
@@ -33,9 +33,8 @@ def exact_params(ab, n_max=2):
 
 def constant_gram(strings, value, params):
     """Rank-one all-constant matrix, for inseparability tests."""
-    kv = KernelValue(value, "exact", "paper", 0, False)
-    entries = tuple(tuple(kv for _ in strings) for _ in strings)
-    return GramMatrix(strings=tuple(strings), entries=entries, params=params)
+    values = tuple(tuple(value for _ in strings) for _ in strings)
+    return GramMatrix(strings=tuple(strings), params=params, values=values)
 
 
 # ---------------------------------------------------------------------
@@ -315,8 +314,25 @@ def test_model_round_trip(tmp_path, parity, ab):
     assert load_model(path) == model
 
 
+def model_text(header, mode, weights, *support):
+    params = ('{"alphabet": "ab", "epsilon": 0.1, "failure_prob": 0.05, "master_seed": 1, '
+              f'"mode": "{mode}", "n_max": 2, "scaling": "normalized", "weights": {weights}}}')
+    meta = f'meta {{"epochs_run": 1, "errors_per_epoch": [0], "params": {params}}}'
+    return "\n".join((header, meta, *support)) + "\n"
+
+
 def test_model_text_errors():
     with pytest.raises(ParseError, match="header"):
         model_from_text("nope\n")
     with pytest.raises(ParseError, match="meta"):
         model_from_text("model v1\nnometa\n")
+    # non-finite weights and support coefficients are refused, not scored
+    for header, mode, weights in (("model v2", "monte-carlo", "[NaN, 1.0]"),
+                                  ("model v1", "exact", "[Infinity, 1.0]"),
+                                  ("model v1", "exact", "[1.0, -Infinity]"),
+                                  ("model v1", "exact", f"[1, {10**400}]")):
+        with pytest.raises(ParseError, match="finite"):
+            model_from_text(model_text(header, mode, weights, "1\tab"))
+    for coeff in ("nan", "inf", "-inf", str(10**400)):
+        with pytest.raises(ValueError, match="coefficient"):
+            model_from_text(model_text("model v1", "exact", "null", f"{coeff}\tab"))

@@ -72,7 +72,7 @@ def _kernel_params(args: argparse.Namespace, seed: int) -> KernelParams:
     )
 
 
-def _check_out_path(out: str) -> None:
+def _check_out_path(out: str | Path) -> None:
     """Refuse, before any kernel work, an output path that cannot be written
     as a file (its parent is not an existing directory, or it is one), with
     the error that writing it would have raised."""
@@ -83,7 +83,7 @@ def _check_out_path(out: str) -> None:
         code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
     else:
         return
-    raise OSError(code, os.strerror(code), out)
+    raise OSError(code, os.strerror(code), str(out))
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser, scaling_default: str = "paper") -> None:
@@ -156,6 +156,10 @@ def cmd_gram(args: argparse.Namespace) -> int:
             f"--alphabet {params.alphabet.text!r}"
         )
     _check_out_path(args.out)
+    out = Path(args.out)
+    # a CSV without its sidecar cannot be replayed: check both before the work
+    meta = out.with_suffix(out.suffix + ".meta.json")
+    _check_out_path(meta)
     _print_config("gram", {**params.to_dict(), "dataset": str(args.dataset),
                            "out": str(args.out), "jobs": args.jobs})
     started = time.perf_counter()
@@ -163,9 +167,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     count = len(dataset.strings)
     _note(args, f"Gram of {count * (count + 1) // 2} pairs "
                 f"in {time.perf_counter() - started:.2f}s")
-    out = Path(args.out)
     out.write_text(gram_to_csv(gram), encoding="utf-8")
-    meta = out.with_suffix(out.suffix + ".meta.json")
     meta.write_text(gram_metadata_json(gram), encoding="utf-8")
     print(out)
     print(meta)

@@ -24,7 +24,10 @@ branches by states visited v and cells assigned c, and
 
     A(n) = sum_{v <= n} h[v, c] * (n-1)(n-2)...(n-v+1) * n**(n*k - c),
 
-so a kernel value walks each pair once, not once per n.  Enumerating
+so a kernel value walks each pair once, not once per n.  The walk does
+not branch on y's last step: when that step reaches an unassigned cell,
+exactly one of its branches ends where x ended, so it adds 1 to
+h[v, c + 1] directly.  Enumerating
 every table (and every DFA) remains in this module as the independent
 oracle: the tests check the walk against it, and ``verify --suite
 bounds`` and the benchmark reference are computed from it.  The ``cap``
@@ -47,12 +50,16 @@ string is walked over the same sample, as with random features (Rahimi &
 Recht, NIPS 2007).  With A and B the acceptance-indicator matrices of two
 string lists over the m samples, the joint counts of every cross pair are
 the exact integer entries of A^T B (A^T A for a Gram; a trained model's
-support against its queries for prediction).  The product is formed over
-blocks of samples sized by a budget on samples x strings, so memory stays
-flat however many strings take part, and block size never changes a
-count.  A value therefore depends only on its two strings, the seed and
-m: ``kernel_value(x, y)`` equals the Gram entry and the prediction term
-bit for bit, and Monte Carlo Grams are symmetric and PSD by construction.
+support against its queries for prediction).  The strings are walked
+together as their prefix trie, depth first, so a prefix that several
+strings share is walked once: one ``take`` per trie edge per block of
+samples, and each string's acceptances are written as one row.  The
+product is formed over blocks of samples whose live arrays fit a budget
+in bytes, so memory stays flat however many strings take part, and block
+size never changes a count.  A value therefore depends only on its two
+strings, the seed and m: ``kernel_value(x, y)`` equals the Gram entry and
+the prediction term bit for bit, and Monte Carlo Grams are symmetric and
+PSD by construction.
 The certificate holds per entry; entries that share a sample are
 correlated.
 
@@ -97,9 +104,10 @@ SCALINGS = ("paper", "normalized")
 _SEED_MASK = (1 << 64) - 1
 _SEED_DOMAIN = b"regkernel.pair.v1"
 _SAMPLE_DOMAIN = b"regkernel.sample.v2"
-# Cells (samples x strings) per block of the joint-count product: each
-# block is multiplied in float32, exact because a block sums at most
-# _BLOCK_CELLS <= 2**24 ones, and the blocks are summed in int64.
+# Budget of one block of the joint-count product, in 4-byte cells: the
+# block's live arrays (acceptance rows, successor maps, trie path) take at
+# most 4 * _BLOCK_CELLS bytes.  A block holds fewer than _BLOCK_CELLS <= 2**24
+# samples, so its float32 product is exact; the blocks are summed in int64.
 _BLOCK_CELLS = 4096 * 32
 
 
@@ -293,6 +301,13 @@ def agreement_counts(
 
         A(n) = sum_{v <= n} h[v, c] * (n-1)(n-2)...(n-v+1) * n**(n*k - c).
 
+    The walk runs in an x-phase and a y-phase.  When y's last symbol
+    reaches an unassigned cell, the branch to visited state r ends at r and
+    the fresh branch ends at v; x ended at a visited state end_x < v, so
+    exactly one of the branches (r = end_x) agrees, with v states visited
+    and c + 1 cells assigned.  That step adds 1 to h[v, c + 1] instead of
+    recursing into its branches.
+
     ``cap`` bounds the table count n_top**(n_top*k) exactly as for the
     enumeration oracle, and is checked before the walk; the count grows
     with n, so every smaller n is within it too.
@@ -303,34 +318,62 @@ def agreement_counts(
     total = table_count(n_top, k)
     if total > cap:
         raise CapExceededError(total, cap)
-    walks = (alphabet.encode(x), alphabet.encode(y))
+    sx, sy = alphabet.encode(x), alphabet.encode(y)
+    len_x, len_y = len(sx), len(sy)
+    last_y = len_y - 1
     # cell q*k + c holds the successor of state q on symbol c, -1 if unassigned
     table = [-1] * (n_top * k)
     hist = [[0] * (n_top * k + 1) for _ in range(n_top + 1)]
 
-    def walk(phase: int, i: int, q: int, v: int, end_x: int, assigned: int) -> None:
-        s = walks[phase]
-        while i < len(s):
-            cell = q * k + s[i]
-            if table[cell] < 0:
+    def walk_y(i: int, q: int, v: int, end_x: int, assigned: int) -> None:
+        while i < len_y:
+            cell = q * k + sy[i]
+            r = table[cell]
+            if r < 0:
                 break
-            q = table[cell]
+            q = r
             i += 1
-        else:  # the string ended on assigned cells
-            if phase == 0:
-                walk(1, 0, 0, v, q, assigned)
-            elif q == end_x:
+        else:  # y ended on assigned cells
+            if q == end_x:
                 hist[v][assigned] += 1
             return
+        assigned += 1
+        if i == last_y:
+            # y's last step: end_x < v, so of the branches to visited states
+            # exactly r = end_x ends equal, and the fresh state v does not
+            hist[v][assigned] += 1
+            return
+        i += 1
         for r in range(v):
             table[cell] = r
-            walk(phase, i + 1, r, v, end_x, assigned + 1)
+            walk_y(i, r, v, end_x, assigned)
         if v < n_top:
             table[cell] = v
-            walk(phase, i + 1, v, v + 1, end_x, assigned + 1)
+            walk_y(i, v, v + 1, end_x, assigned)
         table[cell] = -1
 
-    walk(0, 0, 0, 1, 0, 0)
+    def walk_x(i: int, q: int, v: int, assigned: int) -> None:
+        while i < len_x:
+            cell = q * k + sx[i]
+            r = table[cell]
+            if r < 0:
+                break
+            q = r
+            i += 1
+        else:  # x ended on assigned cells: walk y from state 0
+            walk_y(0, 0, v, q, assigned)
+            return
+        i += 1
+        assigned += 1
+        for r in range(v):
+            table[cell] = r
+            walk_x(i, r, v, assigned)
+        if v < n_top:
+            table[cell] = v
+            walk_x(i, v, v + 1, assigned)
+        table[cell] = -1
+
+    walk_x(0, 0, 1, 0)
     counts = []
     for n in range(1, n_top + 1):
         count = 0
@@ -524,14 +567,37 @@ def draw_dfa_sample(
     return tables, masks
 
 
-def _acceptance(
-    tables: np.ndarray, masks: np.ndarray, encoded: Sequence[Sequence[int]]
+def _trie_plan(encoded: Sequence[Sequence[int]]) -> list[tuple[int, list[tuple[int, int]], int]]:
+    """A depth-first walk of the prefix trie of the encoded strings.
+
+    The strings are taken in sorted order, each as (j, steps, depth): j is
+    its index, depth its length, and steps the (depth, symbol) edges that
+    extend the previous string's path to it.  Strings that share a prefix
+    are adjacent in sorted order, so over the whole plan every trie edge is
+    a step exactly once.
+    """
+    plan = []
+    previous: Sequence[int] = ()
+    for j in sorted(range(len(encoded)), key=lambda j: tuple(encoded[j])):
+        e = encoded[j]
+        shared = 0
+        while shared < min(len(previous), len(e)) and previous[shared] == e[shared]:
+            shared += 1
+        plan.append((j, [(d, e[d]) for d in range(shared, len(e))], len(e)))
+        previous = e
+    return plan
+
+
+def _acceptance_rows(
+    tables: np.ndarray, masks: np.ndarray, plan: list[tuple[int, list[tuple[int, int]], int]]
 ) -> np.ndarray:
-    """(m, S) float32 0/1 matrix: entry (t, j) is 1 when DFA t accepts
-    string j.
+    """(S, m) float32 0/1 matrix: entry (j, t) is 1 when DFA t accepts
+    string j of the trie plan.
 
     States of all m DFAs are numbered t*n + q, and succ[c] maps each to
-    its successor on symbol c, so a walk costs one ``take`` per symbol.
+    its successor on symbol c, so a trie edge costs one ``take``.  ``path``
+    holds the states reached at each depth of the current trie path, and
+    each string's acceptance is written as one row.
     """
     import numpy as np
 
@@ -539,15 +605,25 @@ def _acceptance(
     succ = np.moveaxis(tables, 2, 0).astype(np.intp, order="C")
     succ += (np.arange(m, dtype=np.intp) * n)[:, None]
     succ = succ.reshape(k, m * n)
-    accept = masks.ravel()
-    start = np.arange(0, m * n, n, dtype=np.intp)
-    out = np.empty((m, len(encoded)), dtype=np.float32)
-    for j, e in enumerate(encoded):
-        pos = start
-        for c in e:
-            pos = succ[c].take(pos)
-        out[:, j] = accept.take(pos)
+    accept = masks.ravel().astype(np.float32)
+    path = np.empty((max((d for _, _, d in plan), default=0) + 1, m), dtype=np.intp)
+    path[0] = np.arange(0, m * n, n, dtype=np.intp)
+    out = np.empty((len(plan), m), dtype=np.float32)
+    # indices are in range by construction; mode="clip" lets take write
+    # straight into ``out`` instead of through a buffer
+    for j, steps, depth in plan:
+        for d, c in steps:
+            succ[c].take(path[d], out=path[d + 1], mode="clip")
+        accept.take(path[depth], out=out[j], mode="clip")
     return out
+
+
+def _acceptance(
+    tables: np.ndarray, masks: np.ndarray, encoded: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """(m, S) float32 0/1 matrix: entry (t, j) is 1 when DFA t accepts
+    string j.  A transposed view of the per-string rows of the trie walk."""
+    return _acceptance_rows(tables, masks, _trie_plan(encoded)).T
 
 
 def mc_joint_counts(
@@ -562,24 +638,31 @@ def mc_joint_counts(
     DFAs of state count n: entry (i, j) counts the samples that accept both
     rows[i] and cols[j] (cols defaults to rows).  It is the exact integer
     product A^T B of the acceptance matrices, formed in float32 over blocks
-    of at most _BLOCK_CELLS samples x strings and summed in int64.  Each
-    distinct string is walked once, and only one block exists at a time."""
+    of samples and summed in int64.  The distinct strings' prefix trie is
+    walked once per block, and a block's live arrays fit in the bytes of
+    _BLOCK_CELLS float32 cells, so only one such block exists at a time."""
     import numpy as np
 
     cols = rows if cols is None else cols
-    # distinct strings, rows first: the row strings are a leading slice of
-    # each block, so a block is multiplied without copying any column
+    # distinct strings, rows first: the row strings are the leading rows of
+    # each block, so a block is multiplied without copying
     index: dict[str, int] = {}
     for s in (*rows, *cols):
         index.setdefault(s, len(index))
     distinct_rows = len(set(rows))
     encoded = [alphabet.encode(s) for s in index]
+    plan = _trie_plan(encoded)
     tables, masks = draw_dfa_sample(n, m, alphabet, master_seed)
-    step = max(1, _BLOCK_CELLS // max(1, len(encoded)))
+    k = len(alphabet)
+    depth = max(map(len, encoded), default=0)
+    # per sample: a float32 acceptance per string, an intp state per path
+    # depth, k*n intp successors and n float32 accepting bits
+    per_sample = 4 * len(encoded) + 8 * (depth + 1) + 8 * k * n + 4 * n
+    step = max(1, 4 * _BLOCK_CELLS // per_sample)
     counts = np.zeros((distinct_rows, len(encoded)), dtype=np.int64)
     for lo in range(0, m, step):
-        block = _acceptance(tables[lo : lo + step], masks[lo : lo + step], encoded)
-        counts += (block[:, :distinct_rows].T @ block).astype(np.int64)
+        block = _acceptance_rows(tables[lo : lo + step], masks[lo : lo + step], plan)
+        counts += (block[:distinct_rows] @ block.T).astype(np.int64)
     return counts[np.ix_([index[s] for s in rows], [index[s] for s in cols])]
 
 

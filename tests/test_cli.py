@@ -503,6 +503,27 @@ def test_unwritable_out_exits_2_before_any_kernel_work(tmp_path, capsys, parity,
         assert message in stderr and str(out) in stderr
 
 
+def test_gram_unwritable_sidecar_exits_2_before_any_kernel_work(tmp_path, capsys, parity,
+                                                                 ab, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel work started before the sidecar path was checked")
+
+    monkeypatch.setattr("regkernel.cli.gram_matrix", refuse)
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    out = tmp_path / "side" / "g.csv"
+    meta = tmp_path / "side" / "g.csv.meta.json"
+    meta.mkdir(parents=True)
+    code, stdout, stderr = run_cli(
+        capsys, "gram", "--dataset", str(dataset), "--mode", "exact", "--nmax", "3",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "Is a directory" in stderr and str(meta) in stderr
+    # no CSV is left without a sidecar to replay it
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------
 # cold start: each test runs in a fresh interpreter
 # ---------------------------------------------------------------------

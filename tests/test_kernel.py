@@ -162,6 +162,29 @@ def test_agreement_counts_match_oracle_larger_n(ab):
     assert agreement_counts("ababa", "abbaa", 5, ab)[-1] == 4305125
 
 
+def test_agreement_counts_match_grid_three_symbols():
+    # the last-step shortcut against full table enumeration over k = 3
+    abc = Alphabet(("a", "b", "c"))
+    strings = enumerate_strings(abc, 3)
+    grids = [agreement_count_grid(strings, n, abc) for n in (1, 2)]
+    for i, x in enumerate(strings):
+        for j, y in enumerate(strings):
+            assert agreement_counts(x, y, 2, abc) == [g[i, j] for g in grids], (x, y)
+
+
+@pytest.mark.parametrize("x, y", [
+    ("", ""), ("", "abba"), ("abba", ""),            # x or y empty
+    ("abab", "ab"), ("abb", "a"),                   # y a prefix of x
+    ("ab", "abab"), ("a", "abba"),                  # x a prefix of y
+    ("aa", "a"), ("aba", "ab"), ("ba", "bb"),       # y's last cell assigned by x
+    ("a", "aa"), ("ab", "bab"),                     # ... or by y, on some branches
+])
+def test_agreement_counts_last_step_edge_cases(ab, x, y):
+    grids = [agreement_count_grid([x, y], n, ab) for n in (1, 2, 3)]
+    assert agreement_counts(x, y, 3, ab) == [g[0, 1] for g in grids]
+    assert agreement_counts(y, x, 3, ab) == [g[1, 0] for g in grids]
+
+
 def test_agreement_counts_cap_checked_at_n_top(ab):
     # 3**6 = 729 tables at n_top = 3; the smaller counts are not returned either
     with pytest.raises(CapExceededError):
@@ -443,7 +466,9 @@ def test_kernel_cap_checked_before_any_term(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was evaluated before the cap check")
 
-    monkeypatch.setattr("regkernel.kernel.agreement_count", refuse)
+    # every term is a walk and then a value assembled from its counts
+    monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
+    monkeypatch.setattr("regkernel.kernel._pair_value", refuse)
     params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
     with pytest.raises(CapExceededError, match="monte-carlo"):
         kernel_value("aaaaaaaaa", "aaaaaaaab", params, cap=10**6)
@@ -565,6 +590,41 @@ def test_mc_acceptance_matches_plain_walk(ab):
                 for c in ab.encode(s):
                     q = tables[t, q, c]
                 assert accepts[t, j] == masks[t, q]
+
+
+@pytest.mark.parametrize("block_cells", [7, 64, None])
+def test_mc_joint_counts_match_plain_loop(ab, monkeypatch, block_cells):
+    # the trie walk and blocked product against a loop over the drawn DFAs,
+    # with the empty string, a duplicate, prefixes and rows shared with cols
+    from regkernel import kernel
+
+    if block_cells is not None:
+        monkeypatch.setattr(kernel, "_BLOCK_CELLS", block_cells)
+    rows = ["abba", "", "ab", "b", "ab", "abbab", "a"]
+    cols = ["ba", "abba", "", "abb", "bbbb", "a", "a"]
+    m = 97
+    for n in (1, 2, 3):
+        tables, masks = kernel.draw_dfa_sample(n, m, ab, 21)
+
+        def accepted(s):
+            out = []
+            for t in range(m):
+                q = 0
+                for c in ab.encode(s):
+                    q = tables[t, q, c]
+                out.append(int(masks[t, q]))
+            return out
+
+        acc = {s: accepted(s) for s in {*rows, *cols}}
+
+        def joint(x, y):
+            return sum(a * b for a, b in zip(acc[x], acc[y]))
+
+        cross = kernel.mc_joint_counts(rows, n, m, ab, 21, cols)
+        assert cross.dtype == np.int64
+        assert cross.tolist() == [[joint(x, y) for y in cols] for x in rows]
+        gram = kernel.mc_joint_counts(rows, n, m, ab, 21)
+        assert gram.tolist() == [[joint(x, y) for y in rows] for x in rows]
 
 
 def test_mc_kernel_value_equals_gram_entry(ab):

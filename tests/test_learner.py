@@ -249,7 +249,9 @@ def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was evaluated before the cap check")
 
-    monkeypatch.setattr("regkernel.kernel.agreement_count", refuse)
+    # every term is a walk and then a value assembled from its counts
+    monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
+    monkeypatch.setattr("regkernel.kernel._pair_value", refuse)
     model = PerceptronModel(
         support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
         errors_per_epoch=(0,),

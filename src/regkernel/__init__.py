@@ -39,7 +39,6 @@ from .kernel import (
     KernelValue,
     agreement_count,
     agreement_counts,
-    derive_pair_seed,
     exact_kn,
     exact_pn,
     gram_matrix,
@@ -58,7 +57,6 @@ from .learner import (
     load_dataset,
     load_model,
     predict,
-    save_dataset,
     save_model,
     train,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "alpha_embed",
     "chi",
     "decision_values",
-    "derive_pair_seed",
     "dfa_space_size",
     "enumerate_dfas",
     "enumerate_strings",
@@ -106,7 +103,6 @@ __all__ = [
     "predict",
     "required_samples",
     "sample_dfa",
-    "save_dataset",
     "save_model",
     "score",
     "separator",

@@ -21,7 +21,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Upper bound on how many transition tables an exhaustive walk may touch.
-DEFAULT_TABLE_CAP = 10_000_000
+TABLE_CAP = 10_000_000
 
 COMMENT_CHAR = "#"
 
@@ -184,39 +184,24 @@ def dfa_space_size(n: int, alphabet_size: int) -> int:
     return table_count(n, alphabet_size) * 2**n
 
 
-def enumerate_tables(
-    n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def enumerate_tables(n: int, alphabet: Alphabet) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every transition table exactly once, in lexicographic cell order.
 
     Streams one table at a time; raises CapExceededError up front when
-    n**(n*k) exceeds the cap.
+    n**(n*k) exceeds TABLE_CAP.
     """
     k = len(alphabet)
     total = table_count(n, k)
-    if total > cap:
-        raise CapExceededError(total, cap)
+    if total > TABLE_CAP:
+        raise CapExceededError(total, TABLE_CAP)
     for cells in itertools.product(range(n), repeat=n * k):
         yield tuple(cells[q * k : (q + 1) * k] for q in range(n))
 
 
-def table_from_rank(rank: int, n: int, alphabet_size: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse of Dfa.table_rank for the same cell order."""
-    cells_total = n * alphabet_size
-    if not 0 <= rank < n**cells_total:
-        raise ValueError(f"table rank {rank} outside 0..{n ** cells_total - 1}")
-    digits = []
-    for _ in range(cells_total):
-        rank, d = divmod(rank, n)
-        digits.append(d)
-    digits.reverse()
-    return tuple(tuple(digits[q * alphabet_size : (q + 1) * alphabet_size]) for q in range(n))
-
-
-def enumerate_dfas(n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP) -> Iterator[Dfa]:
+def enumerate_dfas(n: int, alphabet: Alphabet) -> Iterator[Dfa]:
     """Yield all n**(n*k) * 2**n DFAs: tables in lexicographic order, accepting
     masks 0..2**n-1 within each table."""
-    for table in enumerate_tables(n, alphabet, cap):
+    for table in enumerate_tables(n, alphabet):
         for mask in range(2**n):
             accepting = frozenset(q for q in range(n) if (mask >> q) & 1)
             yield Dfa(n=n, alphabet=alphabet, table=table, accepting=accepting)
@@ -249,14 +234,6 @@ class DfaSpace:
         if dfa.n != self.n or dfa.alphabet != self.alphabet:
             raise ValueError("DFA does not belong to this space")
         return dfa.table_rank * 2**self.n + dfa.accept_mask
-
-    def dfa_at(self, index: int) -> Dfa:
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} outside 0..{self.size - 1}")
-        rank, mask = divmod(index, 2**self.n)
-        table = table_from_rank(rank, self.n, len(self.alphabet))
-        accepting = frozenset(q for q in range(self.n) if (mask >> q) & 1)
-        return Dfa(n=self.n, alphabet=self.alphabet, table=table, accepting=accepting)
 
 
 def sample_dfa(n: int, alphabet: Alphabet, rng: np.random.Generator) -> Dfa:

@@ -29,14 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .automata import (
-    DEFAULT_TABLE_CAP,
-    Alphabet,
-    Dfa,
-    dfa_space_size,
-    enumerate_dfas,
-    iter_strings,
-)
+from .automata import Alphabet, Dfa, dfa_space_size, enumerate_dfas, iter_strings
 
 
 @dataclass(frozen=True, order=True)
@@ -44,9 +37,6 @@ class InstanceKey:
     """Feature coordinate indexed by a string."""
 
     string: str
-
-    def to_text(self) -> str:
-        return f"inst:{self.string}"
 
 
 @dataclass(frozen=True, order=True)
@@ -60,33 +50,8 @@ class ConceptKey:
     table_rank: int
     accept_mask: int
 
-    def to_text(self) -> str:
-        return f"conc:{self.n}:{self.table_rank}:{self.accept_mask}"
-
 
 FeatureKey = Union[InstanceKey, ConceptKey]
-
-
-def feature_key_sort_key(key: FeatureKey) -> tuple:
-    """Total order: every InstanceKey before every ConceptKey,
-    lexicographic within each kind."""
-    if isinstance(key, InstanceKey):
-        return (0, key.string)
-    return (1, key.n, key.table_rank, key.accept_mask)
-
-
-def feature_key_from_text(text: str) -> FeatureKey:
-    if text.startswith("inst:"):
-        return InstanceKey(text[len("inst:") :])
-    if text.startswith("conc:"):
-        parts = text[len("conc:") :].split(":")
-        if len(parts) != 3:
-            raise ValueError(f"malformed concept key {text!r}")
-        try:
-            return ConceptKey(int(parts[0]), int(parts[1]), int(parts[2]))
-        except ValueError as e:
-            raise ValueError(f"malformed concept key {text!r}") from e
-    raise ValueError(f"unknown feature key kind in {text!r}")
 
 
 @dataclass
@@ -133,30 +98,6 @@ class SparseVec:
         merged.update(other.entries)
         return SparseVec(merged, truncated=self.truncated or other.truncated)
 
-    def items_sorted(self) -> list[tuple[FeatureKey, Fraction]]:
-        return sorted(self.entries.items(), key=lambda kv: feature_key_sort_key(kv[0]))
-
-    def to_text(self) -> str:
-        """One ``<key>\\t<value>`` line per entry, keys in canonical order."""
-        lines = [f"{key.to_text()}\t{value}" for key, value in self.items_sorted()]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_text(cls, text: str) -> "SparseVec":
-        entries: dict[FeatureKey, Fraction] = {}
-        for raw in text.splitlines():
-            if not raw.strip():
-                continue
-            try:
-                key_text, value_text = raw.split("\t")
-            except ValueError as e:
-                raise ValueError(f"malformed sparse vector line {raw!r}") from e
-            key = feature_key_from_text(key_text)
-            if key in entries:
-                raise ValueError(f"duplicate feature key {key_text!r}")
-            entries[key] = Fraction(value_text)
-        return cls(entries)
-
 
 @dataclass
 class ConceptUniverse:
@@ -165,7 +106,6 @@ class ConceptUniverse:
 
     alphabet: Alphabet
     n_max: int
-    cap: int = DEFAULT_TABLE_CAP
     _concepts: list[tuple[ConceptKey, Dfa]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -174,7 +114,7 @@ class ConceptUniverse:
         concepts = []
         for n in range(1, self.n_max + 1):
             states = 2**n
-            for index, dfa in enumerate(enumerate_dfas(n, self.alphabet, self.cap)):
+            for index, dfa in enumerate(enumerate_dfas(n, self.alphabet)):
                 key = ConceptKey(n=n, table_rank=index // states, accept_mask=index % states)
                 concepts.append((key, dfa))
         self._concepts = concepts

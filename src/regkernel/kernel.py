@@ -30,8 +30,8 @@ exactly one of its branches ends where x ended, so it adds 1 to
 h[v, c + 1] directly.  Enumerating
 every table (and every DFA) remains in this module as the independent
 oracle: the tests check the walk against it, and ``verify --suite
-bounds`` and the benchmark reference are computed from it.  The ``cap``
-argument still bounds T = n**(n*k) on both paths, so the exact path
+bounds`` and the benchmark reference are computed from it.  The fixed
+``TABLE_CAP`` bounds T = n**(n*k) on both paths, so the exact path
 refuses the same state counts it always did.
 
 Permuting the symbols permutes the columns of a uniform table and leaves
@@ -87,7 +87,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .automata import (
-    DEFAULT_TABLE_CAP,
+    TABLE_CAP,
     Alphabet,
     CapExceededError,
     dfa_space_size,
@@ -102,7 +102,6 @@ MODES = ("exact", "monte-carlo")
 SCALINGS = ("paper", "normalized")
 
 _SEED_MASK = (1 << 64) - 1
-_SEED_DOMAIN = b"regkernel.pair.v1"
 _SAMPLE_DOMAIN = b"regkernel.sample.v2"
 # Budget of one block of the joint-count product, in 4-byte cells: the
 # block's live arrays (acceptance rows, successor maps, trie path) take at
@@ -239,34 +238,12 @@ def required_samples(epsilon: float, failure_prob: float) -> int:
     return math.ceil(12.0 * epsilon**-2 * math.log(2.0 / failure_prob))
 
 
-def derive_pair_seed(master_seed: int, n: int, x: str, y: str) -> int:
-    """Stable 64-bit stream seed for one (pair, n) estimate.
-
-    SHA-256 over a fixed byte layout: a domain tag, the master seed and n
-    as little-endian u64, then the two strings in lexicographically
-    sorted order, each as a little-endian u64 byte length followed by its
-    UTF-8 bytes.  The first 8 digest bytes, little-endian, are the seed.
-    Sorting makes the derived stream a function of the unordered pair.
-    The Monte Carlo path no longer uses per-pair streams; it seeds one
-    shared sample per (master_seed, n) with derive_sample_seed.
-    """
-    lo, hi = sorted((x, y))
-    h = hashlib.sha256()
-    h.update(_SEED_DOMAIN)
-    h.update(struct.pack("<QQ", master_seed & _SEED_MASK, n))
-    for s in (lo, hi):
-        data = s.encode("utf-8")
-        h.update(struct.pack("<Q", len(data)))
-        h.update(data)
-    return int.from_bytes(h.digest()[:8], "little")
-
-
 def derive_sample_seed(master_seed: int, n: int) -> int:
     """Stable 64-bit stream seed of the shared Monte Carlo sample of n.
 
-    SHA-256 over a domain tag, then the master seed and n as little-endian
-    u64 (the layout of derive_pair_seed without the strings); the first 8
-    digest bytes, little-endian, are the seed.
+    SHA-256 over a fixed byte layout: the domain tag, then the master seed
+    and n, each as a little-endian u64.  The first 8 digest bytes,
+    little-endian, are the seed.
     """
     h = hashlib.sha256()
     h.update(_SAMPLE_DOMAIN)
@@ -279,9 +256,7 @@ def derive_sample_seed(master_seed: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def agreement_counts(
-    x: str, y: str, n_top: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> list[int]:
+def agreement_counts(x: str, y: str, n_top: int, alphabet: Alphabet) -> list[int]:
     """[A(1), ..., A(n_top)], where A(n) is the number of n-state
     transition tables on which x and y end in the same state.
 
@@ -308,7 +283,7 @@ def agreement_counts(
     and c + 1 cells assigned.  That step adds 1 to h[v, c + 1] instead of
     recursing into its branches.
 
-    ``cap`` bounds the table count n_top**(n_top*k) exactly as for the
+    TABLE_CAP bounds the table count n_top**(n_top*k) exactly as for the
     enumeration oracle, and is checked before the walk; the count grows
     with n, so every smaller n is within it too.
     """
@@ -316,8 +291,8 @@ def agreement_counts(
         raise ValueError(f"state count must be >= 1, got {n_top}")
     k = len(alphabet)
     total = table_count(n_top, k)
-    if total > cap:
-        raise CapExceededError(total, cap)
+    if total > TABLE_CAP:
+        raise CapExceededError(total, TABLE_CAP)
     sx, sy = alphabet.encode(x), alphabet.encode(y)
     len_x, len_y = len(sx), len(sy)
     last_y = len_y - 1
@@ -387,12 +362,10 @@ def agreement_counts(
     return counts
 
 
-def agreement_count(
-    x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> int:
+def agreement_count(x: str, y: str, n: int, alphabet: Alphabet) -> int:
     """Number of n-state transition tables on which x and y end in the same
     state: the last entry of agreement_counts at n."""
-    return agreement_counts(x, y, n, alphabet, cap)[-1]
+    return agreement_counts(x, y, n, alphabet)[-1]
 
 
 def _pn_from_agreement(a: int, n: int, k: int) -> Fraction:
@@ -408,21 +381,19 @@ def _kn_from_agreement(a: int, n: int, k: int) -> int:
     return (table_count(n, k) + a) * 2**n // 4
 
 
-def exact_pn(
-    x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> Fraction:
+def exact_pn(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
     """Exact joint-acceptance fraction P_n(x, y) = (1/4) * (1 + A/T).
 
     A is the table agreement count and T the table total; the accepting
     bits contribute the closed 1/4 factor because each state is accepting
     independently with probability 1/2.
     """
-    return _pn_from_agreement(agreement_count(x, y, n, alphabet, cap), n, len(alphabet))
+    return _pn_from_agreement(agreement_count(x, y, n, alphabet), n, len(alphabet))
 
 
-def exact_kn(x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP) -> int:
+def exact_kn(x: str, y: str, n: int, alphabet: Alphabet) -> int:
     """Exact count of n-state DFAs accepting both x and y."""
-    return _kn_from_agreement(agreement_count(x, y, n, alphabet, cap), n, len(alphabet))
+    return _kn_from_agreement(agreement_count(x, y, n, alphabet), n, len(alphabet))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +403,7 @@ def exact_kn(x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABL
 _CHUNK = 1 << 18
 
 
-def _table_chunks(n: int, k: int, cap: int):
+def _table_chunks(n: int, k: int):
     """Yield (ranks, cells) arrays covering all n**(n*k) tables in rank order.
 
     cells has shape (chunk, n, k); cell (q, i) of the table with a given
@@ -442,8 +413,8 @@ def _table_chunks(n: int, k: int, cap: int):
     import numpy as np
 
     total = table_count(n, k)
-    if total > cap:
-        raise CapExceededError(total, cap)
+    if total > TABLE_CAP:
+        raise CapExceededError(total, TABLE_CAP)
     ncells = n * k
     powers = np.array([n ** (ncells - 1 - i) for i in range(ncells)], dtype=np.int64)
     for lo in range(0, total, _CHUNK):
@@ -464,25 +435,21 @@ def _walk(cells: np.ndarray, encoded: Sequence[int]) -> np.ndarray:
     return state
 
 
-def kn_by_enumeration(
-    x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> int:
+def kn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> int:
     """Oracle for exact_kn: literally walk every DFA and test both strings.
 
     Much slower than exact_kn; exists so the lazy walk and the closed form
     can be cross-checked against the definition.
     """
     count = 0
-    for dfa in enumerate_dfas(n, alphabet, cap):
+    for dfa in enumerate_dfas(n, alphabet):
         if dfa.accepts(x) and dfa.accepts(y):
             count += 1
     return count
 
 
-def pn_by_enumeration(
-    x: str, y: str, n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> Fraction:
-    return Fraction(kn_by_enumeration(x, y, n, alphabet, cap), dfa_space_size(n, len(alphabet)))
+def pn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
+    return Fraction(kn_by_enumeration(x, y, n, alphabet), dfa_space_size(n, len(alphabet)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,32 +457,28 @@ def pn_by_enumeration(
 # ---------------------------------------------------------------------------
 
 
-def end_state_grid(
-    strings: Sequence[str], n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> np.ndarray:
+def end_state_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
     """(T, S) matrix of end states: row per transition table in rank order,
     column per string.  Materializes all tables; intended for small n."""
     import numpy as np
 
     encoded = [alphabet.encode(s) for s in strings]
     total = table_count(n, len(alphabet))
-    if total > cap:
-        raise CapExceededError(total, cap)
+    if total > TABLE_CAP:
+        raise CapExceededError(total, TABLE_CAP)
     out = np.empty((total, len(strings)), dtype=np.int64)
-    for ranks, cells in _table_chunks(n, len(alphabet), cap):
+    for ranks, cells in _table_chunks(n, len(alphabet)):
         for j, e in enumerate(encoded):
             out[ranks[0] : ranks[-1] + 1, j] = _walk(cells, e)
     return out
 
 
-def agreement_count_grid(
-    strings: Sequence[str], n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> np.ndarray:
+def agreement_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
     """(S, S) matrix of pairwise table agreement counts over one shared
     end-state grid; entry (i, j) equals agreement_count(strings[i], strings[j])."""
     import numpy as np
 
-    ends = end_state_grid(strings, n, alphabet, cap)
+    ends = end_state_grid(strings, n, alphabet)
     s = len(strings)
     counts = np.empty((s, s), dtype=np.int64)
     for i in range(s):
@@ -523,9 +486,7 @@ def agreement_count_grid(
     return counts
 
 
-def joint_accept_count_grid(
-    strings: Sequence[str], n: int, alphabet: Alphabet, cap: int = DEFAULT_TABLE_CAP
-) -> np.ndarray:
+def joint_accept_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
     """(S, S) matrix of K_n values by direct enumeration over every DFA.
 
     Iterates every (table, accepting mask) pair and accumulates the outer
@@ -534,7 +495,7 @@ def joint_accept_count_grid(
     """
     import numpy as np
 
-    ends = end_state_grid(strings, n, alphabet, cap)
+    ends = end_state_grid(strings, n, alphabet)
     s = len(strings)
     counts = np.zeros((s, s), dtype=np.int64)
     for row in ends:
@@ -746,7 +707,6 @@ def kernel_block(
     rows: Sequence[str],
     cols: Sequence[str] | None,
     params: KernelParams,
-    cap: int = DEFAULT_TABLE_CAP,
     jobs: int = 1,
 ) -> list[list[int | float]]:
     """Kernel values of every (rows[i], cols[j]) pair, as an R x C matrix.
@@ -773,9 +733,9 @@ def kernel_block(
     if params.mode == "exact":
         # n**(n*k) grows with n, so the largest term decides for every pair
         required = table_count(n_top, len(params.alphabet)) if n_top else 0
-        if required > cap:
+        if required > TABLE_CAP:
             raise CapExceededError(
-                required, cap, hint="use monte-carlo mode for large state counts"
+                required, TABLE_CAP, hint="use monte-carlo mode for large state counts"
             )
         slots: dict[tuple[str, str], int] = {}
         slot_of_pair = [
@@ -786,7 +746,7 @@ def kernel_block(
         def evaluate(pair: tuple[str, str]) -> int | float:
             x, y = pair
             n_used = _summation_limit(x, y, params)[0]
-            counts = agreement_counts(x, y, n_used, params.alphabet, cap) if n_used else []
+            counts = agreement_counts(x, y, n_used, params.alphabet) if n_used else []
             return _pair_value(int(x == y), counts, params, 0)
 
         if jobs > 1:
@@ -818,9 +778,7 @@ def kernel_block(
     return block
 
 
-def kernel_value(
-    x: str, y: str, params: KernelParams, cap: int = DEFAULT_TABLE_CAP
-) -> KernelValue:
+def kernel_value(x: str, y: str, params: KernelParams) -> KernelValue:
     """Evaluate the kernel K(x, y) under the given parameters.
 
     The identity term 1{x = y} is always present; the sum runs over
@@ -828,7 +786,7 @@ def kernel_value(
     the pair, so it is symmetric in (x, y) and equal to the entry of any
     Gram matrix that contains both strings, bit for bit in every mode.
     """
-    value = kernel_block([x], [y], params, cap)[0][0]
+    value = kernel_block([x], [y], params)[0][0]
     n_used, truncated = _summation_limit(x, y, params)
     cert = None
     if params.mode == "monte-carlo":
@@ -858,12 +816,7 @@ class GramMatrix:
         return np.array(self.values, dtype=float)
 
 
-def gram_matrix(
-    strings: Sequence[str],
-    params: KernelParams,
-    cap: int = DEFAULT_TABLE_CAP,
-    jobs: int = 1,
-) -> GramMatrix:
+def gram_matrix(strings: Sequence[str], params: KernelParams, jobs: int = 1) -> GramMatrix:
     """The symmetric kernel_block of distinct strings: each unordered pair
     is evaluated at most once, and exact mode walks one pair per
     symbol-permutation class on ``jobs`` threads.  The result does not
@@ -877,7 +830,7 @@ def gram_matrix(
         if s in seen:
             raise ValueError(f"duplicate string {s!r} in Gram input")
         seen.add(s)
-    values = kernel_block(strings, None, params, cap, jobs)
+    values = kernel_block(strings, None, params, jobs)
     return GramMatrix(strings=strings, params=params, values=tuple(map(tuple, values)))
 
 

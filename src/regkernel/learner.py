@@ -23,7 +23,8 @@ from .automata import (
 )
 from .kernel import GramMatrix, KernelParams, format_version, kernel_block
 
-DEFAULT_STRING_CAP = 1_000_000
+# Upper bound on how many strings enumerate_strings may list.
+STRING_CAP = 1_000_000
 
 LABELS = (1, -1)
 
@@ -88,16 +89,15 @@ class PerceptronModel:
         return self.errors_per_epoch[-1] if self.errors_per_epoch else 0
 
 
-def enumerate_strings(
-    alphabet: Alphabet, max_len: int, cap: int = DEFAULT_STRING_CAP
-) -> list[str]:
-    """All strings of length 0..max_len, length-then-lexicographic."""
+def enumerate_strings(alphabet: Alphabet, max_len: int) -> list[str]:
+    """All strings of length 0..max_len, length-then-lexicographic; raises
+    CapExceededError up front when there are more than STRING_CAP."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     k = len(alphabet)
     total = max_len + 1 if k == 1 else (k ** (max_len + 1) - 1) // (k - 1)
-    if total > cap:
-        raise CapExceededError(total, cap, what="strings")
+    if total > STRING_CAP:
+        raise CapExceededError(total, STRING_CAP, what="strings")
     return list(iter_strings(alphabet, max_len))
 
 
@@ -215,13 +215,17 @@ def dataset_to_text(dataset: Dataset) -> str:
 def dataset_from_text(text: str) -> Dataset:
     alphabet = None
     records = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("#"):
             parts = raw[1:].split()
             if len(parts) == 2 and parts[0] == "alphabet":
                 if alphabet is not None:
                     raise ParseError("duplicate alphabet header", lineno)
-                alphabet = Alphabet(tuple(parts[1]))
+                try:
+                    alphabet = Alphabet(tuple(parts[1]))
+                except ValueError as e:
+                    raise ParseError(str(e), lineno) from e
             continue
         if not raw.strip():
             continue
@@ -233,6 +237,15 @@ def dataset_from_text(text: str) -> Dataset:
             raise ParseError(f"expected '<label>\\t<string>', got {raw!r}", lineno) from e
         if label_text not in ("+1", "-1"):
             raise ParseError(f"label must be +1 or -1, got {label_text!r}", lineno)
+        try:
+            alphabet.encode(string)
+        except ValueError as e:
+            raise ParseError(str(e), lineno) from e
+        if string in first_line:
+            raise ParseError(
+                f"duplicate string {string!r}, first on line {first_line[string]}", lineno
+            )
+        first_line[string] = lineno
         records.append((string, 1 if label_text == "+1" else -1))
     if alphabet is None:
         raise ParseError("missing '# alphabet <symbols>' header", 1)
@@ -241,10 +254,6 @@ def dataset_from_text(text: str) -> Dataset:
 
 def load_dataset(path: str | Path) -> Dataset:
     return dataset_from_text(Path(path).read_text(encoding="utf-8"))
-
-
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    Path(path).write_text(dataset_to_text(dataset), encoding="utf-8")
 
 
 def model_to_text(model: PerceptronModel) -> str:

@@ -16,6 +16,7 @@ from .embedding import ConceptUniverse, InstanceKey, SparseVec, phi, score, sepa
 from .kernel import (
     KernelParams,
     agreement_count_grid,
+    exact_pn,
     gram_matrix,
     joint_accept_count_grid,
     mc_pn,
@@ -224,8 +225,6 @@ def suite_concentration(
     import numpy as np
 
     alphabet = alphabet or Alphabet(("a", "b"))
-    from .kernel import exact_pn
-
     exact = exact_pn(x, y, n, alphabet)
     checks = [
         _check(

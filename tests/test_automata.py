@@ -17,7 +17,7 @@ from regkernel import (
     serialize_dfa,
     table_count,
 )
-from regkernel.automata import iter_strings, table_from_rank
+from regkernel.automata import iter_strings
 
 
 # ---------------------------------------------------------------------
@@ -117,15 +117,14 @@ def test_enumerate_tables_no_duplicates_lexicographic(ab):
 
 def test_enumerate_tables_cap(ab):
     with pytest.raises(CapExceededError) as exc:
-        list(enumerate_tables(3, ab, cap=100))
-    assert exc.value.required == 729
+        list(enumerate_tables(6, ab))
+    assert exc.value.required == 6**12
 
 
 def test_table_rank_round_trip(ab):
     for rank, table in enumerate(enumerate_tables(2, ab)):
         dfa = Dfa(n=2, alphabet=ab, table=table, accepting=frozenset())
         assert dfa.table_rank == rank
-        assert table_from_rank(rank, 2, 2) == table
 
 
 def test_dfa_space_size_examples():
@@ -146,7 +145,6 @@ def test_dfa_space_index_round_trip(ab):
     space = DfaSpace(2, ab)
     for i, dfa in enumerate(space):
         assert space.index_of(dfa) == i
-        assert space.dfa_at(i) == dfa
 
 
 def test_half_of_space_accepts_any_string(ab):

@@ -1,8 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from regkernel import (
     Alphabet,
@@ -19,38 +17,11 @@ from regkernel import (
     score,
     separator,
 )
-from regkernel.embedding import feature_key_from_text, feature_key_sort_key
 
 
 @pytest.fixture(scope="module")
 def universe():
     return ConceptUniverse(Alphabet(("a", "b")), 2)
-
-
-# ---------------------------------------------------------------------
-# feature keys
-# ---------------------------------------------------------------------
-
-def test_feature_key_text_round_trip():
-    for key in (InstanceKey(""), InstanceKey("ab"), ConceptKey(2, 12, 1)):
-        assert feature_key_from_text(key.to_text()) == key
-
-
-def test_feature_key_order_instances_before_concepts():
-    keys = [ConceptKey(1, 0, 1), InstanceKey("b"), InstanceKey(""), ConceptKey(1, 0, 0)]
-    ordered = sorted(keys, key=feature_key_sort_key)
-    assert ordered == [
-        InstanceKey(""),
-        InstanceKey("b"),
-        ConceptKey(1, 0, 0),
-        ConceptKey(1, 0, 1),
-    ]
-
-
-def test_feature_key_from_text_rejects_garbage():
-    for bad in ("inst", "conc:1:2", "conc:a:b:c", "foo:bar"):
-        with pytest.raises(ValueError):
-            feature_key_from_text(bad)
 
 
 # ---------------------------------------------------------------------
@@ -71,31 +42,6 @@ def test_sparsevec_dot_and_direct_sum():
     assert merged.nnz == 3
     with pytest.raises(ValueError, match="overlap"):
         a.direct_sum(b)
-
-
-def test_sparsevec_text_round_trip():
-    v = SparseVec(
-        {
-            InstanceKey(""): Fraction(1),
-            InstanceKey("ba"): Fraction(-3, 7),
-            ConceptKey(2, 5, 3): Fraction(4),
-        }
-    )
-    assert SparseVec.from_text(v.to_text()) == v
-    assert SparseVec.from_text("") == SparseVec({})
-
-
-@given(
-    entries=st.dictionaries(
-        st.text(alphabet="ab", max_size=4).map(InstanceKey),
-        st.fractions(),
-        max_size=8,
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_sparsevec_text_round_trip_random(entries):
-    v = SparseVec(dict(entries))
-    assert SparseVec.from_text(v.to_text()) == v
 
 
 # ---------------------------------------------------------------------

@@ -26,7 +26,6 @@ from regkernel import (
 )
 from regkernel.kernel import (
     agreement_count_grid,
-    derive_pair_seed,
     end_state_grid,
     format_scalar,
     gram_metadata_json,
@@ -114,7 +113,7 @@ def test_exact_kn_symmetric(x, y, n):
 
 def test_cap_error_propagates(ab):
     with pytest.raises(CapExceededError):
-        agreement_count("a", "b", 3, ab, cap=10)
+        agreement_count("a", "b", 6, ab)
 
 
 def test_agreement_count_matches_grid_all_short_pairs(ab):
@@ -185,11 +184,13 @@ def test_agreement_counts_last_step_edge_cases(ab, x, y):
     assert agreement_counts(y, x, 3, ab) == [g[1, 0] for g in grids]
 
 
-def test_agreement_counts_cap_checked_at_n_top(ab):
+def test_agreement_counts_cap_checked_at_n_top(ab, monkeypatch):
     # 3**6 = 729 tables at n_top = 3; the smaller counts are not returned either
+    monkeypatch.setattr("regkernel.kernel.TABLE_CAP", 728)
     with pytest.raises(CapExceededError):
-        agreement_counts("a", "b", 3, ab, cap=728)
-    assert len(agreement_counts("a", "b", 3, ab, cap=729)) == 3
+        agreement_counts("a", "b", 3, ab)
+    monkeypatch.setattr("regkernel.kernel.TABLE_CAP", 729)
+    assert len(agreement_counts("a", "b", 3, ab)) == 3
     with pytest.raises(ValueError):
         agreement_counts("a", "b", 0, ab)
 
@@ -270,9 +271,9 @@ def test_kernel_cap_checked_before_the_walk(ab, monkeypatch):
     monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
     params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
     with pytest.raises(CapExceededError, match="monte-carlo"):
-        kernel_value("aaaaaaaaa", "aaaaaaaab", params, cap=10**6)
+        kernel_value("aaaaaaaaa", "aaaaaaaab", params)
     with pytest.raises(CapExceededError, match="monte-carlo"):
-        gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params, cap=10**6)
+        gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params)
 
 
 # ---------------------------------------------------------------------
@@ -320,15 +321,6 @@ def test_required_samples_validation():
 # ---------------------------------------------------------------------
 # Monte Carlo estimator
 # ---------------------------------------------------------------------
-
-def test_derive_pair_seed_symmetric_and_sensitive():
-    assert derive_pair_seed(7, 2, "a", "b") == derive_pair_seed(7, 2, "b", "a")
-    assert derive_pair_seed(7, 2, "a", "b") != derive_pair_seed(8, 2, "a", "b")
-    assert derive_pair_seed(7, 2, "a", "b") != derive_pair_seed(7, 3, "a", "b")
-    assert derive_pair_seed(7, 2, "a", "b") != derive_pair_seed(7, 2, "a", "a")
-    # length-prefixed encoding keeps ("ab","") distinct from ("a","b")
-    assert derive_pair_seed(7, 1, "ab", "") != derive_pair_seed(7, 1, "a", "b")
-
 
 def test_mc_pn_deterministic_and_symmetric(ab):
     a = mc_pn("a", "b", 2, 500, ab, 42)
@@ -459,7 +451,7 @@ def test_kernel_mc_paper_scaling_estimates_counts(ab):
 def test_kernel_cap_error_suggests_monte_carlo(ab):
     params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
     with pytest.raises(CapExceededError, match="monte-carlo"):
-        kernel_value("aaaaaaaaa", "aaaaaaaab", params, cap=10**6)
+        kernel_value("aaaaaaaaa", "aaaaaaaab", params)
 
 
 def test_kernel_cap_checked_before_any_term(ab, monkeypatch):
@@ -471,9 +463,9 @@ def test_kernel_cap_checked_before_any_term(ab, monkeypatch):
     monkeypatch.setattr("regkernel.kernel._pair_value", refuse)
     params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
     with pytest.raises(CapExceededError, match="monte-carlo"):
-        kernel_value("aaaaaaaaa", "aaaaaaaab", params, cap=10**6)
+        kernel_value("aaaaaaaaa", "aaaaaaaab", params)
     with pytest.raises(CapExceededError, match="monte-carlo"):
-        gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params, cap=10**6)
+        gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params)
 
 
 def test_kernel_params_validation(ab):

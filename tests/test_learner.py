@@ -49,7 +49,7 @@ def test_enumerate_strings_examples(ab):
 
 def test_enumerate_strings_cap():
     with pytest.raises(CapExceededError):
-        enumerate_strings(Alphabet(("a", "b")), 30, cap=1000)
+        enumerate_strings(Alphabet(("a", "b")), 30)
 
 
 def test_label_strings_parity(parity, ab):
@@ -304,6 +304,12 @@ def test_dataset_text_errors():
         dataset_from_text("# alphabet ab\n+2\ta\n")
     with pytest.raises(ParseError, match="label"):
         dataset_from_text("# alphabet ab\n1\ta\n")
+    with pytest.raises(ParseError, match=r"line 3: symbol 'c' at position 1 is not in alphabet"):
+        dataset_from_text("# alphabet ab\n+1\ta\n-1\tac\n")
+    with pytest.raises(ParseError, match=r"line 4: duplicate string 'ab', first on line 2"):
+        dataset_from_text("# alphabet ab\n+1\tab\n-1\tb\n-1\tab\n")
+    with pytest.raises(ParseError, match=r"line 2: alphabet has duplicate symbols"):
+        dataset_from_text("# comment\n# alphabet aa\n+1\ta\n")
 
 
 def test_model_round_trip(tmp_path, parity, ab):

@@ -42,6 +42,7 @@ from .kernel import (
     exact_kn,
     exact_pn,
     gram_matrix,
+    hoeffding_samples,
     kernel_value,
     kn_by_enumeration,
     mc_pn,
@@ -91,6 +92,7 @@ __all__ = [
     "exact_kn",
     "exact_pn",
     "gram_matrix",
+    "hoeffding_samples",
     "kernel_value",
     "kn_by_enumeration",
     "label_strings",

@@ -140,7 +140,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         c = kv.certificate
         print(
             f"certificate epsilon={c.epsilon} failure_prob={c.failure_prob} "
-            f"samples_per_term={c.samples_per_term} master_seed={c.master_seed} "
+            f"samples_per_term={c.samples_per_term} bound={c.bound} "
+            f"master_seed={c.master_seed} "
             f"n_used={kv.n_used}"
         )
     return EXIT_OK

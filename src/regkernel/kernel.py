@@ -41,31 +41,39 @@ An exact Gram, and exact prediction, evaluate one canonical pair per
 class and fill the class from it.  That memo lives for one call: nothing
 is cached between calls.
 
-The Monte Carlo path estimates P_n as the joint-acceptance fraction over m
-uniformly sampled DFAs; both bounds 1/4 <= P_n <= 1/2 hold, so a
-multiplicative Chernoff bound gives a relative-error guarantee with a
-sample budget independent of n and the strings.  For each n the m DFAs
-are drawn once, from a stream seeded only by (master_seed, n), and every
-string is walked over the same sample, as with random features (Rahimi &
-Recht, NIPS 2007).  With A and B the acceptance-indicator matrices of two
-string lists over the m samples, the joint counts of every cross pair are
-the exact integer entries of A^T B (A^T A for a Gram; a trained model's
-support against its queries for prediction).  The strings are walked
-together as their prefix trie, depth first, so a prefix that several
-strings share is walked once: one ``take`` per trie edge per block of
-samples, and each string's acceptances are written as one row.  The
-product is formed over blocks of samples whose live arrays fit a budget
-in bytes, so memory stays flat however many strings take part, and block
-size never changes a count.  A value therefore depends only on its two
-strings, the seed and m: ``kernel_value(x, y)`` equals the Gram entry and
-the prediction term bit for bit, and Monte Carlo Grams are symmetric and
-PSD by construction.
+The Monte Carlo path uses the same identity with the T tables replaced by
+m uniformly sampled ones: with A the number of sampled tables on which x
+and y end in the same state,
+
+    P_n ~ (1/4) * (1 + A/m) = (m + A) / (4m).
+
+The accepting bits are integrated out exactly, so only tables are read.
+The estimate is unbiased, and since P_n >= 1/4 its relative error is at
+most |A/m - q|, with q the probability that x and y end in the same state.
+Hoeffding's inequality (JASA 1963) then gives relative error at most
+epsilon with probability at least 1 - delta from
+m = ceil(ln(2/delta) / (2 epsilon**2)) tables, independent of n and the
+strings.  For each n the m tables are drawn once, from a stream seeded
+only by (master_seed, n), and every string is walked over the same
+sample, as with random features (Rahimi & Recht, NIPS 2007).  With E and
+F the one-hot end-state matrices of two string lists (one column per
+sampled state), the agreement counts of every cross pair are the exact
+integer entries of E^T F (E^T E for a Gram; a trained model's support
+against its queries for prediction).  The strings are walked together as
+their prefix trie, depth first, so a prefix that several strings share is
+walked once: one ``take`` per trie edge per block of samples, and each
+string's end states are written as one row.  The product is formed over
+blocks of samples whose live arrays fit a budget in bytes, so memory stays
+flat however many strings take part, and block size never changes a
+count.  A value therefore depends only on its two strings, the seed and
+m: ``kernel_value(x, y)`` equals the Gram entry and the prediction term
+bit for bit, and Monte Carlo Grams are symmetric and PSD by construction.
 The certificate holds per entry; entries that share a sample are
 correlated.
 
 Both modes share one count-then-assemble path, ``kernel_block``: a
 counting step (agreement counts A_n out of n**(n*k) tables per class, or
-joint counts out of m samples per n) and one value function that maps a
+out of m sampled tables per n) and one value function that maps a
 pair's identity term and its counts for n = 1..n_used to its value.
 kernel_value, gram_matrix and prediction all read their values from it,
 and a Gram is one matrix of those values.
@@ -103,8 +111,8 @@ SCALINGS = ("paper", "normalized")
 
 _SEED_MASK = (1 << 64) - 1
 _SAMPLE_DOMAIN = b"regkernel.sample.v2"
-# Budget of one block of the joint-count product, in 4-byte cells: the
-# block's live arrays (acceptance rows, successor maps, trie path) take at
+# Budget of one block of the agreement-count product, in 4-byte cells: the
+# block's live arrays (end-state rows, successor maps, trie path) take at
 # most 4 * _BLOCK_CELLS bytes.  A block holds fewer than _BLOCK_CELLS <= 2**24
 # samples, so its float32 product is exact; the blocks are summed in int64.
 _BLOCK_CELLS = 4096 * 32
@@ -193,13 +201,20 @@ class KernelParams:
 @dataclass(frozen=True)
 class ApproxCertificate:
     """Parameters under which a Monte Carlo value carries its guarantee:
-    each P_n term is within relative error epsilon of the exact value
-    with probability at least 1 - failure_prob."""
+    each P_n term, estimated as (m + A) / (4m) from the agreement count A
+    over m = samples_per_term sampled tables, is within relative error
+    epsilon of the exact value with probability at least 1 - failure_prob.
+
+    ``bound`` names the inequality that sizes m and what it covers:
+    Hoeffding's, for one entry (one P_n term of one pair) at a time.
+    Entries that share a sample are correlated, and no union bound over
+    a Gram is claimed."""
 
     epsilon: float
     failure_prob: float
     samples_per_term: int
     master_seed: int
+    bound: str = "hoeffding-per-entry"
 
 
 @dataclass(frozen=True)
@@ -224,17 +239,38 @@ class KernelValue:
         return self.certificate is None and isinstance(self.value, int)
 
 
-def required_samples(epsilon: float, failure_prob: float) -> int:
-    """Sample budget ceil(12 * epsilon**-2 * ln(2 / failure_prob)).
-
-    Solves the multiplicative Chernoff bound
-    2*exp(-epsilon**2 * m * P / 3) <= failure_prob at the worst case
-    P = 1/4, so one budget covers every string pair and state count.
-    """
+def _check_budget_args(epsilon: float, failure_prob: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0.0 < failure_prob < 1.0:
         raise ValueError(f"failure_prob must be in (0, 1), got {failure_prob}")
+
+
+def hoeffding_samples(epsilon: float, failure_prob: float) -> int:
+    """Sample budget ceil(ln(2 / failure_prob) / (2 * epsilon**2)) of the
+    Monte Carlo kernel.
+
+    The agreement fraction A/m of m sampled tables is a mean of m
+    independent 0/1 variables, so Hoeffding's inequality gives
+    |A/m - q| <= epsilon with probability at least 1 - failure_prob.  The
+    estimate (1/4) * (1 + A/m) then has relative error at most epsilon,
+    since P_n >= 1/4; one budget covers every string pair and state count.
+    """
+    _check_budget_args(epsilon, failure_prob)
+    return math.ceil(math.log(2.0 / failure_prob) / (2.0 * epsilon**2))
+
+
+def required_samples(epsilon: float, failure_prob: float) -> int:
+    """Joint-acceptance sample budget ceil(12 * epsilon**-2 * ln(2 / failure_prob)).
+
+    Solves the multiplicative Chernoff bound
+    2*exp(-epsilon**2 * m * P / 3) <= failure_prob at the worst case
+    P = 1/4 for the fraction of m sampled DFAs that accept both strings.
+    The kernel counts end-state agreement instead and samples
+    hoeffding_samples(epsilon, failure_prob) tables; this budget stays as
+    the reference that the concentration checks measure against.
+    """
+    _check_budget_args(epsilon, failure_prob)
     return math.ceil(12.0 * epsilon**-2 * math.log(2.0 / failure_prob))
 
 
@@ -519,6 +555,8 @@ def draw_dfa_sample(
     in a fixed layout: all m transition tables (int32, shape (m, n, k),
     uniform cells), then all m accepting masks (uint8, shape (m, n), fair
     bits).  Each DFA has exactly the distribution of automata.sample_dfa.
+    The kernel reads only the tables; the masks come after them in the
+    stream, so they do not change which tables a seed draws.
     """
     import numpy as np
 
@@ -549,16 +587,16 @@ def _trie_plan(encoded: Sequence[Sequence[int]]) -> list[tuple[int, list[tuple[i
     return plan
 
 
-def _acceptance_rows(
-    tables: np.ndarray, masks: np.ndarray, plan: list[tuple[int, list[tuple[int, int]], int]]
+def _end_state_rows(
+    tables: np.ndarray, plan: list[tuple[int, list[tuple[int, int]], int]]
 ) -> np.ndarray:
-    """(S, m) float32 0/1 matrix: entry (j, t) is 1 when DFA t accepts
-    string j of the trie plan.
+    """(S, m*n) float32 one-hot matrix: entry (j, t*n + q) is 1 when string
+    j of the trie plan ends in state q of table t.
 
-    States of all m DFAs are numbered t*n + q, and succ[c] maps each to
+    States of all m tables are numbered t*n + q, and succ[c] maps each to
     its successor on symbol c, so a trie edge costs one ``take``.  ``path``
-    holds the states reached at each depth of the current trie path, and
-    each string's acceptance is written as one row.
+    holds the states reached at each depth of the current trie path; the
+    states a string reaches are the columns of its ones.
     """
     import numpy as np
 
@@ -566,28 +604,19 @@ def _acceptance_rows(
     succ = np.moveaxis(tables, 2, 0).astype(np.intp, order="C")
     succ += (np.arange(m, dtype=np.intp) * n)[:, None]
     succ = succ.reshape(k, m * n)
-    accept = masks.ravel().astype(np.float32)
     path = np.empty((max((d for _, _, d in plan), default=0) + 1, m), dtype=np.intp)
     path[0] = np.arange(0, m * n, n, dtype=np.intp)
-    out = np.empty((len(plan), m), dtype=np.float32)
+    out = np.zeros((len(plan), m * n), dtype=np.float32)
     # indices are in range by construction; mode="clip" lets take write
-    # straight into ``out`` instead of through a buffer
+    # straight into ``path`` instead of through a buffer
     for j, steps, depth in plan:
         for d, c in steps:
             succ[c].take(path[d], out=path[d + 1], mode="clip")
-        accept.take(path[depth], out=out[j], mode="clip")
+        out[j].put(path[depth], 1.0)
     return out
 
 
-def _acceptance(
-    tables: np.ndarray, masks: np.ndarray, encoded: Sequence[Sequence[int]]
-) -> np.ndarray:
-    """(m, S) float32 0/1 matrix: entry (t, j) is 1 when DFA t accepts
-    string j.  A transposed view of the per-string rows of the trie walk."""
-    return _acceptance_rows(tables, masks, _trie_plan(encoded)).T
-
-
-def mc_joint_counts(
+def mc_agreement_counts(
     rows: Sequence[str],
     n: int,
     m: int,
@@ -595,13 +624,14 @@ def mc_joint_counts(
     master_seed: int,
     cols: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """(R, C) int64 matrix of joint-acceptance counts among the m shared
-    DFAs of state count n: entry (i, j) counts the samples that accept both
-    rows[i] and cols[j] (cols defaults to rows).  It is the exact integer
-    product A^T B of the acceptance matrices, formed in float32 over blocks
-    of samples and summed in int64.  The distinct strings' prefix trie is
-    walked once per block, and a block's live arrays fit in the bytes of
-    _BLOCK_CELLS float32 cells, so only one such block exists at a time."""
+    """(R, C) int64 matrix of end-state agreement counts over the m shared
+    tables of state count n: entry (i, j) counts the tables on which
+    rows[i] and cols[j] end in the same state (cols defaults to rows).  It
+    is the exact integer product E^T F of the one-hot end-state matrices,
+    formed in float32 over blocks of samples and summed in int64.  The
+    distinct strings' prefix trie is walked once per block, and a block's
+    live arrays fit in the bytes of _BLOCK_CELLS float32 cells, so only one
+    such block exists at a time."""
     import numpy as np
 
     cols = rows if cols is None else cols
@@ -613,33 +643,36 @@ def mc_joint_counts(
     distinct_rows = len(set(rows))
     encoded = [alphabet.encode(s) for s in index]
     plan = _trie_plan(encoded)
-    tables, masks = draw_dfa_sample(n, m, alphabet, master_seed)
+    tables, _ = draw_dfa_sample(n, m, alphabet, master_seed)
     k = len(alphabet)
     depth = max(map(len, encoded), default=0)
-    # per sample: a float32 acceptance per string, an intp state per path
-    # depth, k*n intp successors and n float32 accepting bits
-    per_sample = 4 * len(encoded) + 8 * (depth + 1) + 8 * k * n + 4 * n
+    # per sample: n float32 one-hot cells per string, an intp state per
+    # path depth and k*n intp successors
+    per_sample = 4 * n * len(encoded) + 8 * (depth + 1) + 8 * k * n
     step = max(1, 4 * _BLOCK_CELLS // per_sample)
     counts = np.zeros((distinct_rows, len(encoded)), dtype=np.int64)
     for lo in range(0, m, step):
-        block = _acceptance_rows(tables[lo : lo + step], masks[lo : lo + step], plan)
+        block = _end_state_rows(tables[lo : lo + step], plan)
         counts += (block[:distinct_rows] @ block.T).astype(np.int64)
     return counts[np.ix_([index[s] for s in rows], [index[s] for s in cols])]
 
 
 def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> float:
-    """Monte Carlo estimate of P_n: joint-acceptance fraction over the m
-    shared n-state DFAs of the seed.
+    """Monte Carlo estimate (m + A) / (4m) of P_n, with A the number of the
+    seed's m shared n-state tables on which x and y end in the same state.
 
     Deterministic given (seed, n, x, y, m, alphabet), symmetric in (x, y),
     equal to the estimate a Gram reads for the same pair, and an unbiased
-    estimator of exact_pn.
+    estimator of exact_pn: each accepting bit is a fair coin, so given the
+    table both strings are accepted with probability 1/2 when they end
+    together and 1/4 when they do not.
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
-    return int(mc_joint_counts((x, y), n, m, alphabet, seed)[0, 1]) / m
+    a = int(mc_agreement_counts((x, y), n, m, alphabet, seed)[0, 1])
+    return (m + a) / (4 * m)
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +689,8 @@ def _summation_limit(x: str, y: str, params: KernelParams) -> tuple[int, bool]:
 
 def _pair_value(same: int, counts: Sequence[int], params: KernelParams, m: int) -> int | float:
     """The kernel value of one pair from its identity term 1{x = y} and its
-    counts for n = 1..n_used: agreement counts A_n out of n**(n*k) tables
-    in exact mode, joint acceptances out of m samples in Monte Carlo mode.
+    agreement counts A_n for n = 1..n_used: out of the n**(n*k) tables in
+    exact mode, out of m sampled tables in Monte Carlo mode.
 
     Exact paper values are integers; exact normalized and Monte Carlo paper
     values are rational sums rounded once to float; Monte Carlo normalized
@@ -673,14 +706,15 @@ def _pair_value(same: int, counts: Sequence[int], params: KernelParams, m: int) 
         for n, a in enumerate(counts, start=1):
             acc += Fraction(params.weight_for(n)) * _pn_from_agreement(a, n, k)
         return float(acc)
+    # P_n ~ (m + A) / (4m), as in mc_pn
     if params.scaling == "paper":
         acc = Fraction(same)
-        for n, c in enumerate(counts, start=1):
-            acc += Fraction(c, m) * dfa_space_size(n, k)
+        for n, a in enumerate(counts, start=1):
+            acc += Fraction(m + a, 4 * m) * dfa_space_size(n, k)
         return float(acc)
     value = float(same)
-    for n, c in enumerate(counts, start=1):
-        value += params.weight_for(n) * (c / m)
+    for n, a in enumerate(counts, start=1):
+        value += params.weight_for(n) * ((m + a) / (4 * m))
     return value
 
 
@@ -718,7 +752,8 @@ def kernel_block(
     The counting step: exact mode walks one canonical pair per
     symbol-permutation class, with agreement_counts at that pair's n_used,
     on ``jobs`` threads and with a memo that lives for this call; Monte
-    Carlo mode makes one mc_joint_counts call per n on one thread.  Then
+    Carlo mode makes one mc_agreement_counts call per n on one thread, over
+    hoeffding_samples(epsilon, failure_prob) tables.  Then
     _pair_value turns each pair's identity term and counts into its value,
     once per class in exact mode.  kernel_value, gram_matrix and
     prediction all read their values from here.
@@ -758,10 +793,10 @@ def kernel_block(
             class_values = [evaluate(pair) for pair in slots]
         values = [class_values[slot] for slot in slot_of_pair]
     else:
-        m = required_samples(params.epsilon, params.failure_prob)
+        m = hoeffding_samples(params.epsilon, params.failure_prob)
         per_n = [
-            mc_joint_counts(rows, n, m, params.alphabet, params.master_seed,
-                            None if symmetric else cols).tolist()
+            mc_agreement_counts(rows, n, m, params.alphabet, params.master_seed,
+                                None if symmetric else cols).tolist()
             for n in range(1, n_top + 1)
         ]
         values = []
@@ -790,7 +825,7 @@ def kernel_value(x: str, y: str, params: KernelParams) -> KernelValue:
     n_used, truncated = _summation_limit(x, y, params)
     cert = None
     if params.mode == "monte-carlo":
-        m = required_samples(params.epsilon, params.failure_prob)
+        m = hoeffding_samples(params.epsilon, params.failure_prob)
         cert = ApproxCertificate(params.epsilon, params.failure_prob, m, params.master_seed)
     return KernelValue(value, params.mode, params.scaling, n_used, truncated, cert)
 
@@ -836,8 +871,9 @@ def gram_matrix(strings: Sequence[str], params: KernelParams, jobs: int = 1) -> 
 
 def format_version(params: KernelParams) -> int:
     """Version of the Gram sidecar and model formats for these parameters:
-    2 for Monte Carlo (one shared sample per n), 1 for exact."""
-    return 1 if params.mode == "exact" else 2
+    3 for Monte Carlo (agreement counts over one shared sample of tables per
+    n, sized by Hoeffding), 1 for exact."""
+    return 1 if params.mode == "exact" else 3
 
 
 def format_scalar(v: int | float) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -36,23 +36,34 @@ _QUERY_CHUNK = 256
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled strings over one alphabet; labels are +1/-1, strings distinct."""
+    """Labeled strings over one alphabet; labels are +1/-1, strings distinct.
+
+    Each record is checked once, on construction.  ``lines`` gives the
+    source line of each record (dataset_from_text passes it); with it, an
+    invalid record raises a ParseError that names its line."""
 
     alphabet: Alphabet
     records: tuple[tuple[str, int], ...]
+    lines: InitVar[Sequence[int] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, lines: Sequence[int] | None):
         object.__setattr__(
             self, "records", tuple((s, int(label)) for s, label in self.records)
         )
-        seen = set()
-        for s, label in self.records:
-            if label not in LABELS:
-                raise ValueError(f"label for {s!r} must be +1 or -1, got {label}")
-            if s in seen:
-                raise ValueError(f"duplicate string {s!r} in dataset")
-            seen.add(s)
-            self.alphabet.encode(s)
+        first: dict[str, int] = {}
+        for i, (s, label) in enumerate(self.records):
+            try:
+                if label not in LABELS:
+                    raise ValueError(f"label for {s!r} must be +1 or -1, got {label}")
+                self.alphabet.encode(s)
+                if s in first:
+                    where = f"line {lines[first[s]]}" if lines else f"record {first[s] + 1}"
+                    raise ValueError(f"duplicate string {s!r}, first on {where}")
+            except ValueError as e:
+                if lines is None:
+                    raise
+                raise ParseError(str(e), lines[i]) from e
+            first[s] = i
 
     @property
     def strings(self) -> tuple[str, ...]:
@@ -213,9 +224,11 @@ def dataset_to_text(dataset: Dataset) -> str:
 
 
 def dataset_from_text(text: str) -> Dataset:
+    """Parse dataset_to_text output.  Structural errors are raised here;
+    each record's string is checked by Dataset, with its line number."""
     alphabet = None
     records = []
-    first_line: dict[str, int] = {}
+    record_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("#"):
             parts = raw[1:].split()
@@ -237,19 +250,11 @@ def dataset_from_text(text: str) -> Dataset:
             raise ParseError(f"expected '<label>\\t<string>', got {raw!r}", lineno) from e
         if label_text not in ("+1", "-1"):
             raise ParseError(f"label must be +1 or -1, got {label_text!r}", lineno)
-        try:
-            alphabet.encode(string)
-        except ValueError as e:
-            raise ParseError(str(e), lineno) from e
-        if string in first_line:
-            raise ParseError(
-                f"duplicate string {string!r}, first on line {first_line[string]}", lineno
-            )
-        first_line[string] = lineno
         records.append((string, 1 if label_text == "+1" else -1))
+        record_lines.append(lineno)
     if alphabet is None:
         raise ParseError("missing '# alphabet <symbols>' header", 1)
-    return Dataset(alphabet=alphabet, records=tuple(records))
+    return Dataset(alphabet=alphabet, records=tuple(records), lines=record_lines)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -258,9 +263,9 @@ def load_dataset(path: str | Path) -> Dataset:
 
 def model_to_text(model: PerceptronModel) -> str:
     """Two metadata lines then one ``<alpha>\\t<string>`` line per support
-    string, in training order.  The header is ``model v2`` for a Monte
-    Carlo model (one shared sample per n) and ``model v1`` for an exact
-    one."""
+    string, in training order.  The header is ``model v3`` for a Monte
+    Carlo model (agreement counts over one shared sample of tables per n)
+    and ``model v1`` for an exact one."""
     meta = {
         "params": model.params.to_dict(),
         "epochs_run": model.epochs_run,
@@ -275,8 +280,10 @@ def model_to_text(model: PerceptronModel) -> str:
 
 def model_from_text(text: str) -> PerceptronModel:
     lines = text.splitlines()
-    if not lines or lines[0] not in ("model v1", "model v2"):
-        raise ParseError("expected 'model v1' or 'model v2' header", 1)
+    # every header ever written; an older Monte Carlo one is refused below,
+    # after the metadata, with a retrain hint
+    if not lines or lines[0] not in ("model v1", "model v2", "model v3"):
+        raise ParseError("expected a 'model v1', 'model v2' or 'model v3' header", 1)
     if len(lines) < 2 or not lines[1].startswith("meta "):
         raise ParseError("expected 'meta <json>' line", 2)
     try:
@@ -289,7 +296,7 @@ def model_from_text(text: str) -> PerceptronModel:
     expected = f"model v{format_version(params)}"
     if lines[0] != expected:
         hint = "" if params.mode == "exact" else (
-            "; Monte Carlo values now come from one shared sample per n, so retrain"
+            "; older Monte Carlo models were scored by another estimator, so retrain"
         )
         raise ParseError(f"{params.mode} model needs a '{expected}' header, "
                          f"got '{lines[0]}'{hint}", 1)

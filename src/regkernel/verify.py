@@ -18,6 +18,7 @@ from .kernel import (
     agreement_count_grid,
     exact_pn,
     gram_matrix,
+    hoeffding_samples,
     joint_accept_count_grid,
     mc_pn,
     required_samples,
@@ -217,10 +218,13 @@ def suite_concentration(
 ) -> list[Check]:
     """Monte Carlo budget and guarantee checks on a pair with known value.
 
-    Verifies the closed-form sample budgets, then measures how often the
-    estimator misses the exact value by more than the target relative
-    error across many master seeds, and checks the estimator mean for
-    bias at a small budget.
+    Verifies the closed-form joint-acceptance sample budgets, then measures
+    how often the estimator misses the exact value by more than the target
+    relative error across many master seeds: at those budgets, and at the
+    Hoeffding budget the kernel samples.  Last, checks the estimator mean
+    for bias at a small budget, against its variance q(1 - q) / (16m),
+    where q = 4 P_n - 1 is the probability that the two strings end in the
+    same state.
     """
     import numpy as np
 
@@ -239,14 +243,17 @@ def suite_concentration(
         ),
     ]
 
-    for eps, delta, floor in ((0.1, 0.05, 0.94), (0.1, 0.01, None)):
-        m = required_samples(eps, delta)
+    def hit_rate(eps: float, m: int) -> float:
         hits = 0
         for seed in range(seeds):
             est = mc_pn(x, y, n, m, alphabet, seed)
             if abs(est - float(exact)) <= eps * float(exact):
                 hits += 1
-        rate = hits / seeds
+        return hits / seeds
+
+    for eps, delta, floor in ((0.1, 0.05, 0.94), (0.1, 0.01, None)):
+        m = required_samples(eps, delta)
+        rate = hit_rate(eps, m)
         if floor is None:
             allowed = delta + 3.0 * (delta / seeds) ** 0.5
             ok = (1.0 - rate) <= allowed
@@ -256,10 +263,17 @@ def suite_concentration(
             detail = f"hit rate {rate:.4f} >= {floor} at m={m}"
         checks.append(_check(f"concentration.eps{eps}_delta{delta}", ok, detail))
 
+    for eps, delta in ((0.1, 0.05), (0.1, 0.01)):
+        m = hoeffding_samples(eps, delta)
+        rate = hit_rate(eps, m)
+        checks.append(_check(f"concentration.hoeffding.eps{eps}_delta{delta}", rate >= 0.94,
+                             f"hit rate {rate:.4f} >= 0.94 at m={m}"))
+
     small_m = 100
     mean = float(np.mean([mc_pn(x, y, n, small_m, alphabet, s) for s in range(seeds)]))
     p = float(exact)
-    se = (p * (1.0 - p) / small_m / seeds) ** 0.5
+    q = 4.0 * p - 1.0
+    se = (q * (1.0 - q) / (16.0 * small_m) / seeds) ** 0.5
     checks.append(
         _check(
             "concentration.unbiased",

@@ -20,6 +20,7 @@ from regkernel import (
     enumerate_strings,
     exact_pn,
     gram_matrix,
+    hoeffding_samples,
     kernel_value,
     label_strings,
     mc_pn,
@@ -101,23 +102,25 @@ def test_criterion_2_two_path_identity(grid_strings, grids):
 
 
 def test_criterion_3_sample_budget_and_concentration():
-    """Budget formula values, then the relative-error rate over 1000 seeds."""
+    """Budget formula values, then the relative-error rate over 1000 seeds,
+    at the joint-acceptance budgets and at the Hoeffding budgets the
+    kernel samples."""
     budgets_ok = required_samples(0.1, 0.05) == 4427 and required_samples(0.1, 0.01) == 6358
     exact = 0.375  # P_2(a, b) = 3/8, criterion 1 grid
     seeds = 1000
     rates = {}
     for delta in (0.05, 0.01):
-        m = required_samples(0.1, delta)
-        hits = sum(
-            1
-            for seed in range(seeds)
-            if abs(mc_pn("a", "b", 2, m, AB, seed) - exact) <= 0.1 * exact
-        )
-        rates[m] = hits / seeds
+        for m in (required_samples(0.1, delta), hoeffding_samples(0.1, delta)):
+            hits = sum(
+                1
+                for seed in range(seeds)
+                if abs(mc_pn("a", "b", 2, m, AB, seed) - exact) <= 0.1 * exact
+            )
+            rates[m] = hits / seeds
     report(
         "3 sample budget + concentration",
         budgets_ok and all(rate >= 0.94 for rate in rates.values()),
-        "m=4427 and m=6358; hit rates "
+        "m=4427 and m=6358, Hoeffding m=185 and m=265; hit rates "
         + ", ".join(f"{rate:.3f} @ m={m}" for m, rate in rates.items()),
     )
 

@@ -15,6 +15,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import regkernel as rk
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -91,3 +93,30 @@ def test_bench_keywords_in_signature():
                 bad.append(f"{f}:{line} {what}(..., {kw}=...)")
     assert ("rk.gram_matrix", "jobs") in checked
     assert not bad, bad
+
+
+def test_bench_reads_of_a_monte_carlo_kernel_value_resolve():
+    # bench/layers.py multiplies mc_kv.n_used by
+    # mc_kv.certificate.samples_per_term, where mc_kv is a Monte Carlo
+    # rk.kernel_value result; a renamed attribute would end the traced run
+    tree = ast.parse((BENCH / "layers.py").read_text(encoding="utf-8"))
+    chains = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id == "mc_kv":
+            chains.add(tuple(reversed(attrs)))
+    assert {("n_used",), ("certificate", "samples_per_term")} <= chains
+    params = rk.KernelParams(alphabet=rk.Alphabet(tuple("ab")), n_max=3, mode="monte-carlo",
+                             scaling="normalized", epsilon=0.05, failure_prob=0.01,
+                             master_seed=1)
+    mc_kv = rk.kernel_value("ababa", "abbaa", params)
+    for chain in chains:
+        obj = mc_kv
+        for attr in chain:
+            obj = getattr(obj, attr)
+    assert mc_kv.n_used == 3
+    assert isinstance(mc_kv.certificate.samples_per_term, int)
+    assert mc_kv.certificate.samples_per_term > 0

@@ -118,7 +118,8 @@ def test_kernel_mc_prints_certificate(capsys):
     assert code == 0
     lines = stdout.splitlines()
     assert len(lines) == 2
-    assert "samples_per_term=4427" in lines[1]
+    assert "samples_per_term=185" in lines[1]
+    assert "bound=hoeffding-per-entry" in lines[1]
     assert "master_seed=5" in lines[1]
 
 
@@ -376,7 +377,7 @@ def test_cli_start_does_not_import_scipy():
 # format versions and --jobs
 # ---------------------------------------------------------------------
 
-def test_gram_monte_carlo_rerun_is_byte_identical_v2(tmp_path, capsys, parity, ab):
+def test_gram_monte_carlo_rerun_is_byte_identical_v3(tmp_path, capsys, parity, ab):
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
     out = tmp_path / "mc.csv"
     meta_path = tmp_path / "mc.csv.meta.json"
@@ -390,7 +391,7 @@ def test_gram_monte_carlo_rerun_is_byte_identical_v2(tmp_path, capsys, parity, a
         assert code == 0
         outputs.append((out.read_bytes(), meta_path.read_bytes()))
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][1])["format"] == "regkernel gram v2"
+    assert json.loads(outputs[0][1])["format"] == "regkernel gram v3"
 
     code, _, _ = run_cli(capsys, "gram", "--dataset", str(dataset), "--mode", "exact",
                          "--nmax", "2", "--out", str(out))
@@ -412,19 +413,21 @@ def test_monte_carlo_model_v1_is_refused(tmp_path, capsys, parity, ab):
         assert code == 0
     assert models["exact"].read_text().startswith("model v1\n")
     mc_text = models["mc"].read_text()
-    assert mc_text.startswith("model v2\n")
+    assert mc_text.startswith("model v3\n")
     code, stdout, _ = run_cli(
         capsys, "predict", "--model", str(models["mc"]), "--in", str(strings_file),
     )
     assert code == 0 and len(stdout.splitlines()) == 2
 
-    models["mc"].write_text(mc_text.replace("model v2", "model v1", 1), encoding="utf-8")
-    code, stdout, stderr = run_cli(
-        capsys, "predict", "--model", str(models["mc"]), "--in", str(strings_file),
-    )
-    assert code == 2
-    assert stdout == ""
-    assert "retrain" in stderr
+    # both older Monte Carlo formats were scored by other estimators
+    for old in ("model v1", "model v2"):
+        models["mc"].write_text(mc_text.replace("model v3", old, 1), encoding="utf-8")
+        code, stdout, stderr = run_cli(
+            capsys, "predict", "--model", str(models["mc"]), "--in", str(strings_file),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "retrain" in stderr
 
 
 def test_predict_refuses_non_finite_model_numbers(tmp_path, capsys):
@@ -438,7 +441,7 @@ def test_predict_refuses_non_finite_model_numbers(tmp_path, capsys):
     strings_file = tmp_path / "strings.txt"
     strings_file.write_text("ab\nba\n", encoding="utf-8")
     texts = (
-        model("model v2", "monte-carlo", [float("nan"), 1.0], "1\tab\n"),
+        model("model v3", "monte-carlo", [float("nan"), 1.0], "1\tab\n"),
         model("model v1", "exact", [float("inf"), 1.0], "1\tab\n"),
         model("model v1", "exact", None, "nan\tab\n1\tba\n"),
     )

@@ -33,18 +33,18 @@ GOLDEN = {
         "predict.stdout": "87a5e77c66ccb12c61f10fbd195d1ec09b6d955786da9a55896b229e30bdcbaf",
     },
     ("monte-carlo", "paper"): {
-        "gram.csv": "6dbd4e4e204dcd38815441026d73cc7f9da72ea2a50f94aa0a939b9990cf13ad",
-        "gram.csv.meta.json": "286dbe4e01971f6c966cd6a82d6679d36870c412fc8638badb65c6e12b4765f1",
+        "gram.csv": "b6ccce933884f2cd4b280014e4852991a99e40303b86c3a49b84d32e11c0d781",
+        "gram.csv.meta.json": "c6521c8a7237631f0a3f227dfa4ef8b827acf1f894695dc5dde44dfe9009c6ae",
         "train.stdout": "fb98f611dca71c6a35ff2dddccbf3f342dab5b66447f3aa0eee57514b874775f",
-        "model": "51191e89ae9a9364a14f712eda8ee6561c2778a1bef33165470fe6a9ed2f3e99",
+        "model": "e8d5eb89cd0ec6a36cf2e049c0ea52578d08dec343eb211b60bff35e1ca55b53",
         "predict.stdout": "646628053b51f5f81ddc37fe71c1b30105b6d82682347c5df0bbdd64c41d9b74",
     },
     ("monte-carlo", "normalized"): {
-        "gram.csv": "be6f5f4893244229c2bb128c51a4474bf1101d8edc0b15f621330665452df829",
-        "gram.csv.meta.json": "11abc43e241b74c8833a6454ae58abb1be4f48426d478b701ad61c6ec5f3c6db",
-        "train.stdout": "b1f02db7b38ae2d12225f1c5ad5b57e6cdae86b9858320771eba04e5e609df21",
-        "model": "d7edab4505950b28a05d01747bddcb21ae0614020332685607ab9b002c457e06",
-        "predict.stdout": "646628053b51f5f81ddc37fe71c1b30105b6d82682347c5df0bbdd64c41d9b74",
+        "gram.csv": "0de8412395f6dcc2299cbcd025a2727c3af6a912966ef23f582e76c3789f5a1f",
+        "gram.csv.meta.json": "29a1e2d30ca605a36753af38140f6c66300da0e42edbcf72a4f6d54019770e35",
+        "train.stdout": "77d3137552b0486982fd23d980583dda640d61b4dcdac6f06919b71930982720",
+        "model": "2d7f2b7ae7954971c83a91c8e508c11f2628c6a00eb2423017188de7fece47a2",
+        "predict.stdout": "87a5e77c66ccb12c61f10fbd195d1ec09b6d955786da9a55896b229e30bdcbaf",
     },
 }
 

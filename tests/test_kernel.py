@@ -18,6 +18,7 @@ from regkernel import (
     exact_kn,
     exact_pn,
     gram_matrix,
+    hoeffding_samples,
     kernel_value,
     kn_by_enumeration,
     mc_pn,
@@ -318,6 +319,16 @@ def test_required_samples_validation():
             required_samples(eps, delta)
 
 
+def test_hoeffding_samples_examples():
+    # ceil(ln(2/delta) / (2 eps^2)), the budget the kernel samples
+    assert hoeffding_samples(0.1, 0.05) == 185
+    assert hoeffding_samples(0.1, 0.01) == 265
+    assert hoeffding_samples(0.05, 0.01) == 1060
+    for eps, delta in [(0.0, 0.1), (1.0, 0.1), (0.1, 0.0), (0.1, 1.0), (-1, 0.5)]:
+        with pytest.raises(ValueError):
+            hoeffding_samples(eps, delta)
+
+
 # ---------------------------------------------------------------------
 # Monte Carlo estimator
 # ---------------------------------------------------------------------
@@ -329,9 +340,9 @@ def test_mc_pn_deterministic_and_symmetric(ab):
 
 
 def test_mc_pn_single_sample_is_indicator(ab):
+    # one table: 1/2 when the strings end in the same state, 1/4 otherwise
     values = {mc_pn("a", "b", 2, 1, ab, seed) for seed in range(64)}
-    assert values <= {0.0, 1.0}
-    assert len(values) == 2
+    assert values == {0.25, 0.5}
 
 
 def test_mc_pn_in_chernoff_band_fixed_seeds(ab):
@@ -345,11 +356,14 @@ def test_mc_pn_in_chernoff_band_fixed_seeds(ab):
 
 
 def test_mc_pn_unbiased(ab):
-    # mean over many independent streams within 4 standard errors
+    # mean over many independent streams within 4 standard errors; the
+    # estimate (1 + q_hat) / 4 has variance q(1 - q) / (16m), with
+    # q = 4 P_n - 1 the probability that the strings end in the same state
     exact = float(exact_pn("a", "b", 2, ab))
+    q = 4 * exact - 1
     m, seeds = 100, 1000
     mean = float(np.mean([mc_pn("a", "b", 2, m, ab, s) for s in range(seeds)]))
-    se = (exact * (1 - exact) / m / seeds) ** 0.5
+    se = (q * (1 - q) / (16 * m) / seeds) ** 0.5
     assert abs(mean - exact) <= 4 * se
 
 
@@ -433,7 +447,8 @@ def test_kernel_mc_certificate(ab):
     )
     kv = kernel_value("ab", "ba", params)
     assert kv.certificate is not None
-    assert kv.certificate.samples_per_term == 4427
+    assert kv.certificate.samples_per_term == 185
+    assert kv.certificate.bound == "hoeffding-per-entry"
     assert kv.certificate.master_seed == 3
     assert not kv.is_exact
 
@@ -569,24 +584,28 @@ def mc_params(ab, scaling="normalized", seed=5, epsilon=0.1, failure_prob=0.05):
 
 
 def test_mc_acceptance_matches_plain_walk(ab):
-    from regkernel.kernel import _acceptance, draw_dfa_sample
+    # the trie walk's one-hot end-state rows against a plain walk per table
+    from regkernel.kernel import _end_state_rows, _trie_plan, draw_dfa_sample
 
     strings = enumerate_strings(ab, 4)
     for n in (1, 2, 3):
         tables, masks = draw_dfa_sample(n, 200, ab, 13)
         assert tables.shape == (200, n, 2) and masks.shape == (200, n)
-        accepts = _acceptance(tables, masks, [ab.encode(s) for s in strings])
-        for t in range(200):
-            for j, s in enumerate(strings):
+        ends = _end_state_rows(tables, _trie_plan([ab.encode(s) for s in strings]))
+        assert ends.shape == (len(strings), 200 * n)
+        for j, s in enumerate(strings):
+            expected = np.zeros((200, n), dtype=np.float32)
+            for t in range(200):
                 q = 0
                 for c in ab.encode(s):
                     q = tables[t, q, c]
-                assert accepts[t, j] == masks[t, q]
+                expected[t, q] = 1
+            assert np.array_equal(ends[j].reshape(200, n), expected)
 
 
 @pytest.mark.parametrize("block_cells", [7, 64, None])
 def test_mc_joint_counts_match_plain_loop(ab, monkeypatch, block_cells):
-    # the trie walk and blocked product against a loop over the drawn DFAs,
+    # the trie walk and blocked product against a loop over the drawn tables,
     # with the empty string, a duplicate, prefixes and rows shared with cols
     from regkernel import kernel
 
@@ -596,27 +615,27 @@ def test_mc_joint_counts_match_plain_loop(ab, monkeypatch, block_cells):
     cols = ["ba", "abba", "", "abb", "bbbb", "a", "a"]
     m = 97
     for n in (1, 2, 3):
-        tables, masks = kernel.draw_dfa_sample(n, m, ab, 21)
+        tables, _ = kernel.draw_dfa_sample(n, m, ab, 21)
 
-        def accepted(s):
+        def end_states(s):
             out = []
             for t in range(m):
                 q = 0
                 for c in ab.encode(s):
                     q = tables[t, q, c]
-                out.append(int(masks[t, q]))
+                out.append(int(q))
             return out
 
-        acc = {s: accepted(s) for s in {*rows, *cols}}
+        ends = {s: end_states(s) for s in {*rows, *cols}}
 
-        def joint(x, y):
-            return sum(a * b for a, b in zip(acc[x], acc[y]))
+        def agree(x, y):
+            return sum(a == b for a, b in zip(ends[x], ends[y]))
 
-        cross = kernel.mc_joint_counts(rows, n, m, ab, 21, cols)
+        cross = kernel.mc_agreement_counts(rows, n, m, ab, 21, cols)
         assert cross.dtype == np.int64
-        assert cross.tolist() == [[joint(x, y) for y in cols] for x in rows]
-        gram = kernel.mc_joint_counts(rows, n, m, ab, 21)
-        assert gram.tolist() == [[joint(x, y) for y in rows] for x in rows]
+        assert cross.tolist() == [[agree(x, y) for y in cols] for x in rows]
+        gram = kernel.mc_agreement_counts(rows, n, m, ab, 21)
+        assert gram.tolist() == [[agree(x, y) for y in rows] for x in rows]
 
 
 def test_mc_kernel_value_equals_gram_entry(ab):
@@ -684,11 +703,47 @@ def test_mc_gram_draws_one_sample_per_n(ab, monkeypatch):
 
 def test_mc_pn_reads_the_shared_sample(ab):
     # mc_pn and every Gram that contains the pair read the same counts
-    m = required_samples(0.1, 0.05)
+    m = hoeffding_samples(0.1, 0.05)
     expected = mc_pn("ab", "ba", 1, m, ab, 5) + mc_pn("ab", "ba", 2, m, ab, 5)
     for strings in (["ab", "ba"], ["", "ba", "a", "ab", "bb"]):
         gram = gram_matrix(strings, mc_params(ab, seed=5))
         assert gram.value(strings.index("ab"), strings.index("ba")) == expected
+
+
+def test_mc_path_reads_tables_only(ab, monkeypatch):
+    # the accepting bits are integrated out, so inverting every drawn mask
+    # changes no Monte Carlo Gram, kernel value or decision value
+    from regkernel import kernel
+    from regkernel.learner import PerceptronModel, decision_values
+
+    strings = enumerate_strings(ab, 3)
+    queries = [*strings, "abab", "bbaab"]
+
+    def outputs():
+        out = []
+        for scaling in ("paper", "normalized"):
+            params = mc_params(ab, scaling)
+            model = PerceptronModel(support=(("ab", 1), ("aab", -2), ("b", 1)), params=params,
+                                    epochs_run=1, errors_per_epoch=(0,))
+            out.append((gram_matrix(strings, params).values,
+                        kernel_value("abab", "bba", params),
+                        decision_values(model, queries)))
+        return out
+
+    before = outputs()
+    real = kernel.draw_dfa_sample
+    inverted_draws = []
+
+    def inverted(n, m, alphabet, master_seed):
+        tables, masks = real(n, m, alphabet, master_seed)
+        inverted_draws.append(n)
+        return tables, 1 - masks
+
+    monkeypatch.setattr(kernel, "draw_dfa_sample", inverted)
+    after = outputs()
+    assert inverted_draws
+    assert repr(after) == repr(before)
+    assert after == before
 
 
 def test_gram_rejects_jobs_below_one(ab):

@@ -55,19 +55,24 @@ epsilon with probability at least 1 - delta from
 m = ceil(ln(2/delta) / (2 epsilon**2)) tables, independent of n and the
 strings.  For each n the m tables are drawn once, from a stream seeded
 only by (master_seed, n), and every string is walked over the same
-sample, as with random features (Rahimi & Recht, NIPS 2007).  With E and
-F the one-hot end-state matrices of two string lists (one column per
-sampled state), the agreement counts of every cross pair are the exact
-integer entries of E^T F (E^T E for a Gram; a trained model's support
-against its queries for prediction).  The strings are walked together as
-their prefix trie, depth first, so a prefix that several strings share is
-walked once: one ``take`` per trie edge per block of samples, and each
-string's end states are written as one row.  The product is formed over
-blocks of samples whose live arrays fit a budget in bytes, so memory stays
-flat however many strings take part, and block size never changes a
-count.  A value therefore depends only on its two strings, the seed and
-m: ``kernel_value(x, y)`` equals the Gram entry and the prediction term
-bit for bit, and Monte Carlo Grams are symmetric and PSD by construction.
+sample, as with random features (Rahimi & Recht, NIPS 2007).
+
+The sample is a stream, not a stored array: its tables come in blocks of
+a fixed _BLOCK_SAMPLES, and each cell of a block is drawn from SHAKE-256
+(FIPS 202) keyed by (master_seed, n, block, cell, round, bit-plane), as
+bit-planes with one bit per table (draw_table_block).  So the first m
+tables are the same for every m, and a replay does not depend on any
+library's generator.  Within a block everything is bit-sliced in Python
+integers: a cell becomes n disjoint masks, one per successor state, and a
+string's end states n disjoint masks, one per state.  The strings are
+walked together as their prefix trie, depth first, so a prefix that
+several strings share is walked once, and a trie edge costs n*n ANDs of
+block-wide masks.  The agreement count of two strings is the popcount of
+the AND of their end-state masks, summed over blocks.  Live memory is one
+block, whatever m is.  A value therefore depends only on its two
+strings, the seed and m: ``kernel_value(x, y)`` equals the Gram entry
+and the prediction term bit for bit, and Monte Carlo Grams are symmetric
+and PSD by construction.
 The certificate holds per entry; entries that share a sample are
 correlated.
 
@@ -78,10 +83,10 @@ pair's identity term and its counts for n = 1..n_used to its value.
 kernel_value, gram_matrix and prediction all read their values from it,
 and a Gram is one matrix of those values.
 
-numpy is imported inside the Monte Carlo and enumeration-oracle functions
-(and ``GramMatrix.to_array``) only, and the thread pool only when
-``jobs > 1``: the exact path is pure Python, so importing this module, and
-every exact command, loads neither.
+numpy is imported inside the enumeration-oracle functions (and
+``GramMatrix.to_array``) only, and the thread pool only when ``jobs > 1``:
+both runtime paths are pure Python, so importing this module, and the
+kernel, gram, train and predict commands in either mode, load neither.
 """
 
 from __future__ import annotations
@@ -110,12 +115,11 @@ MODES = ("exact", "monte-carlo")
 SCALINGS = ("paper", "normalized")
 
 _SEED_MASK = (1 << 64) - 1
-_SAMPLE_DOMAIN = b"regkernel.sample.v2"
-# Budget of one block of the agreement-count product, in 4-byte cells: the
-# block's live arrays (end-state rows, successor maps, trie path) take at
-# most 4 * _BLOCK_CELLS bytes.  A block holds fewer than _BLOCK_CELLS <= 2**24
-# samples, so its float32 product is exact; the blocks are summed in int64.
-_BLOCK_CELLS = 4096 * 32
+_STREAM_DOMAIN = b"regkernel.sample.v4"
+# Tables per block of the Monte Carlo stream.  It is part of the stream
+# format, not a tuning knob: a table's cells are keyed by its block and
+# drawn at its position in the block.
+_BLOCK_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class KernelParams:
     epsilon, failure_prob: relative accuracy and confidence parameter of
         the Monte Carlo certificate.
     master_seed: 64-bit seed; the Monte Carlo sample of state count n is
-        drawn from a stream seeded by (master_seed, n) alone.
+        the stream keyed by (master_seed, n) alone.
     """
 
     alphabet: Alphabet
@@ -272,19 +276,6 @@ def required_samples(epsilon: float, failure_prob: float) -> int:
     """
     _check_budget_args(epsilon, failure_prob)
     return math.ceil(12.0 * epsilon**-2 * math.log(2.0 / failure_prob))
-
-
-def derive_sample_seed(master_seed: int, n: int) -> int:
-    """Stable 64-bit stream seed of the shared Monte Carlo sample of n.
-
-    SHA-256 over a fixed byte layout: the domain tag, then the master seed
-    and n, each as a little-endian u64.  The first 8 digest bytes,
-    little-endian, are the seed.
-    """
-    h = hashlib.sha256()
-    h.update(_SAMPLE_DOMAIN)
-    h.update(struct.pack("<QQ", master_seed & _SEED_MASK, n))
-    return int.from_bytes(h.digest()[:8], "little")
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +440,6 @@ def _table_chunks(n: int, k: int):
     import numpy as np
 
     total = table_count(n, k)
-    if total > TABLE_CAP:
-        raise CapExceededError(total, TABLE_CAP)
     ncells = n * k
     powers = np.array([n ** (ncells - 1 - i) for i in range(ncells)], dtype=np.int64)
     for lo in range(0, total, _CHUNK):
@@ -546,24 +535,49 @@ def joint_accept_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) 
 # ---------------------------------------------------------------------------
 
 
-def draw_dfa_sample(
-    n: int, m: int, alphabet: Alphabet, master_seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The m uniformly sampled n-state DFAs that every string shares.
+def draw_table_block(
+    n: int, k: int, master_seed: int, block: int, size: int
+) -> list[list[list[int]]]:
+    """Tables b*B, ..., b*B + size - 1 (b = block, B = _BLOCK_SAMPLES) of
+    the shared sample of n-state tables, bit-sliced: bit t of
+    parts[q][c][r] is set when table b*B + t maps state q on symbol c to r.
 
-    The stream is seeded by derive_sample_seed(master_seed, n) and consumed
-    in a fixed layout: all m transition tables (int32, shape (m, n, k),
-    uniform cells), then all m accepting masks (uint8, shape (m, n), fair
-    bits).  Each DFA has exactly the distribution of automata.sample_dfa.
-    The kernel reads only the tables; the masks come after them in the
-    stream, so they do not change which tables a seed draws.
+    Each cell (q, c) of a block is drawn by rejection in rounds.  A round
+    reads ceil(log2 n) bit-planes, bit-plane p being the first ceil(size/8)
+    bytes of SHAKE-256 over the domain tag, then master_seed, n, block, q,
+    c, the round and p as little-endian u64s.  Bit t of a plane (little
+    endian) belongs to table t of the block, whose value in that round is
+    the sum of bit_p << p.  A table takes the first value below n it
+    reads, so every cell is uniform on range(n), independent of the others.
+    n = 1 draws nothing.  No bit depends on size, so the sample of m
+    tables is a prefix of the sample of any larger m.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(derive_sample_seed(master_seed, n))
-    tables = rng.integers(0, n, size=(m, n, len(alphabet)), dtype=np.int32)
-    masks = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-    return tables, masks
+    full = (1 << size) - 1
+    planes = (n - 1).bit_length()
+    head = _STREAM_DOMAIN + struct.pack("<3Q", master_seed & _SEED_MASK, n, block)
+    nbytes = (size + 7) // 8
+    parts = []
+    for q in range(n):
+        row = []
+        for c in range(k):
+            cell = [0] * n
+            pending, rnd = full, 0
+            while pending:
+                # groups[v] holds the pending tables that read value v this round
+                groups = [pending]
+                for p in reversed(range(planes)):
+                    key = head + struct.pack("<4Q", q, c, rnd, p)
+                    bits = int.from_bytes(hashlib.shake_256(key).digest(nbytes), "little")
+                    groups = [g for whole in groups for g in (whole ^ (whole & bits), whole & bits)]
+                for r in range(n):
+                    cell[r] |= groups[r]
+                pending = 0
+                for rejected in groups[n:]:
+                    pending |= rejected
+                rnd += 1
+            row.append(cell)
+        parts.append(row)
+    return parts
 
 
 def _trie_plan(encoded: Sequence[Sequence[int]]) -> list[tuple[int, list[tuple[int, int]], int]]:
@@ -587,33 +601,32 @@ def _trie_plan(encoded: Sequence[Sequence[int]]) -> list[tuple[int, list[tuple[i
     return plan
 
 
-def _end_state_rows(
-    tables: np.ndarray, plan: list[tuple[int, list[tuple[int, int]], int]]
-) -> np.ndarray:
-    """(S, m*n) float32 one-hot matrix: entry (j, t*n + q) is 1 when string
-    j of the trie plan ends in state q of table t.
+def _end_states(
+    plan: list[tuple[int, list[tuple[int, int]], int]], parts: list[list[list[int]]], size: int
+):
+    """Yield (j, ends) for every string of the trie plan, in plan order.
 
-    States of all m tables are numbered t*n + q, and succ[c] maps each to
-    its successor on symbol c, so a trie edge costs one ``take``.  ``path``
-    holds the states reached at each depth of the current trie path; the
-    states a string reaches are the columns of its ones.
+    ends holds string j's end states on the block's tables as n disjoint
+    masks laid end to end: bit q*size + t is set when it ends in state q
+    on table t.  ``path`` holds the state masks reached at each depth of
+    the current trie path; a trie edge on symbol c maps them by
+    next[r] |= cur[q] & parts[q][c][r].
     """
-    import numpy as np
-
-    m, n, k = tables.shape
-    succ = np.moveaxis(tables, 2, 0).astype(np.intp, order="C")
-    succ += (np.arange(m, dtype=np.intp) * n)[:, None]
-    succ = succ.reshape(k, m * n)
-    path = np.empty((max((d for _, _, d in plan), default=0) + 1, m), dtype=np.intp)
-    path[0] = np.arange(0, m * n, n, dtype=np.intp)
-    out = np.zeros((len(plan), m * n), dtype=np.float32)
-    # indices are in range by construction; mode="clip" lets take write
-    # straight into ``path`` instead of through a buffer
+    n = len(parts)
+    path = [[(1 << size) - 1] + [0] * (n - 1)]
     for j, steps, depth in plan:
         for d, c in steps:
-            succ[c].take(path[d], out=path[d + 1], mode="clip")
-        out[j].put(path[depth], 1.0)
-    return out
+            nxt = [0] * n
+            for q, states in enumerate(path[d]):
+                if states:
+                    for r, part in enumerate(parts[q][c]):
+                        nxt[r] |= states & part
+            del path[d + 1 :]
+            path.append(nxt)
+        ends = 0
+        for states in reversed(path[depth]):
+            ends = (ends << size) | states
+        yield j, ends
 
 
 def mc_agreement_counts(
@@ -623,38 +636,49 @@ def mc_agreement_counts(
     alphabet: Alphabet,
     master_seed: int,
     cols: Sequence[str] | None = None,
-) -> np.ndarray:
-    """(R, C) int64 matrix of end-state agreement counts over the m shared
-    tables of state count n: entry (i, j) counts the tables on which
-    rows[i] and cols[j] end in the same state (cols defaults to rows).  It
-    is the exact integer product E^T F of the one-hot end-state matrices,
-    formed in float32 over blocks of samples and summed in int64.  The
-    distinct strings' prefix trie is walked once per block, and a block's
-    live arrays fit in the bytes of _BLOCK_CELLS float32 cells, so only one
-    such block exists at a time."""
-    import numpy as np
+) -> list[list[int]]:
+    """R x C lists of end-state agreement counts over the m shared tables
+    of state count n: entry (i, j) counts the tables on which rows[i] and
+    cols[j] end in the same state (cols defaults to rows).
 
+    The tables are drawn and walked one block of at most _BLOCK_SAMPLES
+    at a time.  In a block, each distinct string's end states are one
+    integer of n masks laid end to end (_end_states), so the agreement of
+    two strings is the popcount of their AND, and A(x, y) = A(y, x)
+    exactly.  The distinct rows' end states are kept for the block; the
+    distinct columns' are counted against them as their trie walk reaches
+    them, and dropped.  So live memory is one block's tables and rows,
+    whatever m is.
+    """
+    symmetric = cols is None
     cols = rows if cols is None else cols
-    # distinct strings, rows first: the row strings are the leading rows of
-    # each block, so a block is multiplied without copying
-    index: dict[str, int] = {}
-    for s in (*rows, *cols):
-        index.setdefault(s, len(index))
-    distinct_rows = len(set(rows))
-    encoded = [alphabet.encode(s) for s in index]
-    plan = _trie_plan(encoded)
-    tables, _ = draw_dfa_sample(n, m, alphabet, master_seed)
-    k = len(alphabet)
-    depth = max(map(len, encoded), default=0)
-    # per sample: n float32 one-hot cells per string, an intp state per
-    # path depth and k*n intp successors
-    per_sample = 4 * n * len(encoded) + 8 * (depth + 1) + 8 * k * n
-    step = max(1, 4 * _BLOCK_CELLS // per_sample)
-    counts = np.zeros((distinct_rows, len(encoded)), dtype=np.int64)
-    for lo in range(0, m, step):
-        block = _end_state_rows(tables[lo : lo + step], plan)
-        counts += (block[:distinct_rows] @ block.T).astype(np.int64)
-    return counts[np.ix_([index[s] for s in rows], [index[s] for s in cols])]
+    row_ids = {s: i for i, s in enumerate(dict.fromkeys(rows))}
+    col_ids = row_ids if symmetric else {s: i for i, s in enumerate(dict.fromkeys(cols))}
+    row_plan = _trie_plan([alphabet.encode(s) for s in row_ids])
+    col_plan = None if symmetric else _trie_plan([alphabet.encode(s) for s in col_ids])
+    counts = [[0] * len(col_ids) for _ in row_ids]
+    for block, lo in enumerate(range(0, m, _BLOCK_SAMPLES)):
+        size = min(_BLOCK_SAMPLES, m - lo)
+        parts = draw_table_block(n, len(alphabet), master_seed, block, size)
+        row_ends = [0] * len(row_ids)
+        for i, ends in _end_states(row_plan, parts, size):
+            row_ends[i] = ends
+        if symmetric:
+            for i, ends in enumerate(row_ends):
+                line = counts[i]
+                for j in range(i, len(row_ends)):
+                    line[j] += (ends & row_ends[j]).bit_count()
+        else:
+            for j, ends in _end_states(col_plan, parts, size):
+                for i, row in enumerate(row_ends):
+                    counts[i][j] += (row & ends).bit_count()
+    if symmetric:
+        for i in range(len(counts)):
+            for j in range(i):
+                counts[i][j] = counts[j][i]
+    if len(row_ids) == len(rows) and len(col_ids) == len(cols):
+        return counts  # no duplicates: the distinct strings are the strings, in order
+    return [[counts[row_ids[x]][col_ids[y]] for y in cols] for x in rows]
 
 
 def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> float:
@@ -671,7 +695,7 @@ def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> floa
         raise ValueError(f"sample count must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
-    a = int(mc_agreement_counts((x, y), n, m, alphabet, seed)[0, 1])
+    a = mc_agreement_counts((x, y), n, m, alphabet, seed)[0][1]
     return (m + a) / (4 * m)
 
 
@@ -753,7 +777,8 @@ def kernel_block(
     symbol-permutation class, with agreement_counts at that pair's n_used,
     on ``jobs`` threads and with a memo that lives for this call; Monte
     Carlo mode makes one mc_agreement_counts call per n on one thread, over
-    hoeffding_samples(epsilon, failure_prob) tables.  Then
+    the first hoeffding_samples(epsilon, failure_prob) tables of that n's
+    stream, walked block by block as bit-sliced masks.  Then
     _pair_value turns each pair's identity term and counts into its value,
     once per class in exact mode.  kernel_value, gram_matrix and
     prediction all read their values from here.
@@ -796,7 +821,7 @@ def kernel_block(
         m = hoeffding_samples(params.epsilon, params.failure_prob)
         per_n = [
             mc_agreement_counts(rows, n, m, params.alphabet, params.master_seed,
-                                None if symmetric else cols).tolist()
+                                None if symmetric else cols)
             for n in range(1, n_top + 1)
         ]
         values = []
@@ -871,9 +896,9 @@ def gram_matrix(strings: Sequence[str], params: KernelParams, jobs: int = 1) -> 
 
 def format_version(params: KernelParams) -> int:
     """Version of the Gram sidecar and model formats for these parameters:
-    3 for Monte Carlo (agreement counts over one shared sample of tables per
-    n, sized by Hoeffding), 1 for exact."""
-    return 1 if params.mode == "exact" else 3
+    4 for Monte Carlo (agreement counts over the first m tables of one
+    SHAKE-256 stream per n, m sized by Hoeffding), 1 for exact."""
+    return 1 if params.mode == "exact" else 4
 
 
 def format_scalar(v: int | float) -> str:

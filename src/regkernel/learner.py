@@ -28,9 +28,9 @@ STRING_CAP = 1_000_000
 
 LABELS = (1, -1)
 
-# Monte Carlo queries scored per kernel block.  A block of samples holds
-# a fixed number of cells, so with more strings its samples get too few to
-# amortise the per-symbol walk; chunking keeps prediction linear in queries.
+# Monte Carlo queries scored per kernel block.  A block's per-n agreement
+# counts and values are support x chunk lists, so chunking keeps the live
+# lists of a prediction flat in the number of queries.
 _QUERY_CHUNK = 256
 
 
@@ -174,9 +174,10 @@ def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | flo
     kernel_block of the support against the queries: all of them in one
     block for an exact model, so the table cap is checked for the largest
     term before any walk and the class memo spans every query; up to
-    _QUERY_CHUNK at a time for a Monte Carlo model, so each n's sample is
-    drawn once per chunk.  Each sum runs over the support in model order,
-    so a value equals the per-pair sum bit for bit.
+    _QUERY_CHUNK at a time for a Monte Carlo model, whose chunk walks the
+    support once and streams its queries through each block of each n's
+    tables.  Each sum runs over the support in model order, so a value
+    equals the per-pair sum bit for bit.
     """
     params = model.params
     xs = list(xs)
@@ -263,8 +264,8 @@ def load_dataset(path: str | Path) -> Dataset:
 
 def model_to_text(model: PerceptronModel) -> str:
     """Two metadata lines then one ``<alpha>\\t<string>`` line per support
-    string, in training order.  The header is ``model v3`` for a Monte
-    Carlo model (agreement counts over one shared sample of tables per n)
+    string, in training order.  The header is ``model v4`` for a Monte
+    Carlo model (agreement counts over one SHAKE-256 table stream per n)
     and ``model v1`` for an exact one."""
     meta = {
         "params": model.params.to_dict(),
@@ -282,8 +283,8 @@ def model_from_text(text: str) -> PerceptronModel:
     lines = text.splitlines()
     # every header ever written; an older Monte Carlo one is refused below,
     # after the metadata, with a retrain hint
-    if not lines or lines[0] not in ("model v1", "model v2", "model v3"):
-        raise ParseError("expected a 'model v1', 'model v2' or 'model v3' header", 1)
+    if not lines or lines[0] not in ("model v1", "model v2", "model v3", "model v4"):
+        raise ParseError("expected a 'model v1' to 'model v4' header", 1)
     if len(lines) < 2 or not lines[1].startswith("meta "):
         raise ParseError("expected 'meta <json>' line", 2)
     try:
@@ -296,7 +297,8 @@ def model_from_text(text: str) -> PerceptronModel:
     expected = f"model v{format_version(params)}"
     if lines[0] != expected:
         hint = "" if params.mode == "exact" else (
-            "; older Monte Carlo models were scored by another estimator, so retrain"
+            "; older Monte Carlo models were scored by another estimator or "
+            "sample stream, so retrain"
         )
         raise ParseError(f"{params.mode} model needs a '{expected}' header, "
                          f"got '{lines[0]}'{hint}", 1)

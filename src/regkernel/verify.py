@@ -20,6 +20,7 @@ from .kernel import (
     gram_matrix,
     hoeffding_samples,
     joint_accept_count_grid,
+    mc_agreement_counts,
     mc_pn,
     required_samples,
 )
@@ -221,10 +222,13 @@ def suite_concentration(
     Verifies the closed-form joint-acceptance sample budgets, then measures
     how often the estimator misses the exact value by more than the target
     relative error across many master seeds: at those budgets, and at the
-    Hoeffding budget the kernel samples.  Last, checks the estimator mean
-    for bias at a small budget, against its variance q(1 - q) / (16m),
-    where q = 4 P_n - 1 is the probability that the two strings end in the
-    same state.
+    Hoeffding budget the kernel samples.  Those relative errors are at most
+    |A/m - q|, where q = 4 P_n - 1 is the probability that the two strings
+    end in the same state, and often far below it, so the Hoeffding budget
+    is also checked on the quantity it bounds: |A/m - q| may exceed epsilon
+    on at most delta of the seeds, plus three standard errors.  Last,
+    checks the estimator mean for bias at a small budget, against its
+    variance q(1 - q) / (16m).
     """
     import numpy as np
 
@@ -268,6 +272,21 @@ def suite_concentration(
         rate = hit_rate(eps, m)
         checks.append(_check(f"concentration.hoeffding.eps{eps}_delta{delta}", rate >= 0.94,
                              f"hit rate {rate:.4f} >= 0.94 at m={m}"))
+
+    q = 4 * exact - 1
+    for eps, delta in ((0.1, 0.05), (0.1, 0.01)):
+        m = hoeffding_samples(eps, delta)
+        misses = sum(
+            abs(Fraction(mc_agreement_counts((x, y), n, m, alphabet, seed)[0][1], m) - q)
+            > Fraction(eps)
+            for seed in range(seeds)
+        )
+        allowed = delta + 3.0 * (delta / seeds) ** 0.5
+        checks.append(_check(
+            f"concentration.hoeffding_agreement.eps{eps}_delta{delta}",
+            misses / seeds <= allowed,
+            f"|A/m - {q}| > {eps} on {misses / seeds:.4f} <= {allowed:.4f} of seeds at m={m}",
+        ))
 
     small_m = 100
     mean = float(np.mean([mc_pn(x, y, n, small_m, alphabet, s) for s in range(seeds)]))

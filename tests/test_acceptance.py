@@ -31,7 +31,8 @@ from regkernel import (
     table_count,
     train,
 )
-from regkernel.kernel import agreement_count_grid, draw_dfa_sample, joint_accept_count_grid
+from regkernel import kernel
+from regkernel.kernel import agreement_count_grid, joint_accept_count_grid, mc_agreement_counts
 
 AB = Alphabet(("a", "b"))
 QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
@@ -104,7 +105,10 @@ def test_criterion_2_two_path_identity(grid_strings, grids):
 def test_criterion_3_sample_budget_and_concentration():
     """Budget formula values, then the relative-error rate over 1000 seeds,
     at the joint-acceptance budgets and at the Hoeffding budgets the
-    kernel samples."""
+    kernel samples.  The relative error is at most |A/m - q|, here with
+    q = 1/2, and passes even at budgets far too small, so the Hoeffding
+    budgets are also held to the bound itself: |A/m - q| > 0.1 on at most
+    delta of the seeds, plus three standard errors."""
     budgets_ok = required_samples(0.1, 0.05) == 4427 and required_samples(0.1, 0.01) == 6358
     exact = 0.375  # P_2(a, b) = 3/8, criterion 1 grid
     seeds = 1000
@@ -117,11 +121,26 @@ def test_criterion_3_sample_budget_and_concentration():
                 if abs(mc_pn("a", "b", 2, m, AB, seed) - exact) <= 0.1 * exact
             )
             rates[m] = hits / seeds
+    misses = {}
+    for delta in (0.05, 0.01):
+        m = hoeffding_samples(0.1, delta)
+        count = sum(
+            1
+            for seed in range(seeds)
+            if abs(Fraction(mc_agreement_counts(("a", "b"), 2, m, AB, seed)[0][1], m) - HALF)
+            > Fraction(0.1)
+        )
+        misses[m] = (count / seeds, delta + 3 * (delta / seeds) ** 0.5)
     report(
         "3 sample budget + concentration",
-        budgets_ok and all(rate >= 0.94 for rate in rates.values()),
+        budgets_ok
+        and all(rate >= 0.94 for rate in rates.values())
+        and all(rate <= allowed for rate, allowed in misses.values()),
         "m=4427 and m=6358, Hoeffding m=185 and m=265; hit rates "
-        + ", ".join(f"{rate:.3f} @ m={m}" for m, rate in rates.items()),
+        + ", ".join(f"{rate:.3f} @ m={m}" for m, rate in rates.items())
+        + "; |A/m - 1/2| > 0.1 on "
+        + ", ".join(f"{rate:.3f} <= {allowed:.4f} @ m={m}"
+                    for m, (rate, allowed) in misses.items()),
     )
 
 
@@ -223,6 +242,29 @@ def test_criterion_7b_learnability_monte_carlo(parity_dataset):
     )
 
 
+def table_counts(n: int, alphabet: Alphabet, draws: int, seed: int) -> list[int]:
+    """How often each n-state table occurs among the first ``draws`` tables
+    of the Monte Carlo kernel's stream for (seed, n), indexed in enumeration
+    order: the rank in base n of the cells, first cell most significant.
+
+    Counted on the bit-sliced blocks of draw_table_block: the tables whose
+    leading cells match a prefix are the AND of those cells' masks."""
+    k = len(alphabet)
+    counts = [0] * table_count(n, k)
+    for block, lo in enumerate(range(0, draws, kernel._BLOCK_SAMPLES)):
+        size = min(kernel._BLOCK_SAMPLES, draws - lo)
+        parts = kernel.draw_table_block(n, k, seed, block, size)
+        prefixes = [(0, (1 << size) - 1)]
+        for q in range(n):
+            for c in range(k):
+                prefixes = [(rank * n + r, tables & part)
+                            for rank, tables in prefixes
+                            for r, part in enumerate(parts[q][c])]
+        for rank, tables in prefixes:
+            counts[rank] += tables.bit_count()
+    return counts
+
+
 def uniform_sampling_chisquare(
     n: int,
     alphabet: Alphabet,
@@ -230,46 +272,42 @@ def uniform_sampling_chisquare(
     seed: int,
     significance: float = 0.001,
 ) -> tuple[float, float, np.ndarray]:
-    """Chi-square goodness-of-fit of draw_dfa_sample, the Monte Carlo
-    kernel's sampler, against the enumerated space.
-
-    The draws come from one draw_dfa_sample(n, draws, alphabet, seed) call
-    and are indexed in enumeration order (DfaSpace.index_of): the table
-    rank in base n, first cell most significant, times 2**n, plus the
-    accepting mask with bit q for state q.  Returns (statistic, critical
-    value, per-DFA observed counts); the sampler passes when the statistic
-    is at most the critical value.
+    """Chi-square goodness-of-fit of the Monte Carlo kernel's table stream
+    against the n**(n*k) transition tables, at ``draws`` tables
+    (table_counts).  Returns (statistic, critical value, per-table observed
+    counts); the stream passes when the statistic is at most the critical
+    value.  The accepting bits are not sampled: the kernel integrates them
+    out exactly.
     """
     # imported here, its only use, so that the other criteria run without scipy
     from scipy import stats
 
-    size = dfa_space_size(n, len(alphabet))
-    tables, masks = draw_dfa_sample(n, draws, alphabet, seed)
-    index = np.zeros(draws, dtype=np.int64)
-    for cell in tables.reshape(draws, -1).T:
-        index = index * n + cell
-    for q in range(n - 1, -1, -1):
-        index = index * 2 + masks[:, q]
-    observed = np.bincount(index, minlength=size)
-    expected = draws / size
+    observed = np.array(table_counts(n, alphabet, draws, seed))
+    expected = draws / len(observed)
     statistic = float(((observed - expected) ** 2 / expected).sum())
-    critical = float(stats.chi2.isf(significance, size - 1))
+    critical = float(stats.chi2.isf(significance, len(observed) - 1))
     return statistic, critical, observed
 
 
 def test_criterion_8_uniform_sampling_chisquare():
-    """Chi-square goodness of fit over all 64 two-state DFAs at one
-    million draws, significance 0.001; every automaton also lands within
-    5 percent of its expected frequency."""
+    """Chi-square goodness of fit of the table stream at one million draws,
+    significance 0.001: over all 16 two-state tables, each also within 5
+    percent of its expected frequency, and over all 729 three-state tables,
+    whose cells are drawn by rejection."""
     draws = 1_000_000
     statistic, critical, observed = uniform_sampling_chisquare(
         2, AB, draws=draws, seed=20260808
     )
-    expected = draws / 64
+    expected = draws / 16
     within_band = float(np.abs(observed - expected).max()) <= 0.05 * expected
+    statistic3, critical3, observed3 = uniform_sampling_chisquare(
+        3, AB, draws=draws, seed=20260808
+    )
     report(
         "8 uniform sampling",
-        statistic <= critical and within_band and observed.sum() == draws,
-        f"chi-square {statistic:.2f} <= critical {critical:.2f}, "
-        f"64 cells within 5% of {expected:.0f}",
+        statistic <= critical and within_band and observed.sum() == draws
+        and statistic3 <= critical3 and observed3.sum() == draws,
+        f"n=2: chi-square {statistic:.2f} <= critical {critical:.2f}, "
+        f"16 tables within 5% of {expected:.0f}; "
+        f"n=3: chi-square {statistic3:.2f} <= critical {critical3:.2f} over 729 tables",
     )

@@ -225,17 +225,17 @@ def test_predict_missing_model_exit_2(tmp_path, capsys):
 
 
 def count_sample_draws(monkeypatch):
-    """Record the state count of every draw_dfa_sample call."""
+    """Record the state count of every draw_table_block call."""
     from regkernel import kernel
 
     drawn = []
-    real = kernel.draw_dfa_sample
+    real = kernel.draw_table_block
 
-    def counting(n, m, alphabet, master_seed):
+    def counting(n, k, master_seed, block, size):
         drawn.append(n)
-        return real(n, m, alphabet, master_seed)
+        return real(n, k, master_seed, block, size)
 
-    monkeypatch.setattr(kernel, "draw_dfa_sample", counting)
+    monkeypatch.setattr(kernel, "draw_table_block", counting)
     return drawn
 
 
@@ -377,7 +377,7 @@ def test_cli_start_does_not_import_scipy():
 # format versions and --jobs
 # ---------------------------------------------------------------------
 
-def test_gram_monte_carlo_rerun_is_byte_identical_v3(tmp_path, capsys, parity, ab):
+def test_gram_monte_carlo_rerun_is_byte_identical_v4(tmp_path, capsys, parity, ab):
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
     out = tmp_path / "mc.csv"
     meta_path = tmp_path / "mc.csv.meta.json"
@@ -391,7 +391,7 @@ def test_gram_monte_carlo_rerun_is_byte_identical_v3(tmp_path, capsys, parity, a
         assert code == 0
         outputs.append((out.read_bytes(), meta_path.read_bytes()))
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][1])["format"] == "regkernel gram v3"
+    assert json.loads(outputs[0][1])["format"] == "regkernel gram v4"
 
     code, _, _ = run_cli(capsys, "gram", "--dataset", str(dataset), "--mode", "exact",
                          "--nmax", "2", "--out", str(out))
@@ -413,15 +413,15 @@ def test_monte_carlo_model_v1_is_refused(tmp_path, capsys, parity, ab):
         assert code == 0
     assert models["exact"].read_text().startswith("model v1\n")
     mc_text = models["mc"].read_text()
-    assert mc_text.startswith("model v3\n")
+    assert mc_text.startswith("model v4\n")
     code, stdout, _ = run_cli(
         capsys, "predict", "--model", str(models["mc"]), "--in", str(strings_file),
     )
     assert code == 0 and len(stdout.splitlines()) == 2
 
-    # both older Monte Carlo formats were scored by other estimators
-    for old in ("model v1", "model v2"):
-        models["mc"].write_text(mc_text.replace("model v3", old, 1), encoding="utf-8")
+    # the older Monte Carlo formats were scored by other estimators or streams
+    for old in ("model v1", "model v2", "model v3"):
+        models["mc"].write_text(mc_text.replace("model v4", old, 1), encoding="utf-8")
         code, stdout, stderr = run_cli(
             capsys, "predict", "--model", str(models["mc"]), "--in", str(strings_file),
         )
@@ -441,7 +441,7 @@ def test_predict_refuses_non_finite_model_numbers(tmp_path, capsys):
     strings_file = tmp_path / "strings.txt"
     strings_file.write_text("ab\nba\n", encoding="utf-8")
     texts = (
-        model("model v3", "monte-carlo", [float("nan"), 1.0], "1\tab\n"),
+        model("model v4", "monte-carlo", [float("nan"), 1.0], "1\tab\n"),
         model("model v1", "exact", [float("inf"), 1.0], "1\tab\n"),
         model("model v1", "exact", None, "nan\tab\n1\tba\n"),
     )
@@ -572,6 +572,29 @@ def test_exact_commands_never_load_numpy(tmp_path, parity, ab):
     *_, codes, loaded = result.stdout.splitlines()
     assert json.loads(codes) == [0, 0, 0, 0]
     assert json.loads(loaded) == []
+
+
+def test_monte_carlo_commands_never_load_numpy(tmp_path, parity, ab):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    queries = tmp_path / "queries.txt"
+    queries.write_text("aa\nab\naba\n", encoding="utf-8")
+    model = tmp_path / "m.model"
+    flags = ["--mode", "mc", "--nmax", "3", "--seed", "0"]
+    runs = [
+        ["kernel", *flags, "abab", "abba"],
+        ["gram", "--dataset", str(dataset), *flags, "--out", str(tmp_path / "g.csv")],
+        ["train", "--dataset", str(dataset), *flags, "--out", str(model)],
+        ["predict", "--model", str(model), "--in", str(queries)],
+    ]
+    code = ("import json, sys; from regkernel.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            f"print(json.dumps(codes)); {LOADED}")
+    result = run_fresh("-c", code, json.dumps(runs))
+    assert result.returncode == 0, result.stderr
+    *_, codes, loaded = result.stdout.splitlines()
+    assert json.loads(codes) == [0, 0, 0, 0]
+    assert json.loads(loaded) == []
+    assert model.read_text(encoding="utf-8").startswith("model v4\n")
 
 
 def test_fresh_exact_gram_jobs_2_equals_jobs_1(tmp_path, parity, ab):

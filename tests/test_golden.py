@@ -33,18 +33,18 @@ GOLDEN = {
         "predict.stdout": "87a5e77c66ccb12c61f10fbd195d1ec09b6d955786da9a55896b229e30bdcbaf",
     },
     ("monte-carlo", "paper"): {
-        "gram.csv": "b6ccce933884f2cd4b280014e4852991a99e40303b86c3a49b84d32e11c0d781",
-        "gram.csv.meta.json": "c6521c8a7237631f0a3f227dfa4ef8b827acf1f894695dc5dde44dfe9009c6ae",
+        "gram.csv": "6d507b66b2326a2cfbaa75cbc74301f3bc8ed46221275962ae54ae51c2d6ad4e",
+        "gram.csv.meta.json": "62cb4b34d9cd331446320686925a3e0ea4cae1dd878364b0614fa27a754dcabb",
         "train.stdout": "fb98f611dca71c6a35ff2dddccbf3f342dab5b66447f3aa0eee57514b874775f",
-        "model": "e8d5eb89cd0ec6a36cf2e049c0ea52578d08dec343eb211b60bff35e1ca55b53",
+        "model": "d785c295a1d2ef0f84f318c901a77c6001c7208a1470d86b22f61a7aadf9440f",
         "predict.stdout": "646628053b51f5f81ddc37fe71c1b30105b6d82682347c5df0bbdd64c41d9b74",
     },
     ("monte-carlo", "normalized"): {
-        "gram.csv": "0de8412395f6dcc2299cbcd025a2727c3af6a912966ef23f582e76c3789f5a1f",
-        "gram.csv.meta.json": "29a1e2d30ca605a36753af38140f6c66300da0e42edbcf72a4f6d54019770e35",
-        "train.stdout": "77d3137552b0486982fd23d980583dda640d61b4dcdac6f06919b71930982720",
-        "model": "2d7f2b7ae7954971c83a91c8e508c11f2628c6a00eb2423017188de7fece47a2",
-        "predict.stdout": "87a5e77c66ccb12c61f10fbd195d1ec09b6d955786da9a55896b229e30bdcbaf",
+        "gram.csv": "155f7e0bdd80c812cbd9039dd00cf9bd8ac8561568ff179254479cdd18d6e9e7",
+        "gram.csv.meta.json": "77f162b030d6a829692284712bf138f4476f5c8fe013dd2f955444be06603b32",
+        "train.stdout": "b1f02db7b38ae2d12225f1c5ad5b57e6cdae86b9858320771eba04e5e609df21",
+        "model": "64da31d45d8134cd55e4dd480f4918c50b6e4573113afd801e458d235c864718",
+        "predict.stdout": "646628053b51f5f81ddc37fe71c1b30105b6d82682347c5df0bbdd64c41d9b74",
     },
 }
 

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import json
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -583,59 +586,167 @@ def mc_params(ab, scaling="normalized", seed=5, epsilon=0.1, failure_prob=0.05):
     )
 
 
-def test_mc_acceptance_matches_plain_walk(ab):
-    # the trie walk's one-hot end-state rows against a plain walk per table
-    from regkernel.kernel import _end_state_rows, _trie_plan, draw_dfa_sample
-
-    strings = enumerate_strings(ab, 4)
-    for n in (1, 2, 3):
-        tables, masks = draw_dfa_sample(n, 200, ab, 13)
-        assert tables.shape == (200, n, 2) and masks.shape == (200, n)
-        ends = _end_state_rows(tables, _trie_plan([ab.encode(s) for s in strings]))
-        assert ends.shape == (len(strings), 200 * n)
-        for j, s in enumerate(strings):
-            expected = np.zeros((200, n), dtype=np.float32)
-            for t in range(200):
-                q = 0
-                for c in ab.encode(s):
-                    q = tables[t, q, c]
-                expected[t, q] = 1
-            assert np.array_equal(ends[j].reshape(200, n), expected)
-
-
-@pytest.mark.parametrize("block_cells", [7, 64, None])
-def test_mc_joint_counts_match_plain_loop(ab, monkeypatch, block_cells):
-    # the trie walk and blocked product against a loop over the drawn tables,
-    # with the empty string, a duplicate, prefixes and rows shared with cols
+def stream_tables(n, m, seed, block_size=None, k=2):
+    """The first m tables of the stream of (seed, n), decoded one table and
+    one cell at a time from the documented format: no bit-slicing, no
+    trie.  Table t is bit t % B of block t // B, and a cell takes the value
+    of the first round that reads one below n."""
     from regkernel import kernel
 
-    if block_cells is not None:
-        monkeypatch.setattr(kernel, "_BLOCK_CELLS", block_cells)
+    block_size = block_size or kernel._BLOCK_SAMPLES
+    digests = {}
+
+    def bit(block, q, c, rnd, plane, pos):
+        key = (block, q, c, rnd, plane)
+        if key not in digests:
+            size = min(block_size, m - block * block_size)
+            digests[key] = hashlib.shake_256(
+                b"regkernel.sample.v4" + struct.pack("<7Q", seed, n, *key)
+            ).digest((size + 7) // 8)
+        return (digests[key][pos // 8] >> (pos % 8)) & 1
+
+    tables = []
+    for t in range(m):
+        block, pos = divmod(t, block_size)
+        table = []
+        for q in range(n):
+            row = []
+            for c in range(k):
+                rnd, value = 0, n
+                while value >= n:
+                    value = sum(bit(block, q, c, rnd, p, pos) << p
+                                for p in range((n - 1).bit_length()))
+                    rnd += 1
+                row.append(value)
+            table.append(row)
+        tables.append(table)
+    return tables
+
+
+def sliced_tables(n, m, seed, k=2):
+    """The first m tables as draw_table_block slices them, block by block."""
+    from regkernel import kernel
+
+    tables = []
+    for block, lo in enumerate(range(0, m, kernel._BLOCK_SAMPLES)):
+        size = min(kernel._BLOCK_SAMPLES, m - lo)
+        parts = kernel.draw_table_block(n, k, seed, block, size)
+        for t in range(size):
+            table = []
+            for q in range(n):
+                row = []
+                for c in range(k):
+                    hits = [r for r in range(n) if parts[q][c][r] >> t & 1]
+                    assert len(hits) == 1, (t, q, c, hits)
+                    row.append(hits[0])
+                table.append(row)
+            tables.append(table)
+    return tables
+
+
+def end_state(table, encoded):
+    q = 0
+    for c in encoded:
+        q = table[q][c]
+    return q
+
+
+def test_mc_stream_known_answer(ab, monkeypatch):
+    # the first 8 tables of seed 20261019 at n = 3, as (delta(q, a), delta(q, b))
+    # for q = 0, 1, 2: rejection rounds included
+    expected = [
+        [[0, 2], [2, 2], [1, 0]],
+        [[1, 0], [1, 2], [1, 0]],
+        [[1, 2], [2, 0], [1, 0]],
+        [[0, 0], [1, 0], [2, 2]],
+        [[1, 1], [1, 0], [2, 1]],
+        [[0, 0], [1, 0], [0, 0]],
+        [[0, 0], [1, 1], [2, 2]],
+        [[0, 0], [0, 1], [0, 1]],
+    ]
+    assert sliced_tables(3, 8, 20261019) == expected
+    assert stream_tables(3, 8, 20261019) == expected
+    # n = 1 has one table and draws nothing from the stream
+    from regkernel import kernel
+
+    monkeypatch.setattr(kernel.hashlib, "shake_256", None)
+    assert kernel.draw_table_block(1, 2, 5, 0, 10) == [[[2**10 - 1], [2**10 - 1]]]
+
+
+@pytest.mark.parametrize("block", [16, None])
+def test_mc_stream_sample_for_m_is_a_prefix(ab, monkeypatch, block):
+    from regkernel import kernel
+
+    if block is not None:
+        monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", block)
+    for n in (2, 3, 5):
+        longer = sliced_tables(n, 100, 77)
+        for m in (1, 15, 16, 17, 40):
+            assert sliced_tables(n, m, 77) == longer[:m], (n, m)
+        assert longer == stream_tables(n, 100, 77, block)
+
+
+def test_mc_memory_is_one_block_whatever_m(ab):
+    from regkernel import kernel
+
+    strings = enumerate_strings(ab, 3)
+    n, k = 3, len(ab)
+    peaks = []
+    for m in (10**5, 10**6):
+        tracemalloc.start()
+        try:
+            kernel.mc_agreement_counts(strings, n, m, ab, 7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one block's cells: n*k cells of n masks of _BLOCK_SAMPLES bits
+    one_block = n * k * n * kernel._BLOCK_SAMPLES // 8
+    assert abs(peaks[1] - peaks[0]) < one_block, peaks
+
+
+def test_mc_acceptance_matches_plain_walk(ab):
+    # the trie walk's end-state masks against a plain walk per table: each
+    # string ends in exactly one state on every table
+    from regkernel.kernel import _end_states, _trie_plan, draw_table_block
+
+    strings = enumerate_strings(ab, 4)
+    m = 200
+    for n in (1, 2, 3):
+        tables = stream_tables(n, m, 13)
+        parts = draw_table_block(n, 2, 13, 0, m)
+        ends = dict(_end_states(_trie_plan([ab.encode(s) for s in strings]), parts, m))
+        assert sorted(ends) == list(range(len(strings)))
+        for j, s in enumerate(strings):
+            for t in range(m):
+                states = [q for q in range(n) if ends[j] >> (q * m + t) & 1]
+                assert states == [end_state(tables[t], ab.encode(s))], (n, s, t)
+            assert ends[j] >> (n * m) == 0
+
+
+@pytest.mark.parametrize("block", [7, 64, None])
+def test_mc_joint_counts_match_plain_loop(ab, monkeypatch, block):
+    # the stream, trie walk and popcounts against a loop over plainly decoded
+    # tables, across blocks of 7 and 64 tables and one block, with the empty
+    # string, a duplicate, prefixes and rows shared with cols
+    from regkernel import kernel
+
+    if block is not None:
+        monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", block)
     rows = ["abba", "", "ab", "b", "ab", "abbab", "a"]
     cols = ["ba", "abba", "", "abb", "bbbb", "a", "a"]
     m = 97
-    for n in (1, 2, 3):
-        tables, _ = kernel.draw_dfa_sample(n, m, ab, 21)
-
-        def end_states(s):
-            out = []
-            for t in range(m):
-                q = 0
-                for c in ab.encode(s):
-                    q = tables[t, q, c]
-                out.append(int(q))
-            return out
-
-        ends = {s: end_states(s) for s in {*rows, *cols}}
+    for n in (1, 2, 3, 5):
+        tables = stream_tables(n, m, 21, block)
+        ends = {s: [end_state(t, ab.encode(s)) for t in tables] for s in {*rows, *cols}}
 
         def agree(x, y):
             return sum(a == b for a, b in zip(ends[x], ends[y]))
 
         cross = kernel.mc_agreement_counts(rows, n, m, ab, 21, cols)
-        assert cross.dtype == np.int64
-        assert cross.tolist() == [[agree(x, y) for y in cols] for x in rows]
+        assert all(type(c) is int for line in cross for c in line)
+        assert cross == [[agree(x, y) for y in cols] for x in rows]
         gram = kernel.mc_agreement_counts(rows, n, m, ab, 21)
-        assert gram.tolist() == [[agree(x, y) for y in rows] for x in rows]
+        assert gram == [[agree(x, y) for y in rows] for x in rows]
 
 
 def test_mc_kernel_value_equals_gram_entry(ab):
@@ -690,13 +801,13 @@ def test_mc_gram_draws_one_sample_per_n(ab, monkeypatch):
     from regkernel import kernel
 
     drawn = []
-    real = kernel.draw_dfa_sample
+    real = kernel.draw_table_block
 
-    def counting(n, m, alphabet, master_seed):
+    def counting(n, k, master_seed, block, size):
         drawn.append(n)
-        return real(n, m, alphabet, master_seed)
+        return real(n, k, master_seed, block, size)
 
-    monkeypatch.setattr(kernel, "draw_dfa_sample", counting)
+    monkeypatch.setattr(kernel, "draw_table_block", counting)
     gram_matrix(enumerate_strings(ab, 4), mc_params(ab))
     assert drawn == [1, 2, 3]
 
@@ -710,40 +821,40 @@ def test_mc_pn_reads_the_shared_sample(ab):
         assert gram.value(strings.index("ab"), strings.index("ba")) == expected
 
 
-def test_mc_path_reads_tables_only(ab, monkeypatch):
-    # the accepting bits are integrated out, so inverting every drawn mask
-    # changes no Monte Carlo Gram, kernel value or decision value
-    from regkernel import kernel
+def test_mc_path_reads_tables_only(ab):
+    # the accepting bits are integrated out, so every Monte Carlo Gram entry,
+    # kernel value and decision value is assembled from the end-state
+    # agreement of plainly decoded tables, and from nothing else
+    from regkernel.kernel import _pair_value
     from regkernel.learner import PerceptronModel, decision_values
 
     strings = enumerate_strings(ab, 3)
     queries = [*strings, "abab", "bbaab"]
+    support = (("ab", 1), ("aab", -2), ("b", 1))
+    m = hoeffding_samples(0.1, 0.05)
+    tables = {n: stream_tables(n, m, 5) for n in (1, 2, 3)}
 
-    def outputs():
-        out = []
-        for scaling in ("paper", "normalized"):
-            params = mc_params(ab, scaling)
-            model = PerceptronModel(support=(("ab", 1), ("aab", -2), ("b", 1)), params=params,
-                                    epochs_run=1, errors_per_epoch=(0,))
-            out.append((gram_matrix(strings, params).values,
-                        kernel_value("abab", "bba", params),
-                        decision_values(model, queries)))
-        return out
+    for scaling in ("paper", "normalized"):
+        params = mc_params(ab, scaling)
 
-    before = outputs()
-    real = kernel.draw_dfa_sample
-    inverted_draws = []
+        def plain_value(x, y):
+            counts = [sum(end_state(t, ab.encode(x)) == end_state(t, ab.encode(y))
+                          for t in tables[n])
+                      for n in range(1, min(len(x), len(y), 3) + 1)]
+            return _pair_value(int(x == y), counts, params, m)
 
-    def inverted(n, m, alphabet, master_seed):
-        tables, masks = real(n, m, alphabet, master_seed)
-        inverted_draws.append(n)
-        return tables, 1 - masks
-
-    monkeypatch.setattr(kernel, "draw_dfa_sample", inverted)
-    after = outputs()
-    assert inverted_draws
-    assert repr(after) == repr(before)
-    assert after == before
+        gram = gram_matrix(strings, params)
+        assert gram.values == tuple(tuple(plain_value(x, y) for y in strings) for x in strings)
+        assert kernel_value("abab", "bba", params).value == plain_value("abab", "bba")
+        model = PerceptronModel(support=support, params=params, epochs_run=1,
+                                errors_per_epoch=(0,))
+        expected = []
+        for x in queries:
+            total = 0
+            for s, coeff in support:
+                total += coeff * plain_value(s, x)
+            expected.append(total)
+        assert decision_values(model, queries) == expected
 
 
 def test_gram_rejects_jobs_below_one(ab):

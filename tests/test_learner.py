@@ -335,7 +335,7 @@ def test_model_text_errors():
     with pytest.raises(ParseError, match="meta"):
         model_from_text("model v1\nnometa\n")
     # non-finite weights and support coefficients are refused, not scored
-    for header, mode, weights in (("model v3", "monte-carlo", "[NaN, 1.0]"),
+    for header, mode, weights in (("model v4", "monte-carlo", "[NaN, 1.0]"),
                                   ("model v1", "exact", "[Infinity, 1.0]"),
                                   ("model v1", "exact", "[1.0, -Infinity]"),
                                   ("model v1", "exact", f"[1, {10**400}]")):

@@ -11,13 +11,11 @@ from .automata import (
     Alphabet,
     CapExceededError,
     Dfa,
-    DfaSpace,
     ParseError,
     dfa_space_size,
     enumerate_dfas,
     enumerate_tables,
     parse_dfa,
-    sample_dfa,
     serialize_dfa,
     table_count,
 )
@@ -48,6 +46,8 @@ from .kernel import (
     mc_pn,
     pn_by_enumeration,
     required_samples,
+    sample_dfa,
+    sample_dfas,
 )
 from .learner import (
     Dataset,
@@ -72,7 +72,6 @@ __all__ = [
     "ConceptUniverse",
     "Dataset",
     "Dfa",
-    "DfaSpace",
     "GramMatrix",
     "InstanceKey",
     "KernelParams",
@@ -105,6 +104,7 @@ __all__ = [
     "predict",
     "required_samples",
     "sample_dfa",
+    "sample_dfas",
     "save_model",
     "score",
     "separator",

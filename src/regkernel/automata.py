@@ -6,19 +6,15 @@ the accepting set is an arbitrary subset of states (empty and full are
 both legal).  Automata are counted, enumerated and sampled as labeled
 objects, without quotienting by isomorphism and without pruning
 unreachable states, so the space of n-state automata over k symbols has
-exactly n**(n*k) * 2**n members.  Uniform sampling draws every
-transition cell independently uniform over 0..n-1 and makes every state
-accepting independently with probability 1/2.
+exactly n**(n*k) * 2**n members.  The uniform sampler,
+kernel.sample_dfas, reads the Monte Carlo kernel's own table stream.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterator
 
 # Upper bound on how many transition tables an exhaustive walk may touch.
 TABLE_CAP = 10_000_000
@@ -205,54 +201,6 @@ def enumerate_dfas(n: int, alphabet: Alphabet) -> Iterator[Dfa]:
         for mask in range(2**n):
             accepting = frozenset(q for q in range(n) if (mask >> q) & 1)
             yield Dfa(n=n, alphabet=alphabet, table=table, accepting=accepting)
-
-
-@dataclass(frozen=True)
-class DfaSpace:
-    """The space of all n-state DFAs over a fixed alphabet."""
-
-    n: int
-    alphabet: Alphabet
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"state count must be >= 1, got {self.n}")
-
-    @property
-    def table_count(self) -> int:
-        return table_count(self.n, len(self.alphabet))
-
-    @property
-    def size(self) -> int:
-        return dfa_space_size(self.n, len(self.alphabet))
-
-    def __iter__(self) -> Iterator[Dfa]:
-        return enumerate_dfas(self.n, self.alphabet)
-
-    def index_of(self, dfa: Dfa) -> int:
-        """Position of a DFA in enumeration order: table rank major, mask minor."""
-        if dfa.n != self.n or dfa.alphabet != self.alphabet:
-            raise ValueError("DFA does not belong to this space")
-        return dfa.table_rank * 2**self.n + dfa.accept_mask
-
-
-def sample_dfa(n: int, alphabet: Alphabet, rng: np.random.Generator) -> Dfa:
-    """Draw a uniformly random n-state DFA from a caller-owned stream.
-
-    Every transition cell is independent uniform over 0..n-1 (so each of
-    the n**(n*k) tables is equally likely) and every state is accepting
-    independently with probability 1/2.  The result is a deterministic
-    function of the stream state; concurrent sampling needs independent
-    streams.
-    """
-    if n < 1:
-        raise ValueError(f"state count must be >= 1, got {n}")
-    k = len(alphabet)
-    cells = rng.integers(0, n, size=(n, k))
-    bits = rng.integers(0, 2, size=n)
-    table = tuple(tuple(int(c) for c in row) for row in cells)
-    accepting = frozenset(q for q in range(n) if bits[q])
-    return Dfa(n=n, alphabet=alphabet, table=table, accepting=accepting)
 
 
 def iter_strings(alphabet: Alphabet, max_len: int) -> Iterator[str]:

@@ -24,16 +24,17 @@ from .automata import (
     Alphabet,
     CapExceededError,
     ParseError,
-    sample_dfa,
     serialize_dfa,
 )
 from .kernel import (
     KernelParams,
+    check_seed,
     format_scalar,
     gram_matrix,
     gram_metadata_json,
     gram_to_csv,
     kernel_value,
+    sample_dfas,
 )
 from .learner import decision_values, load_dataset, load_model, save_model, train
 from .verify import SUITES
@@ -44,6 +45,7 @@ EXIT_CAP = 3
 EXIT_VERIFY = 4
 
 MODE_ALIASES = {"exact": "exact", "mc": "monte-carlo", "monte-carlo": "monte-carlo"}
+SEED_HELP = "64-bit master seed; sampled and printed when omitted"
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -96,8 +98,7 @@ def _add_kernel_flags(p: argparse.ArgumentParser, scaling_default: str = "paper"
     p.add_argument("--delta", type=float, default=0.05,
                    help="failure probability (monte-carlo)")
     p.add_argument("--alphabet", default="ab", help="alphabet symbols, concatenated")
-    p.add_argument("--seed", type=int, default=None,
-                   help="64-bit master seed; sampled and printed when omitted")
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
 
 
 def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
@@ -107,9 +108,8 @@ def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    import numpy as np
-
     seed = _resolve_seed(args.seed)
+    check_seed(seed)
     alphabet = Alphabet(tuple(args.alphabet))
     if args.states < 1:
         raise ValueError(f"state count must be >= 1, got {args.states}")
@@ -121,9 +121,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     })
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    for i in range(args.count):
-        dfa = sample_dfa(args.states, alphabet, rng)
+    for i, dfa in enumerate(sample_dfas(args.states, alphabet, seed, args.count)):
         path = out_dir / f"dfa_{i:04d}.dfa"
         path.write_text(serialize_dfa(dfa), encoding="utf-8")
         print(path)
@@ -239,11 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extra diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="write uniformly sampled DFAs to a directory")
+    p = sub.add_parser("sample", help="write the Monte Carlo kernel's sampled DFAs to a directory")
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--alphabet", default="ab")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

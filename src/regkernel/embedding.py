@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .automata import Alphabet, Dfa, dfa_space_size, enumerate_dfas, iter_strings
+from .automata import Alphabet, Dfa, enumerate_dfas, iter_strings
 
 
 @dataclass(frozen=True, order=True)
@@ -128,12 +128,6 @@ class ConceptUniverse:
             if key.n > limit:
                 break
             yield key, dfa
-
-    def level_size(self, n: int) -> int:
-        """Number of concepts of size exactly n (finite by construction)."""
-        if not 1 <= n <= self.n_max:
-            return 0
-        return dfa_space_size(n, len(self.alphabet))
 
     def concept_id(self, dfa: Dfa) -> ConceptKey:
         """Feature coordinate of a member automaton; input error otherwise."""

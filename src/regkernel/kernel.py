@@ -76,6 +76,12 @@ and PSD by construction.
 The certificate holds per entry; entries that share a sample are
 correlated.
 
+The stream is also the package's one DFA sampler: sample_dfas decodes
+its tables one at a time, with accepting sets from a second SHAKE-256
+stream keyed by (master_seed, n, block, state) (draw_accept_block).
+``regkernel sample`` writes them, so the sample behind any Monte Carlo
+run can be inspected.
+
 Both modes share one count-then-assemble path, ``kernel_block``: a
 counting step (agreement counts A_n out of n**(n*k) tables per class, or
 out of m sampled tables per n) and one value function that maps a
@@ -85,8 +91,9 @@ and a Gram is one matrix of those values.
 
 numpy is imported inside the enumeration-oracle functions (and
 ``GramMatrix.to_array``) only, and the thread pool only when ``jobs > 1``:
-both runtime paths are pure Python, so importing this module, and the
-kernel, gram, train and predict commands in either mode, load neither.
+both runtime paths and the sampler are pure Python, so importing this
+module, and the sample, kernel, gram, train and predict commands in either
+mode, load neither.
 """
 
 from __future__ import annotations
@@ -97,12 +104,13 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .automata import (
     TABLE_CAP,
     Alphabet,
     CapExceededError,
+    Dfa,
     dfa_space_size,
     enumerate_dfas,
     table_count,
@@ -116,10 +124,18 @@ SCALINGS = ("paper", "normalized")
 
 _SEED_MASK = (1 << 64) - 1
 _STREAM_DOMAIN = b"regkernel.sample.v4"
+_ACCEPT_DOMAIN = b"regkernel.accept.v1"
 # Tables per block of the Monte Carlo stream.  It is part of the stream
 # format, not a tuning knob: a table's cells are keyed by its block and
 # drawn at its position in the block.
 _BLOCK_SAMPLES = 1 << 14
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a master seed outside [0, 2**64): the streams key on its 64
+    bits, so 2**64 would silently replay seed 0."""
+    if not 0 <= seed <= _SEED_MASK:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +174,7 @@ class KernelParams:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.failure_prob < 1.0:
             raise ValueError(f"failure_prob must be in (0, 1), got {self.failure_prob}")
-        if not 0 <= int(self.master_seed) <= _SEED_MASK:
-            raise ValueError("master_seed must fit in 64 bits")
+        check_seed(int(self.master_seed))
         if self.weights is not None:
             try:
                 ws = tuple(float(w) for w in self.weights)
@@ -237,10 +252,6 @@ class KernelValue:
     n_used: int
     truncated: bool
     certificate: ApproxCertificate | None = None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.certificate is None and isinstance(self.value, int)
 
 
 def _check_budget_args(epsilon: float, failure_prob: float) -> None:
@@ -578,6 +589,49 @@ def draw_table_block(
             row.append(cell)
         parts.append(row)
     return parts
+
+
+def draw_accept_block(n: int, master_seed: int, block: int, size: int) -> list[int]:
+    """Accepting sets of DFAs b*B, ..., b*B + size - 1 of the sample,
+    bit-sliced: bit t of masks[q] is set when state q of DFA b*B + t
+    accepts.  masks[q] is the first ceil(size/8) bytes, little endian, of
+    SHAKE-256 over its own domain tag, then master_seed, n, block and q as
+    little-endian u64s.  The kernel integrates these bits out and never
+    reads them."""
+    head = _ACCEPT_DOMAIN + struct.pack("<3Q", master_seed & _SEED_MASK, n, block)
+    nbytes = (size + 7) // 8
+    full = (1 << size) - 1
+    return [
+        int.from_bytes(hashlib.shake_256(head + struct.pack("<Q", q)).digest(nbytes), "little")
+        & full
+        for q in range(n)
+    ]
+
+
+def sample_dfas(n: int, alphabet: Alphabet, master_seed: int, count: int) -> Iterator[Dfa]:
+    """Yield the first ``count`` DFAs of the sample of (master_seed, n):
+    DFA t has table t of the stream the Monte Carlo kernel counts
+    (draw_table_block) and the accepting set of bit t of draw_accept_block,
+    so it is uniform on the n**(n*k) * 2**n DFAs of n states."""
+    if n < 1:
+        raise ValueError(f"state count must be >= 1, got {n}")
+    check_seed(master_seed)
+    k = len(alphabet)
+    for block, lo in enumerate(range(0, count, _BLOCK_SAMPLES)):
+        size = min(_BLOCK_SAMPLES, count - lo)
+        parts = draw_table_block(n, k, master_seed, block, size)
+        accepts = draw_accept_block(n, master_seed, block, size)
+        for t in range(size):
+            table = [[next(r for r, part in enumerate(cell) if part >> t & 1) for cell in row]
+                     for row in parts]
+            accepting = frozenset(q for q, mask in enumerate(accepts) if mask >> t & 1)
+            yield Dfa(n=n, alphabet=alphabet, table=table, accepting=accepting)
+
+
+def sample_dfa(n: int, alphabet: Alphabet, rng: np.random.Generator) -> Dfa:
+    """DFA 0 of the sample of a 64-bit seed taken from a caller-owned numpy
+    Generator: uniform, and deterministic given the generator's state."""
+    return next(sample_dfas(n, alphabet, int(rng.integers(2**64, dtype="uint64")), 1))
 
 
 def _trie_plan(encoded: Sequence[Sequence[int]]) -> list[tuple[int, list[tuple[int, int]], int]]:

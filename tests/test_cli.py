@@ -72,6 +72,44 @@ def test_sample_different_seeds_differ(tmp_path, capsys):
     assert texts[0] != texts[1]
 
 
+@pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (2**64 - 1, 0)])
+def test_sample_seed_must_fit_in_64_bits(tmp_path, capsys, seed, code):
+    # 2**64 would replay seed 0 under the stream's 64-bit mask
+    out = tmp_path / "dfas"
+    got, stdout, stderr = run_cli(
+        capsys, "sample", "--states", "2", "--seed", str(seed), "--out", str(out),
+    )
+    assert got == code
+    if code:
+        assert "seed must be in [0, 2**64)" in stderr
+        assert stdout == "" and not out.exists()
+    else:
+        assert len(list(out.iterdir())) == 1
+
+
+@pytest.mark.parametrize("block", [16, None])
+def test_sample_writes_the_tables_the_kernel_counts(tmp_path, capsys, ab, monkeypatch, block):
+    # with 16-table blocks, 40 DFAs cross two block boundaries
+    from regkernel import kernel
+
+    if block is not None:
+        monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", block)
+    m = 40
+    pairs = [("ab", "ba"), ("aab", "b"), ("", "abba"), ("abab", "baba")]
+    for seed in (0, 7, 2**64 - 1):
+        out = tmp_path / f"{block}-{seed}"
+        code, stdout, _ = run_cli(
+            capsys, "sample", "--states", "3", "--count", str(m), "--seed", str(seed),
+            "--out", str(out),
+        )
+        assert code == 0
+        dfas = [parse_dfa(Path(p).read_text()) for p in stdout.splitlines()]
+        assert len(dfas) == m
+        for x, y in pairs:
+            agree = sum(d.run(x) == d.run(y) for d in dfas)
+            assert agree == kernel.mc_agreement_counts((x, y), 3, m, ab, seed)[0][1], (seed, x, y)
+
+
 def test_sample_prints_resolved_seed_when_omitted(tmp_path, capsys):
     code, _, stderr = run_cli(
         capsys, "sample", "--states", "1", "--count", "1",
@@ -581,6 +619,8 @@ def test_monte_carlo_commands_never_load_numpy(tmp_path, parity, ab):
     model = tmp_path / "m.model"
     flags = ["--mode", "mc", "--nmax", "3", "--seed", "0"]
     runs = [
+        ["sample", "--states", "3", "--count", "2", "--seed", "0",
+         "--out", str(tmp_path / "dfas")],
         ["kernel", *flags, "abab", "abba"],
         ["gram", "--dataset", str(dataset), *flags, "--out", str(tmp_path / "g.csv")],
         ["train", "--dataset", str(dataset), *flags, "--out", str(model)],
@@ -592,7 +632,7 @@ def test_monte_carlo_commands_never_load_numpy(tmp_path, parity, ab):
     result = run_fresh("-c", code, json.dumps(runs))
     assert result.returncode == 0, result.stderr
     *_, codes, loaded = result.stdout.splitlines()
-    assert json.loads(codes) == [0, 0, 0, 0]
+    assert json.loads(codes) == [0, 0, 0, 0, 0]
     assert json.loads(loaded) == []
     assert model.read_text(encoding="utf-8").startswith("model v4\n")
 

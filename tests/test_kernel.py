@@ -453,7 +453,6 @@ def test_kernel_mc_certificate(ab):
     assert kv.certificate.samples_per_term == 185
     assert kv.certificate.bound == "hoeffding-per-entry"
     assert kv.certificate.master_seed == 3
-    assert not kv.is_exact
 
 
 def test_kernel_mc_paper_scaling_estimates_counts(ab):
@@ -586,6 +585,16 @@ def mc_params(ab, scaling="normalized", seed=5, epsilon=0.1, failure_prob=0.05):
     )
 
 
+def shake_bit(cache, domain, fields, nbytes, pos):
+    """Bit pos, little endian, of the first nbytes of SHAKE-256 over the
+    domain tag and the fields as little-endian u64s."""
+    key = (domain, fields)
+    if key not in cache:
+        message = domain + struct.pack(f"<{len(fields)}Q", *fields)
+        cache[key] = hashlib.shake_256(message).digest(nbytes)
+    return (cache[key][pos // 8] >> (pos % 8)) & 1
+
+
 def stream_tables(n, m, seed, block_size=None, k=2):
     """The first m tables of the stream of (seed, n), decoded one table and
     one cell at a time from the documented format: no bit-slicing, no
@@ -597,13 +606,9 @@ def stream_tables(n, m, seed, block_size=None, k=2):
     digests = {}
 
     def bit(block, q, c, rnd, plane, pos):
-        key = (block, q, c, rnd, plane)
-        if key not in digests:
-            size = min(block_size, m - block * block_size)
-            digests[key] = hashlib.shake_256(
-                b"regkernel.sample.v4" + struct.pack("<7Q", seed, n, *key)
-            ).digest((size + 7) // 8)
-        return (digests[key][pos // 8] >> (pos % 8)) & 1
+        size = min(block_size, m - block * block_size)
+        return shake_bit(digests, b"regkernel.sample.v4", (seed, n, block, q, c, rnd, plane),
+                         (size + 7) // 8, pos)
 
     tables = []
     for t in range(m):
@@ -621,6 +626,24 @@ def stream_tables(n, m, seed, block_size=None, k=2):
             table.append(row)
         tables.append(table)
     return tables
+
+
+def stream_accepting(n, m, seed, block_size=None):
+    """The accepting sets of the first m DFAs of sample_dfas for (seed, n),
+    read one bit at a time: state q of DFA t accepts when bit t % B is set
+    in the accepting stream of (seed, n, t // B, q)."""
+    from regkernel import kernel
+
+    block_size = block_size or kernel._BLOCK_SAMPLES
+    digests = {}
+    sets = []
+    for t in range(m):
+        block, pos = divmod(t, block_size)
+        size = min(block_size, m - block * block_size)
+        sets.append([q for q in range(n)
+                     if shake_bit(digests, b"regkernel.accept.v1", (seed, n, block, q),
+                                  (size + 7) // 8, pos)])
+    return sets
 
 
 def sliced_tables(n, m, seed, k=2):
@@ -671,6 +694,40 @@ def test_mc_stream_known_answer(ab, monkeypatch):
 
     monkeypatch.setattr(kernel.hashlib, "shake_256", None)
     assert kernel.draw_table_block(1, 2, 5, 0, 10) == [[[2**10 - 1], [2**10 - 1]]]
+
+
+def test_sample_dfas_known_answer(ab, monkeypatch):
+    # the first 8 DFAs of seed 20261019 at n = 3: the tables of
+    # test_mc_stream_known_answer, each with its accepting set
+    expected = [
+        ([[0, 2], [2, 2], [1, 0]], [2]),
+        ([[1, 0], [1, 2], [1, 0]], []),
+        ([[1, 2], [2, 0], [1, 0]], [1, 2]),
+        ([[0, 0], [1, 0], [2, 2]], [1, 2]),
+        ([[1, 1], [1, 0], [2, 1]], [0, 1, 2]),
+        ([[0, 0], [1, 0], [0, 0]], [0, 1, 2]),
+        ([[0, 0], [1, 1], [2, 2]], []),
+        ([[0, 0], [0, 1], [0, 1]], [2]),
+    ]
+    from regkernel import kernel
+
+    got = [([list(row) for row in d.table], sorted(d.accepting))
+           for d in kernel.sample_dfas(3, ab, 20261019, 8)]
+    assert got == expected
+    assert list(zip(stream_tables(3, 8, 20261019), stream_accepting(3, 8, 20261019))) == expected
+    # across block boundaries, against the plain readers of both streams
+    monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", 16)
+    dfas = list(kernel.sample_dfas(3, ab, 77, 40))
+    assert [[list(row) for row in d.table] for d in dfas] == stream_tables(3, 40, 77, 16)
+    assert [sorted(d.accepting) for d in dfas] == stream_accepting(3, 40, 77, 16)
+
+
+def test_sample_dfas_rejects_bad_arguments(ab):
+    from regkernel import kernel
+
+    for n, seed in ((0, 1), (2, -1), (2, 2**64)):
+        with pytest.raises(ValueError):
+            next(kernel.sample_dfas(n, ab, seed, 1))
 
 
 @pytest.mark.parametrize("block", [16, None])

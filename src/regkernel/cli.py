@@ -103,8 +103,9 @@ def _add_kernel_flags(p: argparse.ArgumentParser, scaling_default: str = "paper"
 
 def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for exact pairwise evaluation; the Monte Carlo "
-                        "path runs on one thread (results unchanged)")
+                   help="worker threads for the exact walk, which runs only when "
+                        "n**(n*k) exceeds 2**16 tables; counting every table and the "
+                        "Monte Carlo path run on one thread (results unchanged)")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:

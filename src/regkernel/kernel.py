@@ -16,30 +16,38 @@ T = n**(n*k) tables),
 
     P_n(x, y) = (1/4) * (1 + A / T).
 
-A is computed by a lazy walk that fills in only the table cells the two
-strings visit and treats all unvisited states as one branch, so it never
-lists the T tables.  One walk at the largest state count N gives A(n) for
-every n <= N: it records a histogram h[v, c] of its finished equal-end
-branches by states visited v and cells assigned c, and
+Both modes count these agreements with one bit-sliced counter (described
+below for the Monte Carlo stream), and exact mode feeds it every table:
+while T is at most _EXHAUSTIVE_LIMIT (2**16, so n <= 4 over two symbols),
+exhaustive_table_block lays the T tables out in rank order, a block of
+_BLOCK_SAMPLES at a time, and A is a popcount per block.
+
+Above the limit, A is computed by a lazy walk that fills in only the table
+cells the two strings visit and treats all unvisited states as one branch,
+so it never lists the T tables.  One walk at the largest state count N
+gives A(n) for every n <= N: it records a histogram h[v, c] of its
+finished equal-end branches by states visited v and cells assigned c, and
 
     A(n) = sum_{v <= n} h[v, c] * (n-1)(n-2)...(n-v+1) * n**(n*k - c),
 
 so a kernel value walks each pair once, not once per n.  The walk does
 not branch on y's last step: when that step reaches an unassigned cell,
 exactly one of its branches ends where x ended, so it adds 1 to
-h[v, c + 1] directly.  Enumerating
-every table (and every DFA) remains in this module as the independent
-oracle: the tests check the walk against it, and ``verify --suite
-bounds`` and the benchmark reference are computed from it.  The fixed
-``TABLE_CAP`` bounds T = n**(n*k) on both paths, so the exact path
-refuses the same state counts it always did.
+h[v, c + 1] directly.  The two counters return the same integers, so the
+limit only decides speed: counting every table for a block of many
+strings costs less than walking each pair, and the walk wins once T grows.
+Enumerating every table (and every DFA) with numpy remains in this module
+as the independent oracle: the tests check both counters against it, and
+``verify --suite bounds`` and the benchmark reference are computed from
+it.  The fixed ``TABLE_CAP`` bounds T = n**(n*k) on both paths, so the
+exact path refuses the same state counts it always did.
 
 Permuting the symbols permutes the columns of a uniform table and leaves
 its distribution unchanged, and K is symmetric, so every exact value is
 constant on the class of (x, y) under symbol permutation and swapping.
-An exact Gram, and exact prediction, evaluate one canonical pair per
-class and fill the class from it.  That memo lives for one call: nothing
-is cached between calls.
+Above the limit, an exact Gram and exact prediction walk one canonical
+pair per class and fill the class from it.  That memo lives for one call:
+nothing is cached between calls.
 
 The Monte Carlo path uses the same identity with the T tables replaced by
 m uniformly sampled ones: with A the number of sampled tables on which x
@@ -83,15 +91,17 @@ stream keyed by (master_seed, n, block, state) (draw_accept_block).
 run can be inspected.
 
 Both modes share one count-then-assemble path, ``kernel_block``: a
-counting step (agreement counts A_n out of n**(n*k) tables per class, or
-out of m sampled tables per n) and one value function that maps a
-pair's identity term and its counts for n = 1..n_used to its value.
-kernel_value, gram_matrix and prediction all read their values from it,
-and a Gram is one matrix of those values.
+counting step (agreement counts A_n per n out of all n**(n*k) tables, or
+out of m sampled tables; per class from the walk above the limit) and
+one value function, built once per block, that maps a pair's identity
+term and its counts for n = 1..n_used to its value.  kernel_value,
+gram_matrix and prediction all read their values from it, and a Gram is
+one matrix of those values.
 
 numpy is imported inside the enumeration-oracle functions (and
-``GramMatrix.to_array``) only, and the thread pool only when ``jobs > 1``:
-both runtime paths and the sampler are pure Python, so importing this
+``GramMatrix.to_array``) only, and the thread pool only when ``jobs > 1``
+and the walk runs (``jobs`` affects nothing else): both runtime paths and
+the sampler are pure Python, so importing this
 module, and the sample, kernel, gram, train and predict commands in either
 mode, load neither.
 """
@@ -104,7 +114,8 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .automata import (
     TABLE_CAP,
@@ -129,6 +140,14 @@ _ACCEPT_DOMAIN = b"regkernel.accept.v1"
 # format, not a tuning knob: a table's cells are keyed by its block and
 # drawn at its position in the block.
 _BLOCK_SAMPLES = 1 << 14
+# Largest table count n**(n*k) at which exact mode counts every table with
+# the bit-sliced counter (four blocks) instead of walking each class of
+# pairs.  In process, counting every table was about 4x faster than the
+# walk on Grams of 63 and 127 strings at 4**8 = 65536 tables, level with
+# it on 40 strings at 3**9, and 16x slower on 85 strings at 3**12; one
+# pair at 4**8 tables took 1.0 ms against 0.23 (the crossover is recorded
+# in CHANGES.md and README).
+_EXHAUSTIVE_LIMIT = 1 << 16
 
 
 def check_seed(seed: int) -> None:
@@ -683,26 +702,67 @@ def _end_states(
         yield j, ends
 
 
-def mc_agreement_counts(
-    rows: Sequence[str],
-    n: int,
-    m: int,
-    alphabet: Alphabet,
-    master_seed: int,
-    cols: Sequence[str] | None = None,
-) -> list[list[int]]:
-    """R x C lists of end-state agreement counts over the m shared tables
-    of state count n: entry (i, j) counts the tables on which rows[i] and
-    cols[j] end in the same state (cols defaults to rows).
+def exhaustive_table_block(n: int, k: int, block: int, size: int) -> list[list[list[int]]]:
+    """Tables b*B, ..., b*B + size - 1 (b = block, B = _BLOCK_SAMPLES) of
+    all n**(n*k) n-state tables in rank order, bit-sliced as in
+    draw_table_block: bit t of parts[q][c][r] is set when the table of rank
+    b*B + t maps state q on symbol c to r.
 
-    The tables are drawn and walked one block of at most _BLOCK_SAMPLES
-    at a time.  In a block, each distinct string's end states are one
-    integer of n masks laid end to end (_end_states), so the agreement of
-    two strings is the popcount of their AND, and A(x, y) = A(y, x)
-    exactly.  The distinct rows' end states are kept for the block; the
-    distinct columns' are counted against them as their trie walk reaches
-    them, and dropped.  So live memory is one block's tables and rows,
-    whatever m is.
+    Cell (q, c) is digit n*k-1-(q*k+c) of the rank in base n, as in
+    automata.enumerate_tables.  Its value is r on runs of n**digit
+    consecutive ranks, repeating with period n * n**digit.  A run at least
+    as long as the block meets it at most twice, so the block holds one
+    value and then the next.  Below that, the period is shorter than n
+    blocks: the mask of value 0 is one run of ones tiled by doubling, the
+    mask of value r is that tiling shifted r runs up, and each is cut at
+    the block's offset into its period.
+    """
+    lo = block * _BLOCK_SAMPLES
+    full = (1 << size) - 1
+    parts = []
+    for q in range(n):
+        row = []
+        for c in range(k):
+            run = n ** (n * k - 1 - (q * k + c))
+            period = n * run
+            phase = lo % period
+            if run >= size:
+                first, offset = divmod(phase, run)
+                head = (1 << min(size, run - offset)) - 1
+                cell = [0] * n
+                cell[first] = head
+                cell[(first + 1) % n] |= full ^ head
+            else:
+                tiled, width = (1 << run) - 1, period
+                while width < phase + size:
+                    tiled |= tiled << width
+                    width *= 2
+                cell = [(tiled << (r * run) >> phase) & full for r in range(n)]
+            row.append(cell)
+        parts.append(row)
+    return parts
+
+
+def _sliced_agreement_counts(
+    rows: Sequence[str],
+    cols: Sequence[str] | None,
+    alphabet: Alphabet,
+    count: int,
+    draw: Callable[[int, int], list[list[list[int]]]],
+) -> list[list[int]]:
+    """R x C lists of end-state agreement counts over ``count`` tables:
+    entry (i, j) counts the tables on which rows[i] and cols[j] end in the
+    same state (cols defaults to rows).
+
+    The tables come bit-sliced in blocks of at most _BLOCK_SAMPLES, block
+    b of size s being draw(b, s), and are counted one block at a time.  In
+    a block, each distinct string's end states are one integer of n
+    masks laid end to end (_end_states), so the agreement of two strings
+    is the popcount of their AND, and A(x, y) = A(y, x) exactly.  The
+    distinct rows' end states are kept for the block; the distinct
+    columns' are counted against them as their trie walk reaches them,
+    and dropped.  So live memory is one block's tables and rows, however
+    many blocks there are.
     """
     symmetric = cols is None
     cols = rows if cols is None else cols
@@ -711,9 +771,9 @@ def mc_agreement_counts(
     row_plan = _trie_plan([alphabet.encode(s) for s in row_ids])
     col_plan = None if symmetric else _trie_plan([alphabet.encode(s) for s in col_ids])
     counts = [[0] * len(col_ids) for _ in row_ids]
-    for block, lo in enumerate(range(0, m, _BLOCK_SAMPLES)):
-        size = min(_BLOCK_SAMPLES, m - lo)
-        parts = draw_table_block(n, len(alphabet), master_seed, block, size)
+    for block, lo in enumerate(range(0, count, _BLOCK_SAMPLES)):
+        size = min(_BLOCK_SAMPLES, count - lo)
+        parts = draw(block, size)
         row_ends = [0] * len(row_ids)
         for i, ends in _end_states(row_plan, parts, size):
             row_ends[i] = ends
@@ -733,6 +793,40 @@ def mc_agreement_counts(
     if len(row_ids) == len(rows) and len(col_ids) == len(cols):
         return counts  # no duplicates: the distinct strings are the strings, in order
     return [[counts[row_ids[x]][col_ids[y]] for y in cols] for x in rows]
+
+
+def mc_agreement_counts(
+    rows: Sequence[str],
+    n: int,
+    m: int,
+    alphabet: Alphabet,
+    master_seed: int,
+    cols: Sequence[str] | None = None,
+) -> list[list[int]]:
+    """R x C lists of end-state agreement counts over the m shared tables
+    of state count n: entry (i, j) counts the tables on which rows[i] and
+    cols[j] end in the same state (cols defaults to rows).  The tables are
+    drawn (draw_table_block) and counted one block of at most
+    _BLOCK_SAMPLES at a time, so live memory is one block's tables and
+    rows whatever m is.
+    """
+    draw = partial(draw_table_block, n, len(alphabet), master_seed)
+    return _sliced_agreement_counts(rows, cols, alphabet, m, draw)
+
+
+def exhaustive_agreement_counts(
+    rows: Sequence[str], n: int, alphabet: Alphabet, cols: Sequence[str] | None = None
+) -> list[list[int]]:
+    """R x C lists of the exact agreement counts A_n: entry (i, j) counts
+    the n-state tables, out of all n**(n*k), on which rows[i] and cols[j]
+    end in the same state (cols defaults to rows).  Every table is
+    counted, in rank order, by the Monte Carlo path's counter, one
+    exhaustive_table_block at a time; entry (i, j) equals
+    agreement_count(rows[i], cols[j], n, alphabet).
+    """
+    k = len(alphabet)
+    draw = partial(exhaustive_table_block, n, k)
+    return _sliced_agreement_counts(rows, cols, alphabet, table_count(n, k), draw)
 
 
 def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> float:
@@ -765,35 +859,70 @@ def _summation_limit(x: str, y: str, params: KernelParams) -> tuple[int, bool]:
     return n_used, n_used < limit
 
 
-def _pair_value(same: int, counts: Sequence[int], params: KernelParams, m: int) -> int | float:
-    """The kernel value of one pair from its identity term 1{x = y} and its
-    agreement counts A_n for n = 1..n_used: out of the n**(n*k) tables in
-    exact mode, out of m sampled tables in Monte Carlo mode.
+def _value_function(
+    params: KernelParams, m: int, n_top: int
+) -> Callable[[int, Sequence[int]], int | float]:
+    """The value function of a block whose pairs sum at most n_top terms:
+    value(same, counts) is the kernel value of one pair from its identity
+    term 1{x = y} and its agreement counts A_n for n = 1..n_used (n_used <=
+    n_top), out of the n**(n*k) tables in exact mode and out of m sampled
+    tables in Monte Carlo mode.  The per-n constants are computed here,
+    once per block.
 
     Exact paper values are integers; exact normalized and Monte Carlo paper
     values are rational sums rounded once to float; Monte Carlo normalized
     values are a left-to-right float sum."""
     k = len(params.alphabet)
+    ns = range(1, n_top + 1)
     if params.mode == "exact":
+        tables = [table_count(n, k) for n in ns]
         if params.scaling == "paper":
-            total = same
-            for n, a in enumerate(counts, start=1):
-                total += _kn_from_agreement(a, n, k)
-            return total
-        acc = Fraction(same)
-        for n, a in enumerate(counts, start=1):
-            acc += Fraction(params.weight_for(n)) * _pn_from_agreement(a, n, k)
-        return float(acc)
+            # K_n = (T + A) * 2**n / 4, as in _kn_from_agreement
+            scales = [2**n for n in ns]
+
+            def value(same: int, counts: Sequence[int]) -> int | float:
+                total = same
+                for t, scale, a in zip(tables, scales, counts):
+                    total += (t + a) * scale // 4
+                return total
+
+            return value
+        weights = [Fraction(params.weight_for(n)) for n in ns]
+
+        def value(same: int, counts: Sequence[int]) -> int | float:
+            # P_n = (T + A) / (4T), as in _pn_from_agreement
+            acc = Fraction(same)
+            for w, t, a in zip(weights, tables, counts):
+                acc += w * Fraction(t + a, 4 * t)
+            return float(acc)
+
+        return value
     # P_n ~ (m + A) / (4m), as in mc_pn
     if params.scaling == "paper":
-        acc = Fraction(same)
-        for n, a in enumerate(counts, start=1):
-            acc += Fraction(m + a, 4 * m) * dfa_space_size(n, k)
-        return float(acc)
-    value = float(same)
-    for n, a in enumerate(counts, start=1):
-        value += params.weight_for(n) * ((m + a) / (4 * m))
+        spaces = [dfa_space_size(n, k) for n in ns]
+
+        def value(same: int, counts: Sequence[int]) -> int | float:
+            acc = Fraction(same)
+            for space, a in zip(spaces, counts):
+                acc += Fraction(m + a, 4 * m) * space
+            return float(acc)
+
+        return value
+    float_weights = [params.weight_for(n) for n in ns]
+
+    def value(same: int, counts: Sequence[int]) -> int | float:
+        total = float(same)
+        for w, a in zip(float_weights, counts):
+            total += w * ((m + a) / (4 * m))
+        return total
+
     return value
+
+
+def _pair_value(same: int, counts: Sequence[int], params: KernelParams, m: int) -> int | float:
+    """The kernel value of one pair from its identity term and its
+    agreement counts A_n for n = 1..n_used (see _value_function)."""
+    return _value_function(params, m, len(counts))(same, counts)
 
 
 def _canonical_pair(x: str, y: str, alphabet: Alphabet) -> tuple[str, str]:
@@ -827,22 +956,30 @@ def kernel_block(
     its upper triangle is evaluated.  Every string is validated, and an
     exact sum's table cap checked for its largest term, before any count.
 
-    The counting step: exact mode walks one canonical pair per
-    symbol-permutation class, with agreement_counts at that pair's n_used,
-    on ``jobs`` threads and with a memo that lives for this call; Monte
-    Carlo mode makes one mc_agreement_counts call per n on one thread, over
-    the first hoeffding_samples(epsilon, failure_prob) tables of that n's
-    stream, walked block by block as bit-sliced masks.  Then
-    _pair_value turns each pair's identity term and counts into its value,
-    once per class in exact mode.  kernel_value, gram_matrix and
-    prediction all read their values from here.
+    The counting step gives, for each n up to the block's n_top, the
+    matrix of agreement counts A_n of the distinct rows and columns, from
+    one bit-sliced counter (_sliced_agreement_counts): over all n**(n*k)
+    tables in exact mode (exhaustive_agreement_counts), and over the first
+    hoeffding_samples(epsilon, failure_prob) tables of n's stream in Monte
+    Carlo mode (mc_agreement_counts).  One value function then assembles
+    every pair from its identity term and its counts for n = 1..n_used.
+
+    Exact mode counts that way while n_top**(n_top*k) is at most
+    _EXHAUSTIVE_LIMIT.  Above it, it walks one canonical pair per
+    symbol-permutation class instead, with agreement_counts at that pair's
+    n_used, a memo that lives for this call, and ``jobs`` threads; the
+    value is assembled once per class.  ``jobs`` affects only that walk,
+    and no value depends on it.  kernel_value, gram_matrix and prediction
+    all read their values from here.
     """
     symmetric = cols is None
+    others = cols  # the counters' cols: None for a symmetric block
     cols = rows if cols is None else cols
     for s in (*rows, *cols):
         params.alphabet.encode(s)
-    pairs = [(i, j) for i in range(len(rows)) for j in range(i if symmetric else 0, len(cols))]
-    n_top = min(max(map(len, rows), default=0), max(map(len, cols), default=0), params.n_max)
+    row_lens = [min(len(s), params.n_max) for s in rows]
+    col_lens = row_lens if symmetric else [min(len(s), params.n_max) for s in cols]
+    n_top = min(max(row_lens, default=0), max(col_lens, default=0))
 
     if params.mode == "exact":
         # n**(n*k) grows with n, so the largest term decides for every pair
@@ -851,44 +988,67 @@ def kernel_block(
             raise CapExceededError(
                 required, TABLE_CAP, hint="use monte-carlo mode for large state counts"
             )
-        slots: dict[tuple[str, str], int] = {}
-        slot_of_pair = [
-            slots.setdefault(_canonical_pair(rows[i], cols[j], params.alphabet), len(slots))
-            for i, j in pairs
+        if required > _EXHAUSTIVE_LIMIT:
+            return _walk_classes(rows, others, params, jobs)
+        m = 0
+        per_n = [
+            exhaustive_agreement_counts(rows, n, params.alphabet, others)
+            for n in range(1, n_top + 1)
         ]
-
-        def evaluate(pair: tuple[str, str]) -> int | float:
-            x, y = pair
-            n_used = _summation_limit(x, y, params)[0]
-            counts = agreement_counts(x, y, n_used, params.alphabet) if n_used else []
-            return _pair_value(int(x == y), counts, params, 0)
-
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                class_values = list(pool.map(evaluate, slots))
-        else:
-            class_values = [evaluate(pair) for pair in slots]
-        values = [class_values[slot] for slot in slot_of_pair]
     else:
         m = hoeffding_samples(params.epsilon, params.failure_prob)
         per_n = [
-            mc_agreement_counts(rows, n, m, params.alphabet, params.master_seed,
-                                None if symmetric else cols)
+            mc_agreement_counts(rows, n, m, params.alphabet, params.master_seed, others)
             for n in range(1, n_top + 1)
         ]
-        values = []
-        for i, j in pairs:
-            x, y = rows[i], cols[j]
-            n_used = _summation_limit(x, y, params)[0]
-            values.append(_pair_value(int(x == y), [c[i][j] for c in per_n[:n_used]], params, m))
 
+    value = _value_function(params, m, n_top)
     block: list[list[int | float]] = [[0] * len(cols) for _ in rows]
-    for (i, j), value in zip(pairs, values):
-        block[i][j] = value
+    for i, x in enumerate(rows):
+        lines = [counts[i] for counts in per_n[: row_lens[i]]]
+        out = block[i]
+        for j in range(i if symmetric else 0, len(cols)):
+            v = value(int(x == cols[j]), [line[j] for line in lines[: col_lens[j]]])
+            out[j] = v
+            if symmetric:
+                block[j][i] = v
+    return block
+
+
+def _walk_classes(
+    rows: Sequence[str], cols: Sequence[str] | None, params: KernelParams, jobs: int
+) -> list[list[int | float]]:
+    """The exact kernel_block of rows against cols (rows when None) from
+    one walk per symbol-permutation class: agreement_counts at the
+    canonical pair's n_used, on ``jobs`` threads, whose value is copied to
+    every pair of the class."""
+    symmetric = cols is None
+    cols = rows if cols is None else cols
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i if symmetric else 0, len(cols))]
+    slots: dict[tuple[str, str], int] = {}
+    slot_of_pair = [
+        slots.setdefault(_canonical_pair(rows[i], cols[j], params.alphabet), len(slots))
+        for i, j in pairs
+    ]
+
+    def evaluate(pair: tuple[str, str]) -> int | float:
+        x, y = pair
+        n_used = _summation_limit(x, y, params)[0]
+        counts = agreement_counts(x, y, n_used, params.alphabet) if n_used else []
+        return _pair_value(int(x == y), counts, params, 0)
+
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            class_values = list(pool.map(evaluate, slots))
+    else:
+        class_values = [evaluate(pair) for pair in slots]
+    block: list[list[int | float]] = [[0] * len(cols) for _ in rows]
+    for (i, j), slot in zip(pairs, slot_of_pair):
+        block[i][j] = class_values[slot]
         if symmetric:
-            block[j][i] = value
+            block[j][i] = class_values[slot]
     return block
 
 
@@ -932,9 +1092,10 @@ class GramMatrix:
 
 def gram_matrix(strings: Sequence[str], params: KernelParams, jobs: int = 1) -> GramMatrix:
     """The symmetric kernel_block of distinct strings: each unordered pair
-    is evaluated at most once, and exact mode walks one pair per
-    symbol-permutation class on ``jobs`` threads.  The result does not
-    depend on ``jobs``.
+    is evaluated at most once.  ``jobs`` threads serve only the exact walk,
+    which runs above _EXHAUSTIVE_LIMIT tables and walks one pair per
+    symbol-permutation class; counting every table, and the Monte Carlo
+    path, run on one thread.  The result does not depend on ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

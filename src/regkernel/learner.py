@@ -173,7 +173,8 @@ def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | flo
     Every x is validated before any kernel work.  The values are the
     kernel_block of the support against the queries: all of them in one
     block for an exact model, so the table cap is checked for the largest
-    term before any walk and the class memo spans every query; up to
+    term before any count, and each n's tables (or, above the exhaustive
+    limit, each class's walk) are counted once for every query; up to
     _QUERY_CHUNK at a time for a Monte Carlo model, whose chunk walks the
     support once and streams its queries through each block of each n's
     tables.  Each sum runs over the support in model order, so a value

@@ -259,13 +259,16 @@ def test_exact_gram_walks_each_canonical_pair_once(ab, monkeypatch):
         return original(x, y, n_top, *args, **kwargs)
 
     monkeypatch.setattr(kernel, "agreement_counts", counting)
-    strings = enumerate_strings(ab, 3)
-    gram_matrix(strings, KernelParams(alphabet=ab, n_max=3, mode="exact", scaling="paper"))
-    # The 14 non-empty strings make 105 unordered pairs with n_used >= 1.
+    # at n_max 5 the block's n_top is 5, and 5**10 tables are above the
+    # exhaustive limit, so every class is walked
+    strings = enumerate_strings(ab, 3) + ["ababa", "babab"]
+    assert kernel.table_count(5, 2) > kernel._EXHAUSTIVE_LIMIT
+    gram_matrix(strings, KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="paper"))
+    # The 16 non-empty strings make 136 unordered pairs with n_used >= 1.
     # Swapping a and b fixes none of them and pairs them into orbits, except
-    # the 7 pairs {x, swapped x} that it maps to themselves: (105 + 7) / 2.
-    assert len(calls) == 56
-    assert len(set(calls)) == 56
+    # the 8 pairs {x, swapped x} that it maps to themselves: (136 + 8) / 2.
+    assert len(calls) == 72
+    assert len(set(calls)) == 72
 
 
 def test_kernel_cap_checked_before_the_walk(ab, monkeypatch):
@@ -304,6 +307,125 @@ def test_grids_match_per_pair_functions(ab):
             for j, y in enumerate(strings):
                 assert agree[i, j] == agreement_count(x, y, n, ab)
                 assert joint[i, j] == kn_by_enumeration(x, y, n, ab)
+
+
+# ---------------------------------------------------------------------
+# exhaustive counter: every table, bit-sliced
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("block", [16, None])
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_exhaustive_table_block_known_answer(monkeypatch, n, k, block):
+    # bit t of the blocks, in order, is table rank t of enumerate_tables;
+    # blocks of 16 tables cut across the runs of every digit but the lowest
+    from regkernel import enumerate_tables
+    from regkernel import kernel
+
+    if block is not None:
+        monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", block)
+    tables = list(enumerate_tables(n, Alphabet(tuple("abc"[:k]))))
+    # one byte per table, first table last, read as base-2 digits of value r
+    is_r = [bytes.maketrans(bytes(range(n)), bytes(b"01"[v == r] for v in range(n)))
+            for r in range(n)]
+    for b, lo in enumerate(range(0, len(tables), kernel._BLOCK_SAMPLES)):
+        chunk = tables[lo : lo + kernel._BLOCK_SAMPLES]
+        expected = []
+        for q in range(n):
+            row = []
+            for c in range(k):
+                digits = bytes(table[q][c] for table in reversed(chunk))
+                row.append([int(digits.translate(is_r[r]), 2) for r in range(n)])
+            expected.append(row)
+        assert kernel.exhaustive_table_block(n, k, b, len(chunk)) == expected, (n, k, b)
+
+
+@pytest.mark.parametrize("symbols,max_len,n_top", [("ab", 4, 4), ("abc", 3, 3)])
+def test_exhaustive_counts_match_grid(symbols, max_len, n_top):
+    from regkernel.kernel import exhaustive_agreement_counts
+
+    alphabet = Alphabet(tuple(symbols))
+    strings = enumerate_strings(alphabet, max_len)
+    index = {s: i for i, s in enumerate(strings)}
+    # a cross block with duplicate rows ("" and strings[2]) and columns
+    rows = strings[::2] + strings[:3]
+    cols = strings[::-3] + strings[-2:]
+    for n in range(1, n_top + 1):
+        grid = agreement_count_grid(strings, n, alphabet).tolist()
+        assert exhaustive_agreement_counts(strings, n, alphabet) == grid, n
+        cross = exhaustive_agreement_counts(rows, n, alphabet, cols)
+        assert cross == [[grid[index[x]][index[y]] for y in cols] for x in rows], n
+
+
+@given(data=st.data(), symbols=st.sampled_from(["ab", "abc"]))
+@settings(max_examples=40, deadline=None)
+def test_exhaustive_counts_match_walk(data, symbols):
+    from regkernel.kernel import exhaustive_agreement_counts
+
+    alphabet = Alphabet(tuple(symbols))
+    x = data.draw(st.text(alphabet=symbols, max_size=6))
+    y = data.draw(st.text(alphabet=symbols, max_size=6))
+    n = data.draw(st.integers(1, 4 if symbols == "ab" else 3))
+    a = agreement_counts(x, y, n, alphabet)[-1]
+    counts = exhaustive_agreement_counts([x, y], n, alphabet)
+    assert counts[0][1] == counts[1][0] == a
+    # a string agrees with itself on every table
+    assert counts[0][0] == counts[1][1] == n ** (n * len(symbols))
+    assert exhaustive_agreement_counts([x], n, alphabet, [y]) == [[a]]
+
+
+@pytest.mark.parametrize("scaling,weights", [
+    ("paper", None), ("normalized", None), ("normalized", (0.3, 1.7, 0.1, 2.5)),
+])
+def test_exhaustive_block_matches_walk_per_pair(ab, scaling, weights):
+    # cross and symmetric blocks with duplicate strings, and pairs whose
+    # n_used (1, 2, 3) is below the block's n_top of 4
+    from regkernel.kernel import _pair_value, kernel_block, table_count, _EXHAUSTIVE_LIMIT
+
+    assert table_count(4, 2) <= _EXHAUSTIVE_LIMIT
+    params = KernelParams(alphabet=ab, n_max=4, mode="exact", scaling=scaling, weights=weights)
+    rows = ["abab", "", "a", "abab", "bba", "ba", "babba"]
+    cols = ["ab", "abab", "b", "", "ab", "aabbb", "bbbb"]
+
+    def walked(x, y):
+        n_used = min(len(x), len(y), 4)
+        counts = agreement_counts(x, y, n_used, ab) if n_used else []
+        return _pair_value(int(x == y), counts, params, 0)
+
+    for block, left, right in [(kernel_block(rows, cols, params), rows, cols),
+                               (kernel_block(rows, None, params), rows, rows)]:
+        expected = [[walked(x, y) for y in right] for x in left]
+        assert block == expected
+        assert [type(v) for line in block for v in line] == [
+            type(v) for line in expected for v in line]
+
+
+def test_exact_block_below_limit_makes_no_walk(ab, monkeypatch):
+    from regkernel import kernel
+    from regkernel.learner import PerceptronModel, decision_values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk below the exhaustive limit")
+
+    built = []
+    real = kernel.exhaustive_table_block
+
+    def counting(n, k, block, size):
+        built.append((n, block))
+        return real(n, k, block, size)
+
+    monkeypatch.setattr(kernel, "agreement_counts", refuse)
+    monkeypatch.setattr(kernel, "exhaustive_table_block", counting)
+    params = KernelParams(alphabet=ab, n_max=4, mode="exact", scaling="paper")
+    strings = enumerate_strings(ab, 5)
+    # n = 1, 2 and 3 fit one block each; the 4**8 tables of n = 4 make four
+    expected = [(1, 0), (2, 0), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]
+    gram_matrix(strings, params, jobs=2)
+    assert built == expected
+    built.clear()
+    model = PerceptronModel(support=(("abab", 1), ("ba", -1), ("bbbba", 2)), params=params,
+                            epochs_run=1, errors_per_epoch=(0,))
+    decision_values(model, strings)
+    assert built == expected
 
 
 # ---------------------------------------------------------------------

@@ -16,11 +16,24 @@ T = n**(n*k) tables),
 
     P_n(x, y) = (1/4) * (1 + A / T).
 
-Both modes count these agreements with one bit-sliced counter (described
-below for the Monte Carlo stream), and exact mode feeds it every table:
-while T is at most _EXHAUSTIVE_LIMIT (2**16, so n <= 4 over two symbols),
-exhaustive_table_block lays the T tables out in rank order, a block of
-_BLOCK_SAMPLES at a time, and A is a popcount per block.
+A depends only on the part of a table that state 0 reaches.  Call a table
+accessible when state 0 reaches every state, and label its states
+canonically, in order of first appearance as the rows are scanned in
+label order (the initially connected automata of Liskovets 1969; Bassino
+and Nicaud, TCS 2007).  An n-state table is one accessible m-state table
+(its reachable part, relabelled) for some m <= n, with the labels
+1..m-1 mapped to distinct states other than 0 and the n - m other rows
+free, so with C_m the number of accessible m-state tables on which x and
+y end in the same state,
+
+    A(n) = sum_{m <= n} (n-1)(n-2)...(n-m+1) * n**((n-m)*k) * C_m.
+
+While T is at most _EXHAUSTIVE_LIMIT (2**16, so n <= 4 over two symbols),
+exact mode counts C_1..C_n with one bit-sliced counter (described below
+for the Monte Carlo stream), over the accessible tables that
+accessible_tables builds bit-sliced, once per (m, k) in a process: 5,477
+tables for n <= 4 over two symbols against the 66,282 of all tables, and
+one count of C_m serves every n.
 
 Above the limit, A is computed by a lazy walk that fills in only the table
 cells the two strings visit and treats all unvisited states as one branch,
@@ -30,12 +43,13 @@ finished equal-end branches by states visited v and cells assigned c, and
 
     A(n) = sum_{v <= n} h[v, c] * (n-1)(n-2)...(n-v+1) * n**(n*k - c),
 
-so a kernel value walks each pair once, not once per n.  The walk does
-not branch on y's last step: when that step reaches an unassigned cell,
-exactly one of its branches ends where x ended, so it adds 1 to
-h[v, c + 1] directly.  The two counters return the same integers, so the
-limit only decides speed: counting every table for a block of many
-strings costs less than walking each pair, and the walk wins once T grows.
+the same identity over partial tables, so a kernel value walks each pair
+once, not once per n.  The walk does not branch on y's last step: when
+that step reaches an unassigned cell, exactly one of its branches ends
+where x ended, so it adds 1 to h[v, c + 1] directly.  The two counters
+return the same integers, so the limit only decides speed: counting the
+accessible tables for a block of many strings costs less than walking
+each pair, and the walk wins once T grows.
 Enumerating every table (and every DFA) with numpy remains in this module
 as the independent oracle: the tests check both counters against it, and
 ``verify --suite bounds`` and the benchmark reference are computed from
@@ -91,12 +105,14 @@ stream keyed by (master_seed, n, block, state) (draw_accept_block).
 run can be inspected.
 
 Both modes share one count-then-assemble path, ``kernel_block``: a
-counting step (agreement counts A_n per n out of all n**(n*k) tables, or
-out of m sampled tables; per class from the walk above the limit) and
-one value function, built once per block, that maps a pair's identity
-term and its counts for n = 1..n_used to its value.  kernel_value,
-gram_matrix and prediction all read their values from it, and a Gram is
-one matrix of those values.
+counting step (accessible counts C_m per m in exact mode, agreement counts
+A_n per n out of m sampled tables in Monte Carlo mode; per class from the
+walk above the limit) and one value function, built once per block, that
+maps a pair's identity term and its counts A_n for n = 1..n_used to its
+value.  Each distinct string of a block is encoded and planned into the
+trie once, whatever the number of counts.  kernel_value, gram_matrix and
+prediction all read their values from it, and a Gram is one matrix of
+those values.
 
 numpy is imported inside the enumeration-oracle functions (and
 ``GramMatrix.to_array``) only, and the thread pool only when ``jobs > 1``
@@ -109,12 +125,14 @@ mode, load neither.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .automata import (
@@ -140,13 +158,15 @@ _ACCEPT_DOMAIN = b"regkernel.accept.v1"
 # format, not a tuning knob: a table's cells are keyed by its block and
 # drawn at its position in the block.
 _BLOCK_SAMPLES = 1 << 14
-# Largest table count n**(n*k) at which exact mode counts every table with
-# the bit-sliced counter (four blocks) instead of walking each class of
-# pairs.  In process, counting every table was about 4x faster than the
-# walk on Grams of 63 and 127 strings at 4**8 = 65536 tables, level with
-# it on 40 strings at 3**9, and 16x slower on 85 strings at 3**12; one
-# pair at 4**8 tables took 1.0 ms against 0.23 (the crossover is recorded
-# in CHANGES.md and README).
+# Largest table count n**(n*k) at which exact mode counts the accessible
+# tables with the bit-sliced counter instead of walking each class of
+# pairs.  In process (medians of three runs, each counter forced), counting
+# the accessible tables against the walk: one pair at 4**8 = 65536 tables
+# 0.25 vs 0.26 ms; Grams of 63 and 127 strings at 4**8 8.4 vs 178 ms and
+# 44 vs 1510 ms; 40 strings at 3**9 4.4 vs 10.8 ms; 85 strings at 3**12
+# 345 vs 30 ms; one pair at 5**10 4.1 vs 0.39 ms.  So counting wins on
+# every measured block below the limit and loses on both above it (the
+# crossover is recorded in CHANGES.md and README).
 _EXHAUSTIVE_LIMIT = 1 << 16
 
 
@@ -708,6 +728,9 @@ def exhaustive_table_block(n: int, k: int, block: int, size: int) -> list[list[l
     draw_table_block: bit t of parts[q][c][r] is set when the table of rank
     b*B + t maps state q on symbol c to r.
 
+    The runtime counts accessible_tables instead; this block stays as a
+    known-answer reference for the bit-sliced layout.
+
     Cell (q, c) is digit n*k-1-(q*k+c) of the rank in base n, as in
     automata.enumerate_tables.  Its value is r on runs of n**digit
     consecutive ranks, repeating with period n * n**digit.  A run at least
@@ -743,16 +766,39 @@ def exhaustive_table_block(n: int, k: int, block: int, size: int) -> list[list[l
     return parts
 
 
+class _BlockPlan:
+    """The distinct strings of a block, each encoded once (which validates
+    it, naming the first bad symbol of the first bad string) and walked as
+    one trie plan: the distinct rows against the distinct cols, or the
+    symmetric block of the distinct rows when cols is None.  row_ids and
+    col_ids map a string to its distinct index; every counter of the block
+    reads the same two plans."""
+
+    def __init__(self, rows: Sequence[str], cols: Sequence[str] | None, alphabet: Alphabet):
+        self.rows = rows
+        self.cols = rows if cols is None else cols
+        self.row_ids = {s: i for i, s in enumerate(dict.fromkeys(rows))}
+        self.row_plan = _trie_plan([alphabet.encode(s) for s in self.row_ids])
+        if cols is None:
+            self.col_ids, self.col_plan = self.row_ids, None
+        else:
+            self.col_ids = {s: i for i, s in enumerate(dict.fromkeys(cols))}
+            self.col_plan = _trie_plan([alphabet.encode(s) for s in self.col_ids])
+
+    def expand(self, counts: list[list[int]]) -> list[list[int]]:
+        """The R x C matrix of the block's strings from the matrix of its
+        distinct strings."""
+        if len(self.row_ids) == len(self.rows) and len(self.col_ids) == len(self.cols):
+            return counts  # no duplicates: the distinct strings are the strings, in order
+        return [[counts[self.row_ids[x]][self.col_ids[y]] for y in self.cols] for x in self.rows]
+
+
 def _sliced_agreement_counts(
-    rows: Sequence[str],
-    cols: Sequence[str] | None,
-    alphabet: Alphabet,
-    count: int,
-    draw: Callable[[int, int], list[list[list[int]]]],
+    plan: _BlockPlan, count: int, draw: Callable[[int, int], Sequence[Sequence[Sequence[int]]]]
 ) -> list[list[int]]:
-    """R x C lists of end-state agreement counts over ``count`` tables:
-    entry (i, j) counts the tables on which rows[i] and cols[j] end in the
-    same state (cols defaults to rows).
+    """Lists of end-state agreement counts over ``count`` tables: entry
+    (i, j) counts the tables on which distinct row i and distinct column j
+    of the plan end in the same state.
 
     The tables come bit-sliced in blocks of at most _BLOCK_SAMPLES, block
     b of size s being draw(b, s), and are counted one block at a time.  In
@@ -764,35 +810,28 @@ def _sliced_agreement_counts(
     and dropped.  So live memory is one block's tables and rows, however
     many blocks there are.
     """
-    symmetric = cols is None
-    cols = rows if cols is None else cols
-    row_ids = {s: i for i, s in enumerate(dict.fromkeys(rows))}
-    col_ids = row_ids if symmetric else {s: i for i, s in enumerate(dict.fromkeys(cols))}
-    row_plan = _trie_plan([alphabet.encode(s) for s in row_ids])
-    col_plan = None if symmetric else _trie_plan([alphabet.encode(s) for s in col_ids])
-    counts = [[0] * len(col_ids) for _ in row_ids]
+    n_rows = len(plan.row_ids)
+    counts = [[0] * len(plan.col_ids) for _ in range(n_rows)]
     for block, lo in enumerate(range(0, count, _BLOCK_SAMPLES)):
         size = min(_BLOCK_SAMPLES, count - lo)
         parts = draw(block, size)
-        row_ends = [0] * len(row_ids)
-        for i, ends in _end_states(row_plan, parts, size):
+        row_ends = [0] * n_rows
+        for i, ends in _end_states(plan.row_plan, parts, size):
             row_ends[i] = ends
-        if symmetric:
+        if plan.col_plan is None:
             for i, ends in enumerate(row_ends):
                 line = counts[i]
-                for j in range(i, len(row_ends)):
+                for j in range(i, n_rows):
                     line[j] += (ends & row_ends[j]).bit_count()
         else:
-            for j, ends in _end_states(col_plan, parts, size):
+            for j, ends in _end_states(plan.col_plan, parts, size):
                 for i, row in enumerate(row_ends):
                     counts[i][j] += (row & ends).bit_count()
-    if symmetric:
-        for i in range(len(counts)):
+    if plan.col_plan is None:
+        for i in range(n_rows):
             for j in range(i):
                 counts[i][j] = counts[j][i]
-    if len(row_ids) == len(rows) and len(col_ids) == len(cols):
-        return counts  # no duplicates: the distinct strings are the strings, in order
-    return [[counts[row_ids[x]][col_ids[y]] for y in cols] for x in rows]
+    return counts
 
 
 def mc_agreement_counts(
@@ -810,8 +849,97 @@ def mc_agreement_counts(
     _BLOCK_SAMPLES at a time, so live memory is one block's tables and
     rows whatever m is.
     """
+    plan = _BlockPlan(rows, cols, alphabet)
     draw = partial(draw_table_block, n, len(alphabet), master_seed)
-    return _sliced_agreement_counts(rows, cols, alphabet, m, draw)
+    return plan.expand(_sliced_agreement_counts(plan, m, draw))
+
+
+def accessible_tables(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """(count, parts): every accessible m-state table over k symbols in
+    canonical labelling, bit-sliced as in draw_table_block: bit t of
+    parts[q][c][r] is set when table t maps state q on symbol c to r.
+
+    Canonical means: scanning the cells (q, c) in rank order, each holds an
+    earlier label or the next new one, and label q appears before row q is
+    scanned, so every state is reachable from 0.  Such a table is fixed by
+    the cells p_1 < ... < p_{m-1} where labels 1..m-1 first appear (p_j in
+    a row below j) and, at every other cell, a choice among the labels that
+    appeared before it.  The tables of one choice of p are the product of
+    those choices, taken in lexicographic order (the first cell most
+    significant), so within them a cell's choice index is constant on runs
+    of `run` tables, repeating with period size * run: the mask of index 0
+    is one run tiled by doubling and the mask of index i is that tiling
+    shifted i runs up.  Each group is then
+    shifted past the tables of the groups before it.  No table is listed
+    one at a time.  There are 1, 12, 216, 5248 and 160675 of them for
+    m = 1..5 over two symbols: the initially connected automata of
+    Liskovets (1969).
+    """
+    cells = m * k
+    masks = [[0] * m for _ in range(cells)]
+    count = 0
+    for firsts in itertools.combinations(range(cells), m - 1):
+        if any(p >= j * k for j, p in enumerate(firsts, 1)):
+            continue  # label j would first appear after row j was scanned
+        # cell i holds one of `size` labels from `low` on
+        choices = []
+        seen = 1
+        for i in range(cells):
+            if seen < m and firsts[seen - 1] == i:
+                choices.append((seen, 1))
+                seen += 1
+            else:
+                choices.append((0, seen))
+        group = math.prod(size for _, size in choices)
+        full = (1 << group) - 1
+        run = group
+        for cell, (low, size) in zip(masks, choices):
+            run //= size
+            tiled, width = (1 << run) - 1, size * run
+            while width < group:
+                tiled |= tiled << width
+                width *= 2
+            for i in range(size):
+                cell[low + i] |= ((tiled << (i * run)) & full) << count
+        count += group
+    return count, tuple(tuple(tuple(masks[q * k + c]) for c in range(k)) for q in range(m))
+
+
+@cache
+def _accessible_parts(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """accessible_tables(m, k), built on first use and kept for the
+    process: the value is immutable and depends only on (m, k)."""
+    return accessible_tables(m, k)
+
+
+def _accessible_block(m: int, k: int, block: int, size: int) -> list[list[list[int]]]:
+    """Tables b*B, ..., b*B + size - 1 (b = block, B = _BLOCK_SAMPLES) of
+    the accessible m-state tables, bit-sliced as in draw_table_block."""
+    lo = block * _BLOCK_SAMPLES
+    full = (1 << size) - 1
+    return [[[(mask >> lo) & full for mask in cell] for cell in row]
+            for row in _accessible_parts(m, k)[1]]
+
+
+def accessible_weights(n: int, k: int) -> list[int]:
+    """[w(n, 1), ..., w(n, n)]: w(n, m) = (n-1)(n-2)...(n-m+1) * n**((n-m)*k)
+    n-state tables have a given accessible m-state table as the part that
+    state 0 reaches, relabelled canonically.  The labels 1..m-1 name
+    distinct states other than 0, in (n-1)!/(n-m)! ways, and the n - m
+    rows that 0 does not reach are free."""
+    return [math.perm(n - 1, m - 1) * n ** ((n - m) * k) for m in range(1, n + 1)]
+
+
+def _accessible_agreement_counts(plan: _BlockPlan, n_top: int, k: int) -> list[list[list[int]]]:
+    """[C_1, ..., C_n_top]: C_m lists, for distinct row i and distinct
+    column j of the plan, the accessible m-state tables on which both end
+    in the same state, counted by _sliced_agreement_counts."""
+    return [
+        _sliced_agreement_counts(
+            plan, _accessible_parts(m, k)[0], partial(_accessible_block, m, k)
+        )
+        for m in range(1, n_top + 1)
+    ]
 
 
 def exhaustive_agreement_counts(
@@ -819,14 +947,17 @@ def exhaustive_agreement_counts(
 ) -> list[list[int]]:
     """R x C lists of the exact agreement counts A_n: entry (i, j) counts
     the n-state tables, out of all n**(n*k), on which rows[i] and cols[j]
-    end in the same state (cols defaults to rows).  Every table is
-    counted, in rank order, by the Monte Carlo path's counter, one
-    exhaustive_table_block at a time; entry (i, j) equals
+    end in the same state (cols defaults to rows).  The Monte Carlo path's
+    counter counts the accessible tables of m = 1..n states, and
+    A_n = sum_m w(n, m) * C_m (accessible_weights); entry (i, j) equals
     agreement_count(rows[i], cols[j], n, alphabet).
     """
     k = len(alphabet)
-    draw = partial(exhaustive_table_block, n, k)
-    return _sliced_agreement_counts(rows, cols, alphabet, table_count(n, k), draw)
+    plan = _BlockPlan(rows, cols, alphabet)
+    per_m = _accessible_agreement_counts(plan, n, k)
+    weights = accessible_weights(n, k)
+    return plan.expand([[sum(map(operator.mul, weights, cells)) for cells in zip(*lines)]
+                        for lines in zip(*per_m)])
 
 
 def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> float:
@@ -859,53 +990,82 @@ def _summation_limit(x: str, y: str, params: KernelParams) -> tuple[int, bool]:
     return n_used, n_used < limit
 
 
+def _exact_value_function(
+    params: KernelParams, n_top: int, mix: Sequence[Sequence[int]] | None = None
+) -> Callable[[int, Sequence[int]], int | float]:
+    """The exact value function of a block whose pairs sum at most n_top
+    terms: value(same, counts) for counts A_1..A_n_used or, with ``mix``,
+    for counts c_1..c_n_used from which A_n = sum_{j <= n} mix[n-1][j-1] * c_j.
+
+    Both scalings are affine in A_n: K_n = (T + A) * 2**n / 4 (as in
+    _kn_from_agreement) and w_n * P_n = w_n * (T + A) / (4T) (as in
+    _pn_from_agreement, with w_n = p/q exactly, q a power of two).  Over
+    one common denominator d (4 in paper scaling, 4 * lcm(T) * lcm(q) in
+    normalized), a value is (d * same + base[u] + sum_j coef[u][j] * c_j)
+    / d for u = n_used, with the integers base and coef computed here,
+    once per block.  A value is then one integer numerator divided once:
+    exactly, to an integer, in paper scaling, and rounded once to float in
+    normalized scaling (int true division rounds correctly, as float() of
+    the rational sum would)."""
+    k = len(params.alphabet)
+    ns = range(1, n_top + 1)
+    paper = params.scaling == "paper"
+    if paper:
+        d = 4
+        consts = [table_count(n, k) * 2**n for n in ns]
+        slopes = [2**n for n in ns]
+    else:
+        tables = [table_count(n, k) for n in ns]
+        ratios = [params.weight_for(n).as_integer_ratio() for n in ns]
+        lcm_t, lcm_q = math.lcm(*tables), math.lcm(*(q for _, q in ratios))
+        d = 4 * lcm_t * lcm_q
+        consts = [p * (lcm_q // q) * lcm_t for p, q in ratios]
+        slopes = [p * (lcm_q // q) * (lcm_t // t) for (p, q), t in zip(ratios, tables)]
+    bases = [0, *itertools.accumulate(consts)]
+    if mix is None:
+        coefs = [slopes[:u] for u in range(n_top + 1)]
+    else:
+        coefs = [[sum(slopes[n - 1] * mix[n - 1][j - 1] for n in range(j, u + 1))
+                  for j in range(1, u + 1)]
+                 for u in range(n_top + 1)]
+    mul = operator.mul
+
+    def value(same: int, counts: Sequence[int]) -> int | float:
+        u = len(counts)
+        total = d * same + bases[u] + sum(map(mul, coefs[u], counts))
+        return total // d if paper else total / d
+
+    return value
+
+
 def _value_function(
     params: KernelParams, m: int, n_top: int
 ) -> Callable[[int, Sequence[int]], int | float]:
     """The value function of a block whose pairs sum at most n_top terms:
     value(same, counts) is the kernel value of one pair from its identity
     term 1{x = y} and its agreement counts A_n for n = 1..n_used (n_used <=
-    n_top), out of the n**(n*k) tables in exact mode and out of m sampled
-    tables in Monte Carlo mode.  The per-n constants are computed here,
-    once per block.
+    n_top), out of the n**(n*k) tables in exact mode (_exact_value_function)
+    and out of m sampled tables in Monte Carlo mode.  The per-n constants
+    are computed here, once per block.
 
     Exact paper values are integers; exact normalized and Monte Carlo paper
     values are rational sums rounded once to float; Monte Carlo normalized
     values are a left-to-right float sum."""
+    if params.mode == "exact":
+        return _exact_value_function(params, n_top)
     k = len(params.alphabet)
     ns = range(1, n_top + 1)
-    if params.mode == "exact":
-        tables = [table_count(n, k) for n in ns]
-        if params.scaling == "paper":
-            # K_n = (T + A) * 2**n / 4, as in _kn_from_agreement
-            scales = [2**n for n in ns]
-
-            def value(same: int, counts: Sequence[int]) -> int | float:
-                total = same
-                for t, scale, a in zip(tables, scales, counts):
-                    total += (t + a) * scale // 4
-                return total
-
-            return value
-        weights = [Fraction(params.weight_for(n)) for n in ns]
-
-        def value(same: int, counts: Sequence[int]) -> int | float:
-            # P_n = (T + A) / (4T), as in _pn_from_agreement
-            acc = Fraction(same)
-            for w, t, a in zip(weights, tables, counts):
-                acc += w * Fraction(t + a, 4 * t)
-            return float(acc)
-
-        return value
     # P_n ~ (m + A) / (4m), as in mc_pn
     if params.scaling == "paper":
         spaces = [dfa_space_size(n, k) for n in ns]
 
         def value(same: int, counts: Sequence[int]) -> int | float:
-            acc = Fraction(same)
+            # one integer numerator over 4m, divided once: int true division
+            # rounds correctly, as float() of the rational sum would
+            total = 4 * m * same
             for space, a in zip(spaces, counts):
-                acc += Fraction(m + a, 4 * m) * space
-            return float(acc)
+                total += (m + a) * space
+            return total / (4 * m)
 
         return value
     float_weights = [params.weight_for(n) for n in ns]
@@ -956,13 +1116,19 @@ def kernel_block(
     its upper triangle is evaluated.  Every string is validated, and an
     exact sum's table cap checked for its largest term, before any count.
 
-    The counting step gives, for each n up to the block's n_top, the
-    matrix of agreement counts A_n of the distinct rows and columns, from
-    one bit-sliced counter (_sliced_agreement_counts): over all n**(n*k)
-    tables in exact mode (exhaustive_agreement_counts), and over the first
-    hoeffding_samples(epsilon, failure_prob) tables of n's stream in Monte
-    Carlo mode (mc_agreement_counts).  One value function then assembles
-    every pair from its identity term and its counts for n = 1..n_used.
+    The distinct rows and columns are encoded and planned into one prefix
+    trie each, once (_BlockPlan), and every count of the block reads those
+    plans through one bit-sliced counter (_sliced_agreement_counts).  In
+    Monte Carlo mode it counts, for each n up to the block's n_top, the
+    agreement counts A_n over the first hoeffding_samples(epsilon,
+    failure_prob) tables of n's stream (as mc_agreement_counts).  In exact
+    mode it counts, for each m up to n_top, the accessible m-state tables
+    on which two strings end together, C_m (accessible_tables), from which
+    A_n = sum_{m <= n} w(n, m) * C_m (accessible_weights), the integers
+    exhaustive_agreement_counts returns.  One value function then
+    assembles every pair from its identity term and its counts for
+    n = 1..n_used; in exact mode it is affine in C_m, with the weights
+    folded into its per-block integer constants (_exact_value_function).
 
     Exact mode counts that way while n_top**(n_top*k) is at most
     _EXHAUSTIVE_LIMIT.  Above it, it walks one canonical pair per
@@ -973,42 +1139,44 @@ def kernel_block(
     all read their values from here.
     """
     symmetric = cols is None
-    others = cols  # the counters' cols: None for a symmetric block
-    cols = rows if cols is None else cols
-    for s in (*rows, *cols):
-        params.alphabet.encode(s)
+    plan = _BlockPlan(rows, cols, params.alphabet)  # validates every string
+    cols = plan.cols
+    k = len(params.alphabet)
     row_lens = [min(len(s), params.n_max) for s in rows]
     col_lens = row_lens if symmetric else [min(len(s), params.n_max) for s in cols]
     n_top = min(max(row_lens, default=0), max(col_lens, default=0))
 
     if params.mode == "exact":
         # n**(n*k) grows with n, so the largest term decides for every pair
-        required = table_count(n_top, len(params.alphabet)) if n_top else 0
+        required = table_count(n_top, k) if n_top else 0
         if required > TABLE_CAP:
             raise CapExceededError(
                 required, TABLE_CAP, hint="use monte-carlo mode for large state counts"
             )
         if required > _EXHAUSTIVE_LIMIT:
-            return _walk_classes(rows, others, params, jobs)
-        m = 0
-        per_n = [
-            exhaustive_agreement_counts(rows, n, params.alphabet, others)
-            for n in range(1, n_top + 1)
-        ]
+            return _walk_classes(rows, None if symmetric else cols, params, jobs)
+        # per_size[m - 1] holds C_m, and A_n = sum_{m <= n} w(n, m) * C_m
+        per_size = _accessible_agreement_counts(plan, n_top, k)
+        mix = [accessible_weights(n, k) for n in range(1, n_top + 1)]
+        value = _exact_value_function(params, n_top, mix)
     else:
         m = hoeffding_samples(params.epsilon, params.failure_prob)
-        per_n = [
-            mc_agreement_counts(rows, n, m, params.alphabet, params.master_seed, others)
+        # per_size[n - 1] holds A_n over n's m sampled tables
+        per_size = [
+            _sliced_agreement_counts(plan, m, partial(draw_table_block, n, k, params.master_seed))
             for n in range(1, n_top + 1)
         ]
+        value = _value_function(params, m, n_top)
 
-    value = _value_function(params, m, n_top)
+    row_idx = [plan.row_ids[s] for s in rows]
+    col_idx = row_idx if symmetric else [plan.col_ids[s] for s in cols]
     block: list[list[int | float]] = [[0] * len(cols) for _ in rows]
     for i, x in enumerate(rows):
-        lines = [counts[i] for counts in per_n[: row_lens[i]]]
+        lines = [counts[row_idx[i]] for counts in per_size[: row_lens[i]]]
         out = block[i]
         for j in range(i if symmetric else 0, len(cols)):
-            v = value(int(x == cols[j]), [line[j] for line in lines[: col_lens[j]]])
+            c = col_idx[j]
+            v = value(int(x == cols[j]), [line[c] for line in lines[: col_lens[j]]])
             out[j] = v
             if symmetric:
                 block[j][i] = v
@@ -1094,8 +1262,8 @@ def gram_matrix(strings: Sequence[str], params: KernelParams, jobs: int = 1) -> 
     """The symmetric kernel_block of distinct strings: each unordered pair
     is evaluated at most once.  ``jobs`` threads serve only the exact walk,
     which runs above _EXHAUSTIVE_LIMIT tables and walks one pair per
-    symbol-permutation class; counting every table, and the Monte Carlo
-    path, run on one thread.  The result does not depend on ``jobs``.
+    symbol-permutation class; counting the accessible tables, and the
+    Monte Carlo path, run on one thread.  The result does not depend on ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

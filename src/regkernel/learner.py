@@ -173,8 +173,10 @@ def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | flo
     Every x is validated before any kernel work.  The values are the
     kernel_block of the support against the queries: all of them in one
     block for an exact model, so the table cap is checked for the largest
-    term before any count, and each n's tables (or, above the exhaustive
-    limit, each class's walk) are counted once for every query; up to
+    term before any count, and the accessible tables of each m <= n_top
+    (or, above the exhaustive limit, each class's walk) are counted once
+    for every query and serve every n, the support and the queries being
+    encoded and planned into their tries once; up to
     _QUERY_CHUNK at a time for a Monte Carlo model, whose chunk walks the
     support once and streams its queries through each block of each n's
     tables.  Each sum runs over the support in model order, so a value

@@ -17,6 +17,7 @@ from .kernel import (
     KernelParams,
     agreement_count_grid,
     exact_pn,
+    exhaustive_agreement_counts,
     gram_matrix,
     hoeffding_samples,
     joint_accept_count_grid,
@@ -50,7 +51,9 @@ def suite_bounds(
 
     For every state count and every ordered pair of strings up to the
     length limit: 1/4 <= P_n <= 1/2 in exact rationals, P_n(x, x) = 1/2,
-    the closed-form path agrees with full DFA enumeration, and direct
+    the closed-form path agrees with full DFA enumeration, the runtime
+    counter (exhaustive_agreement_counts, over accessible tables) equals
+    the agreement counts of the enumeration grid, and direct
     enumeration confirms that exactly half the space accepts any single
     string.  Also reports that the lower bound is approached as n grows.
     """
@@ -85,6 +88,7 @@ def suite_bounds(
         min_by_n[n] = lo
 
         half_accepts = all(int(joint[i, i]) * 2 == space for i in range(count))
+        runtime_equal = exhaustive_agreement_counts(strings, n, alphabet) == agree.tolist()
 
         checks.append(
             _check(
@@ -101,6 +105,13 @@ def suite_bounds(
                 f"bounds.two_path.n{n}",
                 paths_equal,
                 "closed form equals full enumeration on every pair",
+            )
+        )
+        checks.append(
+            _check(
+                f"bounds.runtime.n{n}",
+                runtime_equal,
+                "runtime counter equals the enumeration grid on every pair",
             )
         )
         checks.append(

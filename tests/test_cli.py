@@ -382,6 +382,25 @@ def test_verify_embedding_suite(capsys):
     assert "embedding.recovery\tPASS" in stdout
 
 
+def test_verify_bounds_checks_the_runtime_counter(monkeypatch):
+    from regkernel import verify
+
+    names = {c.name: c.passed for c in verify.suite_bounds(n_values=(1, 2), max_len=3)}
+    assert names["bounds.runtime.n1"] and names["bounds.runtime.n2"]
+
+    real = verify.exhaustive_agreement_counts
+
+    def off_by_one(rows, n, alphabet, cols=None):
+        counts = real(rows, n, alphabet, cols)
+        counts[0][-1] += n == 2
+        return counts
+
+    monkeypatch.setattr(verify, "exhaustive_agreement_counts", off_by_one)
+    names = {c.name: c.passed for c in verify.suite_bounds(n_values=(1, 2), max_len=3)}
+    assert names["bounds.runtime.n1"] and not names["bounds.runtime.n2"]
+    assert names["bounds.two_path.n2"]
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])

@@ -407,25 +407,105 @@ def test_exact_block_below_limit_makes_no_walk(ab, monkeypatch):
         raise AssertionError("a walk below the exhaustive limit")
 
     built = []
-    real = kernel.exhaustive_table_block
+    real = kernel.accessible_tables
 
-    def counting(n, k, block, size):
-        built.append((n, block))
-        return real(n, k, block, size)
+    def counting(m, k):
+        built.append((m, k))
+        return real(m, k)
 
     monkeypatch.setattr(kernel, "agreement_counts", refuse)
-    monkeypatch.setattr(kernel, "exhaustive_table_block", counting)
+    monkeypatch.setattr(kernel, "accessible_tables", counting)
+    kernel._accessible_parts.cache_clear()
     params = KernelParams(alphabet=ab, n_max=4, mode="exact", scaling="paper")
     strings = enumerate_strings(ab, 5)
-    # n = 1, 2 and 3 fit one block each; the 4**8 tables of n = 4 make four
-    expected = [(1, 0), (2, 0), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]
+    # the accessible tables of m = 1..4 states are built once, on first use,
+    # and serve every later block of the process
+    expected = [(1, 2), (2, 2), (3, 2), (4, 2)]
     gram_matrix(strings, params, jobs=2)
     assert built == expected
-    built.clear()
     model = PerceptronModel(support=(("abab", 1), ("ba", -1), ("bbbba", 2)), params=params,
                             epochs_run=1, errors_per_epoch=(0,))
     decision_values(model, strings)
     assert built == expected
+
+
+# ---------------------------------------------------------------------
+# accessible tables: the exact counter's table set
+# ---------------------------------------------------------------------
+
+def decode_accessible(m, k):
+    """The tables of accessible_tables(m, k) as flat cell tuples, in bit order."""
+    from regkernel.kernel import accessible_tables
+
+    count, parts = accessible_tables(m, k)
+    cells = [cell for row in parts for cell in row]
+    for cell in cells:
+        # each table holds exactly one label in every cell
+        assert sum(cell) == (1 << count) - 1
+        assert all(a & b == 0 for a, b in itertools.combinations(cell, 2))
+    return [tuple(next(r for r, mask in enumerate(cell) if mask >> t & 1) for cell in cells)
+            for t in range(count)]
+
+
+def test_accessible_table_counts_known_answer():
+    # initially connected automata over 2 and 3 symbols (Liskovets 1969)
+    from regkernel.kernel import accessible_tables
+
+    assert [accessible_tables(m, 2)[0] for m in range(1, 5)] == [1, 12, 216, 5248]
+    assert [accessible_tables(m, 3)[0] for m in range(1, 4)] == [1, 56, 7965]
+
+
+@pytest.mark.parametrize("k,n_top", [(2, 4), (3, 3)])
+def test_accessible_weights_partition_the_tables(k, n_top):
+    # every n-state table has exactly one accessible part, relabelled
+    from regkernel.kernel import accessible_tables, accessible_weights
+
+    for n in range(1, n_top + 1):
+        sizes = [accessible_tables(m, k)[0] for m in range(1, n + 1)]
+        assert sum(w * size for w, size in zip(accessible_weights(n, k), sizes)) == n ** (n * k)
+
+
+def canonical_accessible_form(table, k):
+    """Breadth-first relabelling of the part of a flat table that state 0
+    reaches: state 0 keeps label 0 and each new state takes the next label
+    as the rows are scanned in label order."""
+    labels, order = {0: 0}, [0]
+    for q in order:
+        for c in range(k):
+            r = table[q * k + c]
+            if r not in labels:
+                labels[r] = len(labels)
+                order.append(r)
+    return tuple(labels[table[q * k + c]] for q in order for c in range(k))
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_accessible_tables_reachable_canonical_distinct(m, k):
+    tables = decode_accessible(m, k)
+    assert len(set(tables)) == len(tables)
+    for table in tables:
+        # every state is reached from 0, and the labelling is the canonical one
+        assert canonical_accessible_form(table, k) == table, table
+    # and they are the canonical forms of every m-state table that reaches
+    # all m states
+    every = {canonical_accessible_form(t, k) for t in itertools.product(range(m), repeat=m * k)}
+    assert {t for t in every if len(t) == m * k} == set(tables)
+
+
+@pytest.mark.parametrize("block", [7, 100])
+def test_accessible_counts_across_blocks(ab, monkeypatch, block):
+    # blocks of 7 and 100 tables cut the accessible tables of every m > 2
+    from regkernel import kernel
+
+    monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", block)
+    strings = enumerate_strings(ab, 3) + ["abba", "babab"]
+    rows, cols = strings[::2], strings[1::2] + ["a"]
+    for n in range(1, 5):
+        grid = agreement_count_grid(strings, n, ab).tolist()
+        assert kernel.exhaustive_agreement_counts(strings, n, ab) == grid, n
+        index = {s: i for i, s in enumerate(strings)}
+        assert kernel.exhaustive_agreement_counts(rows, n, ab, cols) == [
+            [grid[index[x]][index[y]] for y in cols] for x in rows], n
 
 
 # ---------------------------------------------------------------------
@@ -563,6 +643,31 @@ def test_kernel_normalized_weights(ab):
     )
     v = kernel_value("ab", "ba", params).value
     assert v == float(2 * exact_pn("ab", "ba", 2, ab))
+
+
+@pytest.mark.parametrize("symbols,n_max", [("ab", 4), ("ab", 5), ("abc", 3)])
+def test_exact_values_equal_rational_reference(symbols, n_max):
+    # below and above the exhaustive limit, paper values are the integer sum
+    # of exact_kn and normalized values the rational sum of w_n * exact_pn,
+    # rounded once; weights with long binary expansions, zero and one
+    alphabet = Alphabet(tuple(symbols))
+    weights = (0.1, 0.0, 1 / 3, 2.5, 1e-300)[:n_max]
+    strings = ["", "a", "ab", "abb", "ba", "abab", "bbaba"]
+    for scaling, ws in (("paper", None), ("normalized", None), ("normalized", weights)):
+        params = KernelParams(alphabet=alphabet, n_max=n_max, mode="exact", scaling=scaling,
+                              weights=ws)
+        gram = gram_matrix(strings, params)
+        for i, x in enumerate(strings):
+            for j, y in enumerate(strings):
+                ns = range(1, min(len(x), len(y), n_max) + 1)
+                if scaling == "paper":
+                    expected = int(x == y) + sum(exact_kn(x, y, n, alphabet) for n in ns)
+                else:
+                    expected = float(int(x == y) + sum(
+                        Fraction(params.weight_for(n)) * exact_pn(x, y, n, alphabet)
+                        for n in ns))
+                assert gram.value(i, j) == expected, (scaling, ws, x, y)
+                assert type(gram.value(i, j)) is type(expected)
 
 
 def test_kernel_mc_certificate(ab):

@@ -205,14 +205,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _print_config("predict", {"model": str(args.model), "in": str(args.infile),
                               **model.params.to_dict()})
     lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
-    # a bad symbol on any line fails the run before any label is printed
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            model.params.alphabet.encode(line)
-        except ValueError as e:
-            raise ParseError(str(e), lineno) from e
-    # every value, and so every cap check, comes before the first label
-    for value in decision_values(model, lines):
+    # every value, and so every cap check, comes before the first label;
+    # decision_values validates every line first, and a bad one is named
+    try:
+        values = decision_values(model, lines)
+    except ValueError:
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                model.params.alphabet.encode(line)
+            except ValueError as e:
+                raise ParseError(str(e), lineno) from e
+        raise
+    for value in values:
         print("+1" if value > 0 else "-1")
     return EXIT_OK
 

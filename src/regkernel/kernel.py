@@ -104,13 +104,18 @@ stream keyed by (master_seed, n, block, state) (draw_accept_block).
 ``regkernel sample`` writes them, so the sample behind any Monte Carlo
 run can be inspected.
 
-Both modes share one count-then-assemble path, ``kernel_block``: a
-counting step (accessible counts C_m per m in exact mode, agreement counts
-A_n per n out of m sampled tables in Monte Carlo mode; per class from the
-walk above the limit) and one value function, built once per block, that
-maps a pair's identity term and its counts A_n for n = 1..n_used to its
-value.  Each distinct string of a block is encoded and planned into the
-trie once, whatever the number of counts.  kernel_value, gram_matrix and
+Both modes share one count-then-assemble path, ``kernel_block``.  One of
+three counters lists a matrix of counts per n over the block's distinct
+strings: the accessible counter (C_m over the accessible m-state tables,
+exact mode up to the limit), the walk (A_n over all n-state tables, one
+walk per class, exact mode above the limit) or the stream (A_n over m
+sampled tables, Monte Carlo mode).  Then one value function, built once
+per block, maps a pair's identity term and its counts for n = 1..n_used
+to its value: term n is affine in A_n, s_n * (D_n + A_n) / (4 * D_n) with
+D_n the tables counted, so every value is one integer numerator divided
+once, except Monte Carlo normalized values, a left-to-right float sum.
+Each distinct string of a block is encoded and planned into the trie
+once, whatever the number of counts.  kernel_value, gram_matrix and
 prediction all read their values from it, and a Gram is one matrix of
 those values.
 
@@ -209,10 +214,7 @@ class KernelParams:
             raise ValueError(f"scaling must be one of {SCALINGS}, got {self.scaling!r}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.failure_prob < 1.0:
-            raise ValueError(f"failure_prob must be in (0, 1), got {self.failure_prob}")
+        _check_budget_args(self.epsilon, self.failure_prob)
         check_seed(int(self.master_seed))
         if self.weights is not None:
             try:
@@ -722,50 +724,6 @@ def _end_states(
         yield j, ends
 
 
-def exhaustive_table_block(n: int, k: int, block: int, size: int) -> list[list[list[int]]]:
-    """Tables b*B, ..., b*B + size - 1 (b = block, B = _BLOCK_SAMPLES) of
-    all n**(n*k) n-state tables in rank order, bit-sliced as in
-    draw_table_block: bit t of parts[q][c][r] is set when the table of rank
-    b*B + t maps state q on symbol c to r.
-
-    The runtime counts accessible_tables instead; this block stays as a
-    known-answer reference for the bit-sliced layout.
-
-    Cell (q, c) is digit n*k-1-(q*k+c) of the rank in base n, as in
-    automata.enumerate_tables.  Its value is r on runs of n**digit
-    consecutive ranks, repeating with period n * n**digit.  A run at least
-    as long as the block meets it at most twice, so the block holds one
-    value and then the next.  Below that, the period is shorter than n
-    blocks: the mask of value 0 is one run of ones tiled by doubling, the
-    mask of value r is that tiling shifted r runs up, and each is cut at
-    the block's offset into its period.
-    """
-    lo = block * _BLOCK_SAMPLES
-    full = (1 << size) - 1
-    parts = []
-    for q in range(n):
-        row = []
-        for c in range(k):
-            run = n ** (n * k - 1 - (q * k + c))
-            period = n * run
-            phase = lo % period
-            if run >= size:
-                first, offset = divmod(phase, run)
-                head = (1 << min(size, run - offset)) - 1
-                cell = [0] * n
-                cell[first] = head
-                cell[(first + 1) % n] |= full ^ head
-            else:
-                tiled, width = (1 << run) - 1, period
-                while width < phase + size:
-                    tiled |= tiled << width
-                    width *= 2
-                cell = [(tiled << (r * run) >> phase) & full for r in range(n)]
-            row.append(cell)
-        parts.append(row)
-    return parts
-
-
 class _BlockPlan:
     """The distinct strings of a block, each encoded once (which validates
     it, naming the first bad symbol of the first bad string) and walked as
@@ -990,99 +948,66 @@ def _summation_limit(x: str, y: str, params: KernelParams) -> tuple[int, bool]:
     return n_used, n_used < limit
 
 
-def _exact_value_function(
+def _value_function(
     params: KernelParams, n_top: int, mix: Sequence[Sequence[int]] | None = None
 ) -> Callable[[int, Sequence[int]], int | float]:
-    """The exact value function of a block whose pairs sum at most n_top
-    terms: value(same, counts) for counts A_1..A_n_used or, with ``mix``,
-    for counts c_1..c_n_used from which A_n = sum_{j <= n} mix[n-1][j-1] * c_j.
+    """The value function of a block whose pairs sum at most n_top terms:
+    value(same, counts) is the kernel value of one pair from its identity
+    term 1{x = y} and its agreement counts A_1..A_n_used (n_used <= n_top)
+    or, with ``mix``, its counts c_1..c_n_used from which
+    A_n = sum_{j <= n} mix[n-1][j-1] * c_j.
 
-    Both scalings are affine in A_n: K_n = (T + A) * 2**n / 4 (as in
-    _kn_from_agreement) and w_n * P_n = w_n * (T + A) / (4T) (as in
-    _pn_from_agreement, with w_n = p/q exactly, q a power of two).  Over
-    one common denominator d (4 in paper scaling, 4 * lcm(T) * lcm(q) in
-    normalized), a value is (d * same + base[u] + sum_j coef[u][j] * c_j)
-    / d for u = n_used, with the integers base and coef computed here,
-    once per block.  A value is then one integer numerator divided once:
-    exactly, to an integer, in paper scaling, and rounded once to float in
-    normalized scaling (int true division rounds correctly, as float() of
-    the rational sum would)."""
+    Term n is s_n * (D_n + A_n) / (4 * D_n), affine in A_n: D_n is the
+    number of tables A_n is out of (n**(n*k) in exact mode, m sampled in
+    Monte Carlo mode) and s_n is |DFA space of n| in paper scaling (so an
+    exact term is K_n = (T + A) * 2**n / 4, as in _kn_from_agreement) and
+    w_n in normalized scaling.  Over one common denominator d, a value is
+    (d * same + base[u] + sum_j coef[u][j] * c_j) / d for u = n_used, with
+    the integers base and coef computed here, once per block.  A value is
+    then one integer numerator divided once: exactly, to an integer, in
+    exact paper scaling, and rounded once to float otherwise (int true
+    division rounds correctly, as float() of the rational sum would).
+    Monte Carlo normalized values stay a left-to-right float sum."""
     k = len(params.alphabet)
     ns = range(1, n_top + 1)
-    paper = params.scaling == "paper"
-    if paper:
-        d = 4
-        consts = [table_count(n, k) * 2**n for n in ns]
-        slopes = [2**n for n in ns]
-    else:
+    if params.mode == "exact":
         tables = [table_count(n, k) for n in ns]
-        ratios = [params.weight_for(n).as_integer_ratio() for n in ns]
-        lcm_t, lcm_q = math.lcm(*tables), math.lcm(*(q for _, q in ratios))
-        d = 4 * lcm_t * lcm_q
-        consts = [p * (lcm_q // q) * lcm_t for p, q in ratios]
-        slopes = [p * (lcm_q // q) * (lcm_t // t) for (p, q), t in zip(ratios, tables)]
-    bases = [0, *itertools.accumulate(consts)]
+    else:
+        m = hoeffding_samples(params.epsilon, params.failure_prob)
+        tables = [m] * n_top
+        if params.scaling == "normalized":
+            float_weights = [params.weight_for(n) for n in ns]
+
+            def float_value(same: int, counts: Sequence[int]) -> float:
+                total = float(same)
+                for w, a in zip(float_weights, counts):
+                    total += w * ((m + a) / (4 * m))  # P_n as in mc_pn
+                return total
+
+            return float_value
+    if params.scaling == "paper":
+        ratios = [Fraction(dfa_space_size(n, k), t) for n, t in zip(ns, tables)]
+    else:
+        ratios = [Fraction(params.weight_for(n)) / t for n, t in zip(ns, tables)]
+    quarter = math.lcm(*(r.denominator for r in ratios))  # d = 4 * quarter
+    d = 4 * quarter
+    slopes = [int(r * quarter) for r in ratios]
+    bases = [0, *itertools.accumulate(map(operator.mul, slopes, tables))]
     if mix is None:
         coefs = [slopes[:u] for u in range(n_top + 1)]
     else:
         coefs = [[sum(slopes[n - 1] * mix[n - 1][j - 1] for n in range(j, u + 1))
                   for j in range(1, u + 1)]
                  for u in range(n_top + 1)]
+    integral = params.mode == "exact" and params.scaling == "paper"
     mul = operator.mul
 
     def value(same: int, counts: Sequence[int]) -> int | float:
         u = len(counts)
         total = d * same + bases[u] + sum(map(mul, coefs[u], counts))
-        return total // d if paper else total / d
+        return total // d if integral else total / d
 
     return value
-
-
-def _value_function(
-    params: KernelParams, m: int, n_top: int
-) -> Callable[[int, Sequence[int]], int | float]:
-    """The value function of a block whose pairs sum at most n_top terms:
-    value(same, counts) is the kernel value of one pair from its identity
-    term 1{x = y} and its agreement counts A_n for n = 1..n_used (n_used <=
-    n_top), out of the n**(n*k) tables in exact mode (_exact_value_function)
-    and out of m sampled tables in Monte Carlo mode.  The per-n constants
-    are computed here, once per block.
-
-    Exact paper values are integers; exact normalized and Monte Carlo paper
-    values are rational sums rounded once to float; Monte Carlo normalized
-    values are a left-to-right float sum."""
-    if params.mode == "exact":
-        return _exact_value_function(params, n_top)
-    k = len(params.alphabet)
-    ns = range(1, n_top + 1)
-    # P_n ~ (m + A) / (4m), as in mc_pn
-    if params.scaling == "paper":
-        spaces = [dfa_space_size(n, k) for n in ns]
-
-        def value(same: int, counts: Sequence[int]) -> int | float:
-            # one integer numerator over 4m, divided once: int true division
-            # rounds correctly, as float() of the rational sum would
-            total = 4 * m * same
-            for space, a in zip(spaces, counts):
-                total += (m + a) * space
-            return total / (4 * m)
-
-        return value
-    float_weights = [params.weight_for(n) for n in ns]
-
-    def value(same: int, counts: Sequence[int]) -> int | float:
-        total = float(same)
-        for w, a in zip(float_weights, counts):
-            total += w * ((m + a) / (4 * m))
-        return total
-
-    return value
-
-
-def _pair_value(same: int, counts: Sequence[int], params: KernelParams, m: int) -> int | float:
-    """The kernel value of one pair from its identity term and its
-    agreement counts A_n for n = 1..n_used (see _value_function)."""
-    return _value_function(params, m, len(counts))(same, counts)
 
 
 def _canonical_pair(x: str, y: str, alphabet: Alphabet) -> tuple[str, str]:
@@ -1104,6 +1029,44 @@ def _canonical_pair(x: str, y: str, alphabet: Alphabet) -> tuple[str, str]:
     return min(relabel(x, y), relabel(y, x))
 
 
+def _walked_agreement_counts(
+    plan: _BlockPlan, n_top: int, alphabet: Alphabet, jobs: int
+) -> list[list[list[int]]]:
+    """[A_1, ..., A_n_top] over the distinct rows and columns of the plan,
+    as _accessible_agreement_counts lists C_m, from one walk per
+    symbol-permutation class: agreement_counts at the canonical pair's
+    n_used = min(|x|, |y|, n_top), on ``jobs`` threads, copied to every
+    pair of the class.  A_n stays 0 for a pair whose n_used is below n."""
+    rows, cols = list(plan.row_ids), list(plan.col_ids)
+    symmetric = plan.col_plan is None
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i if symmetric else 0, len(cols))]
+    classes: dict[tuple[str, str], int] = {}
+    class_of_pair = [
+        classes.setdefault(_canonical_pair(rows[i], cols[j], alphabet), len(classes))
+        for i, j in pairs
+    ]
+
+    def walk(pair: tuple[str, str]) -> list[int]:
+        x, y = pair
+        n_used = min(len(x), len(y), n_top)
+        return agreement_counts(x, y, n_used, alphabet) if n_used else []
+
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            class_counts = list(pool.map(walk, classes))
+    else:
+        class_counts = [walk(pair) for pair in classes]
+    per_n = [[[0] * len(cols) for _ in rows] for _ in range(n_top)]
+    for (i, j), c in zip(pairs, class_of_pair):
+        for counts, a in zip(per_n, class_counts[c]):
+            counts[i][j] = a
+            if symmetric:
+                counts[j][i] = a
+    return per_n
+
+
 def kernel_block(
     rows: Sequence[str],
     cols: Sequence[str] | None,
@@ -1116,25 +1079,26 @@ def kernel_block(
     its upper triangle is evaluated.  Every string is validated, and an
     exact sum's table cap checked for its largest term, before any count.
 
-    The distinct rows and columns are encoded and planned into one prefix
-    trie each, once (_BlockPlan), and every count of the block reads those
-    plans through one bit-sliced counter (_sliced_agreement_counts).  In
-    Monte Carlo mode it counts, for each n up to the block's n_top, the
-    agreement counts A_n over the first hoeffding_samples(epsilon,
-    failure_prob) tables of n's stream (as mc_agreement_counts).  In exact
-    mode it counts, for each m up to n_top, the accessible m-state tables
-    on which two strings end together, C_m (accessible_tables), from which
-    A_n = sum_{m <= n} w(n, m) * C_m (accessible_weights), the integers
-    exhaustive_agreement_counts returns.  One value function then
+    Every block counts, then assembles.  The distinct rows and columns are
+    encoded and planned into one prefix trie each, once (_BlockPlan), and
+    one counter lists, for each n up to the block's n_top, a matrix of
+    counts over them:
+    - Monte Carlo mode: the agreement counts A_n over the first
+      hoeffding_samples(epsilon, failure_prob) tables of n's stream, with
+      the bit-sliced counter (_sliced_agreement_counts, as
+      mc_agreement_counts);
+    - exact mode while n_top**(n_top*k) is at most _EXHAUSTIVE_LIMIT: the
+      accessible m-state tables on which two strings end together, C_m
+      (accessible_tables), with the same counter, from which
+      A_n = sum_{m <= n} w(n, m) * C_m (accessible_weights), the integers
+      exhaustive_agreement_counts returns;
+    - exact mode above the limit: A_n from one walk per symbol-permutation
+      class (_walked_agreement_counts), with a memo that lives for this
+      call and ``jobs`` threads.
+    One value function (_value_function), built once per block, then
     assembles every pair from its identity term and its counts for
-    n = 1..n_used; in exact mode it is affine in C_m, with the weights
-    folded into its per-block integer constants (_exact_value_function).
-
-    Exact mode counts that way while n_top**(n_top*k) is at most
-    _EXHAUSTIVE_LIMIT.  Above it, it walks one canonical pair per
-    symbol-permutation class instead, with agreement_counts at that pair's
-    n_used, a memo that lives for this call, and ``jobs`` threads; the
-    value is assembled once per class.  ``jobs`` affects only that walk,
+    n = 1..n_used; with accessible counts, the weights w(n, m) are folded
+    into its per-block integer constants.  ``jobs`` affects only the walk,
     and no value depends on it.  kernel_value, gram_matrix and prediction
     all read their values from here.
     """
@@ -1146,6 +1110,7 @@ def kernel_block(
     col_lens = row_lens if symmetric else [min(len(s), params.n_max) for s in cols]
     n_top = min(max(row_lens, default=0), max(col_lens, default=0))
 
+    mix = None
     if params.mode == "exact":
         # n**(n*k) grows with n, so the largest term decides for every pair
         required = table_count(n_top, k) if n_top else 0
@@ -1154,11 +1119,12 @@ def kernel_block(
                 required, TABLE_CAP, hint="use monte-carlo mode for large state counts"
             )
         if required > _EXHAUSTIVE_LIMIT:
-            return _walk_classes(rows, None if symmetric else cols, params, jobs)
-        # per_size[m - 1] holds C_m, and A_n = sum_{m <= n} w(n, m) * C_m
-        per_size = _accessible_agreement_counts(plan, n_top, k)
-        mix = [accessible_weights(n, k) for n in range(1, n_top + 1)]
-        value = _exact_value_function(params, n_top, mix)
+            # per_size[n - 1] holds A_n over all n-state tables
+            per_size = _walked_agreement_counts(plan, n_top, params.alphabet, jobs)
+        else:
+            # per_size[m - 1] holds C_m, and A_n = sum_{m <= n} w(n, m) * C_m
+            per_size = _accessible_agreement_counts(plan, n_top, k)
+            mix = [accessible_weights(n, k) for n in range(1, n_top + 1)]
     else:
         m = hoeffding_samples(params.epsilon, params.failure_prob)
         # per_size[n - 1] holds A_n over n's m sampled tables
@@ -1166,7 +1132,7 @@ def kernel_block(
             _sliced_agreement_counts(plan, m, partial(draw_table_block, n, k, params.master_seed))
             for n in range(1, n_top + 1)
         ]
-        value = _value_function(params, m, n_top)
+    value = _value_function(params, n_top, mix)
 
     row_idx = [plan.row_ids[s] for s in rows]
     col_idx = row_idx if symmetric else [plan.col_ids[s] for s in cols]
@@ -1180,43 +1146,6 @@ def kernel_block(
             out[j] = v
             if symmetric:
                 block[j][i] = v
-    return block
-
-
-def _walk_classes(
-    rows: Sequence[str], cols: Sequence[str] | None, params: KernelParams, jobs: int
-) -> list[list[int | float]]:
-    """The exact kernel_block of rows against cols (rows when None) from
-    one walk per symbol-permutation class: agreement_counts at the
-    canonical pair's n_used, on ``jobs`` threads, whose value is copied to
-    every pair of the class."""
-    symmetric = cols is None
-    cols = rows if cols is None else cols
-    pairs = [(i, j) for i in range(len(rows)) for j in range(i if symmetric else 0, len(cols))]
-    slots: dict[tuple[str, str], int] = {}
-    slot_of_pair = [
-        slots.setdefault(_canonical_pair(rows[i], cols[j], params.alphabet), len(slots))
-        for i, j in pairs
-    ]
-
-    def evaluate(pair: tuple[str, str]) -> int | float:
-        x, y = pair
-        n_used = _summation_limit(x, y, params)[0]
-        counts = agreement_counts(x, y, n_used, params.alphabet) if n_used else []
-        return _pair_value(int(x == y), counts, params, 0)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            class_values = list(pool.map(evaluate, slots))
-    else:
-        class_values = [evaluate(pair) for pair in slots]
-    block: list[list[int | float]] = [[0] * len(cols) for _ in rows]
-    for (i, j), slot in zip(pairs, slot_of_pair):
-        block[i][j] = class_values[slot]
-        if symmetric:
-            block[j][i] = class_values[slot]
     return block
 
 

@@ -254,6 +254,36 @@ def test_predict_validates_all_lines_before_output(tmp_path, capsys, parity, ab)
     assert "'c'" in stderr and "line 2" in stderr
 
 
+def test_predict_encodes_each_query_twice(tmp_path, capsys, parity, ab, monkeypatch):
+    # once to validate it and once for the block's trie plan
+    from regkernel.automata import Alphabet
+
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=2)
+    model_path = tmp_path / "parity.model"
+    code, _, _ = run_cli(
+        capsys, "train", "--dataset", str(dataset), "--mode", "exact",
+        "--nmax", "2", "--seed", "0", "--out", str(model_path),
+    )
+    assert code == 0
+    queries = [s for s in enumerate_strings(ab, 4) if len(s) >= 3]  # none in the support
+    strings_file = tmp_path / "strings.txt"
+    strings_file.write_text("\n".join(queries) + "\n", encoding="utf-8")
+    encoded = []
+    real = Alphabet.encode
+
+    def counting(self, x):
+        encoded.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(Alphabet, "encode", counting)
+    code, stdout, _ = run_cli(
+        capsys, "predict", "--model", str(model_path), "--in", str(strings_file),
+    )
+    assert code == 0
+    assert len(stdout.splitlines()) == len(queries)
+    assert [encoded.count(q) for q in queries] == [2] * len(queries)
+
+
 def test_predict_missing_model_exit_2(tmp_path, capsys):
     code, _, stderr = run_cli(
         capsys, "predict", "--model", str(tmp_path / "none.model"),

@@ -52,6 +52,29 @@ def brute_agreement(x: str, y: str, n: int) -> int:
     return count
 
 
+def reference_value(same, counts, params, m=None):
+    """Independent kernel value of a pair from its identity term and its
+    agreement counts A_1..A_n_used, out of all n**(n*k) tables (m None) or
+    out of m sampled ones: a Fraction sum of the terms, except Monte Carlo
+    normalized values, a left-to-right float sum of w_n * (m + A_n) / (4m)."""
+    if m is not None and params.scaling == "normalized":
+        total = float(same)
+        for n, a in enumerate(counts, 1):
+            total += params.weight_for(n) * ((m + a) / (4 * m))
+        return total
+    k = len(params.alphabet)
+    total = Fraction(same)
+    for n, a in enumerate(counts, 1):
+        tables = n ** (n * k) if m is None else m
+        scale = (dfa_space_size(n, k) if params.scaling == "paper"
+                 else Fraction(params.weight_for(n)))
+        total += scale * Fraction(tables + a, 4 * tables)
+    if m is None and params.scaling == "paper":
+        assert total.denominator == 1
+        return int(total)
+    return float(total)
+
+
 # ---------------------------------------------------------------------
 # agreement counts and exact values
 # ---------------------------------------------------------------------
@@ -310,34 +333,8 @@ def test_grids_match_per_pair_functions(ab):
 
 
 # ---------------------------------------------------------------------
-# exhaustive counter: every table, bit-sliced
+# exhaustive counter: accessible tables, bit-sliced
 # ---------------------------------------------------------------------
-
-@pytest.mark.parametrize("block", [16, None])
-@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
-def test_exhaustive_table_block_known_answer(monkeypatch, n, k, block):
-    # bit t of the blocks, in order, is table rank t of enumerate_tables;
-    # blocks of 16 tables cut across the runs of every digit but the lowest
-    from regkernel import enumerate_tables
-    from regkernel import kernel
-
-    if block is not None:
-        monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", block)
-    tables = list(enumerate_tables(n, Alphabet(tuple("abc"[:k]))))
-    # one byte per table, first table last, read as base-2 digits of value r
-    is_r = [bytes.maketrans(bytes(range(n)), bytes(b"01"[v == r] for v in range(n)))
-            for r in range(n)]
-    for b, lo in enumerate(range(0, len(tables), kernel._BLOCK_SAMPLES)):
-        chunk = tables[lo : lo + kernel._BLOCK_SAMPLES]
-        expected = []
-        for q in range(n):
-            row = []
-            for c in range(k):
-                digits = bytes(table[q][c] for table in reversed(chunk))
-                row.append([int(digits.translate(is_r[r]), 2) for r in range(n)])
-            expected.append(row)
-        assert kernel.exhaustive_table_block(n, k, b, len(chunk)) == expected, (n, k, b)
-
 
 @pytest.mark.parametrize("symbols,max_len,n_top", [("ab", 4, 4), ("abc", 3, 3)])
 def test_exhaustive_counts_match_grid(symbols, max_len, n_top):
@@ -379,7 +376,7 @@ def test_exhaustive_counts_match_walk(data, symbols):
 def test_exhaustive_block_matches_walk_per_pair(ab, scaling, weights):
     # cross and symmetric blocks with duplicate strings, and pairs whose
     # n_used (1, 2, 3) is below the block's n_top of 4
-    from regkernel.kernel import _pair_value, kernel_block, table_count, _EXHAUSTIVE_LIMIT
+    from regkernel.kernel import kernel_block, table_count, _EXHAUSTIVE_LIMIT
 
     assert table_count(4, 2) <= _EXHAUSTIVE_LIMIT
     params = KernelParams(alphabet=ab, n_max=4, mode="exact", scaling=scaling, weights=weights)
@@ -389,7 +386,7 @@ def test_exhaustive_block_matches_walk_per_pair(ab, scaling, weights):
     def walked(x, y):
         n_used = min(len(x), len(y), 4)
         counts = agreement_counts(x, y, n_used, ab) if n_used else []
-        return _pair_value(int(x == y), counts, params, 0)
+        return reference_value(int(x == y), counts, params)
 
     for block, left, right in [(kernel_block(rows, cols, params), rows, cols),
                                (kernel_block(rows, None, params), rows, rows)]:
@@ -427,6 +424,32 @@ def test_exact_block_below_limit_makes_no_walk(ab, monkeypatch):
                             epochs_run=1, errors_per_epoch=(0,))
     decision_values(model, strings)
     assert built == expected
+
+
+def test_value_function_built_once_per_block(ab, monkeypatch):
+    # the walk, the accessible counter and the stream each feed one value
+    # function per block, however many pairs or classes the block holds
+    from regkernel import kernel
+
+    built = []
+    real = kernel._value_function
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_value_function", counting)
+    walked = KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="normalized",
+                          weights=(0.5, 1.0, 2.0, 0.25, 3.0))
+    assert kernel.table_count(5, 2) > kernel._EXHAUSTIVE_LIMIT
+    for strings, params in [
+        (["aaaaa", "ababa", "abbab", "bbbab", "babba"], walked),
+        (enumerate_strings(ab, 3), KernelParams(alphabet=ab, n_max=4, mode="exact")),
+        (enumerate_strings(ab, 3), mc_params(ab)),
+    ]:
+        built.clear()
+        gram_matrix(strings, params)
+        assert len(built) == 1, params
 
 
 # ---------------------------------------------------------------------
@@ -702,9 +725,9 @@ def test_kernel_cap_checked_before_any_term(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was evaluated before the cap check")
 
-    # every term is a walk and then a value assembled from its counts
+    # every term is a walk and then a value from the block's value function
     monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
-    monkeypatch.setattr("regkernel.kernel._pair_value", refuse)
+    monkeypatch.setattr("regkernel.kernel._value_function", refuse)
     params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
     with pytest.raises(CapExceededError, match="monte-carlo"):
         kernel_value("aaaaaaaaa", "aaaaaaaab", params)
@@ -1109,7 +1132,6 @@ def test_mc_path_reads_tables_only(ab):
     # the accepting bits are integrated out, so every Monte Carlo Gram entry,
     # kernel value and decision value is assembled from the end-state
     # agreement of plainly decoded tables, and from nothing else
-    from regkernel.kernel import _pair_value
     from regkernel.learner import PerceptronModel, decision_values
 
     strings = enumerate_strings(ab, 3)
@@ -1125,7 +1147,7 @@ def test_mc_path_reads_tables_only(ab):
             counts = [sum(end_state(t, ab.encode(x)) == end_state(t, ab.encode(y))
                           for t in tables[n])
                       for n in range(1, min(len(x), len(y), 3) + 1)]
-            return _pair_value(int(x == y), counts, params, m)
+            return reference_value(int(x == y), counts, params, m)
 
         gram = gram_matrix(strings, params)
         assert gram.values == tuple(tuple(plain_value(x, y) for y in strings) for x in strings)

@@ -249,9 +249,9 @@ def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was evaluated before the cap check")
 
-    # every term is a walk and then a value assembled from its counts
+    # every term is a walk and then a value from the block's value function
     monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
-    monkeypatch.setattr("regkernel.kernel._pair_value", refuse)
+    monkeypatch.setattr("regkernel.kernel._value_function", refuse)
     model = PerceptronModel(
         support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
         errors_per_epoch=(0,),
@@ -271,6 +271,25 @@ def test_decision_values_check_exact_cap_before_the_walk(ab, monkeypatch):
     )
     with pytest.raises(CapExceededError, match="monte-carlo"):
         decision_values(model, ["a", "ab", "aaaaaa", "b"])
+
+
+def test_decision_values_validate_every_chunk_before_any_table(ab, monkeypatch):
+    # a bad query in a later Monte Carlo chunk fails before the first
+    # chunk draws a table, and a bad exact query before any count
+    from regkernel import kernel
+    from regkernel.learner import _QUERY_CHUNK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was read before every query was validated")
+
+    monkeypatch.setattr(kernel, "draw_table_block", refuse)
+    monkeypatch.setattr(kernel, "_sliced_agreement_counts", refuse)
+    queries = ["ab"] * (_QUERY_CHUNK + 5) + ["abc"]
+    for params in (mc_params(ab, "normalized"), exact_params(ab)):
+        model = PerceptronModel(support=(("ab", 1),), params=params, epochs_run=1,
+                                errors_per_epoch=(0,))
+        with pytest.raises(ValueError, match="'c' at position 2"):
+            decision_values(model, queries)
 
 
 def test_parity_model_generalizes(parity, ab):

@@ -36,7 +36,7 @@ from .kernel import (
     kernel_value,
     sample_dfas,
 )
-from .learner import decision_values, load_dataset, load_model, save_model, train
+from .learner import Dataset, decision_values, load_dataset, load_model, save_model, train
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -86,6 +86,17 @@ def _check_out_path(out: str | Path) -> None:
     else:
         return
     raise OSError(code, os.strerror(code), str(out))
+
+
+def _load_dataset(path: str, alphabet: Alphabet) -> Dataset:
+    """The dataset at ``path``, refused unless its alphabet is ``alphabet``."""
+    dataset = load_dataset(path)
+    if dataset.alphabet != alphabet:
+        raise ValueError(
+            f"dataset alphabet {dataset.alphabet.text!r} does not match "
+            f"--alphabet {alphabet.text!r}"
+        )
+    return dataset
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser, scaling_default: str = "paper") -> None:
@@ -149,12 +160,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 def cmd_gram(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     params = _kernel_params(args, seed)
-    dataset = load_dataset(args.dataset)
-    if dataset.alphabet != params.alphabet:
-        raise ValueError(
-            f"dataset alphabet {dataset.alphabet.text!r} does not match "
-            f"--alphabet {params.alphabet.text!r}"
-        )
+    dataset = _load_dataset(args.dataset, params.alphabet)
     _check_out_path(args.out)
     out = Path(args.out)
     # a CSV without its sidecar cannot be replayed: check both before the work
@@ -177,12 +183,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     params = _kernel_params(args, seed)
-    dataset = load_dataset(args.dataset)
-    if dataset.alphabet != params.alphabet:
-        raise ValueError(
-            f"dataset alphabet {dataset.alphabet.text!r} does not match "
-            f"--alphabet {params.alphabet.text!r}"
-        )
+    dataset = _load_dataset(args.dataset, params.alphabet)
     if args.epochs < 1:
         raise ValueError(f"max_epochs must be >= 1, got {args.epochs}")
     _check_out_path(args.out)

@@ -59,9 +59,11 @@ exact path refuses the same state counts it always did.
 Permuting the symbols permutes the columns of a uniform table and leaves
 its distribution unchanged, and K is symmetric, so every exact value is
 constant on the class of (x, y) under symbol permutation and swapping.
-Above the limit, an exact Gram and exact prediction walk one canonical
-pair per class and fill the class from it.  That memo lives for one call:
-nothing is cached between calls.
+Above the limit, an exact block walks one canonical pair per class of its
+distinct strings and fills the class from it.  The class is read off the
+codes the block's plan encoded, and the walk runs on them: no string is
+encoded again, and the table cap is checked once per block, not per
+class.  That memo lives for one call: nothing is cached between calls.
 
 The Monte Carlo path uses the same identity with the T tables replaced by
 m uniformly sampled ones: with A the number of sampled tables on which x
@@ -114,10 +116,11 @@ per block, maps a pair's identity term and its counts for n = 1..n_used
 to its value: term n is affine in A_n, s_n * (D_n + A_n) / (4 * D_n) with
 D_n the tables counted, so every value is one integer numerator divided
 once, except Monte Carlo normalized values, a left-to-right float sum.
-Each distinct string of a block is encoded and planned into the trie
-once, whatever the number of counts.  kernel_value, gram_matrix and
-prediction all read their values from it, and a Gram is one matrix of
-those values.
+One plan per block (_BlockPlan) decides its distinct strings and encodes
+each once; every counter reads it, each distinct pair is assembled once
+(a symmetric block's upper triangle only), and the plan maps the result
+back to the block's strings.  kernel_value, gram_matrix and prediction
+all read their values from it, and a Gram is one matrix of those values.
 
 numpy is imported inside the enumeration-oracle functions (and
 ``GramMatrix.to_array``) only, and the thread pool only when ``jobs > 1``
@@ -337,7 +340,25 @@ def required_samples(epsilon: float, failure_prob: float) -> int:
 
 def agreement_counts(x: str, y: str, n_top: int, alphabet: Alphabet) -> list[int]:
     """[A(1), ..., A(n_top)], where A(n) is the number of n-state
-    transition tables on which x and y end in the same state.
+    transition tables on which x and y end in the same state, from one
+    lazy walk (_walk_counts) of the encoded strings.
+
+    TABLE_CAP bounds the table count n_top**(n_top*k) exactly as for the
+    enumeration oracle, and is checked before the walk; the count grows
+    with n, so every smaller n is within it too.
+    """
+    if n_top < 1:
+        raise ValueError(f"state count must be >= 1, got {n_top}")
+    k = len(alphabet)
+    total = table_count(n_top, k)
+    if total > TABLE_CAP:
+        raise CapExceededError(total, TABLE_CAP)
+    return _walk_counts(alphabet.encode(x), alphabet.encode(y), n_top, k)
+
+
+def _walk_counts(sx: Sequence[int], sy: Sequence[int], n_top: int, k: int) -> list[int]:
+    """[A(1), ..., A(n_top)] for the encoded strings sx and sy over k
+    symbols; the caller has checked n_top >= 1 and the table cap.
 
     A lazy walk (the principle of deferred decisions) at n_top states: x,
     then y, is run from state 0 on a partial table that is filled in only
@@ -361,18 +382,7 @@ def agreement_counts(x: str, y: str, n_top: int, alphabet: Alphabet) -> list[int
     exactly one of the branches (r = end_x) agrees, with v states visited
     and c + 1 cells assigned.  That step adds 1 to h[v, c + 1] instead of
     recursing into its branches.
-
-    TABLE_CAP bounds the table count n_top**(n_top*k) exactly as for the
-    enumeration oracle, and is checked before the walk; the count grows
-    with n, so every smaller n is within it too.
     """
-    if n_top < 1:
-        raise ValueError(f"state count must be >= 1, got {n_top}")
-    k = len(alphabet)
-    total = table_count(n_top, k)
-    if total > TABLE_CAP:
-        raise CapExceededError(total, TABLE_CAP)
-    sx, sy = alphabet.encode(x), alphabet.encode(y)
     len_x, len_y = len(sx), len(sy)
     last_y = len_y - 1
     # cell q*k + c holds the successor of state q on symbol c, -1 if unassigned
@@ -725,30 +735,44 @@ def _end_states(
 
 
 class _BlockPlan:
-    """The distinct strings of a block, each encoded once (which validates
-    it, naming the first bad symbol of the first bad string) and walked as
-    one trie plan: the distinct rows against the distinct cols, or the
-    symmetric block of the distinct rows when cols is None.  row_ids and
-    col_ids map a string to its distinct index; every counter of the block
-    reads the same two plans."""
+    """The one place a block's distinct strings and their encodings are
+    decided: the distinct rows against the distinct cols, or the symmetric
+    block of the distinct rows when cols is None (then ``symmetric``, and
+    only entries (i, j) with j >= i are counted and assembled).
+
+    Each distinct string is encoded once, which validates it, naming the
+    first bad symbol of the first bad string.  row_ids and col_ids map a
+    string to its distinct index, row_codes and col_codes hold the
+    encodings in that order, and row_plan and col_plan are their trie plans
+    (col_plan is None for a symmetric block).  Every counter of the block
+    and its value assembly read these, and expand maps the result back to
+    the block's strings."""
 
     def __init__(self, rows: Sequence[str], cols: Sequence[str] | None, alphabet: Alphabet):
         self.rows = rows
         self.cols = rows if cols is None else cols
+        self.symmetric = cols is None
         self.row_ids = {s: i for i, s in enumerate(dict.fromkeys(rows))}
-        self.row_plan = _trie_plan([alphabet.encode(s) for s in self.row_ids])
+        self.row_codes = [alphabet.encode(s) for s in self.row_ids]
+        self.row_plan = _trie_plan(self.row_codes)
         if cols is None:
-            self.col_ids, self.col_plan = self.row_ids, None
+            self.col_ids, self.col_codes, self.col_plan = self.row_ids, self.row_codes, None
         else:
             self.col_ids = {s: i for i, s in enumerate(dict.fromkeys(cols))}
-            self.col_plan = _trie_plan([alphabet.encode(s) for s in self.col_ids])
+            self.col_codes = [alphabet.encode(s) for s in self.col_ids]
+            self.col_plan = _trie_plan(self.col_codes)
 
-    def expand(self, counts: list[list[int]]) -> list[list[int]]:
-        """The R x C matrix of the block's strings from the matrix of its
-        distinct strings."""
+    def expand(self, block: list[list]) -> list[list]:
+        """The R x C matrix of the block's strings from a matrix over its
+        distinct strings; a symmetric block's lower triangle is first
+        mirrored, in place, from its upper triangle."""
+        if self.symmetric:
+            for i, line in enumerate(block):
+                for j in range(i):
+                    line[j] = block[j][i]
         if len(self.row_ids) == len(self.rows) and len(self.col_ids) == len(self.cols):
-            return counts  # no duplicates: the distinct strings are the strings, in order
-        return [[counts[self.row_ids[x]][self.col_ids[y]] for y in self.cols] for x in self.rows]
+            return block  # no duplicates: the distinct strings are the strings, in order
+        return [[block[self.row_ids[x]][self.col_ids[y]] for y in self.cols] for x in self.rows]
 
 
 def _sliced_agreement_counts(
@@ -756,13 +780,14 @@ def _sliced_agreement_counts(
 ) -> list[list[int]]:
     """Lists of end-state agreement counts over ``count`` tables: entry
     (i, j) counts the tables on which distinct row i and distinct column j
-    of the plan end in the same state.
+    of the plan end in the same state.  A symmetric plan's entries with
+    j < i stay 0: A(x, y) = A(y, x) exactly, and plan.expand mirrors them.
 
     The tables come bit-sliced in blocks of at most _BLOCK_SAMPLES, block
     b of size s being draw(b, s), and are counted one block at a time.  In
     a block, each distinct string's end states are one integer of n
     masks laid end to end (_end_states), so the agreement of two strings
-    is the popcount of their AND, and A(x, y) = A(y, x) exactly.  The
+    is the popcount of their AND.  The
     distinct rows' end states are kept for the block; the distinct
     columns' are counted against them as their trie walk reaches them,
     and dropped.  So live memory is one block's tables and rows, however
@@ -776,7 +801,7 @@ def _sliced_agreement_counts(
         row_ends = [0] * n_rows
         for i, ends in _end_states(plan.row_plan, parts, size):
             row_ends[i] = ends
-        if plan.col_plan is None:
+        if plan.symmetric:
             for i, ends in enumerate(row_ends):
                 line = counts[i]
                 for j in range(i, n_rows):
@@ -785,10 +810,6 @@ def _sliced_agreement_counts(
             for j, ends in _end_states(plan.col_plan, parts, size):
                 for i, row in enumerate(row_ends):
                     counts[i][j] += (row & ends).bit_count()
-    if plan.col_plan is None:
-        for i in range(n_rows):
-            for j in range(i):
-                counts[i][j] = counts[j][i]
     return counts
 
 
@@ -1010,46 +1031,46 @@ def _value_function(
     return value
 
 
-def _canonical_pair(x: str, y: str, alphabet: Alphabet) -> tuple[str, str]:
-    """Representative of the class of (x, y) under symbol permutation and
-    swapping, on which every exact value is constant.
+def _canonical_pair(x: Sequence[int], y: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Representative of the class of the encoded pair (x, y) under symbol
+    permutation and swapping, on which every exact value is constant.
 
-    Each order of the pair is relabeled by first appearance of its symbols
-    (over the first string, then the second) onto the alphabet's own order;
-    the smaller of the two relabeled pairs is the representative.
+    Each order of the pair is relabelled by first appearance of its codes
+    (over the first string, then the second) onto 0, 1, ...; the smaller
+    of the two relabelled pairs is the representative.
     """
 
-    def relabel(first: str, second: str) -> tuple[str, str]:
-        names: dict[str, str] = {}
-        for ch in first + second:
-            if ch not in names:
-                names[ch] = alphabet.symbols[len(names)]
-        return "".join(map(names.get, first)), "".join(map(names.get, second))
+    def relabel(first: Sequence[int], second: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        names: dict[int, int] = {}
+        for c in itertools.chain(first, second):
+            names.setdefault(c, len(names))
+        return tuple(map(names.get, first)), tuple(map(names.get, second))
 
     return min(relabel(x, y), relabel(y, x))
 
 
 def _walked_agreement_counts(
-    plan: _BlockPlan, n_top: int, alphabet: Alphabet, jobs: int
+    plan: _BlockPlan, n_top: int, k: int, jobs: int
 ) -> list[list[list[int]]]:
     """[A_1, ..., A_n_top] over the distinct rows and columns of the plan,
     as _accessible_agreement_counts lists C_m, from one walk per
-    symbol-permutation class: agreement_counts at the canonical pair's
-    n_used = min(|x|, |y|, n_top), on ``jobs`` threads, copied to every
-    pair of the class.  A_n stays 0 for a pair whose n_used is below n."""
-    rows, cols = list(plan.row_ids), list(plan.col_ids)
-    symmetric = plan.col_plan is None
-    pairs = [(i, j) for i in range(len(rows)) for j in range(i if symmetric else 0, len(cols))]
-    classes: dict[tuple[str, str], int] = {}
+    symbol-permutation class of the plan's codes: _walk_counts at the
+    canonical pair's n_used = min(|x|, |y|, n_top), on ``jobs`` threads,
+    copied to every pair of the class.  A_n stays 0 for a pair whose n_used
+    is below n, and below the diagonal of a symmetric plan.  The caller has
+    checked the table cap at n_top."""
+    rows, cols = plan.row_codes, plan.col_codes
+    pairs = [(i, j) for i in range(len(rows))
+             for j in range(i if plan.symmetric else 0, len(cols))]
+    classes: dict[tuple[tuple[int, ...], ...], int] = {}
     class_of_pair = [
-        classes.setdefault(_canonical_pair(rows[i], cols[j], alphabet), len(classes))
-        for i, j in pairs
+        classes.setdefault(_canonical_pair(rows[i], cols[j]), len(classes)) for i, j in pairs
     ]
 
-    def walk(pair: tuple[str, str]) -> list[int]:
+    def walk(pair: tuple[tuple[int, ...], ...]) -> list[int]:
         x, y = pair
         n_used = min(len(x), len(y), n_top)
-        return agreement_counts(x, y, n_used, alphabet) if n_used else []
+        return _walk_counts(x, y, n_used, k) if n_used else []
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -1062,8 +1083,6 @@ def _walked_agreement_counts(
     for (i, j), c in zip(pairs, class_of_pair):
         for counts, a in zip(per_n, class_counts[c]):
             counts[i][j] = a
-            if symmetric:
-                counts[j][i] = a
     return per_n
 
 
@@ -1075,14 +1094,14 @@ def kernel_block(
 ) -> list[list[int | float]]:
     """Kernel values of every (rows[i], cols[j]) pair, as an R x C matrix.
 
-    With ``cols`` None the block is the symmetric Gram of ``rows`` and only
-    its upper triangle is evaluated.  Every string is validated, and an
-    exact sum's table cap checked for its largest term, before any count.
+    With ``cols`` None the block is the symmetric Gram of ``rows``.  Every
+    string is validated, and an exact sum's table cap checked for its
+    largest term, before any count; this is the one cap check of the walk.
 
-    Every block counts, then assembles.  The distinct rows and columns are
-    encoded and planned into one prefix trie each, once (_BlockPlan), and
-    one counter lists, for each n up to the block's n_top, a matrix of
-    counts over them:
+    Every block plans, counts, then assembles.  The plan (_BlockPlan)
+    decides the distinct rows and columns and encodes each once, and one
+    counter lists, for each n up to the block's n_top, a matrix of counts
+    over them:
     - Monte Carlo mode: the agreement counts A_n over the first
       hoeffding_samples(epsilon, failure_prob) tables of n's stream, with
       the bit-sliced counter (_sliced_agreement_counts, as
@@ -1092,22 +1111,22 @@ def kernel_block(
       (accessible_tables), with the same counter, from which
       A_n = sum_{m <= n} w(n, m) * C_m (accessible_weights), the integers
       exhaustive_agreement_counts returns;
-    - exact mode above the limit: A_n from one walk per symbol-permutation
-      class (_walked_agreement_counts), with a memo that lives for this
-      call and ``jobs`` threads.
+    - exact mode above the limit: A_n from one walk of the plan's codes per
+      symbol-permutation class (_walked_agreement_counts), with a memo that
+      lives for this call and ``jobs`` threads.
     One value function (_value_function), built once per block, then
-    assembles every pair from its identity term and its counts for
-    n = 1..n_used; with accessible counts, the weights w(n, m) are folded
-    into its per-block integer constants.  ``jobs`` affects only the walk,
-    and no value depends on it.  kernel_value, gram_matrix and prediction
-    all read their values from here.
+    assembles each distinct pair once (only j >= i of a symmetric block)
+    from its identity term and its counts for n = 1..n_used; with
+    accessible counts, the weights w(n, m) are folded into its per-block
+    integer constants.  plan.expand mirrors a symmetric block and maps the
+    distinct pairs back to the block's strings.  ``jobs`` affects only the
+    walk, and no value depends on it.  kernel_value, gram_matrix and
+    prediction all read their values from here.
     """
-    symmetric = cols is None
     plan = _BlockPlan(rows, cols, params.alphabet)  # validates every string
-    cols = plan.cols
     k = len(params.alphabet)
-    row_lens = [min(len(s), params.n_max) for s in rows]
-    col_lens = row_lens if symmetric else [min(len(s), params.n_max) for s in cols]
+    row_lens = [min(len(s), params.n_max) for s in plan.row_ids]
+    col_lens = row_lens if plan.symmetric else [min(len(s), params.n_max) for s in plan.col_ids]
     n_top = min(max(row_lens, default=0), max(col_lens, default=0))
 
     mix = None
@@ -1120,7 +1139,7 @@ def kernel_block(
             )
         if required > _EXHAUSTIVE_LIMIT:
             # per_size[n - 1] holds A_n over all n-state tables
-            per_size = _walked_agreement_counts(plan, n_top, params.alphabet, jobs)
+            per_size = _walked_agreement_counts(plan, n_top, k, jobs)
         else:
             # per_size[m - 1] holds C_m, and A_n = sum_{m <= n} w(n, m) * C_m
             per_size = _accessible_agreement_counts(plan, n_top, k)
@@ -1134,19 +1153,15 @@ def kernel_block(
         ]
     value = _value_function(params, n_top, mix)
 
-    row_idx = [plan.row_ids[s] for s in rows]
-    col_idx = row_idx if symmetric else [plan.col_ids[s] for s in cols]
-    block: list[list[int | float]] = [[0] * len(cols) for _ in rows]
-    for i, x in enumerate(rows):
-        lines = [counts[row_idx[i]] for counts in per_size[: row_lens[i]]]
-        out = block[i]
-        for j in range(i if symmetric else 0, len(cols)):
-            c = col_idx[j]
-            v = value(int(x == cols[j]), [line[c] for line in lines[: col_lens[j]]])
-            out[j] = v
-            if symmetric:
-                block[j][i] = v
-    return block
+    cols = list(plan.col_ids)
+    block: list[list[int | float]] = []
+    for i, x in enumerate(plan.row_ids):
+        lines = [counts[i] for counts in per_size[: row_lens[i]]]
+        line: list[int | float] = [0] * len(cols)
+        for j in range(i if plan.symmetric else 0, len(cols)):
+            line[j] = value(int(x == cols[j]), [counts[j] for counts in lines[: col_lens[j]]])
+        block.append(line)
+    return plan.expand(block)
 
 
 def kernel_value(x: str, y: str, params: KernelParams) -> KernelValue:

@@ -236,6 +236,17 @@ def test_train_alphabet_mismatch_exit_2(tmp_path, capsys, parity, ab):
     assert "alphabet" in stderr
 
 
+def test_gram_alphabet_mismatch_exit_2(tmp_path, capsys, parity, ab):
+    dataset = write_parity_dataset(tmp_path, parity, ab)
+    code, stdout, stderr = run_cli(
+        capsys, "gram", "--dataset", str(dataset), "--alphabet", "abc",
+        "--seed", "0", "--out", str(tmp_path / "g.csv"),
+    )
+    assert (code, stdout) == (2, "")
+    assert "dataset alphabet 'ab' does not match --alphabet 'abc'" in stderr
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_predict_validates_all_lines_before_output(tmp_path, capsys, parity, ab):
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=2)
     model_path = tmp_path / "parity.model"
@@ -558,7 +569,7 @@ def test_train_epochs_zero_exits_2_before_any_kernel_work(tmp_path, capsys, pari
     def refuse(*args, **kwargs):
         raise AssertionError("kernel work started before --epochs was checked")
 
-    monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
+    monkeypatch.setattr("regkernel.cli.gram_matrix", refuse)
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
     model_path = tmp_path / "m.model"
     code, stdout, stderr = run_cli(

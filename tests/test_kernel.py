@@ -275,13 +275,13 @@ def test_exact_gram_walks_each_canonical_pair_once(ab, monkeypatch):
     from regkernel import kernel
 
     calls = []
-    original = kernel.agreement_counts
+    original = kernel._walk_counts
 
-    def counting(x, y, n_top, *args, **kwargs):
-        calls.append((x, y, n_top))
-        return original(x, y, n_top, *args, **kwargs)
+    def counting(x, y, n_top, k):
+        calls.append((tuple(x), tuple(y), n_top))
+        return original(x, y, n_top, k)
 
-    monkeypatch.setattr(kernel, "agreement_counts", counting)
+    monkeypatch.setattr(kernel, "_walk_counts", counting)
     # at n_max 5 the block's n_top is 5, and 5**10 tables are above the
     # exhaustive limit, so every class is walked
     strings = enumerate_strings(ab, 3) + ["ababa", "babab"]
@@ -292,18 +292,6 @@ def test_exact_gram_walks_each_canonical_pair_once(ab, monkeypatch):
     # the 8 pairs {x, swapped x} that it maps to themselves: (136 + 8) / 2.
     assert len(calls) == 72
     assert len(set(calls)) == 72
-
-
-def test_kernel_cap_checked_before_the_walk(ab, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a walk started before the cap check")
-
-    monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
-    params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        kernel_value("aaaaaaaaa", "aaaaaaaab", params)
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params)
 
 
 # ---------------------------------------------------------------------
@@ -410,7 +398,7 @@ def test_exact_block_below_limit_makes_no_walk(ab, monkeypatch):
         built.append((m, k))
         return real(m, k)
 
-    monkeypatch.setattr(kernel, "agreement_counts", refuse)
+    monkeypatch.setattr(kernel, "_walk_counts", refuse)
     monkeypatch.setattr(kernel, "accessible_tables", counting)
     kernel._accessible_parts.cache_clear()
     params = KernelParams(alphabet=ab, n_max=4, mode="exact", scaling="paper")
@@ -450,6 +438,52 @@ def test_value_function_built_once_per_block(ab, monkeypatch):
         built.clear()
         gram_matrix(strings, params)
         assert len(built) == 1, params
+
+
+def test_walk_gram_encodes_each_string_once(ab, monkeypatch):
+    # the plan encodes every string; the walk reads its codes
+    from regkernel import kernel
+
+    encoded = []
+    real = Alphabet.encode
+
+    def counting(self, s):
+        encoded.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(Alphabet, "encode", counting)
+    strings = enumerate_strings(ab, 5)
+    assert kernel.table_count(5, 2) > kernel._EXHAUSTIVE_LIMIT
+    gram_matrix(strings, KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="paper"))
+    assert sorted(encoded) == sorted(strings)
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+def test_block_values_each_distinct_pair_once(ab, monkeypatch, mode):
+    from regkernel import kernel
+
+    calls = []
+    real = kernel._value_function
+
+    def counting(*args, **kwargs):
+        value = real(*args, **kwargs)
+
+        def counted(same, counts):
+            calls.append(same)
+            return value(same, counts)
+
+        return counted
+
+    monkeypatch.setattr(kernel, "_value_function", counting)
+    params = KernelParams(alphabet=ab, n_max=3, mode=mode, scaling="paper",
+                          epsilon=0.2, master_seed=3)
+    rows = ["", "ab", "bba", "ab"]
+    distinct = enumerate_strings(ab, 5)[:50]
+    block = kernel.kernel_block(rows, distinct * 3, params)
+    assert len(calls) == 3 * 50
+    for line in block:
+        assert line[:50] == line[50:100] == line[100:]
+    assert block[1] == block[3]
 
 
 # ---------------------------------------------------------------------
@@ -725,9 +759,10 @@ def test_kernel_cap_checked_before_any_term(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was evaluated before the cap check")
 
-    # every term is a walk and then a value from the block's value function
-    monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
-    monkeypatch.setattr("regkernel.kernel._value_function", refuse)
+    # every term is counted by the walk or the bit-sliced counter, then
+    # valued by the block's value function
+    for name in ("_walk_counts", "_sliced_agreement_counts", "_value_function"):
+        monkeypatch.setattr(f"regkernel.kernel.{name}", refuse)
     params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
     with pytest.raises(CapExceededError, match="monte-carlo"):
         kernel_value("aaaaaaaaa", "aaaaaaaab", params)

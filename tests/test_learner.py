@@ -249,22 +249,10 @@ def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was evaluated before the cap check")
 
-    # every term is a walk and then a value from the block's value function
-    monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
-    monkeypatch.setattr("regkernel.kernel._value_function", refuse)
-    model = PerceptronModel(
-        support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
-        errors_per_epoch=(0,),
-    )
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        decision_values(model, ["a", "ab", "aaaaaa", "b"])
-
-
-def test_decision_values_check_exact_cap_before_the_walk(ab, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a walk started before the cap check")
-
-    monkeypatch.setattr("regkernel.kernel.agreement_counts", refuse)
+    # every term is counted by the walk or the bit-sliced counter, then
+    # valued by the block's value function
+    for name in ("_walk_counts", "_sliced_agreement_counts", "_value_function"):
+        monkeypatch.setattr(f"regkernel.kernel.{name}", refuse)
     model = PerceptronModel(
         support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
         errors_per_epoch=(0,),

@@ -294,6 +294,19 @@ def test_exact_gram_walks_each_canonical_pair_once(ab, monkeypatch):
     assert len(set(calls)) == 72
 
 
+def test_kernel_cap_checked_before_the_walk(ab, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk started before the cap check")
+
+    for name in ("agreement_counts", "_walk_counts"):
+        monkeypatch.setattr(f"regkernel.kernel.{name}", refuse)
+    params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
+    with pytest.raises(CapExceededError, match="monte-carlo"):
+        kernel_value("aaaaaaaaa", "aaaaaaaab", params)
+    with pytest.raises(CapExceededError, match="monte-carlo"):
+        gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params)
+
+
 # ---------------------------------------------------------------------
 # grid helpers
 # ---------------------------------------------------------------------

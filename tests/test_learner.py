@@ -261,6 +261,20 @@ def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
         decision_values(model, ["a", "ab", "aaaaaa", "b"])
 
 
+def test_decision_values_check_exact_cap_before_the_walk(ab, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk started before the cap check")
+
+    for name in ("agreement_counts", "_walk_counts"):
+        monkeypatch.setattr(f"regkernel.kernel.{name}", refuse)
+    model = PerceptronModel(
+        support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
+        errors_per_epoch=(0,),
+    )
+    with pytest.raises(CapExceededError, match="monte-carlo"):
+        decision_values(model, ["a", "ab", "aaaaaa", "b"])
+
+
 def test_decision_values_validate_every_chunk_before_any_table(ab, monkeypatch):
     # a bad query in a later Monte Carlo chunk fails before the first
     # chunk draws a table, and a bad exact query before any count

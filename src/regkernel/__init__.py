@@ -15,7 +15,9 @@ from .automata import (
     dfa_space_size,
     enumerate_dfas,
     enumerate_tables,
+    kn_by_enumeration,
     parse_dfa,
+    pn_by_enumeration,
     serialize_dfa,
     table_count,
 )
@@ -42,9 +44,7 @@ from .kernel import (
     gram_matrix,
     hoeffding_samples,
     kernel_value,
-    kn_by_enumeration,
     mc_pn,
-    pn_by_enumeration,
     required_samples,
     sample_dfa,
     sample_dfas,

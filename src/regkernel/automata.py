@@ -8,13 +8,25 @@ objects, without quotienting by isomorphism and without pruning
 unreachable states, so the space of n-state automata over k symbols has
 exactly n**(n*k) * 2**n members.  The uniform sampler,
 kernel.sample_dfas, reads the Monte Carlo kernel's own table stream.
+
+Enumerating every table (with numpy) and every DFA is the package's
+independent oracle for the kernel: the tests check both of the kernel's
+exact counters against it, and ``verify --suite bounds`` and the
+benchmark reference are computed from it.  TABLE_CAP bounds every
+enumeration here, and the kernel's exact path reads the same cap.  numpy
+is imported inside the oracle functions only, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from fractions import Fraction
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Upper bound on how many transition tables an exhaustive walk may touch.
 TABLE_CAP = 10_000_000
@@ -201,6 +213,113 @@ def enumerate_dfas(n: int, alphabet: Alphabet) -> Iterator[Dfa]:
         for mask in range(2**n):
             accepting = frozenset(q for q in range(n) if (mask >> q) & 1)
             yield Dfa(n=n, alphabet=alphabet, table=table, accepting=accepting)
+
+
+# ---------------------------------------------------------------------------
+# Enumeration oracle: every transition table, for tests and verification
+# ---------------------------------------------------------------------------
+
+_CHUNK = 1 << 18
+
+
+def _table_chunks(n: int, k: int):
+    """Yield (ranks, cells) arrays covering all n**(n*k) tables in rank order.
+
+    cells has shape (chunk, n, k); cell (q, i) of the table with a given
+    rank is digit n*k-1-(q*k+i) of the rank in base n (first cell most
+    significant), matching enumerate_tables.
+    """
+    import numpy as np
+
+    total = table_count(n, k)
+    ncells = n * k
+    powers = np.array([n ** (ncells - 1 - i) for i in range(ncells)], dtype=np.int64)
+    for lo in range(0, total, _CHUNK):
+        ranks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        cells = (ranks[:, None] // powers[None, :]) % n
+        yield ranks, cells.reshape(len(ranks), n, k)
+
+
+def _walk(cells: np.ndarray, encoded: Sequence[int]) -> np.ndarray:
+    """End states of one string on a batch of transition tables."""
+    import numpy as np
+
+    m = cells.shape[0]
+    state = np.zeros(m, dtype=np.int64)
+    rows = np.arange(m)
+    for ci in encoded:
+        state = cells[rows, state, ci]
+    return state
+
+
+def kn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> int:
+    """Oracle for kernel.exact_kn: literally walk every DFA and test both strings.
+
+    Much slower than exact_kn; exists so the lazy walk and the closed form
+    can be cross-checked against the definition.
+    """
+    count = 0
+    for dfa in enumerate_dfas(n, alphabet):
+        if dfa.accepts(x) and dfa.accepts(y):
+            count += 1
+    return count
+
+
+def pn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
+    return Fraction(kn_by_enumeration(x, y, n, alphabet), dfa_space_size(n, len(alphabet)))
+
+
+# ---------------------------------------------------------------------------
+# Grid helpers: shared end-state memoization for exhaustive verification
+# ---------------------------------------------------------------------------
+
+
+def end_state_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
+    """(T, S) matrix of end states: row per transition table in rank order,
+    column per string.  Materializes all tables; intended for small n."""
+    import numpy as np
+
+    encoded = [alphabet.encode(s) for s in strings]
+    total = table_count(n, len(alphabet))
+    if total > TABLE_CAP:
+        raise CapExceededError(total, TABLE_CAP)
+    out = np.empty((total, len(strings)), dtype=np.int64)
+    for ranks, cells in _table_chunks(n, len(alphabet)):
+        for j, e in enumerate(encoded):
+            out[ranks[0] : ranks[-1] + 1, j] = _walk(cells, e)
+    return out
+
+
+def agreement_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
+    """(S, S) matrix of pairwise table agreement counts over one shared
+    end-state grid; entry (i, j) equals agreement_count(strings[i], strings[j])."""
+    import numpy as np
+
+    ends = end_state_grid(strings, n, alphabet)
+    s = len(strings)
+    counts = np.empty((s, s), dtype=np.int64)
+    for i in range(s):
+        counts[i] = (ends[:, i : i + 1] == ends).sum(axis=0)
+    return counts
+
+
+def joint_accept_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
+    """(S, S) matrix of K_n values by direct enumeration over every DFA.
+
+    Iterates every (table, accepting mask) pair and accumulates the outer
+    product of acceptance indicators; no use of the agreement identity,
+    so it serves as the independent oracle for the closed-form path.
+    """
+    import numpy as np
+
+    ends = end_state_grid(strings, n, alphabet)
+    s = len(strings)
+    counts = np.zeros((s, s), dtype=np.int64)
+    for row in ends:
+        for mask in range(2**n):
+            acc = (mask >> row) & 1
+            counts += acc[:, None] * acc[None, :]
+    return counts
 
 
 def iter_strings(alphabet: Alphabet, max_len: int) -> Iterator[str]:

@@ -67,9 +67,7 @@ class SparseVec:
     truncated: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        self.entries = {
-            k: Fraction(v) for k, v in self.entries.items() if Fraction(v) != 0
-        }
+        self.entries = {k: f for k, v in self.entries.items() if (f := Fraction(v))}
 
     @property
     def nnz(self) -> int:

@@ -49,12 +49,10 @@ that step reaches an unassigned cell, exactly one of its branches ends
 where x ended, so it adds 1 to h[v, c + 1] directly.  The two counters
 return the same integers, so the limit only decides speed: counting the
 accessible tables for a block of many strings costs less than walking
-each pair, and the walk wins once T grows.
-Enumerating every table (and every DFA) with numpy remains in this module
-as the independent oracle: the tests check both counters against it, and
-``verify --suite bounds`` and the benchmark reference are computed from
-it.  The fixed ``TABLE_CAP`` bounds T = n**(n*k) on both paths, so the
-exact path refuses the same state counts it always did.
+each pair, and the walk wins once T grows.  Both are checked against the
+enumeration oracle in ``automata``.  The fixed ``TABLE_CAP`` bounds
+T = n**(n*k) on both paths, as it bounds the oracle, so the exact path
+refuses the same state counts it always did.
 
 Permuting the symbols permutes the columns of a uniform table and leaves
 its distribution unchanged, and K is symmetric, so every exact value is
@@ -122,12 +120,11 @@ each once; every counter reads it, each distinct pair is assembled once
 back to the block's strings.  kernel_value, gram_matrix and prediction
 all read their values from it, and a Gram is one matrix of those values.
 
-numpy is imported inside the enumeration-oracle functions (and
-``GramMatrix.to_array``) only, and the thread pool only when ``jobs > 1``
-and the walk runs (``jobs`` affects nothing else): both runtime paths and
-the sampler are pure Python, so importing this
-module, and the sample, kernel, gram, train and predict commands in either
-mode, load neither.
+numpy is imported inside ``GramMatrix.to_array`` only, and the thread
+pool only when ``jobs > 1`` and the walk runs (``jobs`` affects nothing
+else): both runtime paths and the sampler are pure Python, so importing
+this module, and the sample, kernel, gram, train and predict commands in
+either mode, load neither.
 """
 
 from __future__ import annotations
@@ -149,7 +146,7 @@ from .automata import (
     CapExceededError,
     Dfa,
     dfa_space_size,
-    enumerate_dfas,
+    joint_accept_count_grid,  # re-exported: bench/make_reference.py imports it from here
     table_count,
 )
 
@@ -173,8 +170,11 @@ _BLOCK_SAMPLES = 1 << 14
 # 0.25 vs 0.26 ms; Grams of 63 and 127 strings at 4**8 8.4 vs 178 ms and
 # 44 vs 1510 ms; 40 strings at 3**9 4.4 vs 10.8 ms; 85 strings at 3**12
 # 345 vs 30 ms; one pair at 5**10 4.1 vs 0.39 ms.  So counting wins on
-# every measured block below the limit and loses on both above it (the
-# crossover is recorded in CHANGES.md and README).
+# every measured block below the limit.  Above it the table count alone
+# does not pick the faster counter: counting loses on those two blocks but
+# wins on Grams over two symbols at 5**10, 63 strings 0.23 vs 0.29 s and
+# 127 strings 0.72 vs 4.3 s (README; a per-block cost model is ROADMAP
+# item 12).
 _EXHAUSTIVE_LIMIT = 1 << 16
 
 
@@ -192,7 +192,8 @@ class KernelParams:
     mode: "exact" enumerates transition tables; "monte-carlo" samples.
     scaling: "paper" sums raw DFA counts K_n (exact integers in exact
         mode); "normalized" sums w_n * P_n with non-negative per-n
-        weights (default 1), producing floats.
+        weights (default 1), producing floats.  Paper scaling has no
+        weights and refuses them.
     n_max: cap on the summation index; the sum always stops at
         min(|x|, |y|, n_max) and records whether it was truncated.
     epsilon, failure_prob: relative accuracy and confidence parameter of
@@ -220,6 +221,8 @@ class KernelParams:
         _check_budget_args(self.epsilon, self.failure_prob)
         check_seed(int(self.master_seed))
         if self.weights is not None:
+            if self.scaling == "paper":
+                raise ValueError("weights apply only to normalized scaling")
             try:
                 ws = tuple(float(w) for w in self.weights)
             except OverflowError as e:  # an int beyond the float range
@@ -438,17 +441,17 @@ def _walk_counts(sx: Sequence[int], sy: Sequence[int], n_top: int, k: int) -> li
         table[cell] = -1
 
     walk_x(0, 0, 1, 0)
-    counts = []
-    for n in range(1, n_top + 1):
-        count = 0
-        falling = 1  # (n-1)(n-2)...(n-v+1)
-        for v in range(1, n + 1):
-            for c, h in enumerate(hist[v]):
-                if h:
-                    count += h * falling * n ** (n * k - c)
-            falling *= n - v
-        counts.append(count)
-    return counts
+    return [sum(h * _completions(n, k, v, c)
+                for v in range(1, n + 1) for c, h in enumerate(hist[v]) if h)
+            for n in range(1, n_top + 1)]
+
+
+def _completions(n: int, k: int, v: int, c: int) -> int:
+    """(n-1)(n-2)...(n-v+1) * n**(n*k - c): the n-state tables that
+    complete a partial table with v states visited, labelled 0..v-1, and c
+    cells assigned.  The labels 1..v-1 name distinct states other than 0,
+    and the n*k - c unassigned cells are free."""
+    return math.perm(n - 1, v - 1) * n ** (n * k - c)
 
 
 def agreement_count(x: str, y: str, n: int, alphabet: Alphabet) -> int:
@@ -483,113 +486,6 @@ def exact_pn(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
 def exact_kn(x: str, y: str, n: int, alphabet: Alphabet) -> int:
     """Exact count of n-state DFAs accepting both x and y."""
     return _kn_from_agreement(agreement_count(x, y, n, alphabet), n, len(alphabet))
-
-
-# ---------------------------------------------------------------------------
-# Enumeration oracle: every transition table, for tests and verification
-# ---------------------------------------------------------------------------
-
-_CHUNK = 1 << 18
-
-
-def _table_chunks(n: int, k: int):
-    """Yield (ranks, cells) arrays covering all n**(n*k) tables in rank order.
-
-    cells has shape (chunk, n, k); cell (q, i) of the table with a given
-    rank is digit n*k-1-(q*k+i) of the rank in base n (first cell most
-    significant), matching automata.enumerate_tables.
-    """
-    import numpy as np
-
-    total = table_count(n, k)
-    ncells = n * k
-    powers = np.array([n ** (ncells - 1 - i) for i in range(ncells)], dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        ranks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        cells = (ranks[:, None] // powers[None, :]) % n
-        yield ranks, cells.reshape(len(ranks), n, k)
-
-
-def _walk(cells: np.ndarray, encoded: Sequence[int]) -> np.ndarray:
-    """End states of one string on a batch of transition tables."""
-    import numpy as np
-
-    m = cells.shape[0]
-    state = np.zeros(m, dtype=np.int64)
-    rows = np.arange(m)
-    for ci in encoded:
-        state = cells[rows, state, ci]
-    return state
-
-
-def kn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> int:
-    """Oracle for exact_kn: literally walk every DFA and test both strings.
-
-    Much slower than exact_kn; exists so the lazy walk and the closed form
-    can be cross-checked against the definition.
-    """
-    count = 0
-    for dfa in enumerate_dfas(n, alphabet):
-        if dfa.accepts(x) and dfa.accepts(y):
-            count += 1
-    return count
-
-
-def pn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
-    return Fraction(kn_by_enumeration(x, y, n, alphabet), dfa_space_size(n, len(alphabet)))
-
-
-# ---------------------------------------------------------------------------
-# Grid helpers: shared end-state memoization for exhaustive verification
-# ---------------------------------------------------------------------------
-
-
-def end_state_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
-    """(T, S) matrix of end states: row per transition table in rank order,
-    column per string.  Materializes all tables; intended for small n."""
-    import numpy as np
-
-    encoded = [alphabet.encode(s) for s in strings]
-    total = table_count(n, len(alphabet))
-    if total > TABLE_CAP:
-        raise CapExceededError(total, TABLE_CAP)
-    out = np.empty((total, len(strings)), dtype=np.int64)
-    for ranks, cells in _table_chunks(n, len(alphabet)):
-        for j, e in enumerate(encoded):
-            out[ranks[0] : ranks[-1] + 1, j] = _walk(cells, e)
-    return out
-
-
-def agreement_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
-    """(S, S) matrix of pairwise table agreement counts over one shared
-    end-state grid; entry (i, j) equals agreement_count(strings[i], strings[j])."""
-    import numpy as np
-
-    ends = end_state_grid(strings, n, alphabet)
-    s = len(strings)
-    counts = np.empty((s, s), dtype=np.int64)
-    for i in range(s):
-        counts[i] = (ends[:, i : i + 1] == ends).sum(axis=0)
-    return counts
-
-
-def joint_accept_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
-    """(S, S) matrix of K_n values by direct enumeration over every DFA.
-
-    Iterates every (table, accepting mask) pair and accumulates the outer
-    product of acceptance indicators; no use of the agreement identity,
-    so it serves as the independent oracle for the closed-form path.
-    """
-    import numpy as np
-
-    ends = end_state_grid(strings, n, alphabet)
-    s = len(strings)
-    counts = np.zeros((s, s), dtype=np.int64)
-    for row in ends:
-        for mask in range(2**n):
-            acc = (mask >> row) & 1
-            counts += acc[:, None] * acc[None, :]
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -903,10 +799,9 @@ def _accessible_block(m: int, k: int, block: int, size: int) -> list[list[list[i
 def accessible_weights(n: int, k: int) -> list[int]:
     """[w(n, 1), ..., w(n, n)]: w(n, m) = (n-1)(n-2)...(n-m+1) * n**((n-m)*k)
     n-state tables have a given accessible m-state table as the part that
-    state 0 reaches, relabelled canonically.  The labels 1..m-1 name
-    distinct states other than 0, in (n-1)!/(n-m)! ways, and the n - m
-    rows that 0 does not reach are free."""
-    return [math.perm(n - 1, m - 1) * n ** ((n - m) * k) for m in range(1, n + 1)]
+    state 0 reaches, relabelled canonically: the completions of a partial
+    table with m states visited and all m*k of their cells assigned."""
+    return [_completions(n, k, m, m * k) for m in range(1, n + 1)]
 
 
 def _accessible_agreement_counts(plan: _BlockPlan, n_top: int, k: int) -> list[list[list[int]]]:

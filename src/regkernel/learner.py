@@ -77,7 +77,8 @@ class Dataset:
 @dataclass(frozen=True)
 class PerceptronModel:
     """Support strings with their dual coefficients, plus the kernel
-    parameters in force at training time (reused verbatim by predict)."""
+    parameters in force at training time (reused verbatim by predict).
+    Each support string is checked against the alphabet on construction."""
 
     support: tuple[tuple[str, int | float], ...]
     params: KernelParams
@@ -86,6 +87,10 @@ class PerceptronModel:
 
     def __post_init__(self):
         for s, coeff in self.support:
+            try:
+                self.params.alphabet.encode(s)
+            except ValueError as e:
+                raise ValueError(f"support string {s!r}: {e}") from e
             if coeff == 0:
                 raise ValueError(f"support string {s!r} has zero coefficient")
             try:

@@ -1,9 +1,10 @@
 """Runnable verification suites behind ``regkernel verify``.
 
 Each suite returns a list of Check rows the CLI renders as a
-machine-readable pass/fail table.  The heavy suites lean on the grid
-helpers in :mod:`regkernel.kernel` so exhaustive small-instance checks
-stay at desk scale.
+machine-readable pass/fail table.  The bounds suite checks integer
+identities over the enumeration oracle's count grids in
+:mod:`regkernel.automata`, so exhaustive small-instance checks stay at
+desk scale.
 """
 
 from __future__ import annotations
@@ -11,24 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import Alphabet, dfa_space_size, table_count
+from .automata import (
+    Alphabet,
+    agreement_count_grid,
+    dfa_space_size,
+    joint_accept_count_grid,
+    table_count,
+)
 from .embedding import ConceptUniverse, InstanceKey, SparseVec, phi, score, separator
 from .kernel import (
     KernelParams,
-    agreement_count_grid,
     exact_pn,
     exhaustive_agreement_counts,
     gram_matrix,
     hoeffding_samples,
-    joint_accept_count_grid,
     mc_agreement_counts,
     mc_pn,
     required_samples,
 )
 from .learner import enumerate_strings
-
-QUARTER = Fraction(1, 4)
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -49,13 +51,17 @@ def suite_bounds(
 ) -> list[Check]:
     """Exhaustive joint-acceptance fraction checks on a small grid.
 
-    For every state count and every ordered pair of strings up to the
-    length limit: 1/4 <= P_n <= 1/2 in exact rationals, P_n(x, x) = 1/2,
-    the closed-form path agrees with full DFA enumeration, the runtime
-    counter (exhaustive_agreement_counts, over accessible tables) equals
-    the agreement counts of the enumeration grid, and direct
-    enumeration confirms that exactly half the space accepts any single
-    string.  Also reports that the lower bound is approached as n grows.
+    For every state count, over every ordered pair of strings up to the
+    length limit, each check is one integer identity over the oracle's
+    agreement grid A and joint-acceptance grid J, with T = n**(n*k) tables
+    and S = T * 2**n DFAs, so that P_n = (T + A) / (4T):
+    1/4 <= P_n <= 1/2 is 0 <= A <= T; P_n(x, x) = 1/2 is diag(A) = T; the
+    closed form agrees with full DFA enumeration, P_n = J / S, when
+    S * (T + A) = 4T * J; exactly half the space accepts any single string
+    when 2 * diag(J) = S; and the runtime counter
+    (exhaustive_agreement_counts, over accessible tables) equals A.  The
+    products stay below 2**63 for every n the table cap allows.  Also
+    reports that the lower bound is approached as n grows.
     """
     alphabet = alphabet or Alphabet(("a", "b"))
     strings = enumerate_strings(alphabet, max_len)
@@ -68,66 +74,23 @@ def suite_bounds(
         space = dfa_space_size(n, len(alphabet))
         agree = agreement_count_grid(strings, n, alphabet)
         joint = joint_accept_count_grid(strings, n, alphabet)
-
-        in_range = True
-        diagonal_half = True
-        paths_equal = True
-        lo, hi = HALF, QUARTER
-        for i in range(count):
-            for j in range(count):
-                pn = Fraction(t + int(agree[i, j]), 4 * t)
-                pn_enum = Fraction(int(joint[i, j]), space)
-                if pn != pn_enum:
-                    paths_equal = False
-                if not QUARTER <= pn <= HALF:
-                    in_range = False
-                if i == j and pn != HALF:
-                    diagonal_half = False
-                lo = min(lo, pn)
-                hi = max(hi, pn)
+        low, high = int(agree.min()), int(agree.max())
+        lo, hi = Fraction(t + low, 4 * t), Fraction(t + high, 4 * t)
         min_by_n[n] = lo
-
-        half_accepts = all(int(joint[i, i]) * 2 == space for i in range(count))
-        runtime_equal = exhaustive_agreement_counts(strings, n, alphabet) == agree.tolist()
-
-        checks.append(
-            _check(
-                f"bounds.range.n{n}",
-                in_range,
-                f"{count * count} ordered pairs, min={lo} max={hi}",
-            )
-        )
-        checks.append(
-            _check(f"bounds.diagonal.n{n}", diagonal_half, "P_n(x,x) = 1/2 exactly")
-        )
-        checks.append(
-            _check(
-                f"bounds.two_path.n{n}",
-                paths_equal,
-                "closed form equals full enumeration on every pair",
-            )
-        )
-        checks.append(
-            _check(
-                f"bounds.runtime.n{n}",
-                runtime_equal,
-                "runtime counter equals the enumeration grid on every pair",
-            )
-        )
-        checks.append(
-            _check(
-                f"bounds.half_accept.n{n}",
-                half_accepts,
-                f"every string accepted by exactly {space // 2} of {space} DFAs",
-            )
-        )
-        checks.append(
-            _check(
-                f"bounds.upper_attained.n{n}",
-                hi == HALF,
-                "diagonal pairs attain 1/2",
-            )
-        )
+        checks += [
+            _check(f"bounds.range.n{n}", 0 <= low and high <= t,
+                   f"{count * count} ordered pairs, min={lo} max={hi}"),
+            _check(f"bounds.diagonal.n{n}", (agree.diagonal() == t).all(),
+                   "P_n(x,x) = 1/2 exactly"),
+            _check(f"bounds.two_path.n{n}", (space * (t + agree) == 4 * t * joint).all(),
+                   "closed form equals full enumeration on every pair"),
+            _check(f"bounds.runtime.n{n}",
+                   exhaustive_agreement_counts(strings, n, alphabet) == agree.tolist(),
+                   "runtime counter equals the enumeration grid on every pair"),
+            _check(f"bounds.half_accept.n{n}", (2 * joint.diagonal() == space).all(),
+                   f"every string accepted by exactly {space // 2} of {space} DFAs"),
+            _check(f"bounds.upper_attained.n{n}", high == t, "diagonal pairs attain 1/2"),
+        ]
 
     descending = all(
         min_by_n[a] > min_by_n[b]

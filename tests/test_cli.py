@@ -442,6 +442,22 @@ def test_verify_bounds_checks_the_runtime_counter(monkeypatch):
     assert names["bounds.two_path.n2"]
 
 
+def test_verify_bounds_checks_the_closed_form_against_enumeration(monkeypatch):
+    from regkernel import verify
+
+    real = verify.joint_accept_count_grid
+
+    def off_by_one(strings, n, alphabet):
+        counts = real(strings, n, alphabet)
+        counts[0, -1] += n == 2
+        return counts
+
+    monkeypatch.setattr(verify, "joint_accept_count_grid", off_by_one)
+    names = {c.name: c.passed for c in verify.suite_bounds(n_values=(1, 2), max_len=3)}
+    assert names["bounds.two_path.n1"] and not names["bounds.two_path.n2"]
+    assert names["bounds.runtime.n2"] and names["bounds.half_accept.n2"]
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])
@@ -550,6 +566,19 @@ def test_predict_refuses_non_finite_model_numbers(tmp_path, capsys):
                                        "--in", str(strings_file))
         assert (code, stdout) == (2, ""), text
         assert "Traceback" not in stderr
+
+
+def test_predict_names_a_support_string_outside_the_alphabet(tmp_path, capsys, ab):
+    params = json.dumps(KernelParams(alphabet=ab, n_max=2).to_dict())
+    path = tmp_path / "bad.model"
+    path.write_text(f'model v1\nmeta {{"epochs_run": 1, "errors_per_epoch": [0], '
+                    f'"params": {params}}}\n1\tab\n-1\tac\n', encoding="utf-8")
+    strings_file = tmp_path / "strings.txt"
+    strings_file.write_text("ab\nba\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "predict", "--model", str(path),
+                                   "--in", str(strings_file))
+    assert (code, stdout) == (2, "")
+    assert "support string 'ac': symbol 'c' at position 1" in stderr
 
 
 def test_gram_jobs_zero_exit_2(tmp_path, capsys, parity, ab):

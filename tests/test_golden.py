@@ -3,8 +3,9 @@
 A small dataset goes through ``gram``, ``train`` and ``predict`` in all four
 (mode, scaling) combinations.  The sha256 of each artifact was recorded once
 and is pinned here, so any change to a value, its formatting, the sidecar or
-the model format fails this test.  A change that alters output on purpose
-records new digests and says so.
+the model format fails this test.  The stdout of ``verify --suite bounds`` is
+pinned the same way.  A change that alters output on purpose records new
+digests and says so.
 """
 
 import hashlib
@@ -83,3 +84,11 @@ def test_fixed_seed_artifacts_match_golden(mode, scaling, tmp_path, capsys):
         "predict.stdout": sha256(predict_stdout),
     }
     assert got == GOLDEN[mode, scaling]
+
+
+VERIFY_BOUNDS_STDOUT = "066d5a917bbf47707a2ff8d709e0b8a039bc966c3b7366a66dba50f823c7edfc"
+
+
+def test_verify_bounds_stdout_matches_golden(capsys):
+    assert cli.main(["verify", "--suite", "bounds"]) == 0
+    assert sha256(capsys.readouterr().out) == VERIFY_BOUNDS_STDOUT

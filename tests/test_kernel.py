@@ -28,14 +28,8 @@ from regkernel import (
     pn_by_enumeration,
     required_samples,
 )
-from regkernel.kernel import (
-    agreement_count_grid,
-    end_state_grid,
-    format_scalar,
-    gram_metadata_json,
-    gram_to_csv,
-    joint_accept_count_grid,
-)
+from regkernel.automata import agreement_count_grid, end_state_grid, joint_accept_count_grid
+from regkernel.kernel import format_scalar, gram_metadata_json, gram_to_csv
 
 
 def brute_agreement(x: str, y: str, n: int) -> int:
@@ -796,6 +790,13 @@ def test_kernel_params_validation(ab):
         KernelParams(alphabet=ab, n_max=2, weights=(1.0,))
     with pytest.raises(ValueError):
         KernelParams(alphabet=ab, n_max=2, weights=(1.0, -0.5))
+    # weights apply only to normalized scaling, where their length and sign are checked
+    with pytest.raises(ValueError, match="normalized"):
+        KernelParams(alphabet=ab, n_max=2, weights=(1.0, 1.0))
+    with pytest.raises(ValueError, match="need 2 weights"):
+        KernelParams(alphabet=ab, n_max=2, scaling="normalized", weights=(1.0,))
+    with pytest.raises(ValueError, match="non-negative"):
+        KernelParams(alphabet=ab, n_max=2, scaling="normalized", weights=(1.0, -0.5))
 
 
 def test_kernel_params_round_trip(ab):

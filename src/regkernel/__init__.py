@@ -5,110 +5,56 @@ state count n, the n-state DFAs accepting both of two strings; the
 finite-support embeddings under which every regular language is a
 separable halfspace; and a dual kernel perceptron that learns languages
 as support-string expansions.
+
+Every name in ``__all__`` is resolved on first use (PEP 562): importing
+the package loads none of its submodules, and ``regkernel.gram_matrix``
+imports ``regkernel.kernel`` when it is first read.  So a CLI command
+loads only the modules it runs.
 """
 
-from .automata import (
-    Alphabet,
-    CapExceededError,
-    Dfa,
-    ParseError,
-    dfa_space_size,
-    enumerate_dfas,
-    enumerate_tables,
-    kn_by_enumeration,
-    parse_dfa,
-    pn_by_enumeration,
-    serialize_dfa,
-    table_count,
-)
-from .embedding import (
-    ConceptKey,
-    ConceptUniverse,
-    InstanceKey,
-    SparseVec,
-    alpha_embed,
-    chi,
-    phi,
-    score,
-    separator,
-)
-from .kernel import (
-    ApproxCertificate,
-    GramMatrix,
-    KernelParams,
-    KernelValue,
-    agreement_count,
-    agreement_counts,
-    exact_kn,
-    exact_pn,
-    gram_matrix,
-    hoeffding_samples,
-    kernel_value,
-    mc_pn,
-    required_samples,
-    sample_dfa,
-    sample_dfas,
-)
-from .learner import (
-    Dataset,
-    PerceptronModel,
-    decision_values,
-    enumerate_strings,
-    label_strings,
-    load_dataset,
-    load_model,
-    predict,
-    save_model,
-    train,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "ApproxCertificate",
-    "CapExceededError",
-    "ConceptKey",
-    "ConceptUniverse",
-    "Dataset",
-    "Dfa",
-    "GramMatrix",
-    "InstanceKey",
-    "KernelParams",
-    "KernelValue",
-    "ParseError",
-    "PerceptronModel",
-    "SparseVec",
-    "agreement_count",
-    "agreement_counts",
-    "alpha_embed",
-    "chi",
-    "decision_values",
-    "dfa_space_size",
-    "enumerate_dfas",
-    "enumerate_strings",
-    "enumerate_tables",
-    "exact_kn",
-    "exact_pn",
-    "gram_matrix",
-    "hoeffding_samples",
-    "kernel_value",
-    "kn_by_enumeration",
-    "label_strings",
-    "load_dataset",
-    "load_model",
-    "mc_pn",
-    "parse_dfa",
-    "phi",
-    "pn_by_enumeration",
-    "predict",
-    "required_samples",
-    "sample_dfa",
-    "sample_dfas",
-    "save_model",
-    "score",
-    "separator",
-    "serialize_dfa",
-    "table_count",
-    "train",
-]
+# exported name -> the submodule that defines it
+_SUBMODULE = {
+    name: module
+    for module, names in (
+        ("automata", (
+            "Alphabet", "CapExceededError", "Dfa", "ParseError", "dfa_space_size",
+            "enumerate_dfas", "enumerate_tables", "kn_by_enumeration", "parse_dfa",
+            "pn_by_enumeration", "serialize_dfa", "table_count",
+        )),
+        ("embedding", (
+            "ConceptKey", "ConceptUniverse", "InstanceKey", "SparseVec", "alpha_embed",
+            "chi", "phi", "score", "separator",
+        )),
+        ("kernel", (
+            "ApproxCertificate", "GramMatrix", "KernelParams", "KernelValue",
+            "agreement_count", "agreement_counts", "exact_kn", "exact_pn", "gram_matrix",
+            "hoeffding_samples", "kernel_value", "mc_pn", "required_samples",
+            "sample_dfa", "sample_dfas",
+        )),
+        ("learner", (
+            "Dataset", "PerceptronModel", "decision_values", "enumerate_strings",
+            "label_strings", "load_dataset", "load_model", "predict", "save_model", "train",
+        )),
+    )
+    for name in names
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -7,37 +7,27 @@ single ``config {...}`` line so outputs can be replayed exactly.
 
 Exit codes: 0 success, 2 usage or input error, 3 resource cap exceeded,
 4 verification failure.
+
+Only what parsing the arguments needs is imported with this module; each
+command imports the package modules it runs on entry, so building the
+parser (or printing ``--help``) loads no other regkernel module, and no
+exact command loads the Monte Carlo stream's hashlib or the verify suites.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
-import secrets
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .automata import (
-    Alphabet,
-    CapExceededError,
-    ParseError,
-    serialize_dfa,
-)
-from .kernel import (
-    KernelParams,
-    check_seed,
-    format_scalar,
-    gram_matrix,
-    gram_metadata_json,
-    gram_to_csv,
-    kernel_value,
-    sample_dfas,
-)
-from .learner import Dataset, decision_values, load_dataset, load_model, save_model, train
-from .verify import SUITES
+if TYPE_CHECKING:
+    from .automata import Alphabet
+    from .kernel import KernelParams
+    from .learner import Dataset
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,10 +39,17 @@ SEED_HELP = "64-bit master seed; sampled and printed when omitted"
 
 
 def _resolve_seed(seed: int | None) -> int:
-    return secrets.randbits(63) if seed is None else seed
+    if seed is not None:
+        return seed
+    import random
+
+    # the os.urandom draw of secrets.randbits, without importing secrets and hmac
+    return random.SystemRandom().getrandbits(63)
 
 
 def _print_config(command: str, resolved: dict) -> None:
+    import json
+
     print(f"config {json.dumps({'command': command, **resolved}, sort_keys=True)}",
           file=sys.stderr)
 
@@ -63,6 +60,9 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def _kernel_params(args: argparse.Namespace, seed: int) -> KernelParams:
+    from .automata import Alphabet
+    from .kernel import KernelParams
+
     return KernelParams(
         alphabet=Alphabet(tuple(args.alphabet)),
         n_max=args.nmax,
@@ -90,6 +90,8 @@ def _check_out_path(out: str | Path) -> None:
 
 def _load_dataset(path: str, alphabet: Alphabet) -> Dataset:
     """The dataset at ``path``, refused unless its alphabet is ``alphabet``."""
+    from .learner import load_dataset
+
     dataset = load_dataset(path)
     if dataset.alphabet != alphabet:
         raise ValueError(
@@ -120,6 +122,9 @@ def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from .automata import Alphabet, serialize_dfa
+    from .kernel import check_seed, sample_dfas
+
     seed = _resolve_seed(args.seed)
     check_seed(seed)
     alphabet = Alphabet(tuple(args.alphabet))
@@ -141,6 +146,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
+    from .kernel import format_scalar, kernel_value
+
     seed = _resolve_seed(args.seed)
     params = _kernel_params(args, seed)
     _print_config("kernel", {**params.to_dict(), "x": args.x, "y": args.y})
@@ -158,6 +165,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_gram(args: argparse.Namespace) -> int:
+    from .kernel import gram_matrix, gram_metadata_json, gram_to_csv
+
     seed = _resolve_seed(args.seed)
     params = _kernel_params(args, seed)
     dataset = _load_dataset(args.dataset, params.alphabet)
@@ -181,6 +190,9 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .kernel import gram_matrix
+    from .learner import save_model, train
+
     seed = _resolve_seed(args.seed)
     params = _kernel_params(args, seed)
     dataset = _load_dataset(args.dataset, params.alphabet)
@@ -202,6 +214,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from .automata import ParseError
+    from .learner import decision_values, load_model
+
     model = load_model(args.model)
     _print_config("predict", {"model": str(args.model), "in": str(args.infile),
                               **model.params.to_dict()})
@@ -223,6 +238,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import SUITES
+
     _print_config("verify", {"suite": args.suite})
     checks = SUITES[args.suite]()
     for check in checks:
@@ -280,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    # the keys of verify.SUITES, spelled out so that parsing imports no suite
+    p.add_argument("--suite", choices=("bounds", "concentration", "embedding", "psd"),
+                   required=True)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -289,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .automata import CapExceededError, ParseError
+
     try:
         return args.func(args)
     except CapExceededError as e:

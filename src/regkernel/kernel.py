@@ -124,12 +124,12 @@ numpy is imported inside ``GramMatrix.to_array`` only, and the thread
 pool only when ``jobs > 1`` and the walk runs (``jobs`` affects nothing
 else): both runtime paths and the sampler are pure Python, so importing
 this module, and the sample, kernel, gram, train and predict commands in
-either mode, load neither.
+either mode, load neither.  hashlib is imported by the two stream draws
+(draw_table_block, draw_accept_block), so exact mode never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -510,6 +510,8 @@ def draw_table_block(
     n = 1 draws nothing.  No bit depends on size, so the sample of m
     tables is a prefix of the sample of any larger m.
     """
+    from hashlib import shake_256
+
     full = (1 << size) - 1
     planes = (n - 1).bit_length()
     head = _STREAM_DOMAIN + struct.pack("<3Q", master_seed & _SEED_MASK, n, block)
@@ -525,7 +527,7 @@ def draw_table_block(
                 groups = [pending]
                 for p in reversed(range(planes)):
                     key = head + struct.pack("<4Q", q, c, rnd, p)
-                    bits = int.from_bytes(hashlib.shake_256(key).digest(nbytes), "little")
+                    bits = int.from_bytes(shake_256(key).digest(nbytes), "little")
                     groups = [g for whole in groups for g in (whole ^ (whole & bits), whole & bits)]
                 for r in range(n):
                     cell[r] |= groups[r]
@@ -545,11 +547,13 @@ def draw_accept_block(n: int, master_seed: int, block: int, size: int) -> list[i
     SHAKE-256 over its own domain tag, then master_seed, n, block and q as
     little-endian u64s.  The kernel integrates these bits out and never
     reads them."""
+    from hashlib import shake_256
+
     head = _ACCEPT_DOMAIN + struct.pack("<3Q", master_seed & _SEED_MASK, n, block)
     nbytes = (size + 7) // 8
     full = (1 << size) - 1
     return [
-        int.from_bytes(hashlib.shake_256(head + struct.pack("<Q", q)).digest(nbytes), "little")
+        int.from_bytes(shake_256(head + struct.pack("<Q", q)).digest(nbytes), "little")
         & full
         for q in range(n)
     ]

@@ -78,31 +78,47 @@ class Dataset:
 class PerceptronModel:
     """Support strings with their dual coefficients, plus the kernel
     parameters in force at training time (reused verbatim by predict).
-    Each support string is checked against the alphabet on construction."""
+
+    Each support string and coefficient is checked on construction.
+    ``lines`` gives the source line of each support string
+    (model_from_text passes it); with it, an invalid one raises a
+    ParseError that names its line."""
 
     support: tuple[tuple[str, int | float], ...]
     params: KernelParams
     epochs_run: int
     errors_per_epoch: tuple[int, ...]
+    lines: InitVar[Sequence[int] | None] = None
 
-    def __post_init__(self):
-        for s, coeff in self.support:
+    def __post_init__(self, lines: Sequence[int] | None):
+        for i, (s, coeff) in enumerate(self.support):
             try:
-                self.params.alphabet.encode(s)
+                _check_support(self.params.alphabet, s, coeff)
             except ValueError as e:
-                raise ValueError(f"support string {s!r}: {e}") from e
-            if coeff == 0:
-                raise ValueError(f"support string {s!r} has zero coefficient")
-            try:
-                finite = math.isfinite(coeff)
-            except OverflowError:  # an int beyond the float range
-                finite = False
-            if not finite:
-                raise ValueError(f"support string {s!r} has a non-finite coefficient")
+                if lines is None:
+                    raise
+                raise ParseError(str(e), lines[i]) from e
 
     @property
     def final_errors(self) -> int:
         return self.errors_per_epoch[-1] if self.errors_per_epoch else 0
+
+
+def _check_support(alphabet: Alphabet, s: str, coeff: int | float) -> None:
+    """Raise ValueError unless s is over the alphabet and coeff is a
+    finite nonzero number."""
+    try:
+        alphabet.encode(s)
+    except ValueError as e:
+        raise ValueError(f"support string {s!r}: {e}") from e
+    if coeff == 0:
+        raise ValueError(f"support string {s!r} has zero coefficient")
+    try:
+        finite = math.isfinite(coeff)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"support string {s!r} has a non-finite coefficient")
 
 
 def enumerate_strings(alphabet: Alphabet, max_len: int) -> list[str]:
@@ -311,6 +327,7 @@ def model_from_text(text: str) -> PerceptronModel:
         raise ParseError(f"{params.mode} model needs a '{expected}' header, "
                          f"got '{lines[0]}'{hint}", 1)
     support = []
+    support_lines = []
     for lineno, raw in enumerate(lines[2:], start=3):
         if not raw.strip():
             continue
@@ -323,11 +340,13 @@ def model_from_text(text: str) -> PerceptronModel:
         except ValueError:
             coeff = float(coeff_text)
         support.append((string, coeff))
+        support_lines.append(lineno)
     return PerceptronModel(
         support=tuple(support),
         params=params,
         epochs_run=epochs_run,
         errors_per_epoch=errors,
+        lines=support_lines,
     )
 
 

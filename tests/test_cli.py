@@ -581,6 +581,20 @@ def test_predict_names_a_support_string_outside_the_alphabet(tmp_path, capsys, a
     assert "support string 'ac': symbol 'c' at position 1" in stderr
 
 
+def test_predict_names_the_model_line_of_a_bad_support_string(tmp_path, capsys, ab):
+    params = json.dumps(KernelParams(alphabet=ab, n_max=2).to_dict())
+    path = tmp_path / "bad.model"
+    path.write_text(f'model v1\nmeta {{"epochs_run": 1, "errors_per_epoch": [0], '
+                    f'"params": {params}}}\n1\tab\n-1\tac\n', encoding="utf-8")
+    strings_file = tmp_path / "strings.txt"
+    strings_file.write_text("ab\nba\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "predict", "--model", str(path),
+                                   "--in", str(strings_file))
+    assert (code, stdout) == (2, "")
+    assert stderr.splitlines()[-1] == ("error: line 4: support string 'ac': "
+                                       "symbol 'c' at position 1 is not in alphabet 'ab'")
+
+
 def test_gram_jobs_zero_exit_2(tmp_path, capsys, parity, ab):
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=2)
     code, stdout, stderr = run_cli(
@@ -598,7 +612,7 @@ def test_train_epochs_zero_exits_2_before_any_kernel_work(tmp_path, capsys, pari
     def refuse(*args, **kwargs):
         raise AssertionError("kernel work started before --epochs was checked")
 
-    monkeypatch.setattr("regkernel.cli.gram_matrix", refuse)
+    monkeypatch.setattr("regkernel.kernel.gram_matrix", refuse)
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
     model_path = tmp_path / "m.model"
     code, stdout, stderr = run_cli(
@@ -617,7 +631,7 @@ def test_unwritable_out_exits_2_before_any_kernel_work(tmp_path, capsys, parity,
     def refuse(*args, **kwargs):
         raise AssertionError("kernel work started before --out was checked")
 
-    monkeypatch.setattr("regkernel.cli.gram_matrix", refuse)
+    monkeypatch.setattr("regkernel.kernel.gram_matrix", refuse)
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
@@ -638,7 +652,7 @@ def test_gram_unwritable_sidecar_exits_2_before_any_kernel_work(tmp_path, capsys
     def refuse(*args, **kwargs):
         raise AssertionError("kernel work started before the sidecar path was checked")
 
-    monkeypatch.setattr("regkernel.cli.gram_matrix", refuse)
+    monkeypatch.setattr("regkernel.kernel.gram_matrix", refuse)
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
     out = tmp_path / "side" / "g.csv"
     meta = tmp_path / "side" / "g.csv.meta.json"
@@ -724,6 +738,64 @@ def test_monte_carlo_commands_never_load_numpy(tmp_path, parity, ab):
     assert json.loads(codes) == [0, 0, 0, 0, 0]
     assert json.loads(loaded) == []
     assert model.read_text(encoding="utf-8").startswith("model v4\n")
+
+
+def fresh_modules(code, *args):
+    """The names in sys.modules after ``code`` runs in a fresh interpreter."""
+    report = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    result = run_fresh("-c", code + report, *args)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+# what ``python -m regkernel.cli --help`` runs
+HELP = """import runpy, sys
+sys.argv[1:] = ["--help"]
+try:
+    runpy.run_module("regkernel.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    assert e.code == 0, e.code
+"""
+# main runs each argv list of sys.argv[1] (JSON), and every run must exit 0
+RUN_COMMANDS = """import json, sys
+from regkernel.cli import main
+runs = json.loads(sys.argv[1])
+assert [main(argv) for argv in runs] == [0] * len(runs)
+"""
+
+
+@pytest.mark.parametrize("code", ["import regkernel.cli as c; c.build_parser()", HELP],
+                         ids=["build_parser", "help"])
+def test_cold_start_loads_no_other_module_of_the_package(code):
+    bare = fresh_modules("pass")
+    loaded = fresh_modules(code)
+    assert {m for m in loaded if m.startswith("regkernel.")} <= {"regkernel.cli"}
+    assert not ({"dataclasses", "fractions", "hashlib", "secrets"} - bare) & loaded
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, parity, ab):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    queries = tmp_path / "queries.txt"
+    queries.write_text("aa\nab\naba\n", encoding="utf-8")
+    model = tmp_path / "m.model"
+    # kernel draws its master seed: that is no reason to load hashlib either
+    exact = [
+        ["kernel", "--mode", "exact", "--nmax", "3", "abab", "abba"],
+        ["gram", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
+         "--out", str(tmp_path / "g.csv")],
+        ["train", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
+         "--out", str(model)],
+        ["predict", "--model", str(model), "--in", str(queries)],
+    ]
+    monte_carlo = [["gram", "--dataset", str(dataset), "--mode", "mc", "--nmax", "3",
+                    "--seed", "0", "--out", str(tmp_path / "mc.csv")]]
+    bare = fresh_modules("pass")
+    loaded = fresh_modules(RUN_COMMANDS, json.dumps(exact))
+    assert not ({"hashlib"} - bare) & loaded
+    assert not {"regkernel.embedding", "regkernel.verify"} & loaded
+    loaded = fresh_modules(RUN_COMMANDS, json.dumps(monte_carlo))
+    assert "hashlib" in loaded
+    assert not {"regkernel.embedding", "regkernel.verify"} & loaded
 
 
 def test_fresh_exact_gram_jobs_2_equals_jobs_1(tmp_path, parity, ab):

@@ -991,7 +991,7 @@ def test_mc_stream_known_answer(ab, monkeypatch):
     # n = 1 has one table and draws nothing from the stream
     from regkernel import kernel
 
-    monkeypatch.setattr(kernel.hashlib, "shake_256", None)
+    monkeypatch.setattr(hashlib, "shake_256", None)
     assert kernel.draw_table_block(1, 2, 5, 0, 10) == [[[2**10 - 1], [2**10 - 1]]]
 
 

@@ -365,3 +365,19 @@ def test_model_text_errors():
     for coeff in ("nan", "inf", "-inf", str(10**400)):
         with pytest.raises(ValueError, match="coefficient"):
             model_from_text(model_text("model v1", "exact", "null", f"{coeff}\tab"))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("-1\tac", "support string 'ac': symbol 'c' at position 1 is not in alphabet 'ab'"),
+    ("0\tba", "support string 'ba' has zero coefficient"),
+    ("-0.0\tba", "support string 'ba' has zero coefficient"),
+    ("nan\tba", "support string 'ba' has a non-finite coefficient"),
+    (f"{10**400}\tba", "support string 'ba' has a non-finite coefficient"),
+], ids=["symbol", "zero", "negative-zero", "nan", "overflow"])
+def test_model_text_names_the_line_of_a_bad_support_string(bad, message):
+    # the blank line is skipped but counted
+    text = model_text("model v1", "exact", "null", "1\tab", "", bad)
+    with pytest.raises(ParseError) as caught:
+        model_from_text(text)
+    assert caught.value.line == 5
+    assert str(caught.value) == f"line 5: {message}"

@@ -1,0 +1,48 @@
+import importlib
+
+import pytest
+
+import regkernel
+from regkernel import verify
+from regkernel.cli import build_parser
+
+EXPORTS = [
+    "Alphabet", "ApproxCertificate", "CapExceededError", "ConceptKey", "ConceptUniverse",
+    "Dataset", "Dfa", "GramMatrix", "InstanceKey", "KernelParams", "KernelValue",
+    "ParseError", "PerceptronModel", "SparseVec", "agreement_count", "agreement_counts",
+    "alpha_embed", "chi", "decision_values", "dfa_space_size", "enumerate_dfas",
+    "enumerate_strings", "enumerate_tables", "exact_kn", "exact_pn", "gram_matrix",
+    "hoeffding_samples", "kernel_value", "kn_by_enumeration", "label_strings",
+    "load_dataset", "load_model", "mc_pn", "parse_dfa", "phi", "pn_by_enumeration",
+    "predict", "required_samples", "sample_dfa", "sample_dfas", "save_model", "score",
+    "separator", "serialize_dfa", "table_count", "train",
+]
+
+
+def test_exports_are_the_submodules_own_objects():
+    assert regkernel.__all__ == EXPORTS
+    for name in EXPORTS:
+        value = getattr(regkernel, name)
+        module = importlib.import_module(value.__module__)
+        assert module.__name__.startswith("regkernel.")
+        assert getattr(module, name) is value, name
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from regkernel import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+    assert set(EXPORTS) <= set(dir(regkernel))
+    assert "__version__" in dir(regkernel)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        regkernel.no_such_name
+
+
+def test_verify_suite_choices_are_the_suites():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == sorted(verify.SUITES)

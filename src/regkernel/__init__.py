@@ -25,20 +25,21 @@ _SUBMODULE = {
             "enumerate_dfas", "enumerate_tables", "kn_by_enumeration", "parse_dfa",
             "pn_by_enumeration", "serialize_dfa", "table_count",
         )),
+        ("count", ("agreement_count", "agreement_counts")),
         ("embedding", (
             "ConceptKey", "ConceptUniverse", "InstanceKey", "SparseVec", "alpha_embed",
             "chi", "phi", "score", "separator",
         )),
         ("kernel", (
-            "ApproxCertificate", "GramMatrix", "KernelParams", "KernelValue",
-            "agreement_count", "agreement_counts", "exact_kn", "exact_pn", "gram_matrix",
-            "hoeffding_samples", "kernel_value", "mc_pn", "required_samples",
-            "sample_dfa", "sample_dfas",
+            "ApproxCertificate", "GramMatrix", "KernelParams", "KernelValue", "exact_kn",
+            "exact_pn", "gram_matrix", "hoeffding_samples", "kernel_value", "mc_pn",
+            "required_samples",
         )),
         ("learner", (
             "Dataset", "PerceptronModel", "decision_values", "enumerate_strings",
             "label_strings", "load_dataset", "load_model", "predict", "save_model", "train",
         )),
+        ("stream", ("sample_dfa", "sample_dfas")),
     )
     for name in names
 }

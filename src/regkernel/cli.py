@@ -123,7 +123,7 @@ def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     from .automata import Alphabet, serialize_dfa
-    from .kernel import check_seed, sample_dfas
+    from .stream import check_seed, sample_dfas
 
     seed = _resolve_seed(args.seed)
     check_seed(seed)

@@ -191,13 +191,15 @@ def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | flo
     """sum_i alpha_i * K(s_i, x) for every x, under the model's training
     parameters.
 
-    Every x is validated before any kernel work.  The values are the
-    kernel_block of the support against the queries: all of them in one
-    block for an exact model, so the table cap is checked for the largest
-    term before any count, and the accessible tables of each m <= n_top
-    (or, above the exhaustive limit, each class's walk) are counted once
-    for every query and serve every n, the support and the queries being
-    encoded and planned into their tries once; up to
+    Every x is validated before any kernel work: the queries after the
+    first block up front, and the first block's by its plan, so an exact
+    model encodes each query once.  The values are the kernel_block of the
+    support against the queries: all of them in one block for an exact
+    model, so the table cap is checked for the largest term before any
+    count, and the accessible tables of each m <= n_top (or, above the
+    exhaustive limit, each class's walk) are counted once for every query
+    and serve every n, the support and the queries being encoded and
+    planned into their tries once; up to
     _QUERY_CHUNK at a time for a Monte Carlo model, whose chunk walks the
     support once and streams its queries through each block of each n's
     tables.  Each sum runs over the support in model order, so a value
@@ -205,10 +207,11 @@ def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | flo
     """
     params = model.params
     xs = list(xs)
-    for x in xs:
-        params.alphabet.encode(x)
     support = [s for s, _ in model.support]
     step = _QUERY_CHUNK if params.mode == "monte-carlo" else max(1, len(xs))
+    # the first block's plan validates its own queries before any count
+    for x in xs[step:]:
+        params.alphabet.encode(x)
     totals: list[int | float] = []
     for lo in range(0, len(xs), step):
         chunk = xs[lo : lo + step]

@@ -19,17 +19,9 @@ from .automata import (
     joint_accept_count_grid,
     table_count,
 )
+from .count import exhaustive_agreement_counts, mc_agreement_counts
 from .embedding import ConceptUniverse, InstanceKey, SparseVec, phi, score, separator
-from .kernel import (
-    KernelParams,
-    exact_pn,
-    exhaustive_agreement_counts,
-    gram_matrix,
-    hoeffding_samples,
-    mc_agreement_counts,
-    mc_pn,
-    required_samples,
-)
+from .kernel import KernelParams, exact_pn, gram_matrix, hoeffding_samples, mc_pn, required_samples
 from .learner import enumerate_strings
 
 

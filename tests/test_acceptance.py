@@ -31,9 +31,9 @@ from regkernel import (
     table_count,
     train,
 )
-from regkernel import kernel
+from regkernel import stream
 from regkernel.automata import agreement_count_grid, joint_accept_count_grid
-from regkernel.kernel import mc_agreement_counts
+from regkernel.count import mc_agreement_counts
 
 AB = Alphabet(("a", "b"))
 QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
@@ -256,9 +256,9 @@ def table_counts(n: int, alphabet: Alphabet, draws: int, seed: int,
     match a prefix are the AND of those cells' masks."""
     k = len(alphabet)
     counts = [0] * (dfa_space_size(n, k) if accepting else table_count(n, k))
-    for block, lo in enumerate(range(0, draws, kernel._BLOCK_SAMPLES)):
-        size = min(kernel._BLOCK_SAMPLES, draws - lo)
-        parts = kernel.draw_table_block(n, k, seed, block, size)
+    for block, lo in enumerate(range(0, draws, stream._BLOCK_SAMPLES)):
+        size = min(stream._BLOCK_SAMPLES, draws - lo)
+        parts = stream.draw_table_block(n, k, seed, block, size)
         prefixes = [(0, (1 << size) - 1)]
         for q in range(n):
             for c in range(k):
@@ -266,7 +266,7 @@ def table_counts(n: int, alphabet: Alphabet, draws: int, seed: int,
                             for rank, tables in prefixes
                             for r, part in enumerate(parts[q][c])]
         if accepting:
-            masks = kernel.draw_accept_block(n, seed, block, size)
+            masks = stream.draw_accept_block(n, seed, block, size)
             # state n-1 first, so that state q is bit q of the index
             for q in reversed(range(n)):
                 prefixes = [(index * 2 + bit, tables & (masks[q] if bit else ~masks[q]))

@@ -90,10 +90,10 @@ def test_sample_seed_must_fit_in_64_bits(tmp_path, capsys, seed, code):
 @pytest.mark.parametrize("block", [16, None])
 def test_sample_writes_the_tables_the_kernel_counts(tmp_path, capsys, ab, monkeypatch, block):
     # with 16-table blocks, 40 DFAs cross two block boundaries
-    from regkernel import kernel
+    from regkernel import count, stream
 
     if block is not None:
-        monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", block)
+        monkeypatch.setattr(stream, "_BLOCK_SAMPLES", block)
     m = 40
     pairs = [("ab", "ba"), ("aab", "b"), ("", "abba"), ("abab", "baba")]
     for seed in (0, 7, 2**64 - 1):
@@ -107,7 +107,7 @@ def test_sample_writes_the_tables_the_kernel_counts(tmp_path, capsys, ab, monkey
         assert len(dfas) == m
         for x, y in pairs:
             agree = sum(d.run(x) == d.run(y) for d in dfas)
-            assert agree == kernel.mc_agreement_counts((x, y), 3, m, ab, seed)[0][1], (seed, x, y)
+            assert agree == count.mc_agreement_counts((x, y), 3, m, ab, seed)[0][1], (seed, x, y)
 
 
 def test_sample_prints_resolved_seed_when_omitted(tmp_path, capsys):
@@ -168,6 +168,28 @@ def test_kernel_cap_exit_3(capsys):
     )
     assert code == 3
     assert "monte-carlo" in stderr
+
+
+def refuse_draws(monkeypatch):
+    from regkernel import stream
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was drawn before the float range check")
+
+    monkeypatch.setattr(stream, "draw_table_block", refuse)
+
+
+def test_kernel_mc_paper_past_the_float_range_exits_3(capsys, monkeypatch):
+    # a paper-scaled sum to n = 80 over two symbols could pass the float
+    # range, so it is refused before any table is drawn
+    refuse_draws(monkeypatch)
+    code, stdout, stderr = run_cli(
+        capsys, "kernel", "--mode", "mc", "--scaling", "paper", "--nmax", "80",
+        "--seed", "1", "ab" * 40, "ba" * 40,
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "use normalized scaling" in stderr
 
 
 def test_kernel_bad_symbol_exit_2(capsys):
@@ -265,8 +287,8 @@ def test_predict_validates_all_lines_before_output(tmp_path, capsys, parity, ab)
     assert "'c'" in stderr and "line 2" in stderr
 
 
-def test_predict_encodes_each_query_twice(tmp_path, capsys, parity, ab, monkeypatch):
-    # once to validate it and once for the block's trie plan
+def test_predict_encodes_each_query_once(tmp_path, capsys, parity, ab, monkeypatch):
+    # the block's plan validates each query as it encodes it for the trie
     from regkernel.automata import Alphabet
 
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=2)
@@ -292,7 +314,7 @@ def test_predict_encodes_each_query_twice(tmp_path, capsys, parity, ab, monkeypa
     )
     assert code == 0
     assert len(stdout.splitlines()) == len(queries)
-    assert [encoded.count(q) for q in queries] == [2] * len(queries)
+    assert [encoded.count(q) for q in queries] == [1] * len(queries)
 
 
 def test_predict_missing_model_exit_2(tmp_path, capsys):
@@ -305,17 +327,38 @@ def test_predict_missing_model_exit_2(tmp_path, capsys):
 
 def count_sample_draws(monkeypatch):
     """Record the state count of every draw_table_block call."""
-    from regkernel import kernel
+    from regkernel import stream
 
     drawn = []
-    real = kernel.draw_table_block
+    real = stream.draw_table_block
 
     def counting(n, k, master_seed, block, size):
         drawn.append(n)
         return real(n, k, master_seed, block, size)
 
-    monkeypatch.setattr(kernel, "draw_table_block", counting)
+    monkeypatch.setattr(stream, "draw_table_block", counting)
     return drawn
+
+
+@pytest.mark.parametrize("command", ["gram", "train"])
+def test_mc_paper_past_the_float_range_exits_3(tmp_path, capsys, ab, monkeypatch, command):
+    # n = 76 is the first paper-scaled sum over two symbols refused
+    from regkernel import Dataset
+
+    strings = ["ab" * 40, "ba" * 40, "a" * 80, "b" * 80, "ab" * 39 + "aa", "ba" * 39 + "bb"]
+    dataset = tmp_path / "long.tsv"
+    records = tuple((s, 1 - 2 * (i % 2)) for i, s in enumerate(strings))
+    dataset.write_text(dataset_to_text(Dataset(alphabet=ab, records=records)), encoding="utf-8")
+    refuse_draws(monkeypatch)
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(
+        capsys, command, "--dataset", str(dataset), "--mode", "mc", "--scaling", "paper",
+        "--nmax", "76", "--seed", "1", "--out", str(out),
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "use normalized scaling" in stderr
+    assert not out.exists()
 
 
 def test_predict_exact_cap_exits_3_before_any_label(tmp_path, capsys, ab):
@@ -796,6 +839,37 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, parity, ab):
     loaded = fresh_modules(RUN_COMMANDS, json.dumps(monte_carlo))
     assert "hashlib" in loaded
     assert not {"regkernel.embedding", "regkernel.verify"} & loaded
+
+
+def test_sample_loads_the_stream_but_no_kernel(tmp_path):
+    sample = [["sample", "--states", "2", "--count", "2", "--seed", "3",
+               "--out", str(tmp_path / "dfas")]]
+    loaded = fresh_modules(RUN_COMMANDS, json.dumps(sample))
+    assert "regkernel.stream" in loaded
+    assert not {"regkernel.kernel", "regkernel.count"} & loaded
+
+
+@pytest.mark.parametrize("command", ["kernel", "gram", "train", "predict"])
+def test_exact_command_loads_the_counters_but_no_hashlib(tmp_path, parity, ab, command):
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    model = tmp_path / "m.model"
+    save_model(PerceptronModel(support=(("ab", 1), ("a", -1)),
+                               params=KernelParams(alphabet=ab, n_max=3),
+                               epochs_run=1, errors_per_epoch=(0,)), model)
+    queries = tmp_path / "queries.txt"
+    queries.write_text("aa\nab\naba\n", encoding="utf-8")
+    argv = {
+        "kernel": ["kernel", "--mode", "exact", "--nmax", "3", "abab", "abba"],
+        "gram": ["gram", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
+                 "--out", str(tmp_path / "g.csv")],
+        "train": ["train", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
+                  "--out", str(tmp_path / "t.model")],
+        "predict": ["predict", "--model", str(model), "--in", str(queries)],
+    }[command]
+    bare = fresh_modules("pass")
+    loaded = fresh_modules(RUN_COMMANDS, json.dumps([argv]))
+    assert "regkernel.count" in loaded
+    assert not ({"hashlib"} - bare) & loaded
 
 
 def test_fresh_exact_gram_jobs_2_equals_jobs_1(tmp_path, parity, ab):

@@ -1,0 +1,98 @@
+"""The package's modules import one another without a cycle: ``count`` and
+``stream`` never come to depend on ``kernel``.  Imports inside functions
+count; imports under ``if TYPE_CHECKING:`` do not, since they never run."""
+
+import ast
+from pathlib import Path
+
+import regkernel
+
+PACKAGE = Path(regkernel.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports when it runs."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            nodes = node.orelse
+        else:
+            nodes = ast.iter_child_nodes(node)
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # from .m import x, and from . import m
+                found.update([node.module] if node.module else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom) and node.module == "regkernel":
+                found.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                found.add(node.module)
+            elif isinstance(node, ast.Import):
+                found.update(a.name for a in node.names)
+        for child in nodes:
+            visit(child)
+
+    visit(ast.parse(source))
+    return {name.removeprefix("regkernel.").split(".")[0] for name in found} & set(MODULES)
+
+
+def import_graph() -> dict[str, set[str]]:
+    return {m: package_imports((PACKAGE / f"{m}.py").read_text(encoding="utf-8"))
+            for m in MODULES}
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle of the graph as a path that ends where it starts,
+    or None."""
+    done: set[str] = set()
+
+    def walk(module, path):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return None
+        for target in sorted(graph[module]):
+            cycle = walk(target, path + [module])
+            if cycle:
+                return cycle
+        done.add(module)
+        return None
+
+    for module in sorted(graph):
+        cycle = walk(module, [])
+        if cycle:
+            return cycle
+    return None
+
+
+def test_no_import_cycle_between_package_modules():
+    graph = import_graph()
+    assert find_cycle(graph) is None, " -> ".join(find_cycle(graph))
+    # the graph is read, not empty: module-level and function-level edges
+    assert {"count", "stream"} <= graph["kernel"]
+    assert graph["count"] == {"automata", "stream"}
+    assert graph["stream"] == {"automata"}
+    assert {"kernel", "learner", "stream", "verify"} <= graph["cli"]
+
+
+def test_cycle_guard_reads_every_kind_of_import():
+    source = """
+from typing import TYPE_CHECKING
+import regkernel.automata
+from . import stream
+from regkernel import learner
+
+if TYPE_CHECKING:
+    from .kernel import KernelParams
+else:
+    from .verify import Check
+
+
+def f():
+    from .embedding import phi
+"""
+    assert package_imports(source) == {"automata", "embedding", "learner", "stream", "verify"}
+    assert find_cycle({"count": {"stream"}, "stream": set()}) is None
+    assert find_cycle({"count": {"stream"}, "stream": {"kernel"}, "kernel": {"count"}}) == [
+        "count", "stream", "kernel", "count"]

@@ -207,10 +207,10 @@ def test_agreement_counts_last_step_edge_cases(ab, x, y):
 
 def test_agreement_counts_cap_checked_at_n_top(ab, monkeypatch):
     # 3**6 = 729 tables at n_top = 3; the smaller counts are not returned either
-    monkeypatch.setattr("regkernel.kernel.TABLE_CAP", 728)
+    monkeypatch.setattr("regkernel.automata.TABLE_CAP", 728)
     with pytest.raises(CapExceededError):
         agreement_counts("a", "b", 3, ab)
-    monkeypatch.setattr("regkernel.kernel.TABLE_CAP", 729)
+    monkeypatch.setattr("regkernel.automata.TABLE_CAP", 729)
     assert len(agreement_counts("a", "b", 3, ab)) == 3
     with pytest.raises(ValueError):
         agreement_counts("a", "b", 0, ab)
@@ -266,20 +266,20 @@ def test_exact_gram_equals_per_pair_kernel_value_three_symbols(scaling, weights)
 
 
 def test_exact_gram_walks_each_canonical_pair_once(ab, monkeypatch):
-    from regkernel import kernel
+    from regkernel import count
 
     calls = []
-    original = kernel._walk_counts
+    original = count._walk_counts
 
     def counting(x, y, n_top, k):
         calls.append((tuple(x), tuple(y), n_top))
         return original(x, y, n_top, k)
 
-    monkeypatch.setattr(kernel, "_walk_counts", counting)
+    monkeypatch.setattr(count, "_walk_counts", counting)
     # at n_max 5 the block's n_top is 5, and 5**10 tables are above the
     # exhaustive limit, so every class is walked
     strings = enumerate_strings(ab, 3) + ["ababa", "babab"]
-    assert kernel.table_count(5, 2) > kernel._EXHAUSTIVE_LIMIT
+    assert count.table_count(5, 2) > count._EXHAUSTIVE_LIMIT
     gram_matrix(strings, KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="paper"))
     # The 16 non-empty strings make 136 unordered pairs with n_used >= 1.
     # Swapping a and b fixes none of them and pairs them into orbits, except
@@ -293,7 +293,7 @@ def test_kernel_cap_checked_before_the_walk(ab, monkeypatch):
         raise AssertionError("a walk started before the cap check")
 
     for name in ("agreement_counts", "_walk_counts"):
-        monkeypatch.setattr(f"regkernel.kernel.{name}", refuse)
+        monkeypatch.setattr(f"regkernel.count.{name}", refuse)
     params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
     with pytest.raises(CapExceededError, match="monte-carlo"):
         kernel_value("aaaaaaaaa", "aaaaaaaab", params)
@@ -333,7 +333,7 @@ def test_grids_match_per_pair_functions(ab):
 
 @pytest.mark.parametrize("symbols,max_len,n_top", [("ab", 4, 4), ("abc", 3, 3)])
 def test_exhaustive_counts_match_grid(symbols, max_len, n_top):
-    from regkernel.kernel import exhaustive_agreement_counts
+    from regkernel.count import exhaustive_agreement_counts
 
     alphabet = Alphabet(tuple(symbols))
     strings = enumerate_strings(alphabet, max_len)
@@ -351,7 +351,7 @@ def test_exhaustive_counts_match_grid(symbols, max_len, n_top):
 @given(data=st.data(), symbols=st.sampled_from(["ab", "abc"]))
 @settings(max_examples=40, deadline=None)
 def test_exhaustive_counts_match_walk(data, symbols):
-    from regkernel.kernel import exhaustive_agreement_counts
+    from regkernel.count import exhaustive_agreement_counts
 
     alphabet = Alphabet(tuple(symbols))
     x = data.draw(st.text(alphabet=symbols, max_size=6))
@@ -371,7 +371,8 @@ def test_exhaustive_counts_match_walk(data, symbols):
 def test_exhaustive_block_matches_walk_per_pair(ab, scaling, weights):
     # cross and symmetric blocks with duplicate strings, and pairs whose
     # n_used (1, 2, 3) is below the block's n_top of 4
-    from regkernel.kernel import kernel_block, table_count, _EXHAUSTIVE_LIMIT
+    from regkernel.count import _EXHAUSTIVE_LIMIT
+    from regkernel.kernel import kernel_block, table_count
 
     assert table_count(4, 2) <= _EXHAUSTIVE_LIMIT
     params = KernelParams(alphabet=ab, n_max=4, mode="exact", scaling=scaling, weights=weights)
@@ -392,22 +393,22 @@ def test_exhaustive_block_matches_walk_per_pair(ab, scaling, weights):
 
 
 def test_exact_block_below_limit_makes_no_walk(ab, monkeypatch):
-    from regkernel import kernel
+    from regkernel import count
     from regkernel.learner import PerceptronModel, decision_values
 
     def refuse(*args, **kwargs):
         raise AssertionError("a walk below the exhaustive limit")
 
     built = []
-    real = kernel.accessible_tables
+    real = count.accessible_tables
 
     def counting(m, k):
         built.append((m, k))
         return real(m, k)
 
-    monkeypatch.setattr(kernel, "_walk_counts", refuse)
-    monkeypatch.setattr(kernel, "accessible_tables", counting)
-    kernel._accessible_parts.cache_clear()
+    monkeypatch.setattr(count, "_walk_counts", refuse)
+    monkeypatch.setattr(count, "accessible_tables", counting)
+    count._accessible_parts.cache_clear()
     params = KernelParams(alphabet=ab, n_max=4, mode="exact", scaling="paper")
     strings = enumerate_strings(ab, 5)
     # the accessible tables of m = 1..4 states are built once, on first use,
@@ -424,7 +425,7 @@ def test_exact_block_below_limit_makes_no_walk(ab, monkeypatch):
 def test_value_function_built_once_per_block(ab, monkeypatch):
     # the walk, the accessible counter and the stream each feed one value
     # function per block, however many pairs or classes the block holds
-    from regkernel import kernel
+    from regkernel import count, kernel
 
     built = []
     real = kernel._value_function
@@ -436,7 +437,7 @@ def test_value_function_built_once_per_block(ab, monkeypatch):
     monkeypatch.setattr(kernel, "_value_function", counting)
     walked = KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="normalized",
                           weights=(0.5, 1.0, 2.0, 0.25, 3.0))
-    assert kernel.table_count(5, 2) > kernel._EXHAUSTIVE_LIMIT
+    assert kernel.table_count(5, 2) > count._EXHAUSTIVE_LIMIT
     for strings, params in [
         (["aaaaa", "ababa", "abbab", "bbbab", "babba"], walked),
         (enumerate_strings(ab, 3), KernelParams(alphabet=ab, n_max=4, mode="exact")),
@@ -449,7 +450,7 @@ def test_value_function_built_once_per_block(ab, monkeypatch):
 
 def test_walk_gram_encodes_each_string_once(ab, monkeypatch):
     # the plan encodes every string; the walk reads its codes
-    from regkernel import kernel
+    from regkernel import count
 
     encoded = []
     real = Alphabet.encode
@@ -460,7 +461,7 @@ def test_walk_gram_encodes_each_string_once(ab, monkeypatch):
 
     monkeypatch.setattr(Alphabet, "encode", counting)
     strings = enumerate_strings(ab, 5)
-    assert kernel.table_count(5, 2) > kernel._EXHAUSTIVE_LIMIT
+    assert count.table_count(5, 2) > count._EXHAUSTIVE_LIMIT
     gram_matrix(strings, KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="paper"))
     assert sorted(encoded) == sorted(strings)
 
@@ -499,7 +500,7 @@ def test_block_values_each_distinct_pair_once(ab, monkeypatch, mode):
 
 def decode_accessible(m, k):
     """The tables of accessible_tables(m, k) as flat cell tuples, in bit order."""
-    from regkernel.kernel import accessible_tables
+    from regkernel.count import accessible_tables
 
     count, parts = accessible_tables(m, k)
     cells = [cell for row in parts for cell in row]
@@ -513,7 +514,7 @@ def decode_accessible(m, k):
 
 def test_accessible_table_counts_known_answer():
     # initially connected automata over 2 and 3 symbols (Liskovets 1969)
-    from regkernel.kernel import accessible_tables
+    from regkernel.count import accessible_tables
 
     assert [accessible_tables(m, 2)[0] for m in range(1, 5)] == [1, 12, 216, 5248]
     assert [accessible_tables(m, 3)[0] for m in range(1, 4)] == [1, 56, 7965]
@@ -522,7 +523,7 @@ def test_accessible_table_counts_known_answer():
 @pytest.mark.parametrize("k,n_top", [(2, 4), (3, 3)])
 def test_accessible_weights_partition_the_tables(k, n_top):
     # every n-state table has exactly one accessible part, relabelled
-    from regkernel.kernel import accessible_tables, accessible_weights
+    from regkernel.count import accessible_tables, accessible_weights
 
     for n in range(1, n_top + 1):
         sizes = [accessible_tables(m, k)[0] for m in range(1, n + 1)]
@@ -559,16 +560,16 @@ def test_accessible_tables_reachable_canonical_distinct(m, k):
 @pytest.mark.parametrize("block", [7, 100])
 def test_accessible_counts_across_blocks(ab, monkeypatch, block):
     # blocks of 7 and 100 tables cut the accessible tables of every m > 2
-    from regkernel import kernel
+    from regkernel import count, stream
 
-    monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", block)
+    monkeypatch.setattr(stream, "_BLOCK_SAMPLES", block)
     strings = enumerate_strings(ab, 3) + ["abba", "babab"]
     rows, cols = strings[::2], strings[1::2] + ["a"]
     for n in range(1, 5):
         grid = agreement_count_grid(strings, n, ab).tolist()
-        assert kernel.exhaustive_agreement_counts(strings, n, ab) == grid, n
+        assert count.exhaustive_agreement_counts(strings, n, ab) == grid, n
         index = {s: i for i, s in enumerate(strings)}
-        assert kernel.exhaustive_agreement_counts(rows, n, ab, cols) == [
+        assert count.exhaustive_agreement_counts(rows, n, ab, cols) == [
             [grid[index[x]][index[y]] for y in cols] for x in rows], n
 
 
@@ -768,13 +769,25 @@ def test_kernel_cap_checked_before_any_term(ab, monkeypatch):
 
     # every term is counted by the walk or the bit-sliced counter, then
     # valued by the block's value function
-    for name in ("_walk_counts", "_sliced_agreement_counts", "_value_function"):
-        monkeypatch.setattr(f"regkernel.kernel.{name}", refuse)
+    for name in ("count._walk_counts", "count._sliced_agreement_counts", "kernel._value_function"):
+        monkeypatch.setattr(f"regkernel.{name}", refuse)
     params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
     with pytest.raises(CapExceededError, match="monte-carlo"):
         kernel_value("aaaaaaaaa", "aaaaaaaab", params)
     with pytest.raises(CapExceededError, match="monte-carlo"):
         gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params)
+
+
+@pytest.mark.parametrize("k, n_top", [(1, 128), (2, 75), (3, 55), (4, 44)])
+def test_mc_paper_float_range_bound(k, n_top):
+    # the largest paper-scaled Monte Carlo sum whose values stay finite:
+    # 1 + sum_{n <= n_top} |DFA_n| // 2 is within the float range, and one
+    # more term is not
+    from regkernel.kernel import _check_float_range
+
+    _check_float_range(n_top, k)
+    with pytest.raises(CapExceededError, match="use normalized scaling"):
+        _check_float_range(n_top + 1, k)
 
 
 def test_kernel_params_validation(ab):
@@ -899,9 +912,9 @@ def stream_tables(n, m, seed, block_size=None, k=2):
     one cell at a time from the documented format: no bit-slicing, no
     trie.  Table t is bit t % B of block t // B, and a cell takes the value
     of the first round that reads one below n."""
-    from regkernel import kernel
+    from regkernel import stream
 
-    block_size = block_size or kernel._BLOCK_SAMPLES
+    block_size = block_size or stream._BLOCK_SAMPLES
     digests = {}
 
     def bit(block, q, c, rnd, plane, pos):
@@ -931,9 +944,9 @@ def stream_accepting(n, m, seed, block_size=None):
     """The accepting sets of the first m DFAs of sample_dfas for (seed, n),
     read one bit at a time: state q of DFA t accepts when bit t % B is set
     in the accepting stream of (seed, n, t // B, q)."""
-    from regkernel import kernel
+    from regkernel import stream
 
-    block_size = block_size or kernel._BLOCK_SAMPLES
+    block_size = block_size or stream._BLOCK_SAMPLES
     digests = {}
     sets = []
     for t in range(m):
@@ -947,12 +960,12 @@ def stream_accepting(n, m, seed, block_size=None):
 
 def sliced_tables(n, m, seed, k=2):
     """The first m tables as draw_table_block slices them, block by block."""
-    from regkernel import kernel
+    from regkernel import stream
 
     tables = []
-    for block, lo in enumerate(range(0, m, kernel._BLOCK_SAMPLES)):
-        size = min(kernel._BLOCK_SAMPLES, m - lo)
-        parts = kernel.draw_table_block(n, k, seed, block, size)
+    for block, lo in enumerate(range(0, m, stream._BLOCK_SAMPLES)):
+        size = min(stream._BLOCK_SAMPLES, m - lo)
+        parts = stream.draw_table_block(n, k, seed, block, size)
         for t in range(size):
             table = []
             for q in range(n):
@@ -989,10 +1002,10 @@ def test_mc_stream_known_answer(ab, monkeypatch):
     assert sliced_tables(3, 8, 20261019) == expected
     assert stream_tables(3, 8, 20261019) == expected
     # n = 1 has one table and draws nothing from the stream
-    from regkernel import kernel
+    from regkernel import stream
 
     monkeypatch.setattr(hashlib, "shake_256", None)
-    assert kernel.draw_table_block(1, 2, 5, 0, 10) == [[[2**10 - 1], [2**10 - 1]]]
+    assert stream.draw_table_block(1, 2, 5, 0, 10) == [[[2**10 - 1], [2**10 - 1]]]
 
 
 def test_sample_dfas_known_answer(ab, monkeypatch):
@@ -1008,33 +1021,33 @@ def test_sample_dfas_known_answer(ab, monkeypatch):
         ([[0, 0], [1, 1], [2, 2]], []),
         ([[0, 0], [0, 1], [0, 1]], [2]),
     ]
-    from regkernel import kernel
+    from regkernel import stream
 
     got = [([list(row) for row in d.table], sorted(d.accepting))
-           for d in kernel.sample_dfas(3, ab, 20261019, 8)]
+           for d in stream.sample_dfas(3, ab, 20261019, 8)]
     assert got == expected
     assert list(zip(stream_tables(3, 8, 20261019), stream_accepting(3, 8, 20261019))) == expected
     # across block boundaries, against the plain readers of both streams
-    monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", 16)
-    dfas = list(kernel.sample_dfas(3, ab, 77, 40))
+    monkeypatch.setattr(stream, "_BLOCK_SAMPLES", 16)
+    dfas = list(stream.sample_dfas(3, ab, 77, 40))
     assert [[list(row) for row in d.table] for d in dfas] == stream_tables(3, 40, 77, 16)
     assert [sorted(d.accepting) for d in dfas] == stream_accepting(3, 40, 77, 16)
 
 
 def test_sample_dfas_rejects_bad_arguments(ab):
-    from regkernel import kernel
+    from regkernel import stream
 
     for n, seed in ((0, 1), (2, -1), (2, 2**64)):
         with pytest.raises(ValueError):
-            next(kernel.sample_dfas(n, ab, seed, 1))
+            next(stream.sample_dfas(n, ab, seed, 1))
 
 
 @pytest.mark.parametrize("block", [16, None])
 def test_mc_stream_sample_for_m_is_a_prefix(ab, monkeypatch, block):
-    from regkernel import kernel
+    from regkernel import stream
 
     if block is not None:
-        monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", block)
+        monkeypatch.setattr(stream, "_BLOCK_SAMPLES", block)
     for n in (2, 3, 5):
         longer = sliced_tables(n, 100, 77)
         for m in (1, 15, 16, 17, 40):
@@ -1043,7 +1056,7 @@ def test_mc_stream_sample_for_m_is_a_prefix(ab, monkeypatch, block):
 
 
 def test_mc_memory_is_one_block_whatever_m(ab):
-    from regkernel import kernel
+    from regkernel import count, stream
 
     strings = enumerate_strings(ab, 3)
     n, k = 3, len(ab)
@@ -1051,19 +1064,20 @@ def test_mc_memory_is_one_block_whatever_m(ab):
     for m in (10**5, 10**6):
         tracemalloc.start()
         try:
-            kernel.mc_agreement_counts(strings, n, m, ab, 7)
+            count.mc_agreement_counts(strings, n, m, ab, 7)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     # one block's cells: n*k cells of n masks of _BLOCK_SAMPLES bits
-    one_block = n * k * n * kernel._BLOCK_SAMPLES // 8
+    one_block = n * k * n * stream._BLOCK_SAMPLES // 8
     assert abs(peaks[1] - peaks[0]) < one_block, peaks
 
 
 def test_mc_acceptance_matches_plain_walk(ab):
     # the trie walk's end-state masks against a plain walk per table: each
     # string ends in exactly one state on every table
-    from regkernel.kernel import _end_states, _trie_plan, draw_table_block
+    from regkernel.count import _end_states, _trie_plan
+    from regkernel.stream import draw_table_block
 
     strings = enumerate_strings(ab, 4)
     m = 200
@@ -1084,10 +1098,10 @@ def test_mc_joint_counts_match_plain_loop(ab, monkeypatch, block):
     # the stream, trie walk and popcounts against a loop over plainly decoded
     # tables, across blocks of 7 and 64 tables and one block, with the empty
     # string, a duplicate, prefixes and rows shared with cols
-    from regkernel import kernel
+    from regkernel import count, stream
 
     if block is not None:
-        monkeypatch.setattr(kernel, "_BLOCK_SAMPLES", block)
+        monkeypatch.setattr(stream, "_BLOCK_SAMPLES", block)
     rows = ["abba", "", "ab", "b", "ab", "abbab", "a"]
     cols = ["ba", "abba", "", "abb", "bbbb", "a", "a"]
     m = 97
@@ -1098,10 +1112,10 @@ def test_mc_joint_counts_match_plain_loop(ab, monkeypatch, block):
         def agree(x, y):
             return sum(a == b for a, b in zip(ends[x], ends[y]))
 
-        cross = kernel.mc_agreement_counts(rows, n, m, ab, 21, cols)
+        cross = count.mc_agreement_counts(rows, n, m, ab, 21, cols)
         assert all(type(c) is int for line in cross for c in line)
         assert cross == [[agree(x, y) for y in cols] for x in rows]
-        gram = kernel.mc_agreement_counts(rows, n, m, ab, 21)
+        gram = count.mc_agreement_counts(rows, n, m, ab, 21)
         assert gram == [[agree(x, y) for y in rows] for x in rows]
 
 
@@ -1154,16 +1168,16 @@ def test_mc_gram_permutation_equivariant(ab):
 
 
 def test_mc_gram_draws_one_sample_per_n(ab, monkeypatch):
-    from regkernel import kernel
+    from regkernel import stream
 
     drawn = []
-    real = kernel.draw_table_block
+    real = stream.draw_table_block
 
     def counting(n, k, master_seed, block, size):
         drawn.append(n)
         return real(n, k, master_seed, block, size)
 
-    monkeypatch.setattr(kernel, "draw_table_block", counting)
+    monkeypatch.setattr(stream, "draw_table_block", counting)
     gram_matrix(enumerate_strings(ab, 4), mc_params(ab))
     assert drawn == [1, 2, 3]
 

@@ -251,8 +251,8 @@ def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
 
     # every term is counted by the walk or the bit-sliced counter, then
     # valued by the block's value function
-    for name in ("_walk_counts", "_sliced_agreement_counts", "_value_function"):
-        monkeypatch.setattr(f"regkernel.kernel.{name}", refuse)
+    for name in ("count._walk_counts", "count._sliced_agreement_counts", "kernel._value_function"):
+        monkeypatch.setattr(f"regkernel.{name}", refuse)
     model = PerceptronModel(
         support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
         errors_per_epoch=(0,),
@@ -266,7 +266,7 @@ def test_decision_values_check_exact_cap_before_the_walk(ab, monkeypatch):
         raise AssertionError("a walk started before the cap check")
 
     for name in ("agreement_counts", "_walk_counts"):
-        monkeypatch.setattr(f"regkernel.kernel.{name}", refuse)
+        monkeypatch.setattr(f"regkernel.count.{name}", refuse)
     model = PerceptronModel(
         support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
         errors_per_epoch=(0,),
@@ -275,17 +275,38 @@ def test_decision_values_check_exact_cap_before_the_walk(ab, monkeypatch):
         decision_values(model, ["a", "ab", "aaaaaa", "b"])
 
 
+def test_exact_decision_values_encode_each_string_once(ab, monkeypatch):
+    # the shape of the benchmark's exact predict: 14 support strings and 192
+    # queries make one block, whose plan validates what it encodes
+    support = tuple((s, 1 - 2 * (i % 2)) for i, s in enumerate(enumerate_strings(ab, 3)[1:]))
+    model = PerceptronModel(support=support, params=exact_params(ab, n_max=4), epochs_run=1,
+                            errors_per_epoch=(0,))
+    queries = [s for s in enumerate_strings(ab, 7) if len(s) >= 6]
+    assert (len(support), len(queries)) == (14, 192)
+    encoded = []
+    real = Alphabet.encode
+
+    def counting(self, s):
+        encoded.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(Alphabet, "encode", counting)
+    decision_values(model, queries)
+    assert len(encoded) == 206
+    assert sorted(encoded) == sorted([s for s, _ in support] + queries)
+
+
 def test_decision_values_validate_every_chunk_before_any_table(ab, monkeypatch):
     # a bad query in a later Monte Carlo chunk fails before the first
     # chunk draws a table, and a bad exact query before any count
-    from regkernel import kernel
+    from regkernel import count, stream
     from regkernel.learner import _QUERY_CHUNK
 
     def refuse(*args, **kwargs):
         raise AssertionError("a table was read before every query was validated")
 
-    monkeypatch.setattr(kernel, "draw_table_block", refuse)
-    monkeypatch.setattr(kernel, "_sliced_agreement_counts", refuse)
+    monkeypatch.setattr(stream, "draw_table_block", refuse)
+    monkeypatch.setattr(count, "_sliced_agreement_counts", refuse)
     queries = ["ab"] * (_QUERY_CHUNK + 5) + ["abc"]
     for params in (mc_params(ab, "normalized"), exact_params(ab)):
         model = PerceptronModel(support=(("ab", 1),), params=params, epochs_run=1,

@@ -15,17 +15,18 @@ exact counters against it, and ``verify --suite bounds`` and the
 benchmark reference are computed from it.  TABLE_CAP bounds every
 enumeration here, and the kernel's exact path reads the same cap.  numpy
 is imported inside the oracle functions only, so importing this module
-does not load it.
+does not load it.  Alphabet, Dfa and the records of ``kernel`` and
+``learner`` derive from Record, which behaves as a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 # Upper bound on how many transition tables an exhaustive walk may touch.
@@ -58,8 +59,43 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Record:
+    """Base of the package's immutable records: frozen dataclasses in
+    behaviour, without the import of ``dataclasses`` (and ``inspect``) and
+    the generated code that every command would pay for.  ``_fields``
+    names the fields in order; equality (same class only), hash and repr
+    read them.  ``__init__`` stores attributes with ``_set``, and any later
+    assignment or deletion raises AttributeError.  The ``__dict__`` stays,
+    for pickle, copy and vars()."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **attributes) -> None:
+        self.__dict__.update(attributes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Alphabet(Record):
     """Ordered tuple of distinct single-character symbols.
 
     Order is significant: transition tables, serialized text and string
@@ -67,12 +103,10 @@ class Alphabet:
     and must not be ``#`` (reserved for comments in the text formats).
     """
 
-    symbols: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        syms = tuple(self.symbols)
-        object.__setattr__(self, "symbols", syms)
+    def __init__(self, symbols: tuple[str, ...]):
+        syms = tuple(symbols)
         if not syms:
             raise ValueError("alphabet must be non-empty")
         for c in syms:
@@ -84,7 +118,7 @@ class Alphabet:
                 raise ValueError(f"{COMMENT_CHAR!r} is reserved for comments and cannot be a symbol")
         if len(set(syms)) != len(syms):
             raise ValueError(f"alphabet has duplicate symbols: {''.join(syms)!r}")
-        object.__setattr__(self, "_index", {c: i for i, c in enumerate(syms)})
+        self._set(symbols=syms, _index={c: i for i, c in enumerate(syms)})
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -115,25 +149,22 @@ class Alphabet:
         return "".join(self.symbols)
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record):
     """A complete DFA: states 0..n-1, start state 0, total transition table.
 
     ``table[state][symbol_index]`` is the successor state.  Instances are
     immutable and safe to share across threads.
     """
 
-    n: int
-    alphabet: Alphabet
-    table: tuple[tuple[int, ...], ...]
-    accepting: frozenset[int]
+    _fields = ("n", "alphabet", "table", "accepting")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"state count must be >= 1, got {self.n}")
-        table = tuple(tuple(int(c) for c in row) for row in self.table)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "accepting", frozenset(int(q) for q in self.accepting))
+    def __init__(self, n: int, alphabet: Alphabet, table: tuple[tuple[int, ...], ...],
+                 accepting: frozenset[int]):
+        if n < 1:
+            raise ValueError(f"state count must be >= 1, got {n}")
+        table = tuple(tuple(int(c) for c in row) for row in table)
+        self._set(n=n, alphabet=alphabet, table=table,
+                  accepting=frozenset(int(q) for q in accepting))
         k = len(self.alphabet)
         if len(table) != self.n:
             raise ValueError(f"transition table has {len(table)} rows, expected {self.n}")
@@ -266,6 +297,8 @@ def kn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> int:
 
 
 def pn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(kn_by_enumeration(x, y, n, alphabet), dfa_space_size(n, len(alphabet)))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import os
 import sys
 import time
@@ -324,7 +325,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # At exit the interpreter runs full cyclic collections over every object
+    # still alive (the standard library, site's modules, this package), whose
+    # memory the OS takes back anyway.  Frozen objects are never collected, so
+    # those sweeps are skipped, while atexit handlers, stream flushes and
+    # refcount deallocation still run (os._exit would skip them).  main() does
+    # not freeze: callers, tests among them, run it in process many times.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -52,10 +52,12 @@ plan maps the result back to the block's strings.  kernel_value,
 gram_matrix and prediction all read their values from it, and a Gram is
 one matrix of those values.
 
-numpy is imported inside ``GramMatrix.to_array`` only: the runtime paths
-and the sampler are pure Python, so importing this module, and the
-sample, kernel, gram, train and predict commands in either mode, load
-none of it.
+numpy is imported inside ``GramMatrix.to_array`` only, and fractions
+inside the exact P_n helpers: the runtime paths and the sampler are pure
+Python over integers, and the records (KernelParams, ApproxCertificate,
+KernelValue, GramMatrix) are ``automata.Record`` classes.  So importing
+this module, and the sample, kernel, gram, train and predict commands in
+either mode, load none of numpy, fractions or dataclasses.
 """
 
 from __future__ import annotations
@@ -65,28 +67,28 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import count, stream
 from .automata import (
     Alphabet,
     CapExceededError,
+    Record,
     dfa_space_size,
     joint_accept_count_grid,  # re-exported: bench/make_reference.py imports it from here
     table_count,
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 MODES = ("exact", "monte-carlo")
 SCALINGS = ("paper", "normalized")
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class KernelParams(Record):
     """Everything needed to evaluate (and replay) a kernel value.
 
     mode: "exact" counts over all transition tables; "monte-carlo" over
@@ -103,16 +105,14 @@ class KernelParams:
         the stream keyed by (master_seed, n) alone.
     """
 
-    alphabet: Alphabet
-    n_max: int
-    mode: str = "exact"
-    scaling: str = "paper"
-    epsilon: float = 0.1
-    failure_prob: float = 0.05
-    master_seed: int = 0
-    weights: tuple[float, ...] | None = None
+    _fields = ("alphabet", "n_max", "mode", "scaling", "epsilon", "failure_prob",
+               "master_seed", "weights")
 
-    def __post_init__(self):
+    def __init__(self, alphabet: Alphabet, n_max: int, mode: str = "exact",
+                 scaling: str = "paper", epsilon: float = 0.1, failure_prob: float = 0.05,
+                 master_seed: int = 0, weights: tuple[float, ...] | None = None):
+        self._set(alphabet=alphabet, n_max=n_max, mode=mode, scaling=scaling, epsilon=epsilon,
+                  failure_prob=failure_prob, master_seed=master_seed, weights=weights)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.scaling not in SCALINGS:
@@ -128,7 +128,7 @@ class KernelParams:
                 ws = tuple(float(w) for w in self.weights)
             except OverflowError as e:  # an int beyond the float range
                 raise ValueError(f"weights must be finite: {e}") from e
-            object.__setattr__(self, "weights", ws)
+            self._set(weights=ws)
             if len(ws) < self.n_max:
                 raise ValueError(f"need {self.n_max} weights, got {len(ws)}")
             if not all(math.isfinite(w) for w in ws):
@@ -165,8 +165,7 @@ class KernelParams:
         )
 
 
-@dataclass(frozen=True)
-class ApproxCertificate:
+class ApproxCertificate(Record):
     """Parameters under which a Monte Carlo value carries its guarantee:
     each P_n term, estimated as (m + A) / (4m) from the agreement count A
     over m = samples_per_term sampled tables, is within relative error
@@ -177,15 +176,15 @@ class ApproxCertificate:
     Entries that share a sample are correlated, and no union bound over
     a Gram is claimed."""
 
-    epsilon: float
-    failure_prob: float
-    samples_per_term: int
-    master_seed: int
-    bound: str = "hoeffding-per-entry"
+    _fields = ("epsilon", "failure_prob", "samples_per_term", "master_seed", "bound")
+
+    def __init__(self, epsilon: float, failure_prob: float, samples_per_term: int,
+                 master_seed: int, bound: str = "hoeffding-per-entry"):
+        self._set(epsilon=epsilon, failure_prob=failure_prob, samples_per_term=samples_per_term,
+                  master_seed=master_seed, bound=bound)
 
 
-@dataclass(frozen=True)
-class KernelValue:
+class KernelValue(Record):
     """A single kernel evaluation with its provenance.
 
     ``value`` is an exact non-negative integer in exact paper scaling and
@@ -194,12 +193,12 @@ class KernelValue:
     min(|x|, |y|).
     """
 
-    value: int | float
-    mode: str
-    scaling: str
-    n_used: int
-    truncated: bool
-    certificate: ApproxCertificate | None = None
+    _fields = ("value", "mode", "scaling", "n_used", "truncated", "certificate")
+
+    def __init__(self, value: int | float, mode: str, scaling: str, n_used: int,
+                 truncated: bool, certificate: ApproxCertificate | None = None):
+        self._set(value=value, mode=mode, scaling=scaling, n_used=n_used, truncated=truncated,
+                  certificate=certificate)
 
 
 def _check_budget_args(epsilon: float, failure_prob: float) -> None:
@@ -244,6 +243,8 @@ def required_samples(epsilon: float, failure_prob: float) -> int:
 
 def _pn_from_agreement(a: int, n: int, k: int) -> Fraction:
     """P_n = (1/4) * (1 + A/T) from the agreement count A of n states."""
+    from fractions import Fraction
+
     t = table_count(n, k)
     return Fraction(t + a, 4 * t)
 
@@ -338,12 +339,14 @@ def _value_function(
 
             return float_value
     if params.scaling == "paper":
-        ratios = [Fraction(dfa_space_size(n, k), t) for n, t in zip(ns, tables)]
-    else:
-        ratios = [Fraction(params.weight_for(n)) / t for n, t in zip(ns, tables)]
-    quarter = math.lcm(*(r.denominator for r in ratios))  # d = 4 * quarter
+        ratios = [(dfa_space_size(n, k), t) for n, t in zip(ns, tables)]
+    else:  # w_n / D_n, with w_n's exact binary value
+        ratios = [(w, b * t) for n, t in zip(ns, tables)
+                  for w, b in [params.weight_for(n).as_integer_ratio()]]
+    ratios = [(p // g, q // g) for p, q in ratios for g in [math.gcd(p, q)]]  # lowest terms
+    quarter = math.lcm(*(q for _, q in ratios))  # d = 4 * quarter
     d = 4 * quarter
-    slopes = [int(r * quarter) for r in ratios]
+    slopes = [p * (quarter // q) for p, q in ratios]
     bases = [0, *itertools.accumulate(map(operator.mul, slopes, tables))]
     if mix is None:
         coefs = [slopes[:u] for u in range(n_top + 1)]
@@ -446,14 +449,15 @@ def kernel_value(x: str, y: str, params: KernelParams) -> KernelValue:
     return KernelValue(value, params.mode, params.scaling, n_used, truncated, cert)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Record):
     """Symmetric matrix of kernel values over an ordered string list:
     ``values[i][j]`` is K(strings[i], strings[j]) under ``params``."""
 
-    strings: tuple[str, ...]
-    params: KernelParams
-    values: tuple[tuple[int | float, ...], ...]
+    _fields = ("strings", "params", "values")
+
+    def __init__(self, strings: tuple[str, ...], params: KernelParams,
+                 values: tuple[tuple[int | float, ...], ...]):
+        self._set(strings=strings, params=params, values=values)
 
     def value(self, i: int, j: int) -> int | float:
         return self.values[i][j]

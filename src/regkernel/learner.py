@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -19,6 +18,7 @@ from .automata import (
     CapExceededError,
     Dfa,
     ParseError,
+    Record,
     iter_strings,
 )
 from .kernel import GramMatrix, KernelParams, format_version, kernel_block
@@ -34,22 +34,19 @@ LABELS = (1, -1)
 _QUERY_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Labeled strings over one alphabet; labels are +1/-1, strings distinct.
 
     Each record is checked once, on construction.  ``lines`` gives the
     source line of each record (dataset_from_text passes it); with it, an
-    invalid record raises a ParseError that names its line."""
+    invalid record raises a ParseError that names its line.  It is neither
+    stored nor compared."""
 
-    alphabet: Alphabet
-    records: tuple[tuple[str, int], ...]
-    lines: InitVar[Sequence[int] | None] = None
+    _fields = ("alphabet", "records")
 
-    def __post_init__(self, lines: Sequence[int] | None):
-        object.__setattr__(
-            self, "records", tuple((s, int(label)) for s, label in self.records)
-        )
+    def __init__(self, alphabet: Alphabet, records: tuple[tuple[str, int], ...],
+                 lines: Sequence[int] | None = None):
+        self._set(alphabet=alphabet, records=tuple((s, int(label)) for s, label in records))
         first: dict[str, int] = {}
         for i, (s, label) in enumerate(self.records):
             try:
@@ -74,23 +71,22 @@ class Dataset:
         return tuple(label for _, label in self.records)
 
 
-@dataclass(frozen=True)
-class PerceptronModel:
+class PerceptronModel(Record):
     """Support strings with their dual coefficients, plus the kernel
     parameters in force at training time (reused verbatim by predict).
 
     Each support string and coefficient is checked on construction.
     ``lines`` gives the source line of each support string
     (model_from_text passes it); with it, an invalid one raises a
-    ParseError that names its line."""
+    ParseError that names its line.  It is neither stored nor compared."""
 
-    support: tuple[tuple[str, int | float], ...]
-    params: KernelParams
-    epochs_run: int
-    errors_per_epoch: tuple[int, ...]
-    lines: InitVar[Sequence[int] | None] = None
+    _fields = ("support", "params", "epochs_run", "errors_per_epoch")
 
-    def __post_init__(self, lines: Sequence[int] | None):
+    def __init__(self, support: tuple[tuple[str, int | float], ...], params: KernelParams,
+                 epochs_run: int, errors_per_epoch: tuple[int, ...],
+                 lines: Sequence[int] | None = None):
+        self._set(support=support, params=params, epochs_run=epochs_run,
+                  errors_per_epoch=errors_per_epoch)
         for i, (s, coeff) in enumerate(self.support):
             try:
                 _check_support(self.params.alphabet, s, coeff)
@@ -209,9 +205,13 @@ def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | flo
     xs = list(xs)
     support = [s for s, _ in model.support]
     step = _QUERY_CHUNK if params.mode == "monte-carlo" else max(1, len(xs))
-    # the first block's plan validates its own queries before any count
+    # the first block's plan validates its own queries before any count, and
+    # each later block's plan encodes its own: a membership test suffices
+    # here, and encode runs only to raise its error for a bad query
+    symbols = set(params.alphabet.symbols)
     for x in xs[step:]:
-        params.alphabet.encode(x)
+        if not symbols.issuperset(x):
+            params.alphabet.encode(x)
     totals: list[int | float] = []
     for lo in range(0, len(xs), step):
         chunk = xs[lo : lo + step]

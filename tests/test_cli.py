@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -870,6 +871,43 @@ def test_exact_command_loads_the_counters_but_no_hashlib(tmp_path, parity, ab, c
     loaded = fresh_modules(RUN_COMMANDS, json.dumps([argv]))
     assert "regkernel.count" in loaded
     assert not ({"hashlib"} - bare) & loaded
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_kernel_commands_load_no_dataclasses_or_fractions(tmp_path, parity, ab, mode):
+    # records are plain classes and values integer ratios: importing
+    # dataclasses (inspect) or fractions (decimal) would only slow the start
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
+    queries = tmp_path / "queries.txt"
+    queries.write_text("aa\nab\naba\n", encoding="utf-8")
+    model = tmp_path / "m.model"
+    flags = ["--mode", mode, "--nmax", "3", "--seed", "0"]
+    runs = [
+        ["gram", "--dataset", str(dataset), *flags, "--out", str(tmp_path / "g.csv")],
+        ["train", "--dataset", str(dataset), *flags, "--out", str(model)],
+        ["predict", "--model", str(model), "--in", str(queries)],
+    ]
+    if mode == "exact":
+        runs.insert(0, ["kernel", *flags, "abab", "abba"])
+    bare = fresh_modules("pass")
+    loaded = fresh_modules(RUN_COMMANDS, json.dumps(runs))
+    assert not ({"dataclasses", "inspect", "fractions", "decimal"} - bare) & loaded
+
+
+def test_only_the_console_entry_freezes_the_heap_at_exit():
+    # the freeze spares the exit-time collections of a finished process; an
+    # atexit hook runs after it, and main() run in process never freezes
+    code = """import atexit, gc, runpy, sys
+atexit.register(lambda: print("freeze_count", gc.get_freeze_count()))
+sys.argv[1:] = ["kernel", "--nmax", "2", "--seed", "0", "ab", "ba"]
+runpy.run_module("regkernel.cli", run_name="__main__", alter_sys=True)
+"""
+    result = run_fresh("-c", code)
+    assert result.returncode == 0, result.stderr
+    *_, report = result.stdout.splitlines()
+    assert report.startswith("freeze_count ") and int(report.split()[1]) > 0
+    assert main(["kernel", "--nmax", "2", "--seed", "0", "ab", "ba"]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_fresh_exact_gram_jobs_2_equals_jobs_1(tmp_path, parity, ab):

@@ -315,6 +315,23 @@ def test_decision_values_validate_every_chunk_before_any_table(ab, monkeypatch):
             decision_values(model, queries)
 
 
+def test_monte_carlo_decision_values_encode_each_query_once(ab, monkeypatch):
+    # the queries after the first chunk are checked up front without an
+    # encode; each chunk's plan encodes its queries and the support once
+    from regkernel.learner import _QUERY_CHUNK
+
+    model = PerceptronModel(support=(("ab", 1), ("ba", -1), ("aab", 1)),
+                            params=mc_params(ab, "normalized"), epochs_run=1,
+                            errors_per_epoch=(0,))
+    queries = enumerate_strings(ab, 8)[:300]
+    assert len(queries) > _QUERY_CHUNK
+    encoded = []
+    encode = Alphabet.encode
+    monkeypatch.setattr(Alphabet, "encode", lambda self, x: encoded.append(x) or encode(self, x))
+    decision_values(model, queries)
+    assert len(encoded) == 306  # 300 queries, and the 3 support strings in each of 2 chunks
+
+
 def test_parity_model_generalizes(parity, ab):
     ds = label_strings(parity, enumerate_strings(ab, 4))
     gram = gram_matrix(ds.strings, exact_params(ab, n_max=3))

@@ -8,6 +8,10 @@ single ``config {...}`` line so outputs can be replayed exactly.
 Exit codes: 0 success, 2 usage or input error, 3 resource cap exceeded,
 4 verification failure.
 
+``gram`` and ``train`` take the alphabet from their dataset's required
+``# alphabet`` header; only ``kernel`` and ``sample``, whose inputs name
+none, take ``--alphabet``.
+
 Only what parsing the arguments needs is imported with this module; each
 command imports the package modules it runs on entry, so building the
 parser (or printing ``--help``) loads no other regkernel module, and no
@@ -28,7 +32,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .automata import Alphabet
     from .kernel import KernelParams
-    from .learner import Dataset
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -37,6 +40,8 @@ EXIT_VERIFY = 4
 
 MODE_ALIASES = {"exact": "exact", "mc": "monte-carlo", "monte-carlo": "monte-carlo"}
 SEED_HELP = "64-bit master seed; sampled and printed when omitted"
+DEFAULT_ALPHABET = "ab"
+DATASET_HELP = "labelled strings; the '# alphabet <symbols>' header sets the alphabet"
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -60,12 +65,11 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _kernel_params(args: argparse.Namespace, seed: int) -> KernelParams:
-    from .automata import Alphabet
+def _kernel_params(args: argparse.Namespace, seed: int, alphabet: Alphabet) -> KernelParams:
     from .kernel import KernelParams
 
     return KernelParams(
-        alphabet=Alphabet(tuple(args.alphabet)),
+        alphabet=alphabet,
         n_max=args.nmax,
         mode=MODE_ALIASES[args.mode],
         scaling=args.scaling,
@@ -89,20 +93,8 @@ def _check_out_path(out: str | Path) -> None:
     raise OSError(code, os.strerror(code), str(out))
 
 
-def _load_dataset(path: str, alphabet: Alphabet) -> Dataset:
-    """The dataset at ``path``, refused unless its alphabet is ``alphabet``."""
-    from .learner import load_dataset
-
-    dataset = load_dataset(path)
-    if dataset.alphabet != alphabet:
-        raise ValueError(
-            f"dataset alphabet {dataset.alphabet.text!r} does not match "
-            f"--alphabet {alphabet.text!r}"
-        )
-    return dataset
-
-
-def _add_kernel_flags(p: argparse.ArgumentParser, scaling_default: str = "paper") -> None:
+def _add_kernel_flags(p: argparse.ArgumentParser, scaling_default: str = "paper",
+                      alphabet_flag: bool = True) -> None:
     p.add_argument("--mode", choices=sorted(MODE_ALIASES), default="exact",
                    help="exact enumeration or monte-carlo estimation")
     p.add_argument("--scaling", choices=("paper", "normalized"), default=scaling_default,
@@ -111,15 +103,16 @@ def _add_kernel_flags(p: argparse.ArgumentParser, scaling_default: str = "paper"
     p.add_argument("--eps", type=float, default=0.1, help="relative accuracy (monte-carlo)")
     p.add_argument("--delta", type=float, default=0.05,
                    help="failure probability (monte-carlo)")
-    p.add_argument("--alphabet", default="ab", help="alphabet symbols, concatenated")
+    if alphabet_flag:
+        p.add_argument("--alphabet", default=DEFAULT_ALPHABET,
+                       help="alphabet symbols, concatenated")
+    else:
+        # The command reads the alphabet from its dataset.  The parsed
+        # namespace still carries the default, because bench/layers.py
+        # resolves a gram or train run's KernelParams from parsed arguments
+        # alone; ROADMAP item 2 has that script read the dataset instead.
+        p.set_defaults(alphabet=DEFAULT_ALPHABET)
     p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
-
-
-def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for the exact walk, which runs only when "
-                        "n**(n*k) exceeds 2**16 tables; counting the accessible tables and the "
-                        "Monte Carlo path run on one thread (results unchanged)")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -147,10 +140,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
+    from .automata import Alphabet
     from .kernel import format_scalar, kernel_value
 
     seed = _resolve_seed(args.seed)
-    params = _kernel_params(args, seed)
+    params = _kernel_params(args, seed, Alphabet(tuple(args.alphabet)))
     _print_config("kernel", {**params.to_dict(), "x": args.x, "y": args.y})
     kv = kernel_value(args.x, args.y, params)
     print(format_scalar(kv.value))
@@ -167,19 +161,20 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 def cmd_gram(args: argparse.Namespace) -> int:
     from .kernel import gram_matrix, gram_metadata_json, gram_to_csv
+    from .learner import load_dataset
 
     seed = _resolve_seed(args.seed)
-    params = _kernel_params(args, seed)
-    dataset = _load_dataset(args.dataset, params.alphabet)
+    dataset = load_dataset(args.dataset)
+    params = _kernel_params(args, seed, dataset.alphabet)
     _check_out_path(args.out)
     out = Path(args.out)
     # a CSV without its sidecar cannot be replayed: check both before the work
     meta = out.with_suffix(out.suffix + ".meta.json")
     _check_out_path(meta)
     _print_config("gram", {**params.to_dict(), "dataset": str(args.dataset),
-                           "out": str(args.out), "jobs": args.jobs})
+                           "out": str(args.out)})
     started = time.perf_counter()
-    gram = gram_matrix(dataset.strings, params, jobs=args.jobs)
+    gram = gram_matrix(dataset.strings, params)
     count = len(dataset.strings)
     _note(args, f"Gram of {count * (count + 1) // 2} pairs "
                 f"in {time.perf_counter() - started:.2f}s")
@@ -192,19 +187,18 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     from .kernel import gram_matrix
-    from .learner import save_model, train
+    from .learner import load_dataset, save_model, train
 
     seed = _resolve_seed(args.seed)
-    params = _kernel_params(args, seed)
-    dataset = _load_dataset(args.dataset, params.alphabet)
+    dataset = load_dataset(args.dataset)
+    params = _kernel_params(args, seed, dataset.alphabet)
     if args.epochs < 1:
         raise ValueError(f"max_epochs must be >= 1, got {args.epochs}")
     _check_out_path(args.out)
     _print_config("train", {**params.to_dict(), "dataset": str(args.dataset),
-                            "epochs": args.epochs, "out": str(args.out),
-                            "jobs": args.jobs})
+                            "epochs": args.epochs, "out": str(args.out)})
     started = time.perf_counter()
-    gram = gram_matrix(dataset.strings, params, jobs=args.jobs)
+    gram = gram_matrix(dataset.strings, params)
     _note(args, f"Gram ready in {time.perf_counter() - started:.2f}s")
     model = train(gram, dataset.labels, args.epochs)
     for epoch, errors in enumerate(model.errors_per_epoch, start=1):
@@ -263,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="write the Monte Carlo kernel's sampled DFAs to a directory")
     p.add_argument("--states", type=int, required=True)
-    p.add_argument("--alphabet", default="ab")
+    p.add_argument("--alphabet", default=DEFAULT_ALPHABET)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     p.add_argument("--out", required=True)
@@ -276,18 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("gram", help="write the Gram matrix of a dataset as CSV")
-    _add_kernel_flags(p)
-    _add_jobs_flag(p)
-    p.add_argument("--dataset", required=True)
+    _add_kernel_flags(p, alphabet_flag=False)
+    p.add_argument("--dataset", required=True, help=DATASET_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gram)
 
     # training defaults to normalized scaling: float Gram entries stay
     # bounded however large n_max gets
     p = sub.add_parser("train", help="train a dual perceptron on a dataset")
-    _add_kernel_flags(p, scaling_default="normalized")
-    _add_jobs_flag(p)
-    p.add_argument("--dataset", required=True)
+    _add_kernel_flags(p, scaling_default="normalized", alphabet_flag=False)
+    p.add_argument("--dataset", required=True, help=DATASET_HELP)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -69,9 +69,10 @@ memory is one block, whatever the number of tables.
 
 The names this module takes from ``automata`` and ``stream`` that a
 caller may replace (``TABLE_CAP``, ``_BLOCK_SAMPLES``, draw_table_block)
-are read through their module at call time, so each has one binding.  The
-thread pool is imported only when ``jobs > 1`` and the walk runs; ``jobs``
-affects nothing else.
+are read through their module at call time, so each has one binding.
+Every counter runs on the caller's thread: the walk is pure Python and
+holds the GIL, so worker threads made the 127-string walk Gram at n <= 5
+slower, not faster (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def _sliced_agreement_counts(
 
 
 def block_counts(
-    plan: BlockPlan, n_top: int, k: int, jobs: int = 1, sample: tuple[int, int] | None = None
+    plan: BlockPlan, n_top: int, k: int, sample: tuple[int, int] | None = None
 ) -> tuple[list[list[list[int]]], list[list[int]] | None]:
     """(per_size, mix): one count matrix per size 1..n_top over the plan's
     distinct strings, from the counter that suits the block.
@@ -247,8 +248,8 @@ def block_counts(
       A_n = sum_{m <= n} mix[n-1][m-1] * C_m with mix[n-1] the weights
       accessible_weights(n, k);
     - exact mode above the limit: per_size[n - 1] holds A_n from one walk
-      per symbol-permutation class (_walked_agreement_counts), on ``jobs``
-      threads, and mix is None.
+      per symbol-permutation class (_walked_agreement_counts), and mix is
+      None.
 
     An exact block's table cap is checked for its largest term first: the
     table count grows with n, so it decides for every pair.  Entries below
@@ -265,7 +266,7 @@ def block_counts(
         raise CapExceededError(required, automata.TABLE_CAP,
                                hint="use monte-carlo mode for large state counts")
     if required > _EXHAUSTIVE_LIMIT:
-        return _walked_agreement_counts(plan, n_top, k, jobs), None
+        return _walked_agreement_counts(plan, n_top, k), None
     mix = [accessible_weights(n, k) for n in range(1, n_top + 1)]
     return _accessible_agreement_counts(plan, n_top, k), mix
 
@@ -412,16 +413,14 @@ def _canonical_pair(x: Sequence[int], y: Sequence[int]) -> tuple[tuple[int, ...]
     return min(relabel(x, y), relabel(y, x))
 
 
-def _walked_agreement_counts(
-    plan: BlockPlan, n_top: int, k: int, jobs: int
-) -> list[list[list[int]]]:
+def _walked_agreement_counts(plan: BlockPlan, n_top: int, k: int) -> list[list[list[int]]]:
     """[A_1, ..., A_n_top] over the distinct rows and columns of the plan,
     as _accessible_agreement_counts lists C_m, from one walk per
     symbol-permutation class of the plan's codes: _walk_counts at the
-    canonical pair's n_used = min(|x|, |y|, n_top), on ``jobs`` threads,
-    copied to every pair of the class.  A_n stays 0 for a pair whose n_used
-    is below n, and below the diagonal of a symmetric plan.  The caller has
-    checked the table cap at n_top."""
+    canonical pair's n_used = min(|x|, |y|, n_top), copied to every pair
+    of the class.  A_n stays 0 for a pair whose n_used is below n, and
+    below the diagonal of a symmetric plan.  The caller has checked the
+    table cap at n_top."""
     rows, cols = plan.row_codes, plan.col_codes
     pairs = [(i, j) for i in range(len(rows))
              for j in range(i if plan.symmetric else 0, len(cols))]
@@ -429,19 +428,10 @@ def _walked_agreement_counts(
     class_of_pair = [
         classes.setdefault(_canonical_pair(rows[i], cols[j]), len(classes)) for i, j in pairs
     ]
-
-    def walk(pair: tuple[tuple[int, ...], ...]) -> list[int]:
-        x, y = pair
+    class_counts = []
+    for x, y in classes:
         n_used = min(len(x), len(y), n_top)
-        return _walk_counts(x, y, n_used, k) if n_used else []
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            class_counts = list(pool.map(walk, classes))
-    else:
-        class_counts = [walk(pair) for pair in classes]
+        class_counts.append(_walk_counts(x, y, n_used, k) if n_used else [])
     per_n = [[[0] * len(cols) for _ in rows] for _ in range(n_top)]
     for (i, j), c in zip(pairs, class_of_pair):
         for counts, a in zip(per_n, class_counts[c]):

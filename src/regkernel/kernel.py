@@ -383,7 +383,6 @@ def kernel_block(
     rows: Sequence[str],
     cols: Sequence[str] | None,
     params: KernelParams,
-    jobs: int = 1,
 ) -> list[list[int | float]]:
     """Kernel values of every (rows[i], cols[j]) pair, as an R x C matrix.
 
@@ -404,8 +403,7 @@ def kernel_block(
     symmetric block) from its identity term and its counts for
     n = 1..n_used; with accessible counts, ``mix`` is folded into its
     per-block integer constants.  plan.expand mirrors a symmetric block and
-    maps the distinct pairs back to the block's strings.  ``jobs`` affects
-    only the exact walk, and no value depends on it.  kernel_value,
+    maps the distinct pairs back to the block's strings.  kernel_value,
     gram_matrix and prediction all read their values from here.
     """
     plan = count.BlockPlan(rows, cols, params.alphabet)  # validates every string
@@ -418,7 +416,7 @@ def kernel_block(
         if params.scaling == "paper":
             _check_float_range(n_top, len(params.alphabet))
         sample = (hoeffding_samples(params.epsilon, params.failure_prob), params.master_seed)
-    per_size, mix = count.block_counts(plan, n_top, len(params.alphabet), jobs, sample)
+    per_size, mix = count.block_counts(plan, n_top, len(params.alphabet), sample)
     value = _value_function(params, n_top, mix)
 
     cols = list(plan.col_ids)
@@ -473,10 +471,12 @@ class GramMatrix(Record):
 
 def gram_matrix(strings: Sequence[str], params: KernelParams, jobs: int = 1) -> GramMatrix:
     """The symmetric kernel_block of distinct strings: each unordered pair
-    is evaluated at most once.  ``jobs`` threads serve only the exact walk,
-    which runs above count._EXHAUSTIVE_LIMIT tables and walks one pair per
-    symbol-permutation class; counting the accessible tables, and the
-    Monte Carlo path, run on one thread.  The result does not depend on ``jobs``.
+    is evaluated at most once, on the caller's thread.
+
+    ``jobs`` is refused below 1 and otherwise ignored: no counter uses
+    threads.  It stays only because the benchmark's traced run passes
+    jobs=2 (bench/layers.py, ``kernel.gram_s.mc.jobs2``); ROADMAP item 2
+    removes the keyword together with that metric.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -486,7 +486,7 @@ def gram_matrix(strings: Sequence[str], params: KernelParams, jobs: int = 1) -> 
         if s in seen:
             raise ValueError(f"duplicate string {s!r} in Gram input")
         seen.add(s)
-    values = kernel_block(strings, None, params, jobs)
+    values = kernel_block(strings, None, params)
     return GramMatrix(strings=strings, params=params, values=tuple(map(tuple, values)))
 
 

@@ -249,25 +249,40 @@ def test_train_and_predict_round_trip(tmp_path, capsys, parity, ab):
     assert stdout.splitlines() == ["+1", "-1", "+1", "+1"]
 
 
-def test_train_alphabet_mismatch_exit_2(tmp_path, capsys, parity, ab):
-    dataset = write_parity_dataset(tmp_path, parity, ab)
-    code, _, stderr = run_cli(
-        capsys, "train", "--dataset", str(dataset), "--alphabet", "abc",
-        "--seed", "0", "--out", str(tmp_path / "m"),
-    )
-    assert code == 2
-    assert "alphabet" in stderr
+def test_gram_and_train_take_the_alphabet_from_the_dataset(tmp_path, capsys):
+    dataset = tmp_path / "abc.tsv"
+    dataset.write_text("# alphabet abc\n+1\t\n-1\ta\n-1\tbc\n+1\tcab\n", encoding="utf-8")
+    gram_csv = tmp_path / "g.csv"
+    for command, out in (("gram", gram_csv), ("train", tmp_path / "m.model")):
+        code, _, stderr = run_cli(capsys, command, "--dataset", str(dataset), "--nmax", "2",
+                                  "--seed", "0", "--out", str(out))
+        assert code == 0, stderr
+        config = json.loads(stderr.splitlines()[0].removeprefix("config "))
+        assert config["alphabet"] == "abc"
+        assert "jobs" not in config
+        assert out.exists()
+    # kernel and sample, whose inputs name no alphabet, still take --alphabet
+    code, stdout, _ = run_cli(capsys, "kernel", "--alphabet", "abc", "--nmax", "2",
+                              "--seed", "0", "bc", "cab")
+    assert code == 0
+    assert stdout.splitlines()[0] == gram_csv.read_text().splitlines()[3].split(",")[3]
+    code, stdout, _ = run_cli(capsys, "sample", "--states", "2", "--alphabet", "abc",
+                              "--seed", "0", "--out", str(tmp_path / "dfas"))
+    assert code == 0
+    assert parse_dfa(Path(stdout.strip()).read_text()).alphabet.text == "abc"
 
 
-def test_gram_alphabet_mismatch_exit_2(tmp_path, capsys, parity, ab):
+@pytest.mark.parametrize("command", ["gram", "train"])
+@pytest.mark.parametrize("flag", [("--alphabet", "ab"), ("--jobs", "2")], ids=["alphabet", "jobs"])
+def test_gram_and_train_refuse_alphabet_and_jobs(tmp_path, capsys, parity, ab, command, flag):
     dataset = write_parity_dataset(tmp_path, parity, ab)
-    code, stdout, stderr = run_cli(
-        capsys, "gram", "--dataset", str(dataset), "--alphabet", "abc",
-        "--seed", "0", "--out", str(tmp_path / "g.csv"),
-    )
-    assert (code, stdout) == (2, "")
-    assert "dataset alphabet 'ab' does not match --alphabet 'abc'" in stderr
-    assert not (tmp_path / "g.csv").exists()
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--dataset", str(dataset), *flag, "--seed", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (exited.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    assert not out.exists()
 
 
 def test_predict_validates_all_lines_before_output(tmp_path, capsys, parity, ab):
@@ -532,7 +547,7 @@ def test_cli_start_does_not_import_scipy():
 
 
 # ---------------------------------------------------------------------
-# format versions and --jobs
+# format versions
 # ---------------------------------------------------------------------
 
 def test_gram_monte_carlo_rerun_is_byte_identical_v4(tmp_path, capsys, parity, ab):
@@ -637,18 +652,6 @@ def test_predict_names_the_model_line_of_a_bad_support_string(tmp_path, capsys, 
     assert (code, stdout) == (2, "")
     assert stderr.splitlines()[-1] == ("error: line 4: support string 'ac': "
                                        "symbol 'c' at position 1 is not in alphabet 'ab'")
-
-
-def test_gram_jobs_zero_exit_2(tmp_path, capsys, parity, ab):
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=2)
-    code, stdout, stderr = run_cli(
-        capsys, "gram", "--dataset", str(dataset), "--jobs", "0",
-        "--out", str(tmp_path / "g.csv"),
-    )
-    assert code == 2
-    assert stdout == ""
-    assert "jobs" in stderr
-    assert not (tmp_path / "g.csv").exists()
 
 
 def test_train_epochs_zero_exits_2_before_any_kernel_work(tmp_path, capsys, parity, ab,
@@ -908,19 +911,6 @@ runpy.run_module("regkernel.cli", run_name="__main__", alter_sys=True)
     assert report.startswith("freeze_count ") and int(report.split()[1]) > 0
     assert main(["kernel", "--nmax", "2", "--seed", "0", "ab", "ba"]) == 0
     assert gc.get_freeze_count() == 0
-
-
-def test_fresh_exact_gram_jobs_2_equals_jobs_1(tmp_path, parity, ab):
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
-    outputs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}.csv"
-        result = run_fresh("-m", "regkernel.cli", "gram", "--dataset", str(dataset),
-                           "--mode", "exact", "--scaling", "normalized", "--nmax", "3",
-                           "--seed", "0", "--jobs", jobs, "--out", str(out))
-        assert result.returncode == 0, result.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
 
 
 def test_fresh_monte_carlo_gram_rerun_is_byte_identical(tmp_path, parity, ab):

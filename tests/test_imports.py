@@ -1,6 +1,8 @@
 """The package's modules import one another without a cycle: ``count`` and
 ``stream`` never come to depend on ``kernel``.  Imports inside functions
-count; imports under ``if TYPE_CHECKING:`` do not, since they never run."""
+count; imports under ``if TYPE_CHECKING:`` do not, since they never run.
+No module imports ``concurrent.futures``: the counters are pure Python and
+hold the GIL, so a thread pool only adds scheduling to the same work."""
 
 import ast
 from pathlib import Path
@@ -11,8 +13,10 @@ PACKAGE = Path(regkernel.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
-def package_imports(source: str) -> set[str]:
-    """The package modules that ``source`` imports when it runs."""
+def imported_modules(source: str) -> set[str]:
+    """The dotted module names that ``source`` imports when it runs.
+    ``from x import y`` gives x and x.y, since y may be a submodule; a
+    relative import gives the package module's bare name."""
     found = set()
 
     def visit(node):
@@ -24,17 +28,22 @@ def package_imports(source: str) -> set[str]:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 # from .m import x, and from . import m
                 found.update([node.module] if node.module else [a.name for a in node.names])
-            elif isinstance(node, ast.ImportFrom) and node.module == "regkernel":
-                found.update(a.name for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module:
                 found.add(node.module)
+                found.update(f"{node.module}.{a.name}" for a in node.names)
             elif isinstance(node, ast.Import):
                 found.update(a.name for a in node.names)
         for child in nodes:
             visit(child)
 
     visit(ast.parse(source))
-    return {name.removeprefix("regkernel.").split(".")[0] for name in found} & set(MODULES)
+    return found
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports when it runs."""
+    return ({name.removeprefix("regkernel.").split(".")[0] for name in imported_modules(source)}
+            & set(MODULES))
 
 
 def import_graph() -> dict[str, set[str]]:
@@ -96,3 +105,15 @@ def f():
     assert find_cycle({"count": {"stream"}, "stream": set()}) is None
     assert find_cycle({"count": {"stream"}, "stream": {"kernel"}, "kernel": {"count"}}) == [
         "count", "stream", "kernel", "count"]
+
+
+def test_no_module_imports_a_worker_pool():
+    pools = {}
+    for m in MODULES:
+        names = imported_modules((PACKAGE / f"{m}.py").read_text(encoding="utf-8"))
+        pools[m] = sorted(n for n in names if n.startswith("concurrent.futures"))
+    assert not any(pools.values()), pools
+    # the scan sees every spelling, at module level and inside a function
+    for source in ("import concurrent.futures", "from concurrent import futures",
+                   "def f():\n    from concurrent.futures import ThreadPoolExecutor\n"):
+        assert "concurrent.futures" in imported_modules(source), source

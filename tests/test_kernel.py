@@ -288,6 +288,28 @@ def test_exact_gram_walks_each_canonical_pair_once(ab, monkeypatch):
     assert len(set(calls)) == 72
 
 
+def test_walk_gram_runs_on_the_callers_thread(ab, monkeypatch):
+    import threading
+
+    from regkernel import count
+
+    threads = []
+    original = count._walk_counts
+
+    def recording(x, y, n_top, k):
+        threads.append(threading.get_ident())
+        return original(x, y, n_top, k)
+
+    monkeypatch.setattr(count, "_walk_counts", recording)
+    # the two length-5 strings lift the block's n_top to 5, above the limit
+    strings = enumerate_strings(ab, 2) + ["ababa", "babab"]
+    params = KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="paper")
+    assert count.table_count(5, 2) > count._EXHAUSTIVE_LIMIT
+    threaded = gram_matrix(strings, params, jobs=2)
+    assert threads and set(threads) == {threading.get_ident()}
+    assert threaded.values == gram_matrix(strings, params, jobs=1).values
+
+
 def test_kernel_cap_checked_before_the_walk(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a walk started before the cap check")

@@ -25,7 +25,6 @@ _SUBMODULE = {
             "enumerate_dfas", "enumerate_tables", "kn_by_enumeration", "parse_dfa",
             "pn_by_enumeration", "serialize_dfa", "table_count",
         )),
-        ("count", ("agreement_count", "agreement_counts")),
         ("embedding", (
             "ConceptKey", "ConceptUniverse", "InstanceKey", "SparseVec", "alpha_embed",
             "chi", "phi", "score", "separator",

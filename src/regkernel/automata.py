@@ -325,7 +325,8 @@ def end_state_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.nda
 
 def agreement_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
     """(S, S) matrix of pairwise table agreement counts over one shared
-    end-state grid; entry (i, j) equals agreement_count(strings[i], strings[j])."""
+    end-state grid, by enumerating every table: the oracle that
+    count.agreement_matrix(strings, n, alphabet) is checked against."""
     import numpy as np
 
     ends = end_state_grid(strings, n, alphabet)

@@ -4,15 +4,20 @@ same state, for every pair of a block's distinct strings.
 For strings x, y and a state count n, let A(n) be the number of n-state
 transition tables, out of T = n**(n*k), on which x and y end in the same
 state.  A block is planned once (BlockPlan: its distinct strings, each
-encoded once, and their prefix tries), and block_counts lists, for each
-size up to the block's n_top, a matrix of counts over its distinct
-strings, from one of three counters: the accessible counter (C_m over the
-accessible m-state tables, exact mode up to _EXHAUSTIVE_LIMIT), the walk
-(A_n over all n-state tables, one walk per class, exact mode above the
-limit) or the stream (A_n over m sampled tables of ``stream``, Monte Carlo
-mode).  The fixed ``automata.TABLE_CAP`` bounds T on both exact counters,
-as it bounds the enumeration oracle, so exact mode refuses the same state
-counts it always did; it is checked once per block, before any count.
+encoded once, and their prefix tries), and block_counts, given the depth
+each string is counted to, lists a matrix of counts over its distinct
+strings for each size up to the block's n_top, from one of three
+counters: the accessible counter (C_m over the accessible m-state tables,
+exact mode up to _EXHAUSTIVE_LIMIT), the walk (A_n over all n-state
+tables, one walk per class, exact mode above the limit) or the stream
+(A_n over m sampled tables of ``stream``, Monte Carlo mode).  The fixed
+``automata.TABLE_CAP`` bounds T on both exact counters, as it bounds the
+enumeration oracle, so exact mode refuses the same state counts it always
+did; it is checked once per block, before any count.
+
+block_counts is the one way into the counters: a kernel block counts
+each string to depth min(|s|, n_max), and agreement_matrix, behind
+exact_pn, exact_kn, mc_pn and verify, counts every string to one n.
 
 A depends only on the part of a table that state 0 reaches.  Call a table
 accessible when state 0 reaches every state, and label its states
@@ -53,10 +58,10 @@ Permuting the symbols permutes the columns of a uniform table and leaves
 its distribution unchanged, and A is symmetric, so every exact count is
 constant on the class of (x, y) under symbol permutation and swapping.
 Above the limit, an exact block walks one canonical pair per class of its
-distinct strings and fills the class from it.  The class is read off the
-codes the block's plan encoded, and the walk runs on them: no string is
-encoded again.  That memo lives for one call: nothing is cached between
-calls.
+distinct pairs of equal depth, to that depth, and fills the class from
+it.  The class is read off the codes the block's plan encoded, and the
+walk runs on them: no string is encoded again.  That memo lives for one
+call: nothing is cached between calls.
 
 Within a block of tables, sampled or accessible, everything is bit-sliced
 in Python integers: a cell becomes n disjoint masks, one per successor
@@ -106,29 +111,32 @@ _EXHAUSTIVE_LIMIT = 1 << 16
 # ---------------------------------------------------------------------------
 
 
-def _trie_plan(encoded: Sequence[Sequence[int]]) -> list[tuple[int, list[tuple[int, int]], int]]:
+def _trie_plan(encoded: Sequence[Sequence[int]]) -> list[tuple[int, int, Sequence[int]]]:
     """A depth-first walk of the prefix trie of the encoded strings.
 
-    The strings are taken in sorted order, each as (j, steps, depth): j is
-    its index, depth its length, and steps the (depth, symbol) edges that
-    extend the previous string's path to it.  Strings that share a prefix
-    are adjacent in sorted order, so over the whole plan every trie edge is
-    a step exactly once.
+    The strings are taken in sorted order, each as (j, shared, steps): j
+    is its index, shared the length of the prefix it shares with the
+    previous string, and steps its symbols after that prefix, the trie
+    edges that extend the previous string's path to it.  Strings that
+    share a prefix are adjacent in sorted order, so over the whole plan
+    every trie edge is a step exactly once.
     """
     plan = []
     previous: Sequence[int] = ()
-    for j in sorted(range(len(encoded)), key=lambda j: tuple(encoded[j])):
+    for j in sorted(range(len(encoded)), key=encoded.__getitem__):
         e = encoded[j]
         shared = 0
-        while shared < min(len(previous), len(e)) and previous[shared] == e[shared]:
+        for a, b in zip(previous, e):
+            if a != b:
+                break
             shared += 1
-        plan.append((j, [(d, e[d]) for d in range(shared, len(e))], len(e)))
+        plan.append((j, shared, e[shared:]))
         previous = e
     return plan
 
 
 def _end_states(
-    plan: list[tuple[int, list[tuple[int, int]], int]], parts: list[list[list[int]]], size: int
+    plan: list[tuple[int, int, Sequence[int]]], parts: Sequence[Sequence[Sequence[int]]], size: int
 ):
     """Yield (j, ends) for every string of the trie plan, in plan order.
 
@@ -140,17 +148,19 @@ def _end_states(
     """
     n = len(parts)
     path = [[(1 << size) - 1] + [0] * (n - 1)]
-    for j, steps, depth in plan:
-        for d, c in steps:
+    for j, shared, steps in plan:
+        del path[shared + 1 :]
+        cur = path[-1]
+        for c in steps:
             nxt = [0] * n
-            for q, states in enumerate(path[d]):
+            for states, row in zip(cur, parts):
                 if states:
-                    for r, part in enumerate(parts[q][c]):
+                    for r, part in enumerate(row[c]):
                         nxt[r] |= states & part
-            del path[d + 1 :]
             path.append(nxt)
+            cur = nxt
         ends = 0
-        for states in reversed(path[depth]):
+        for states in reversed(cur):
             ends = (ends << size) | states
         yield j, ends
 
@@ -235,10 +245,16 @@ def _sliced_agreement_counts(
 
 
 def block_counts(
-    plan: BlockPlan, n_top: int, k: int, sample: tuple[int, int] | None = None
-) -> tuple[list[list[list[int]]], list[list[int]] | None]:
+    plan: BlockPlan, row_depths: Sequence[int], col_depths: Sequence[int], k: int,
+    sample: tuple[int, int] | None = None,
+) -> tuple[list[list[list[int]]], list[tuple[int, ...]] | None]:
     """(per_size, mix): one count matrix per size 1..n_top over the plan's
     distinct strings, from the counter that suits the block.
+
+    row_depths[i] and col_depths[j] are the sizes distinct row i and
+    distinct column j are counted to: pair (i, j) needs sizes 1..depth,
+    with depth = min(row_depths[i], col_depths[j]), and n_top is the
+    largest such depth, min(max(row_depths), max(col_depths)).
 
     - ``sample`` (m, master_seed), Monte Carlo mode: per_size[n - 1] holds
       A_n over the first m tables of n's stream (draw_table_block), and
@@ -248,15 +264,16 @@ def block_counts(
       A_n = sum_{m <= n} mix[n-1][m-1] * C_m with mix[n-1] the weights
       accessible_weights(n, k);
     - exact mode above the limit: per_size[n - 1] holds A_n from one walk
-      per symbol-permutation class (_walked_agreement_counts), and mix is
+      per class of pair and depth (_walked_agreement_counts), and mix is
       None.
 
     An exact block's table cap is checked for its largest term first: the
     table count grows with n, so it decides for every pair.  Entries below
     the diagonal of a symmetric plan stay 0, and so does the walk's A_n for
-    a pair whose n_used is below n: assembly reads only a pair's first
-    n_used sizes.
+    a pair whose depth is below n: assembly reads only a pair's first
+    depth sizes.
     """
+    n_top = min(max(row_depths, default=0), max(col_depths, default=0))
     if sample is not None:
         m, seed = sample
         return [_sliced_agreement_counts(plan, m, partial(stream.draw_table_block, n, k, seed))
@@ -266,32 +283,40 @@ def block_counts(
         raise CapExceededError(required, automata.TABLE_CAP,
                                hint="use monte-carlo mode for large state counts")
     if required > _EXHAUSTIVE_LIMIT:
-        return _walked_agreement_counts(plan, n_top, k), None
+        return _walked_agreement_counts(plan, row_depths, col_depths, n_top, k), None
     mix = [accessible_weights(n, k) for n in range(1, n_top + 1)]
     return _accessible_agreement_counts(plan, n_top, k), mix
+
+
+def agreement_matrix(
+    rows: Sequence[str], n: int, alphabet: Alphabet, cols: Sequence[str] | None = None,
+    sample: tuple[int, int] | None = None,
+) -> list[list[int]]:
+    """R x C lists of A_n for one state count n: entry (i, j) counts the
+    tables on which rows[i] and cols[j] end in the same state (cols
+    defaults to rows), out of all n**(n*k) n-state tables, or out of the
+    first m tables of n's stream when ``sample`` is (m, master_seed).
+
+    The strings are planned as one block and counted by block_counts to
+    depth n each, so the table cap and the choice of counter are those of
+    any block; ``mix`` folds accessible counts into A_n.
+    """
+    if sample is not None and sample[0] < 1:
+        raise ValueError(f"sample count must be >= 1, got {sample[0]}")
+    if n < 1:
+        raise ValueError(f"state count must be >= 1, got {n}")
+    plan = BlockPlan(rows, cols, alphabet)
+    per_size, mix = block_counts(plan, [n] * len(plan.row_ids), [n] * len(plan.col_ids),
+                                 len(alphabet), sample)
+    if mix is None:
+        return plan.expand(per_size[-1])
+    return plan.expand([[sum(map(operator.mul, mix[-1], cells)) for cells in zip(*lines)]
+                        for lines in zip(*per_size)])
 
 
 # ---------------------------------------------------------------------------
 # Exact counter above the limit: the lazy table walk
 # ---------------------------------------------------------------------------
-
-
-def agreement_counts(x: str, y: str, n_top: int, alphabet: Alphabet) -> list[int]:
-    """[A(1), ..., A(n_top)], where A(n) is the number of n-state
-    transition tables on which x and y end in the same state, from one
-    lazy walk (_walk_counts) of the encoded strings.
-
-    TABLE_CAP bounds the table count n_top**(n_top*k) exactly as for the
-    enumeration oracle, and is checked before the walk; the count grows
-    with n, so every smaller n is within it too.
-    """
-    if n_top < 1:
-        raise ValueError(f"state count must be >= 1, got {n_top}")
-    k = len(alphabet)
-    total = table_count(n_top, k)
-    if total > automata.TABLE_CAP:
-        raise CapExceededError(total, automata.TABLE_CAP)
-    return _walk_counts(alphabet.encode(x), alphabet.encode(y), n_top, k)
 
 
 def _walk_counts(sx: Sequence[int], sy: Sequence[int], n_top: int, k: int) -> list[int]:
@@ -389,12 +414,6 @@ def _completions(n: int, k: int, v: int, c: int) -> int:
     return math.perm(n - 1, v - 1) * n ** (n * k - c)
 
 
-def agreement_count(x: str, y: str, n: int, alphabet: Alphabet) -> int:
-    """Number of n-state transition tables on which x and y end in the same
-    state: the last entry of agreement_counts at n."""
-    return agreement_counts(x, y, n, alphabet)[-1]
-
-
 def _canonical_pair(x: Sequence[int], y: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Representative of the class of the encoded pair (x, y) under symbol
     permutation and swapping, on which every exact value is constant.
@@ -413,25 +432,27 @@ def _canonical_pair(x: Sequence[int], y: Sequence[int]) -> tuple[tuple[int, ...]
     return min(relabel(x, y), relabel(y, x))
 
 
-def _walked_agreement_counts(plan: BlockPlan, n_top: int, k: int) -> list[list[list[int]]]:
+def _walked_agreement_counts(
+    plan: BlockPlan, row_depths: Sequence[int], col_depths: Sequence[int], n_top: int, k: int
+) -> list[list[list[int]]]:
     """[A_1, ..., A_n_top] over the distinct rows and columns of the plan,
-    as _accessible_agreement_counts lists C_m, from one walk per
-    symbol-permutation class of the plan's codes: _walk_counts at the
-    canonical pair's n_used = min(|x|, |y|, n_top), copied to every pair
-    of the class.  A_n stays 0 for a pair whose n_used is below n, and
-    below the diagonal of a symmetric plan.  The caller has checked the
-    table cap at n_top."""
+    as _accessible_agreement_counts lists C_m, from one walk per class of
+    the plan's codes: pairs are in one class when their canonical pairs
+    under symbol permutation (_canonical_pair) and their depths
+    min(row_depths[i], col_depths[j]) agree, and each class is walked once
+    to its depth (_walk_counts) and copied to its pairs.  A_n stays 0 for a
+    pair whose depth is below n, and below the diagonal of a symmetric
+    plan.  The caller has checked the table cap at n_top."""
     rows, cols = plan.row_codes, plan.col_codes
     pairs = [(i, j) for i in range(len(rows))
              for j in range(i if plan.symmetric else 0, len(cols))]
-    classes: dict[tuple[tuple[int, ...], ...], int] = {}
+    classes: dict[tuple, int] = {}
     class_of_pair = [
-        classes.setdefault(_canonical_pair(rows[i], cols[j]), len(classes)) for i, j in pairs
+        classes.setdefault((_canonical_pair(rows[i], cols[j]), min(row_depths[i], col_depths[j])),
+                           len(classes))
+        for i, j in pairs
     ]
-    class_counts = []
-    for x, y in classes:
-        n_used = min(len(x), len(y), n_top)
-        class_counts.append(_walk_counts(x, y, n_used, k) if n_used else [])
+    class_counts = [_walk_counts(x, y, depth, k) if depth else [] for (x, y), depth in classes]
     per_n = [[[0] * len(cols) for _ in rows] for _ in range(n_top)]
     for (i, j), c in zip(pairs, class_of_pair):
         for counts, a in zip(per_n, class_counts[c]):
@@ -504,19 +525,24 @@ def _accessible_parts(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...],
 
 def _accessible_block(m: int, k: int, block: int, size: int) -> list[list[list[int]]]:
     """Tables b*B, ..., b*B + size - 1 (b = block, B = stream._BLOCK_SAMPLES)
-    of the accessible m-state tables, bit-sliced as in draw_table_block."""
+    of the accessible m-state tables, bit-sliced as in draw_table_block.
+    A block that holds all of them is the kept parts themselves."""
+    count, parts = _accessible_parts(m, k)
+    if block == 0 and size == count:
+        return parts
     lo = block * stream._BLOCK_SAMPLES
     full = (1 << size) - 1
-    return [[[(mask >> lo) & full for mask in cell] for cell in row]
-            for row in _accessible_parts(m, k)[1]]
+    return [[[(mask >> lo) & full for mask in cell] for cell in row] for row in parts]
 
 
-def accessible_weights(n: int, k: int) -> list[int]:
-    """[w(n, 1), ..., w(n, n)]: w(n, m) = (n-1)(n-2)...(n-m+1) * n**((n-m)*k)
+@cache
+def accessible_weights(n: int, k: int) -> tuple[int, ...]:
+    """(w(n, 1), ..., w(n, n)): w(n, m) = (n-1)(n-2)...(n-m+1) * n**((n-m)*k)
     n-state tables have a given accessible m-state table as the part that
     state 0 reaches, relabelled canonically: the completions of a partial
-    table with m states visited and all m*k of their cells assigned."""
-    return [_completions(n, k, m, m * k) for m in range(1, n + 1)]
+    table with m states visited and all m*k of their cells assigned.  Kept
+    for the process, like the tables they weigh."""
+    return tuple(_completions(n, k, m, m * k) for m in range(1, n + 1))
 
 
 def _accessible_agreement_counts(plan: BlockPlan, n_top: int, k: int) -> list[list[list[int]]]:
@@ -529,46 +555,3 @@ def _accessible_agreement_counts(plan: BlockPlan, n_top: int, k: int) -> list[li
         )
         for m in range(1, n_top + 1)
     ]
-
-
-def exhaustive_agreement_counts(
-    rows: Sequence[str], n: int, alphabet: Alphabet, cols: Sequence[str] | None = None
-) -> list[list[int]]:
-    """R x C lists of the exact agreement counts A_n: entry (i, j) counts
-    the n-state tables, out of all n**(n*k), on which rows[i] and cols[j]
-    end in the same state (cols defaults to rows).  The Monte Carlo path's
-    counter counts the accessible tables of m = 1..n states, and
-    A_n = sum_m w(n, m) * C_m (accessible_weights); entry (i, j) equals
-    agreement_count(rows[i], cols[j], n, alphabet).
-    """
-    k = len(alphabet)
-    plan = BlockPlan(rows, cols, alphabet)
-    per_m = _accessible_agreement_counts(plan, n, k)
-    weights = accessible_weights(n, k)
-    return plan.expand([[sum(map(operator.mul, weights, cells)) for cells in zip(*lines)]
-                        for lines in zip(*per_m)])
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo counter: the sampled tables of the stream
-# ---------------------------------------------------------------------------
-
-
-def mc_agreement_counts(
-    rows: Sequence[str],
-    n: int,
-    m: int,
-    alphabet: Alphabet,
-    master_seed: int,
-    cols: Sequence[str] | None = None,
-) -> list[list[int]]:
-    """R x C lists of end-state agreement counts over the m shared tables
-    of state count n: entry (i, j) counts the tables on which rows[i] and
-    cols[j] end in the same state (cols defaults to rows).  The tables are
-    drawn (draw_table_block) and counted one block of at most
-    _BLOCK_SAMPLES at a time, so live memory is one block's tables and
-    rows whatever m is.
-    """
-    plan = BlockPlan(rows, cols, alphabet)
-    draw = partial(stream.draw_table_block, n, len(alphabet), master_seed)
-    return plan.expand(_sliced_agreement_counts(plan, m, draw))

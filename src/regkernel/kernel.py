@@ -50,7 +50,9 @@ Monte Carlo normalized values, a left-to-right float sum.  Each distinct
 pair is assembled once (a symmetric block's upper triangle only), and the
 plan maps the result back to the block's strings.  kernel_value,
 gram_matrix and prediction all read their values from it, and a Gram is
-one matrix of those values.
+one matrix of those values.  The single terms exact_pn, exact_kn and
+mc_pn read their A_n from count.agreement_matrix, through the same
+count.block_counts.
 
 numpy is imported inside ``GramMatrix.to_array`` only, and fractions
 inside the exact P_n helpers: the runtime paths and the sampler are pure
@@ -259,21 +261,26 @@ def _kn_from_agreement(a: int, n: int, k: int) -> int:
 def exact_pn(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
     """Exact joint-acceptance fraction P_n(x, y) = (1/4) * (1 + A/T).
 
-    A is the table agreement count and T the table total; the accepting
+    A is the table agreement count, read from count.agreement_matrix of
+    the 1 x 1 block of x against y, and T the table total; the accepting
     bits contribute the closed 1/4 factor because each state is accepting
     independently with probability 1/2.
     """
-    return _pn_from_agreement(count.agreement_count(x, y, n, alphabet), n, len(alphabet))
+    a = count.agreement_matrix([x], n, alphabet, [y])[0][0]
+    return _pn_from_agreement(a, n, len(alphabet))
 
 
 def exact_kn(x: str, y: str, n: int, alphabet: Alphabet) -> int:
-    """Exact count of n-state DFAs accepting both x and y."""
-    return _kn_from_agreement(count.agreement_count(x, y, n, alphabet), n, len(alphabet))
+    """Exact count of n-state DFAs accepting both x and y, from the same
+    agreement count as exact_pn."""
+    a = count.agreement_matrix([x], n, alphabet, [y])[0][0]
+    return _kn_from_agreement(a, n, len(alphabet))
 
 
 def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> float:
     """Monte Carlo estimate (m + A) / (4m) of P_n, with A the number of the
-    seed's m shared n-state tables on which x and y end in the same state.
+    seed's m shared n-state tables on which x and y end in the same state,
+    read from count.agreement_matrix of the block (x, y) over that sample.
 
     Deterministic given (seed, n, x, y, m, alphabet), symmetric in (x, y),
     equal to the estimate a Gram reads for the same pair, and an unbiased
@@ -281,11 +288,7 @@ def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> floa
     table both strings are accepted with probability 1/2 when they end
     together and 1/4 when they do not.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"state count must be >= 1, got {n}")
-    a = count.mc_agreement_counts((x, y), n, m, alphabet, seed)[0][1]
+    a = count.agreement_matrix((x, y), n, alphabet, sample=(m, seed))[0][1]
     return (m + a) / (4 * m)
 
 
@@ -393,8 +396,9 @@ def kernel_block(
 
     Every block plans, counts, assembles, then expands.  The plan
     (count.BlockPlan) decides the distinct rows and columns and encodes
-    each once, and count.block_counts lists, for each n up to the block's
-    n_top, a matrix of counts over them: A_n over the first
+    each once, and count.block_counts, counting each string to its depth
+    min(|s|, n_max), lists for each n up to the block's n_top a matrix of
+    counts over them: A_n over the first
     hoeffding_samples(epsilon, failure_prob) tables of n's stream in Monte
     Carlo mode, and in exact mode A_n, or C_m over the accessible m-state
     tables with the weights ``mix`` that give A_n, from the counter that
@@ -416,7 +420,7 @@ def kernel_block(
         if params.scaling == "paper":
             _check_float_range(n_top, len(params.alphabet))
         sample = (hoeffding_samples(params.epsilon, params.failure_prob), params.master_seed)
-    per_size, mix = count.block_counts(plan, n_top, len(params.alphabet), sample)
+    per_size, mix = count.block_counts(plan, row_lens, col_lens, len(params.alphabet), sample)
     value = _value_function(params, n_top, mix)
 
     cols = list(plan.col_ids)

@@ -19,7 +19,7 @@ from .automata import (
     joint_accept_count_grid,
     table_count,
 )
-from .count import exhaustive_agreement_counts, mc_agreement_counts
+from .count import agreement_matrix
 from .embedding import ConceptUniverse, InstanceKey, SparseVec, phi, score, separator
 from .kernel import KernelParams, exact_pn, gram_matrix, hoeffding_samples, mc_pn, required_samples
 from .learner import enumerate_strings
@@ -50,8 +50,8 @@ def suite_bounds(
     1/4 <= P_n <= 1/2 is 0 <= A <= T; P_n(x, x) = 1/2 is diag(A) = T; the
     closed form agrees with full DFA enumeration, P_n = J / S, when
     S * (T + A) = 4T * J; exactly half the space accepts any single string
-    when 2 * diag(J) = S; and the runtime counter
-    (exhaustive_agreement_counts, over accessible tables) equals A.  The
+    when 2 * diag(J) = S; and the runtime counter (agreement_matrix, through
+    the block_counts every kernel block counts with) equals A.  The
     products stay below 2**63 for every n the table cap allows.  Also
     reports that the lower bound is approached as n grows.
     """
@@ -77,7 +77,7 @@ def suite_bounds(
             _check(f"bounds.two_path.n{n}", (space * (t + agree) == 4 * t * joint).all(),
                    "closed form equals full enumeration on every pair"),
             _check(f"bounds.runtime.n{n}",
-                   exhaustive_agreement_counts(strings, n, alphabet) == agree.tolist(),
+                   agreement_matrix(strings, n, alphabet) == agree.tolist(),
                    "runtime counter equals the enumeration grid on every pair"),
             _check(f"bounds.half_accept.n{n}", (2 * joint.diagonal() == space).all(),
                    f"every string accepted by exactly {space // 2} of {space} DFAs"),
@@ -243,7 +243,7 @@ def suite_concentration(
     for eps, delta in ((0.1, 0.05), (0.1, 0.01)):
         m = hoeffding_samples(eps, delta)
         misses = sum(
-            abs(Fraction(mc_agreement_counts((x, y), n, m, alphabet, seed)[0][1], m) - q)
+            abs(Fraction(agreement_matrix((x, y), n, alphabet, sample=(m, seed))[0][1], m) - q)
             > Fraction(eps)
             for seed in range(seeds)
         )

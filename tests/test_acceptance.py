@@ -33,7 +33,7 @@ from regkernel import (
 )
 from regkernel import stream
 from regkernel.automata import agreement_count_grid, joint_accept_count_grid
-from regkernel.count import mc_agreement_counts
+from regkernel.count import agreement_matrix
 
 AB = Alphabet(("a", "b"))
 QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
@@ -128,7 +128,7 @@ def test_criterion_3_sample_budget_and_concentration():
         count = sum(
             1
             for seed in range(seeds)
-            if abs(Fraction(mc_agreement_counts(("a", "b"), 2, m, AB, seed)[0][1], m) - HALF)
+            if abs(Fraction(agreement_matrix(("a", "b"), 2, AB, sample=(m, seed))[0][1], m) - HALF)
             > Fraction(0.1)
         )
         misses[m] = (count / seeds, delta + 3 * (delta / seeds) ** 0.5)

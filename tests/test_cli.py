@@ -108,7 +108,8 @@ def test_sample_writes_the_tables_the_kernel_counts(tmp_path, capsys, ab, monkey
         assert len(dfas) == m
         for x, y in pairs:
             agree = sum(d.run(x) == d.run(y) for d in dfas)
-            assert agree == count.mc_agreement_counts((x, y), 3, m, ab, seed)[0][1], (seed, x, y)
+            counted = count.agreement_matrix((x, y), 3, ab, sample=(m, seed))[0][1]
+            assert agree == counted, (seed, x, y)
 
 
 def test_sample_prints_resolved_seed_when_omitted(tmp_path, capsys):
@@ -488,14 +489,14 @@ def test_verify_bounds_checks_the_runtime_counter(monkeypatch):
     names = {c.name: c.passed for c in verify.suite_bounds(n_values=(1, 2), max_len=3)}
     assert names["bounds.runtime.n1"] and names["bounds.runtime.n2"]
 
-    real = verify.exhaustive_agreement_counts
+    real = verify.agreement_matrix
 
-    def off_by_one(rows, n, alphabet, cols=None):
-        counts = real(rows, n, alphabet, cols)
+    def off_by_one(rows, n, alphabet, cols=None, sample=None):
+        counts = real(rows, n, alphabet, cols, sample)
         counts[0][-1] += n == 2
         return counts
 
-    monkeypatch.setattr(verify, "exhaustive_agreement_counts", off_by_one)
+    monkeypatch.setattr(verify, "agreement_matrix", off_by_one)
     names = {c.name: c.passed for c in verify.suite_bounds(n_values=(1, 2), max_len=3)}
     assert names["bounds.runtime.n1"] and not names["bounds.runtime.n2"]
     assert names["bounds.two_path.n2"]

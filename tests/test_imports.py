@@ -2,7 +2,9 @@
 ``stream`` never come to depend on ``kernel``.  Imports inside functions
 count; imports under ``if TYPE_CHECKING:`` do not, since they never run.
 No module imports ``concurrent.futures``: the counters are pure Python and
-hold the GIL, so a thread pool only adds scheduling to the same work."""
+hold the GIL, so a thread pool only adds scheduling to the same work.  And
+only ``count.block_counts``, through the counter chain beneath it, reaches
+the private counters: no function goes round its table cap."""
 
 import ast
 from pathlib import Path
@@ -117,3 +119,85 @@ def test_no_module_imports_a_worker_pool():
     for source in ("import concurrent.futures", "from concurrent import futures",
                    "def f():\n    from concurrent.futures import ThreadPoolExecutor\n"):
         assert "concurrent.futures" in imported_modules(source), source
+
+
+# The private counters, and the functions of ``count`` allowed to name each:
+# block_counts picks a counter, and two counters call the one beneath them.
+COUNTERS = ("_walk_counts", "_walked_agreement_counts", "_accessible_agreement_counts",
+            "_sliced_agreement_counts")
+CHAIN = {
+    "block_counts": {"_walked_agreement_counts", "_accessible_agreement_counts",
+                     "_sliced_agreement_counts"},
+    "_walked_agreement_counts": {"_walk_counts"},
+    "_accessible_agreement_counts": {"_sliced_agreement_counts"},
+}
+
+
+def counter_references(source: str) -> dict[str, set[str]]:
+    """The private counters each top-level function or class of ``source``
+    names, called or not, by bare name or as an attribute; code outside
+    them counts under "<module>"."""
+    found: dict[str, set[str]] = {}
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        for sub in ast.walk(node):
+            name = (sub.id if isinstance(sub, ast.Name)
+                    else sub.attr if isinstance(sub, ast.Attribute) else None)
+            if name in COUNTERS:
+                found.setdefault(owner, set()).add(name)
+    return found
+
+
+def side_doors(module: str, source: str) -> dict[str, list[str]]:
+    """Every reference to a private counter outside the chain of ``count``."""
+    allowed = CHAIN if module == "count" else {}
+    return {f"{module}.{owner}": sorted(names - allowed.get(owner, set()))
+            for owner, names in counter_references(source).items()
+            if names - allowed.get(owner, set())}
+
+
+def test_only_block_counts_reaches_the_counters():
+    found = {}
+    for m in MODULES:
+        found.update(side_doors(m, (PACKAGE / f"{m}.py").read_text(encoding="utf-8")))
+    assert not found, found
+    # the scan reads the chain itself
+    chain = counter_references((PACKAGE / "count.py").read_text(encoding="utf-8"))
+    assert chain == CHAIN
+
+
+def test_side_door_guard_sees_every_spelling():
+    source = """
+from functools import partial
+from . import count
+from .count import _walk_counts
+
+
+def exact(x, y, n, k):
+    return _walk_counts(x, y, n, k)
+
+
+def sampled(plan, m, draw):
+    return count._sliced_agreement_counts(plan, m, draw)
+
+
+class Counter:
+    def walk(self, plan):
+        return partial(count._walked_agreement_counts, plan)
+
+
+LATER = count._accessible_agreement_counts
+
+
+def block_counts(plan):
+    return _walk_counts(plan)
+"""
+    assert side_doors("kernel", source) == {
+        "kernel.exact": ["_walk_counts"],
+        "kernel.sampled": ["_sliced_agreement_counts"],
+        "kernel.Counter": ["_walked_agreement_counts"],
+        "kernel.<module>": ["_accessible_agreement_counts"],
+        "kernel.block_counts": ["_walk_counts"],
+    }
+    # in count, block_counts may pick a counter but not reach the walk itself
+    assert side_doors("count", source)["count.block_counts"] == ["_walk_counts"]

@@ -4,6 +4,7 @@ import json
 import struct
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from regkernel import (
     Alphabet,
     CapExceededError,
     KernelParams,
-    agreement_count,
-    agreement_counts,
+    count,
     dfa_space_size,
     enumerate_strings,
     exact_kn,
@@ -29,6 +29,7 @@ from regkernel import (
     required_samples,
 )
 from regkernel.automata import agreement_count_grid, end_state_grid, joint_accept_count_grid
+from regkernel.count import agreement_matrix
 from regkernel.kernel import format_scalar, gram_metadata_json, gram_to_csv
 
 
@@ -44,6 +45,22 @@ def brute_agreement(x: str, y: str, n: int) -> int:
         if end(x) == end(y):
             count += 1
     return count
+
+
+def agreement(x, y, n, alphabet):
+    """A_n of one pair, as exact_pn and exact_kn read it."""
+    return agreement_matrix([x], n, alphabet, [y])[0][0]
+
+
+def walked_counts(x, y, n_top, alphabet):
+    """[A_1, ..., A_n_top] of one pair from the lazy walk, which a zero
+    exhaustive limit forces: block_counts with both strings at depth n_top."""
+    plan = count.BlockPlan([x], [y], alphabet)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(count, "_EXHAUSTIVE_LIMIT", 0)
+        per_size, mix = count.block_counts(plan, [n_top], [n_top], len(alphabet))
+    assert mix is None
+    return [a[0][0] for a in per_size]
 
 
 def reference_value(same, counts, params, m=None):
@@ -74,20 +91,20 @@ def reference_value(same, counts, params, m=None):
 # ---------------------------------------------------------------------
 
 def test_agreement_count_examples(ab):
-    assert agreement_count("a", "b", 2, ab) == 8 == brute_agreement("a", "b", 2)
-    assert agreement_count("aa", "", 2, ab) == 12 == brute_agreement("aa", "", 2)
+    assert agreement("a", "b", 2, ab) == 8 == brute_agreement("a", "b", 2)
+    assert agreement("aa", "", 2, ab) == 12 == brute_agreement("aa", "", 2)
 
 
 def test_agreement_count_identical_strings_all_tables(ab):
     for n in (1, 2, 3):
         for x in ("", "a", "abba"):
-            assert agreement_count(x, x, n, ab) == n ** (n * 2)
+            assert agreement(x, x, n, ab) == n ** (n * 2)
 
 
 def test_agreement_matches_brute_oracle(ab):
     for n in (1, 2, 3):
         for x, y in [("", "a"), ("ab", "ba"), ("aab", "b"), ("bb", "bb")]:
-            assert agreement_count(x, y, n, ab) == brute_agreement(x, y, n)
+            assert agreement(x, y, n, ab) == brute_agreement(x, y, n)
 
 
 def test_exact_pn_examples(ab):
@@ -134,7 +151,7 @@ def test_exact_kn_symmetric(x, y, n):
 
 def test_cap_error_propagates(ab):
     with pytest.raises(CapExceededError):
-        agreement_count("a", "b", 6, ab)
+        exact_kn("a", "b", 6, ab)
 
 
 def test_agreement_count_matches_grid_all_short_pairs(ab):
@@ -144,14 +161,22 @@ def test_agreement_count_matches_grid_all_short_pairs(ab):
         grid = agreement_count_grid(strings, n, ab)
         for i, x in enumerate(strings):
             for j, y in enumerate(strings):
-                assert agreement_count(x, y, n, ab) == grid[i, j], (x, y, n)
+                assert agreement(x, y, n, ab) == grid[i, j], (x, y, n)
 
 
 def test_agreement_count_matches_oracle_larger_n(ab):
     for x, y in [("ababa", "abbaa"), ("aab", "bba"), ("abab", "")]:
-        assert agreement_count(x, y, 4, ab) == brute_agreement(x, y, 4)
+        assert agreement(x, y, 4, ab) == brute_agreement(x, y, 4)
     # counted once by enumerating all 5**10 tables
-    assert agreement_count("ababa", "abbaa", 5, ab) == 4305125
+    assert agreement("ababa", "abbaa", 5, ab) == 4305125
+    # pairs shorter than n, walked to n all the same: "a" and "b" agree
+    # exactly when state 0 goes to one state on both symbols, on 5 * 5**8
+    # tables
+    tables = 5**10
+    for x, y, a in [("a", "b", 5**9), ("ab", "ba", 2265625)]:
+        assert agreement(x, y, 5, ab) == a
+        assert exact_kn(x, y, 5, ab) == (tables + a) * 2**5 // 4
+        assert exact_pn(x, y, 5, ab) == Fraction(tables + a, 4 * tables)
 
 
 @given(
@@ -162,8 +187,8 @@ def test_agreement_count_matches_oracle_larger_n(ab):
 @settings(max_examples=60, deadline=None)
 def test_agreement_count_symmetric_and_bounded(x, y, n):
     ab = Alphabet(("a", "b"))
-    a = agreement_count(x, y, n, ab)
-    assert a == agreement_count(y, x, n, ab)
+    a = agreement(x, y, n, ab)
+    assert a == agreement(y, x, n, ab)
     assert 0 <= a <= n ** (2 * n)
 
 
@@ -173,13 +198,13 @@ def test_agreement_counts_match_grid_all_short_pairs(ab):
     grids = [agreement_count_grid(strings, n, ab) for n in (1, 2, 3)]
     for i, x in enumerate(strings):
         for j, y in enumerate(strings):
-            assert agreement_counts(x, y, 3, ab) == [g[i, j] for g in grids], (x, y)
+            assert walked_counts(x, y, 3, ab) == [g[i, j] for g in grids], (x, y)
 
 
 def test_agreement_counts_match_oracle_larger_n(ab):
     for x, y in [("ababa", "abbaa"), ("aab", "bba"), ("abab", "")]:
-        assert agreement_counts(x, y, 4, ab) == [brute_agreement(x, y, n) for n in (1, 2, 3, 4)]
-    assert agreement_counts("ababa", "abbaa", 5, ab)[-1] == 4305125
+        assert walked_counts(x, y, 4, ab) == [brute_agreement(x, y, n) for n in (1, 2, 3, 4)]
+    assert walked_counts("ababa", "abbaa", 5, ab)[-1] == 4305125
 
 
 def test_agreement_counts_match_grid_three_symbols():
@@ -189,7 +214,7 @@ def test_agreement_counts_match_grid_three_symbols():
     grids = [agreement_count_grid(strings, n, abc) for n in (1, 2)]
     for i, x in enumerate(strings):
         for j, y in enumerate(strings):
-            assert agreement_counts(x, y, 2, abc) == [g[i, j] for g in grids], (x, y)
+            assert walked_counts(x, y, 2, abc) == [g[i, j] for g in grids], (x, y)
 
 
 @pytest.mark.parametrize("x, y", [
@@ -201,19 +226,35 @@ def test_agreement_counts_match_grid_three_symbols():
 ])
 def test_agreement_counts_last_step_edge_cases(ab, x, y):
     grids = [agreement_count_grid([x, y], n, ab) for n in (1, 2, 3)]
-    assert agreement_counts(x, y, 3, ab) == [g[0, 1] for g in grids]
-    assert agreement_counts(y, x, 3, ab) == [g[1, 0] for g in grids]
+    assert walked_counts(x, y, 3, ab) == [g[0, 1] for g in grids]
+    assert walked_counts(y, x, 3, ab) == [g[1, 0] for g in grids]
 
 
 def test_agreement_counts_cap_checked_at_n_top(ab, monkeypatch):
-    # 3**6 = 729 tables at n_top = 3; the smaller counts are not returned either
+    # 3**6 = 729 tables at n = 3, the largest term; the single-n matrix and
+    # the exact terms over it count nothing below the cap
+    single_n = (partial(agreement_matrix, ["a", "b"]), partial(exact_kn, "a", "b"),
+                partial(exact_pn, "a", "b"))
     monkeypatch.setattr("regkernel.automata.TABLE_CAP", 728)
-    with pytest.raises(CapExceededError):
-        agreement_counts("a", "b", 3, ab)
+    for f in single_n:
+        with pytest.raises(CapExceededError):
+            f(3, ab)
     monkeypatch.setattr("regkernel.automata.TABLE_CAP", 729)
-    assert len(agreement_counts("a", "b", 3, ab)) == 3
-    with pytest.raises(ValueError):
-        agreement_counts("a", "b", 0, ab)
+    assert agreement_matrix(["a", "b"], 3, ab) == agreement_count_grid(["a", "b"], 3, ab).tolist()
+    for f in single_n:
+        with pytest.raises(ValueError, match="state count"):
+            f(0, ab)
+    # the default cap refuses 6**12 tables before any counter runs, on the
+    # path verify's runtime check takes
+    monkeypatch.undo()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a counter ran before the cap check")
+
+    for name in ("_sliced_agreement_counts", "_walk_counts"):
+        monkeypatch.setattr(count, name, refuse)
+    with pytest.raises(CapExceededError):
+        agreement_matrix(["a", "b"], 6, ab)
 
 
 @given(
@@ -226,7 +267,7 @@ def test_agreement_counts_cap_checked_at_n_top(ab, monkeypatch):
 def test_agreement_counts_prefix_does_not_depend_on_n_top(x, y, n, extra):
     ab = Alphabet(("a", "b"))
     top = min(4, n + extra)
-    assert agreement_counts(x, y, top, ab)[n - 1] == agreement_counts(x, y, n, ab)[-1]
+    assert walked_counts(x, y, top, ab)[n - 1] == walked_counts(x, y, n, ab)[-1]
 
 
 # ---------------------------------------------------------------------
@@ -310,19 +351,6 @@ def test_walk_gram_runs_on_the_callers_thread(ab, monkeypatch):
     assert threaded.values == gram_matrix(strings, params, jobs=1).values
 
 
-def test_kernel_cap_checked_before_the_walk(ab, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a walk started before the cap check")
-
-    for name in ("agreement_counts", "_walk_counts"):
-        monkeypatch.setattr(f"regkernel.count.{name}", refuse)
-    params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        kernel_value("aaaaaaaaa", "aaaaaaaab", params)
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params)
-
-
 # ---------------------------------------------------------------------
 # grid helpers
 # ---------------------------------------------------------------------
@@ -345,7 +373,7 @@ def test_grids_match_per_pair_functions(ab):
         joint = joint_accept_count_grid(strings, n, ab)
         for i, x in enumerate(strings):
             for j, y in enumerate(strings):
-                assert agree[i, j] == agreement_count(x, y, n, ab)
+                assert agree[i, j] == agreement(x, y, n, ab)
                 assert joint[i, j] == kn_by_enumeration(x, y, n, ab)
 
 
@@ -355,8 +383,6 @@ def test_grids_match_per_pair_functions(ab):
 
 @pytest.mark.parametrize("symbols,max_len,n_top", [("ab", 4, 4), ("abc", 3, 3)])
 def test_exhaustive_counts_match_grid(symbols, max_len, n_top):
-    from regkernel.count import exhaustive_agreement_counts
-
     alphabet = Alphabet(tuple(symbols))
     strings = enumerate_strings(alphabet, max_len)
     index = {s: i for i, s in enumerate(strings)}
@@ -365,26 +391,24 @@ def test_exhaustive_counts_match_grid(symbols, max_len, n_top):
     cols = strings[::-3] + strings[-2:]
     for n in range(1, n_top + 1):
         grid = agreement_count_grid(strings, n, alphabet).tolist()
-        assert exhaustive_agreement_counts(strings, n, alphabet) == grid, n
-        cross = exhaustive_agreement_counts(rows, n, alphabet, cols)
+        assert agreement_matrix(strings, n, alphabet) == grid, n
+        cross = agreement_matrix(rows, n, alphabet, cols)
         assert cross == [[grid[index[x]][index[y]] for y in cols] for x in rows], n
 
 
 @given(data=st.data(), symbols=st.sampled_from(["ab", "abc"]))
 @settings(max_examples=40, deadline=None)
 def test_exhaustive_counts_match_walk(data, symbols):
-    from regkernel.count import exhaustive_agreement_counts
-
     alphabet = Alphabet(tuple(symbols))
     x = data.draw(st.text(alphabet=symbols, max_size=6))
     y = data.draw(st.text(alphabet=symbols, max_size=6))
     n = data.draw(st.integers(1, 4 if symbols == "ab" else 3))
-    a = agreement_counts(x, y, n, alphabet)[-1]
-    counts = exhaustive_agreement_counts([x, y], n, alphabet)
+    a = walked_counts(x, y, n, alphabet)[-1]
+    counts = agreement_matrix([x, y], n, alphabet)
     assert counts[0][1] == counts[1][0] == a
     # a string agrees with itself on every table
     assert counts[0][0] == counts[1][1] == n ** (n * len(symbols))
-    assert exhaustive_agreement_counts([x], n, alphabet, [y]) == [[a]]
+    assert agreement_matrix([x], n, alphabet, [y]) == [[a]]
 
 
 @pytest.mark.parametrize("scaling,weights", [
@@ -403,7 +427,7 @@ def test_exhaustive_block_matches_walk_per_pair(ab, scaling, weights):
 
     def walked(x, y):
         n_used = min(len(x), len(y), 4)
-        counts = agreement_counts(x, y, n_used, ab) if n_used else []
+        counts = walked_counts(x, y, n_used, ab) if n_used else []
         return reference_value(int(x == y), counts, params)
 
     for block, left, right in [(kernel_block(rows, cols, params), rows, cols),
@@ -589,9 +613,9 @@ def test_accessible_counts_across_blocks(ab, monkeypatch, block):
     rows, cols = strings[::2], strings[1::2] + ["a"]
     for n in range(1, 5):
         grid = agreement_count_grid(strings, n, ab).tolist()
-        assert count.exhaustive_agreement_counts(strings, n, ab) == grid, n
+        assert count.agreement_matrix(strings, n, ab) == grid, n
         index = {s: i for i, s in enumerate(strings)}
-        assert count.exhaustive_agreement_counts(rows, n, ab, cols) == [
+        assert count.agreement_matrix(rows, n, ab, cols) == [
             [grid[index[x]][index[y]] for y in cols] for x in rows], n
 
 
@@ -1086,7 +1110,7 @@ def test_mc_memory_is_one_block_whatever_m(ab):
     for m in (10**5, 10**6):
         tracemalloc.start()
         try:
-            count.mc_agreement_counts(strings, n, m, ab, 7)
+            count.agreement_matrix(strings, n, ab, sample=(m, 7))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1134,10 +1158,10 @@ def test_mc_joint_counts_match_plain_loop(ab, monkeypatch, block):
         def agree(x, y):
             return sum(a == b for a, b in zip(ends[x], ends[y]))
 
-        cross = count.mc_agreement_counts(rows, n, m, ab, 21, cols)
+        cross = count.agreement_matrix(rows, n, ab, cols, sample=(m, 21))
         assert all(type(c) is int for line in cross for c in line)
         assert cross == [[agree(x, y) for y in cols] for x in rows]
-        gram = count.mc_agreement_counts(rows, n, m, ab, 21)
+        gram = count.agreement_matrix(rows, n, ab, sample=(m, 21))
         assert gram == [[agree(x, y) for y in rows] for x in rows]
 
 

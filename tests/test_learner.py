@@ -261,20 +261,6 @@ def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
         decision_values(model, ["a", "ab", "aaaaaa", "b"])
 
 
-def test_decision_values_check_exact_cap_before_the_walk(ab, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a walk started before the cap check")
-
-    for name in ("agreement_counts", "_walk_counts"):
-        monkeypatch.setattr(f"regkernel.count.{name}", refuse)
-    model = PerceptronModel(
-        support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
-        errors_per_epoch=(0,),
-    )
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        decision_values(model, ["a", "ab", "aaaaaa", "b"])
-
-
 def test_exact_decision_values_encode_each_string_once(ab, monkeypatch):
     # the shape of the benchmark's exact predict: 14 support strings and 192
     # queries make one block, whose plan validates what it encodes

@@ -9,13 +9,12 @@ from regkernel.cli import build_parser
 EXPORTS = [
     "Alphabet", "ApproxCertificate", "CapExceededError", "ConceptKey", "ConceptUniverse",
     "Dataset", "Dfa", "GramMatrix", "InstanceKey", "KernelParams", "KernelValue",
-    "ParseError", "PerceptronModel", "SparseVec", "agreement_count", "agreement_counts",
-    "alpha_embed", "chi", "decision_values", "dfa_space_size", "enumerate_dfas",
-    "enumerate_strings", "enumerate_tables", "exact_kn", "exact_pn", "gram_matrix",
-    "hoeffding_samples", "kernel_value", "kn_by_enumeration", "label_strings",
-    "load_dataset", "load_model", "mc_pn", "parse_dfa", "phi", "pn_by_enumeration",
-    "predict", "required_samples", "sample_dfa", "sample_dfas", "save_model", "score",
-    "separator", "serialize_dfa", "table_count", "train",
+    "ParseError", "PerceptronModel", "SparseVec", "alpha_embed", "chi", "decision_values",
+    "dfa_space_size", "enumerate_dfas", "enumerate_strings", "enumerate_tables", "exact_kn",
+    "exact_pn", "gram_matrix", "hoeffding_samples", "kernel_value", "kn_by_enumeration",
+    "label_strings", "load_dataset", "load_model", "mc_pn", "parse_dfa", "phi",
+    "pn_by_enumeration", "predict", "required_samples", "sample_dfa", "sample_dfas",
+    "save_model", "score", "separator", "serialize_dfa", "table_count", "train",
 ]
 
 

@@ -7,7 +7,7 @@ both legal).  Automata are counted, enumerated and sampled as labeled
 objects, without quotienting by isomorphism and without pruning
 unreachable states, so the space of n-state automata over k symbols has
 exactly n**(n*k) * 2**n members.  The uniform sampler,
-kernel.sample_dfas, reads the Monte Carlo kernel's own table stream.
+stream.sample_dfas, reads the Monte Carlo kernel's own table stream.
 
 Enumerating every table (with numpy) and every DFA is the package's
 independent oracle for the kernel: the tests check both of the kernel's

@@ -25,7 +25,6 @@ import errno
 import gc
 import os
 import sys
-import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -58,11 +57,6 @@ def _print_config(command: str, resolved: dict) -> None:
 
     print(f"config {json.dumps({'command': command, **resolved}, sort_keys=True)}",
           file=sys.stderr)
-
-
-def _note(args: argparse.Namespace, message: str) -> None:
-    if getattr(args, "verbose", 0):
-        print(message, file=sys.stderr)
 
 
 def _kernel_params(args: argparse.Namespace, seed: int, alphabet: Alphabet) -> KernelParams:
@@ -173,11 +167,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     _check_out_path(meta)
     _print_config("gram", {**params.to_dict(), "dataset": str(args.dataset),
                            "out": str(args.out)})
-    started = time.perf_counter()
     gram = gram_matrix(dataset.strings, params)
-    count = len(dataset.strings)
-    _note(args, f"Gram of {count * (count + 1) // 2} pairs "
-                f"in {time.perf_counter() - started:.2f}s")
     out.write_text(gram_to_csv(gram), encoding="utf-8")
     meta.write_text(gram_metadata_json(gram), encoding="utf-8")
     print(out)
@@ -197,9 +187,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
     _print_config("train", {**params.to_dict(), "dataset": str(args.dataset),
                             "epochs": args.epochs, "out": str(args.out)})
-    started = time.perf_counter()
     gram = gram_matrix(dataset.strings, params)
-    _note(args, f"Gram ready in {time.perf_counter() - started:.2f}s")
     model = train(gram, dataset.labels, args.epochs)
     for epoch, errors in enumerate(model.errors_per_epoch, start=1):
         print(f"epoch {epoch} errors {errors}")
@@ -251,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="regkernel",
         description="DFA-counting string kernels: sampling, evaluation, learning.",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="extra diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="write the Monte Carlo kernel's sampled DFAs to a directory")

@@ -76,8 +76,8 @@ The names this module takes from ``automata`` and ``stream`` that a
 caller may replace (``TABLE_CAP``, ``_BLOCK_SAMPLES``, draw_table_block)
 are read through their module at call time, so each has one binding.
 Every counter runs on the caller's thread: the walk is pure Python and
-holds the GIL, so worker threads made the 127-string walk Gram at n <= 5
-slower, not faster (ROADMAP item 5).
+holds the GIL, so the worker threads it once had made the 127-string walk
+Gram at n <= 5 slower, not faster.
 """
 
 from __future__ import annotations

@@ -54,8 +54,8 @@ one matrix of those values.  The single terms exact_pn, exact_kn and
 mc_pn read their A_n from count.agreement_matrix, through the same
 count.block_counts.
 
-numpy is imported inside ``GramMatrix.to_array`` only, and fractions
-inside the exact P_n helpers: the runtime paths and the sampler are pure
+numpy is imported only inside ``GramMatrix.to_array``, and fractions
+only inside exact_pn: the runtime paths and the sampler are pure
 Python over integers, and the records (KernelParams, ApproxCertificate,
 KernelValue, GramMatrix) are ``automata.Record`` classes.  So importing
 this module, and the sample, kernel, gram, train and predict commands in
@@ -243,38 +243,30 @@ def required_samples(epsilon: float, failure_prob: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pn_from_agreement(a: int, n: int, k: int) -> Fraction:
-    """P_n = (1/4) * (1 + A/T) from the agreement count A of n states."""
-    from fractions import Fraction
+def exact_kn(x: str, y: str, n: int, alphabet: Alphabet) -> int:
+    """Exact count of n-state DFAs accepting both x and y,
+    K_n = (T + A) * 2**n / 4.
 
-    t = table_count(n, k)
-    return Fraction(t + a, 4 * t)
-
-
-def _kn_from_agreement(a: int, n: int, k: int) -> int:
-    """K_n = P_n * |DFA space of n states| = (T + A) * 2**n / 4, with T the
-    table count: an integer, since 4 divides 2**n for n >= 2 and at n = 1
-    every table agrees (T + A = 2)."""
-    return (table_count(n, k) + a) * 2**n // 4
+    A is the table agreement count, read from count.agreement_matrix of
+    the 1 x 1 block of x against y, and T = n**(n*k) the table total.  Of
+    the 2**n accepting sets, half accept both strings on a table where
+    they end in the same state and a quarter on any other table.  K_n is an
+    integer, since 4 divides 2**n for n >= 2 and at n = 1 every table
+    agrees (T + A = 2).
+    """
+    a = count.agreement_matrix([x], n, alphabet, [y])[0][0]
+    return (table_count(n, len(alphabet)) + a) * 2**n // 4
 
 
 def exact_pn(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
-    """Exact joint-acceptance fraction P_n(x, y) = (1/4) * (1 + A/T).
-
-    A is the table agreement count, read from count.agreement_matrix of
-    the 1 x 1 block of x against y, and T the table total; the accepting
-    bits contribute the closed 1/4 factor because each state is accepting
+    """Exact joint-acceptance fraction P_n(x, y) = K_n / |DFA space of n
+    states| = (1/4) * (1 + A/T), from exact_kn: the accepting bits
+    contribute the closed 1/4 factor because each state is accepting
     independently with probability 1/2.
     """
-    a = count.agreement_matrix([x], n, alphabet, [y])[0][0]
-    return _pn_from_agreement(a, n, len(alphabet))
+    from fractions import Fraction
 
-
-def exact_kn(x: str, y: str, n: int, alphabet: Alphabet) -> int:
-    """Exact count of n-state DFAs accepting both x and y, from the same
-    agreement count as exact_pn."""
-    a = count.agreement_matrix([x], n, alphabet, [y])[0][0]
-    return _kn_from_agreement(a, n, len(alphabet))
+    return Fraction(exact_kn(x, y, n, alphabet), dfa_space_size(n, len(alphabet)))
 
 
 def mc_pn(x: str, y: str, n: int, m: int, alphabet: Alphabet, seed: int) -> float:
@@ -316,7 +308,7 @@ def _value_function(
     Term n is s_n * (D_n + A_n) / (4 * D_n), affine in A_n: D_n is the
     number of tables A_n is out of (n**(n*k) in exact mode, m sampled in
     Monte Carlo mode) and s_n is |DFA space of n| in paper scaling (so an
-    exact term is K_n = (T + A) * 2**n / 4, as in _kn_from_agreement) and
+    exact term is K_n = (T + A) * 2**n / 4, as exact_kn counts it) and
     w_n in normalized scaling.  Over one common denominator d, a value is
     (d * same + base[u] + sum_j coef[u][j] * c_j) / d for u = n_used, with
     the integers base and coef computed here, once per block.  A value is

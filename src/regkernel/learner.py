@@ -21,7 +21,7 @@ from .automata import (
     Record,
     iter_strings,
 )
-from .kernel import GramMatrix, KernelParams, format_version, kernel_block
+from .kernel import GramMatrix, KernelParams, _check_float_range, format_version, kernel_block
 
 # Upper bound on how many strings enumerate_strings may list.
 STRING_CAP = 1_000_000
@@ -187,31 +187,38 @@ def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | flo
     """sum_i alpha_i * K(s_i, x) for every x, under the model's training
     parameters.
 
-    Every x is validated before any kernel work: the queries after the
-    first block up front, and the first block's by its plan, so an exact
-    model encodes each query once.  The values are the kernel_block of the
-    support against the queries: all of them in one block for an exact
-    model, so the table cap is checked for the largest term before any
-    count, and the accessible tables of each m <= n_top (or, above the
-    exhaustive limit, each class's walk) are counted once for every query
-    and serve every n, the support and the queries being encoded and
-    planned into their tries once; up to
-    _QUERY_CHUNK at a time for a Monte Carlo model, whose chunk walks the
-    support once and streams its queries through each block of each n's
-    tables.  Each sum runs over the support in model order, so a value
-    equals the per-pair sum bit for bit.
+    Every x is validated, and every refusal made, before any kernel work.
+    The values are the kernel_block of the support against the queries:
+    all of them in one block for an exact model, whose plan validates and
+    encodes each query once, and whose table cap is checked for the largest
+    term before any count; the accessible tables of each m <= n_top (or,
+    above the exhaustive limit, each class's walk) are counted once for
+    every query and serve every n, the support and the queries being
+    encoded and planned into their tries once.  A Monte Carlo model scores
+    up to _QUERY_CHUNK queries per block, whose chunk walks the support
+    once and streams its queries through each block of each n's tables;
+    its queries are validated up front, and a paper sum's float range is
+    checked for the deepest of them, so a later chunk cannot refuse after
+    an earlier one has drawn tables.  Each sum runs over the support in
+    model order, so a value equals the per-pair sum bit for bit.
     """
     params = model.params
     xs = list(xs)
     support = [s for s, _ in model.support]
-    step = _QUERY_CHUNK if params.mode == "monte-carlo" else max(1, len(xs))
-    # the first block's plan validates its own queries before any count, and
-    # each later block's plan encodes its own: a membership test suffices
-    # here, and encode runs only to raise its error for a bad query
-    symbols = set(params.alphabet.symbols)
-    for x in xs[step:]:
-        if not symbols.issuperset(x):
-            params.alphabet.encode(x)
+    step = max(1, len(xs))
+    if params.mode == "monte-carlo":
+        step = _QUERY_CHUNK
+        # each chunk's plan encodes its own queries: a membership test
+        # suffices here, and encode runs only to raise its error for a bad one
+        symbols = set(params.alphabet.symbols)
+        for x in xs:
+            if not symbols.issuperset(x):
+                params.alphabet.encode(x)
+        if params.scaling == "paper":
+            # the largest n_top of any chunk, whose block would refuse it
+            n_top = min(max(map(len, support), default=0), max(map(len, xs), default=0),
+                        params.n_max)
+            _check_float_range(n_top, len(params.alphabet))
     totals: list[int | float] = []
     for lo in range(0, len(xs), step):
         chunk = xs[lo : lo + step]

@@ -4,13 +4,16 @@ Each suite returns a list of Check rows the CLI renders as a
 machine-readable pass/fail table.  The bounds suite checks integer
 identities over the enumeration oracle's count grids in
 :mod:`regkernel.automata`, so exhaustive small-instance checks stay at
-desk scale.
+desk scale.  Every suite runs over the alphabet ``ab`` on a fixed grid;
+only suite_bounds takes its grid (state counts and string length) as
+parameters, so that tests can run it on a smaller one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .automata import (
     Alphabet,
@@ -21,8 +24,10 @@ from .automata import (
 )
 from .count import agreement_matrix
 from .embedding import ConceptUniverse, InstanceKey, SparseVec, phi, score, separator
-from .kernel import KernelParams, exact_pn, gram_matrix, hoeffding_samples, mc_pn, required_samples
+from .kernel import KernelParams, exact_pn, gram_matrix, hoeffding_samples, required_samples
 from .learner import enumerate_strings
+
+AB = Alphabet(("a", "b"))
 
 
 @dataclass(frozen=True)
@@ -36,17 +41,13 @@ def _check(name: str, passed: bool, detail: str = "") -> Check:
     return Check(name=name, passed=bool(passed), detail=detail)
 
 
-def suite_bounds(
-    alphabet: Alphabet | None = None,
-    n_values: tuple[int, ...] = (1, 2, 3),
-    max_len: int = 6,
-) -> list[Check]:
+def suite_bounds(n_values: tuple[int, ...] = (1, 2, 3), max_len: int = 6) -> list[Check]:
     """Exhaustive joint-acceptance fraction checks on a small grid.
 
-    For every state count, over every ordered pair of strings up to the
-    length limit, each check is one integer identity over the oracle's
-    agreement grid A and joint-acceptance grid J, with T = n**(n*k) tables
-    and S = T * 2**n DFAs, so that P_n = (T + A) / (4T):
+    For every state count, over every ordered pair of strings over ``ab``
+    up to the length limit, each check is one integer identity over the
+    oracle's agreement grid A and joint-acceptance grid J, with
+    T = n**(n*k) tables and S = T * 2**n DFAs, so that P_n = (T + A) / (4T):
     1/4 <= P_n <= 1/2 is 0 <= A <= T; P_n(x, x) = 1/2 is diag(A) = T; the
     closed form agrees with full DFA enumeration, P_n = J / S, when
     S * (T + A) = 4T * J; exactly half the space accepts any single string
@@ -55,17 +56,16 @@ def suite_bounds(
     products stay below 2**63 for every n the table cap allows.  Also
     reports that the lower bound is approached as n grows.
     """
-    alphabet = alphabet or Alphabet(("a", "b"))
-    strings = enumerate_strings(alphabet, max_len)
+    strings = enumerate_strings(AB, max_len)
     count = len(strings)
     checks: list[Check] = []
     min_by_n: dict[int, Fraction] = {}
 
     for n in n_values:
-        t = table_count(n, len(alphabet))
-        space = dfa_space_size(n, len(alphabet))
-        agree = agreement_count_grid(strings, n, alphabet)
-        joint = joint_accept_count_grid(strings, n, alphabet)
+        t = table_count(n, len(AB))
+        space = dfa_space_size(n, len(AB))
+        agree = agreement_count_grid(strings, n, AB)
+        joint = joint_accept_count_grid(strings, n, AB)
         low, high = int(agree.min()), int(agree.max())
         lo, hi = Fraction(t + low, 4 * t), Fraction(t + high, 4 * t)
         min_by_n[n] = lo
@@ -77,7 +77,7 @@ def suite_bounds(
             _check(f"bounds.two_path.n{n}", (space * (t + agree) == 4 * t * joint).all(),
                    "closed form equals full enumeration on every pair"),
             _check(f"bounds.runtime.n{n}",
-                   agreement_matrix(strings, n, alphabet) == agree.tolist(),
+                   agreement_matrix(strings, n, AB) == agree.tolist(),
                    "runtime counter equals the enumeration grid on every pair"),
             _check(f"bounds.half_accept.n{n}", (2 * joint.diagonal() == space).all(),
                    f"every string accepted by exactly {space // 2} of {space} DFAs"),
@@ -100,30 +100,24 @@ def suite_bounds(
     return checks
 
 
-def suite_embedding(
-    alphabet: Alphabet | None = None,
-    target_n_max: int = 2,
-    string_max_len: int = 5,
-    universe_n_max: int = 3,
-) -> list[Check]:
+def suite_embedding() -> list[Check]:
     """Exact membership recovery for every small target automaton.
 
-    For each of the 66 automata with at most two states and each string
-    of length at most five, the separator score against the canonical
-    embedding must equal the membership indicator exactly, with the
+    For each of the 66 automata over ``ab`` with at most two states and
+    each string of length at most five, the separator score against the
+    canonical embedding must equal the membership indicator exactly, with the
     instance and concept halves partitioning by string length.  The score
-    is also invariant to enlarging the universe, since coordinates above
-    the target's size carry zero weight.
+    is also invariant to enlarging the universe from n_max 2 to 3, since
+    coordinates above the target's size carry zero weight.
     """
-    alphabet = alphabet or Alphabet(("a", "b"))
-    universe = ConceptUniverse(alphabet, universe_n_max)
-    smaller = ConceptUniverse(alphabet, max(target_n_max, 1))
-    strings = enumerate_strings(alphabet, string_max_len)
+    universe = ConceptUniverse(AB, 3)
+    smaller = ConceptUniverse(AB, 2)
+    strings = enumerate_strings(AB, 5)
 
     phis = {x: phi(x, universe) for x in strings}
     phis_small = {x: phi(x, smaller) for x in strings}
 
-    targets = [dfa for _, dfa in universe.iter_concepts(max_n=target_n_max)]
+    targets = [dfa for _, dfa in universe.iter_concepts(max_n=2)]
 
     recovered = True
     partitioned = True
@@ -170,24 +164,19 @@ def suite_embedding(
         _check(
             "embedding.universe_invariance",
             invariant,
-            f"scores identical under universes n_max={target_n_max} and {universe_n_max}",
+            "scores identical under universes n_max=2 and 3",
         ),
     ]
     return checks
 
 
-def suite_concentration(
-    alphabet: Alphabet | None = None,
-    seeds: int = 1000,
-    x: str = "a",
-    y: str = "b",
-    n: int = 2,
-) -> list[Check]:
-    """Monte Carlo budget and guarantee checks on a pair with known value.
+def suite_concentration() -> list[Check]:
+    """Monte Carlo budget and guarantee checks on the pair ("a", "b") at
+    n = 2, whose value is known, over 1,000 master seeds.
 
     Verifies the closed-form joint-acceptance sample budgets, then measures
     how often the estimator misses the exact value by more than the target
-    relative error across many master seeds: at those budgets, and at the
+    relative error across the seeds: at those budgets, and at the
     Hoeffding budget the kernel samples.  Those relative errors are at most
     |A/m - q|, where q = 4 P_n - 1 is the probability that the two strings
     end in the same state, and often far below it, so the Hoeffding budget
@@ -195,11 +184,15 @@ def suite_concentration(
     on at most delta of the seeds, plus three standard errors.  Last,
     checks the estimator mean for bias at a small budget, against its
     variance q(1 - q) / (16m).
+
+    Each (seed, m) sample is counted once: its agreement count A, read
+    from count.agreement_matrix as mc_pn reads it, gives both the estimate
+    (m + A) / (4m), mc_pn's value, and |A/m - q|.
     """
     import numpy as np
 
-    alphabet = alphabet or Alphabet(("a", "b"))
-    exact = exact_pn(x, y, n, alphabet)
+    seeds = 1000
+    exact = exact_pn("a", "b", 2, AB)
     checks = [
         _check(
             "concentration.budget_4427",
@@ -213,12 +206,14 @@ def suite_concentration(
         ),
     ]
 
+    @cache
+    def agreements(m: int) -> list[int]:
+        return [agreement_matrix(("a", "b"), 2, AB, sample=(m, seed))[0][1]
+                for seed in range(seeds)]
+
     def hit_rate(eps: float, m: int) -> float:
-        hits = 0
-        for seed in range(seeds):
-            est = mc_pn(x, y, n, m, alphabet, seed)
-            if abs(est - float(exact)) <= eps * float(exact):
-                hits += 1
+        hits = sum(abs((m + a) / (4 * m) - float(exact)) <= eps * float(exact)
+                   for a in agreements(m))
         return hits / seeds
 
     for eps, delta, floor in ((0.1, 0.05, 0.94), (0.1, 0.01, None)):
@@ -242,11 +237,7 @@ def suite_concentration(
     q = 4 * exact - 1
     for eps, delta in ((0.1, 0.05), (0.1, 0.01)):
         m = hoeffding_samples(eps, delta)
-        misses = sum(
-            abs(Fraction(agreement_matrix((x, y), n, alphabet, sample=(m, seed))[0][1], m) - q)
-            > Fraction(eps)
-            for seed in range(seeds)
-        )
+        misses = sum(abs(Fraction(a, m) - q) > Fraction(eps) for a in agreements(m))
         allowed = delta + 3.0 * (delta / seeds) ** 0.5
         checks.append(_check(
             f"concentration.hoeffding_agreement.eps{eps}_delta{delta}",
@@ -255,7 +246,7 @@ def suite_concentration(
         ))
 
     small_m = 100
-    mean = float(np.mean([mc_pn(x, y, n, small_m, alphabet, s) for s in range(seeds)]))
+    mean = float(np.mean([(small_m + a) / (4 * small_m) for a in agreements(small_m)]))
     p = float(exact)
     q = 4.0 * p - 1.0
     se = (q * (1.0 - q) / (16.0 * small_m) / seeds) ** 0.5
@@ -269,19 +260,14 @@ def suite_concentration(
     return checks
 
 
-def suite_psd(
-    alphabet: Alphabet | None = None,
-    n_strings: int = 20,
-    string_max_len: int = 5,
-    n_max: int = 2,
-) -> list[Check]:
-    """Gram positive semidefiniteness: the minimum eigenvalue of an exact
-    Gram matrix may dip below zero only by floating round-off."""
+def suite_psd() -> list[Check]:
+    """Gram positive semidefiniteness: the minimum eigenvalue of the exact
+    paper Gram of the first 20 strings over ``ab`` at n_max 2 may dip
+    below zero only by floating round-off."""
     import numpy as np
 
-    alphabet = alphabet or Alphabet(("a", "b"))
-    strings = enumerate_strings(alphabet, string_max_len)[:n_strings]
-    params = KernelParams(alphabet=alphabet, n_max=n_max, mode="exact", scaling="paper")
+    strings = enumerate_strings(AB, 5)[:20]
+    params = KernelParams(alphabet=AB, n_max=2, mode="exact", scaling="paper")
     gram = gram_matrix(strings, params)
     matrix = gram.to_array()
     eigenvalues = np.linalg.eigvalsh(matrix)

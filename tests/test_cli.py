@@ -483,6 +483,27 @@ def test_verify_embedding_suite(capsys):
     assert "embedding.recovery\tPASS" in stdout
 
 
+def test_verify_concentration_suite(capsys):
+    # every row is a deterministic function of seeds 0..999, so the table is
+    # pinned whole: a change to how the suite counts its samples shows here
+    code, stdout, _ = run_cli(capsys, "verify", "--suite", "concentration")
+    assert code == 0
+    assert stdout == (
+        "concentration.budget_4427\tPASS\trequired_samples(0.1, 0.05) = 4427\n"
+        "concentration.budget_6358\tPASS\trequired_samples(0.1, 0.01) = 6358\n"
+        "concentration.eps0.1_delta0.05\tPASS\thit rate 1.0000 >= 0.94 at m=4427\n"
+        "concentration.eps0.1_delta0.01\tPASS\tfailure rate 0.0000 <= 0.0195 at m=6358\n"
+        "concentration.hoeffding.eps0.1_delta0.05\tPASS\thit rate 1.0000 >= 0.94 at m=185\n"
+        "concentration.hoeffding.eps0.1_delta0.01\tPASS\thit rate 1.0000 >= 0.94 at m=265\n"
+        "concentration.hoeffding_agreement.eps0.1_delta0.05\tPASS\t"
+        "|A/m - 1/2| > 0.1 on 0.0030 <= 0.0712 of seeds at m=185\n"
+        "concentration.hoeffding_agreement.eps0.1_delta0.01\tPASS\t"
+        "|A/m - 1/2| > 0.1 on 0.0020 <= 0.0195 of seeds at m=265\n"
+        "concentration.unbiased\tPASS\tmean 0.37524 vs exact 0.37500, tolerance 0.00158\n"
+        "summary\tPASS\t9/9 checks passed\n"
+    )
+
+
 def test_verify_bounds_checks_the_runtime_counter(monkeypatch):
     from regkernel import verify
 

@@ -301,6 +301,23 @@ def test_decision_values_validate_every_chunk_before_any_table(ab, monkeypatch):
             decision_values(model, queries)
 
 
+def test_monte_carlo_float_range_refused_before_any_table(ab, monkeypatch):
+    # the deep query sits in the second chunk: its refusal comes before the
+    # first chunk draws a table
+    from regkernel import stream
+    from regkernel.learner import _QUERY_CHUNK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was drawn before the float range was checked")
+
+    monkeypatch.setattr(stream, "draw_table_block", refuse)
+    params = KernelParams(alphabet=ab, n_max=80, mode="monte-carlo", scaling="paper")
+    model = PerceptronModel(support=(("a" * 80, 1),), params=params, epochs_run=1,
+                            errors_per_epoch=(0,))
+    with pytest.raises(CapExceededError, match="paper-scaled Monte Carlo sum"):
+        decision_values(model, ["ab"] * _QUERY_CHUNK + ["a" * 80])
+
+
 def test_monte_carlo_decision_values_encode_each_query_once(ab, monkeypatch):
     # the queries after the first chunk are checked up front without an
     # encode; each chunk's plan encodes its queries and the support once

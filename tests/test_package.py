@@ -45,3 +45,32 @@ def test_verify_suite_choices_are_the_suites():
     commands = next(a for a in parser._actions if a.dest == "command")
     suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
     assert list(suite.choices) == sorted(verify.SUITES)
+
+
+def test_every_cli_option_is_listed_here():
+    # a new setting has to show up in this literal, and so in a review diff
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    options = {name: [s for a in p._actions for s in a.option_strings]
+               for name, p in [("regkernel", parser), *commands.choices.items()]}
+    kernel = ["--mode", "--scaling", "--nmax", "--eps", "--delta"]
+    assert options == {
+        "regkernel": ["-h", "--help"],
+        "sample": ["-h", "--help", "--states", "--alphabet", "--count", "--seed", "--out"],
+        "kernel": ["-h", "--help", *kernel, "--alphabet", "--seed"],
+        "gram": ["-h", "--help", *kernel, "--seed", "--dataset", "--out"],
+        "train": ["-h", "--help", *kernel, "--seed", "--dataset", "--epochs", "--out"],
+        "predict": ["-h", "--help", "--model", "--in"],
+        "verify": ["-h", "--help", "--suite"],
+    }
+
+
+def test_only_the_bounds_suite_takes_parameters():
+    # the verify command calls every suite bare; suite_bounds keeps its grid
+    # so that tests can run it on a smaller one
+    import inspect
+
+    parameters = {name: list(inspect.signature(suite).parameters)
+                  for name, suite in verify.SUITES.items()}
+    assert parameters == {"bounds": ["n_values", "max_len"], "embedding": [],
+                          "concentration": [], "psd": []}

@@ -13,7 +13,7 @@ tables, one walk per class, exact mode above the limit) or the stream
 (A_n over m sampled tables of ``stream``, Monte Carlo mode).  The fixed
 ``automata.TABLE_CAP`` bounds T on both exact counters, as it bounds the
 enumeration oracle, so exact mode refuses the same state counts it always
-did; it is checked once per block, before any count.
+did; check_table_cap checks it once per block, before any count.
 
 block_counts is the one way into the counters: a kernel block counts
 each string to depth min(|s|, n_max), and agreement_matrix, behind
@@ -75,9 +75,8 @@ memory is one block, whatever the number of tables.
 The names this module takes from ``automata`` and ``stream`` that a
 caller may replace (``TABLE_CAP``, ``_BLOCK_SAMPLES``, draw_table_block)
 are read through their module at call time, so each has one binding.
-Every counter runs on the caller's thread: the walk is pure Python and
-holds the GIL, so the worker threads it once had made the 127-string walk
-Gram at n <= 5 slower, not faster.
+Every counter runs on the caller's thread: the walk is pure Python, holds
+the GIL, and made the 127-string Gram slower with worker threads.
 """
 
 from __future__ import annotations
@@ -244,9 +243,19 @@ def _sliced_agreement_counts(
     return counts
 
 
+def check_table_cap(n_top: int, k: int) -> int:
+    """n_top**(n_top*k), the table count of an exact block whose deepest
+    term is n_top (0 if empty); CapExceededError past automata.TABLE_CAP."""
+    required = table_count(n_top, k) if n_top else 0
+    if required > automata.TABLE_CAP:
+        raise CapExceededError(required, automata.TABLE_CAP,
+                               hint="use monte-carlo mode for large state counts")
+    return required
+
+
 def block_counts(
     plan: BlockPlan, row_depths: Sequence[int], col_depths: Sequence[int], k: int,
-    sample: tuple[int, int] | None = None,
+    sample: tuple[int, int] | None = None, top_only: bool = False,
 ) -> tuple[list[list[list[int]]], list[tuple[int, ...]] | None]:
     """(per_size, mix): one count matrix per size 1..n_top over the plan's
     distinct strings, from the counter that suits the block.
@@ -258,7 +267,7 @@ def block_counts(
 
     - ``sample`` (m, master_seed), Monte Carlo mode: per_size[n - 1] holds
       A_n over the first m tables of n's stream (draw_table_block), and
-      mix is None;
+      mix is None; with ``top_only``, per_size holds only A_n_top;
     - exact mode while n_top**(n_top*k) is at most _EXHAUSTIVE_LIMIT:
       per_size[m - 1] holds C_m over the accessible m-state tables, and
       A_n = sum_{m <= n} mix[n-1][m-1] * C_m with mix[n-1] the weights
@@ -267,21 +276,18 @@ def block_counts(
       per class of pair and depth (_walked_agreement_counts), and mix is
       None.
 
-    An exact block's table cap is checked for its largest term first: the
-    table count grows with n, so it decides for every pair.  Entries below
-    the diagonal of a symmetric plan stay 0, and so does the walk's A_n for
-    a pair whose depth is below n: assembly reads only a pair's first
-    depth sizes.
+    An exact block's table cap is checked for its largest term first
+    (check_table_cap), and its counters ignore ``top_only``: C_m and the
+    walk need every size below n_top.  Entries below the diagonal of a
+    symmetric plan stay 0, and so does the walk's A_n for a pair whose
+    depth is below n: assembly reads only a pair's first depth sizes.
     """
     n_top = min(max(row_depths, default=0), max(col_depths, default=0))
     if sample is not None:
         m, seed = sample
         return [_sliced_agreement_counts(plan, m, partial(stream.draw_table_block, n, k, seed))
-                for n in range(1, n_top + 1)], None
-    required = table_count(n_top, k) if n_top else 0
-    if required > automata.TABLE_CAP:
-        raise CapExceededError(required, automata.TABLE_CAP,
-                               hint="use monte-carlo mode for large state counts")
+                for n in range(1, n_top + 1) if n == n_top or not top_only], None
+    required = check_table_cap(n_top, k)
     if required > _EXHAUSTIVE_LIMIT:
         return _walked_agreement_counts(plan, row_depths, col_depths, n_top, k), None
     mix = [accessible_weights(n, k) for n in range(1, n_top + 1)]
@@ -299,7 +305,8 @@ def agreement_matrix(
 
     The strings are planned as one block and counted by block_counts to
     depth n each, so the table cap and the choice of counter are those of
-    any block; ``mix`` folds accessible counts into A_n.
+    any block; ``mix`` folds accessible counts into A_n, and a sample is
+    drawn for n alone (``top_only``).
     """
     if sample is not None and sample[0] < 1:
         raise ValueError(f"sample count must be >= 1, got {sample[0]}")
@@ -307,7 +314,7 @@ def agreement_matrix(
         raise ValueError(f"state count must be >= 1, got {n}")
     plan = BlockPlan(rows, cols, alphabet)
     per_size, mix = block_counts(plan, [n] * len(plan.row_ids), [n] * len(plan.col_ids),
-                                 len(alphabet), sample)
+                                 len(alphabet), sample, top_only=True)
     if mix is None:
         return plan.expand(per_size[-1])
     return plan.expand([[sum(map(operator.mul, mix[-1], cells)) for cells in zip(*lines)]

@@ -374,6 +374,17 @@ def _check_float_range(n_top: int, k: int) -> None:
                                    hint="values overflow a float past it; use normalized scaling")
 
 
+def check_block(params: KernelParams, n_top: int) -> None:
+    """Refuse, before any count, a block whose deepest term is n_top: exact
+    past the table cap (count.check_table_cap), Monte Carlo paper-scaled
+    past the float range (_check_float_range).  Both grow with n, so the
+    deepest term decides for every pair of a block, or of a prediction."""
+    if params.mode == "exact":
+        count.check_table_cap(n_top, len(params.alphabet))
+    elif params.scaling == "paper":
+        _check_float_range(n_top, len(params.alphabet))
+
+
 def kernel_block(
     rows: Sequence[str],
     cols: Sequence[str] | None,
@@ -382,9 +393,8 @@ def kernel_block(
     """Kernel values of every (rows[i], cols[j]) pair, as an R x C matrix.
 
     With ``cols`` None the block is the symmetric Gram of ``rows``.  Every
-    string is validated, and an exact sum's table cap (or a Monte Carlo
-    paper sum's float range) checked for its largest term, before any
-    count.
+    string is validated, and check_block run for the block's deepest term,
+    before any count.
 
     Every block plans, counts, assembles, then expands.  The plan
     (count.BlockPlan) decides the distinct rows and columns and encodes
@@ -407,11 +417,9 @@ def kernel_block(
     col_lens = row_lens if plan.symmetric else [min(len(s), params.n_max) for s in plan.col_ids]
     n_top = min(max(row_lens, default=0), max(col_lens, default=0))
 
-    sample = None
-    if params.mode == "monte-carlo":
-        if params.scaling == "paper":
-            _check_float_range(n_top, len(params.alphabet))
-        sample = (hoeffding_samples(params.epsilon, params.failure_prob), params.master_seed)
+    check_block(params, n_top)
+    sample = None if params.mode == "exact" else (
+        hoeffding_samples(params.epsilon, params.failure_prob), params.master_seed)
     per_size, mix = count.block_counts(plan, row_lens, col_lens, len(params.alphabet), sample)
     value = _value_function(params, n_top, mix)
 

@@ -21,16 +21,16 @@ from .automata import (
     Record,
     iter_strings,
 )
-from .kernel import GramMatrix, KernelParams, _check_float_range, format_version, kernel_block
+from .kernel import GramMatrix, KernelParams, check_block, format_version, kernel_block
 
 # Upper bound on how many strings enumerate_strings may list.
 STRING_CAP = 1_000_000
 
 LABELS = (1, -1)
 
-# Monte Carlo queries scored per kernel block.  A block's per-n agreement
-# counts and values are support x chunk lists, so chunking keeps the live
-# lists of a prediction flat in the number of queries.
+# Queries scored per kernel block, in either mode.  A block's per-n counts
+# and values are support x chunk lists, so chunking keeps the live lists of
+# a prediction flat in the number of queries.
 _QUERY_CHUNK = 256
 
 
@@ -185,52 +185,37 @@ def train(gram: GramMatrix, labels: Sequence[int], max_epochs: int) -> Perceptro
 
 def decision_values(model: PerceptronModel, xs: Sequence[str]) -> list[int | float]:
     """sum_i alpha_i * K(s_i, x) for every x, under the model's training
-    parameters.
+    parameters: kernel_blocks of the support against up to _QUERY_CHUNK
+    queries each, in sorted order, in either mode.
 
-    Every x is validated, and every refusal made, before any kernel work.
-    The values are the kernel_block of the support against the queries:
-    all of them in one block for an exact model, whose plan validates and
-    encodes each query once, and whose table cap is checked for the largest
-    term before any count; the accessible tables of each m <= n_top (or,
-    above the exhaustive limit, each class's walk) are counted once for
-    every query and serve every n, the support and the queries being
-    encoded and planned into their tries once.  A Monte Carlo model scores
-    up to _QUERY_CHUNK queries per block, whose chunk walks the support
-    once and streams its queries through each block of each n's tables;
-    its queries are validated up front, and a paper sum's float range is
-    checked for the deepest of them, so a later chunk cannot refuse after
-    an earlier one has drawn tables.  Each sum runs over the support in
-    model order, so a value equals the per-pair sum bit for bit.
+    Every x is validated, and check_block run for the deepest term of the
+    support and all queries, before any block counts.  Each sum runs over
+    the support in model order, so a value equals the per-pair sum bit for bit.
     """
     params = model.params
     xs = list(xs)
     support = [s for s, _ in model.support]
-    step = max(1, len(xs))
-    if params.mode == "monte-carlo":
-        step = _QUERY_CHUNK
-        # each chunk's plan encodes its own queries: a membership test
-        # suffices here, and encode runs only to raise its error for a bad one
-        symbols = set(params.alphabet.symbols)
-        for x in xs:
-            if not symbols.issuperset(x):
-                params.alphabet.encode(x)
-        if params.scaling == "paper":
-            # the largest n_top of any chunk, whose block would refuse it
-            n_top = min(max(map(len, support), default=0), max(map(len, xs), default=0),
-                        params.n_max)
-            _check_float_range(n_top, len(params.alphabet))
-    totals: list[int | float] = []
-    for lo in range(0, len(xs), step):
-        chunk = xs[lo : lo + step]
-        block = kernel_block(support, chunk, params)
+    # each block's plan encodes its own queries: a membership test suffices
+    # here, and encode runs only to raise its error for a bad one
+    symbols = set(params.alphabet.symbols)
+    for x in xs:
+        if not symbols.issuperset(x):
+            params.alphabet.encode(x)
+    check_block(params, min(max(map(len, support), default=0), max(map(len, xs), default=0),
+                            params.n_max))
+    order = sorted(range(len(xs)), key=xs.__getitem__)  # a block's queries share prefixes
+    totals: list[int | float] = [0] * len(xs)
+    for lo in range(0, len(xs), _QUERY_CHUNK):
+        chunk = order[lo : lo + _QUERY_CHUNK]
+        block = kernel_block(support, [xs[i] for i in chunk], params)
         # a plain left-to-right loop, as in train: sum() of floats is
         # compensated on Python >= 3.12 and would not reproduce the training
         # sums bit for bit
-        for j in range(len(chunk)):
+        for j, i in enumerate(chunk):
             total: int | float = 0
             for (_, coeff), row in zip(model.support, block):
                 total += coeff * row[j]
-            totals.append(total)
+            totals[i] = total
     return totals
 
 

@@ -655,6 +655,22 @@ def test_mc_pn_deterministic_and_symmetric(ab):
     assert a == mc_pn("b", "a", 2, 500, ab, 42)
 
 
+def test_mc_pn_draws_only_its_own_size(ab, monkeypatch):
+    # a single term reads A_n alone, so no smaller size is drawn
+    from regkernel import stream
+
+    drawn = []
+    real = stream.draw_table_block
+
+    def recording(n, k, master_seed, block, size):
+        drawn.append(n)
+        return real(n, k, master_seed, block, size)
+
+    monkeypatch.setattr(stream, "draw_table_block", recording)
+    mc_pn("ab", "ba", 3, 185, ab, 7)
+    assert drawn == [3]
+
+
 def test_mc_pn_single_sample_is_indicator(ab):
     # one table: 1/2 when the strings end in the same state, 1/4 otherwise
     values = {mc_pn("a", "b", 2, 1, ab, seed) for seed in range(64)}

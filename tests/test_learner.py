@@ -227,14 +227,48 @@ def test_decision_values_reproduce_training_dual_sums(parity, ab):
         assert decision_values(model, gram.strings) == expected
 
 
-def test_decision_values_across_query_chunks(parity, ab):
+@pytest.mark.parametrize("mode", ["monte-carlo", "exact"])
+def test_decision_values_across_query_chunks(parity, ab, mode):
     from regkernel.learner import _QUERY_CHUNK
 
-    _, model = parity_gram_and_model(parity, ab, mc_params(ab, "normalized", 0.1, 0.05))
+    params = {"monte-carlo": mc_params(ab, "normalized", 0.1, 0.05), "exact": exact_params(ab, 3)}
+    _, model = parity_gram_and_model(parity, ab, params[mode])
     queries = [s for s in enumerate_strings(ab, 8) if len(s) >= 6][: _QUERY_CHUNK + 40]
     values = decision_values(model, queries)
     around = slice(_QUERY_CHUNK - 3, _QUERY_CHUNK + 3)
     assert values[around] == [decision_value(model, x) for x in queries[around]]
+
+
+@pytest.mark.parametrize("mode", ["monte-carlo", "exact"])
+def test_decision_values_score_at_most_a_chunk_per_block(parity, ab, monkeypatch, mode):
+    # both modes score 300 queries in blocks of at most _QUERY_CHUNK
+    # columns, so a block's lists stay flat in the number of queries, and
+    # the values are those of one block of all the queries, bit for bit
+    from regkernel import learner
+    from regkernel.kernel import kernel_block
+    from regkernel.learner import _QUERY_CHUNK
+
+    params = mc_params(ab, "normalized") if mode == "monte-carlo" else exact_params(ab, 3)
+    _, model = parity_gram_and_model(parity, ab, params)
+    widths = []
+    real = learner.kernel_block
+
+    def recording(rows, cols, params):
+        widths.append(len(cols))
+        return real(rows, cols, params)
+
+    monkeypatch.setattr(learner, "kernel_block", recording)
+    queries = enumerate_strings(ab, 8)[:300]
+    values = decision_values(model, queries)
+    assert widths == [_QUERY_CHUNK, 300 - _QUERY_CHUNK]
+    whole = kernel_block([s for s, _ in model.support], queries, params)
+    expected = []
+    for j in range(len(queries)):
+        total = 0
+        for (_, coeff), row in zip(model.support, whole):
+            total += coeff * row[j]
+        expected.append(total)
+    assert values == expected
 
 
 def test_decision_values_empty_inputs(ab):
@@ -259,6 +293,41 @@ def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
     )
     with pytest.raises(CapExceededError, match="monte-carlo"):
         decision_values(model, ["a", "ab", "aaaaaa", "b"])
+
+
+def test_exact_cap_refused_before_the_first_chunk_counts(ab, monkeypatch):
+    # the first chunk of queries alone is within the cap; the deep query in
+    # the second chunk is not, and its refusal comes before any count
+    from regkernel.learner import _QUERY_CHUNK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term was evaluated before the cap check")
+
+    for name in ("count._walk_counts", "count._sliced_agreement_counts", "kernel._value_function"):
+        monkeypatch.setattr(f"regkernel.{name}", refuse)
+    model = PerceptronModel(
+        support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
+        errors_per_epoch=(0,),
+    )
+    with pytest.raises(CapExceededError, match="monte-carlo"):
+        decision_values(model, ["a"] * _QUERY_CHUNK + ["aaaaaa"])
+
+
+def test_monte_carlo_float_range_refused_before_the_first_chunk_draws(ab, monkeypatch):
+    # as above, with the deep query last in sorted order too: the first
+    # chunk would draw its n = 1 tables before the second refused
+    from regkernel import stream
+    from regkernel.learner import _QUERY_CHUNK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was drawn before the float range was checked")
+
+    monkeypatch.setattr(stream, "draw_table_block", refuse)
+    params = KernelParams(alphabet=ab, n_max=80, mode="monte-carlo", scaling="paper")
+    model = PerceptronModel(support=(("b" * 80, 1),), params=params, epochs_run=1,
+                            errors_per_epoch=(0,))
+    with pytest.raises(CapExceededError, match="paper-scaled Monte Carlo sum"):
+        decision_values(model, ["a"] * _QUERY_CHUNK + ["b" * 80])
 
 
 def test_exact_decision_values_encode_each_string_once(ab, monkeypatch):

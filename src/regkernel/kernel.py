@@ -45,14 +45,13 @@ and encodes each once, and count.block_counts lists a matrix of counts
 per n over them.  Then one value function, built once per block, maps a
 pair's identity term and its counts for n = 1..n_used to its value: term
 n is affine in A_n, s_n * (D_n + A_n) / (4 * D_n) with D_n the tables
-counted, so every value is one integer numerator divided once, except
-Monte Carlo normalized values, a left-to-right float sum.  Each distinct
-pair is assembled once (a symmetric block's upper triangle only), and the
-plan maps the result back to the block's strings.  kernel_value,
-gram_matrix and prediction all read their values from it, and a Gram is
-one matrix of those values.  The single terms exact_pn, exact_kn and
-mc_pn read their A_n from count.agreement_matrix, through the same
-count.block_counts.
+counted, so every value is one integer numerator divided once.  Each
+distinct pair is assembled once (a symmetric block's upper triangle
+only), and the plan maps the result back to the block's strings.
+kernel_value, gram_matrix and prediction all read their values from it,
+and a Gram is one matrix of those values.  The single terms exact_pn,
+exact_kn and mc_pn read their A_n from count.agreement_matrix, through
+the same count.block_counts.
 
 numpy is imported only inside ``GramMatrix.to_array``, and fractions
 only inside exact_pn: the runtime paths and the sampler are pure
@@ -113,6 +112,10 @@ class KernelParams(Record):
     def __init__(self, alphabet: Alphabet, n_max: int, mode: str = "exact",
                  scaling: str = "paper", epsilon: float = 0.1, failure_prob: float = 0.05,
                  master_seed: int = 0, weights: tuple[float, ...] | None = None):
+        try:  # a float would be recorded as given and fail at the first draw
+            n_max, master_seed = operator.index(n_max), operator.index(master_seed)
+        except TypeError as e:
+            raise ValueError(f"n_max and master_seed must be integers: {e}") from e
         self._set(alphabet=alphabet, n_max=n_max, mode=mode, scaling=scaling, epsilon=epsilon,
                   failure_prob=failure_prob, master_seed=master_seed, weights=weights)
         if self.mode not in MODES:
@@ -122,7 +125,7 @@ class KernelParams(Record):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         _check_budget_args(self.epsilon, self.failure_prob)
-        stream.check_seed(int(self.master_seed))
+        stream.check_seed(self.master_seed)
         if self.weights is not None:
             if self.scaling == "paper":
                 raise ValueError("weights apply only to normalized scaling")
@@ -137,6 +140,13 @@ class KernelParams(Record):
                 raise ValueError("weights must be finite")
             if any(w < 0 for w in ws):
                 raise ValueError("weights must be non-negative")
+            # the largest value, 1 + sum_n w_n / 2 as P_n <= 1/2, must not
+            # pass the float range: with w_n = p / q and t the largest q (a
+            # power of 2, as every q), it is (2t + sum_n p * t / q) / 2t
+            ratios = [w.as_integer_ratio() for w in ws[: self.n_max]]
+            t = max(q for _, q in ratios)
+            if 2 * t + sum(p * (t // q) for p, q in ratios) > 2 * t * int(sys.float_info.max):
+                raise ValueError("weights too large: values would pass the float range")
 
     def weight_for(self, n: int) -> float:
         return 1.0 if self.weights is None else self.weights[n - 1]
@@ -173,17 +183,18 @@ class ApproxCertificate(Record):
     over m = samples_per_term sampled tables, is within relative error
     epsilon of the exact value with probability at least 1 - failure_prob.
 
-    ``bound`` names the inequality that sizes m and what it covers:
-    Hoeffding's, for one entry (one P_n term of one pair) at a time.
-    Entries that share a sample are correlated, and no union bound over
-    a Gram is claimed."""
+    ``bound``, a constant field, names the inequality that sizes m and
+    what it covers: Hoeffding's, for one entry (one P_n term of one pair)
+    at a time.  Entries that share a sample are correlated, and no union
+    bound over a Gram is claimed."""
 
     _fields = ("epsilon", "failure_prob", "samples_per_term", "master_seed", "bound")
+    bound = "hoeffding-per-entry"
 
     def __init__(self, epsilon: float, failure_prob: float, samples_per_term: int,
-                 master_seed: int, bound: str = "hoeffding-per-entry"):
+                 master_seed: int):
         self._set(epsilon=epsilon, failure_prob=failure_prob, samples_per_term=samples_per_term,
-                  master_seed=master_seed, bound=bound)
+                  master_seed=master_seed)
 
 
 class KernelValue(Record):
@@ -314,25 +325,13 @@ def _value_function(
     the integers base and coef computed here, once per block.  A value is
     then one integer numerator divided once: exactly, to an integer, in
     exact paper scaling, and rounded once to float otherwise (int true
-    division rounds correctly, as float() of the rational sum would).
-    Monte Carlo normalized values stay a left-to-right float sum."""
+    division rounds correctly, as float() of the rational sum would)."""
     k = len(params.alphabet)
     ns = range(1, n_top + 1)
     if params.mode == "exact":
         tables = [table_count(n, k) for n in ns]
     else:
-        m = hoeffding_samples(params.epsilon, params.failure_prob)
-        tables = [m] * n_top
-        if params.scaling == "normalized":
-            float_weights = [params.weight_for(n) for n in ns]
-
-            def float_value(same: int, counts: Sequence[int]) -> float:
-                total = float(same)
-                for w, a in zip(float_weights, counts):
-                    total += w * ((m + a) / (4 * m))  # P_n as in mc_pn
-                return total
-
-            return float_value
+        tables = [hoeffding_samples(params.epsilon, params.failure_prob)] * n_top
     if params.scaling == "paper":
         ratios = [(dfa_space_size(n, k), t) for n, t in zip(ns, tables)]
     else:  # w_n / D_n, with w_n's exact binary value

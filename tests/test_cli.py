@@ -649,6 +649,24 @@ def test_predict_refuses_non_finite_model_numbers(tmp_path, capsys):
         assert "Traceback" not in stderr
 
 
+def test_predict_refuses_weights_whose_values_pass_the_float_range(tmp_path, capsys):
+    # K(aab, aab) = 1 + 1.5 * 1.7e308 would pass the float range: the model's
+    # parameters are refused, in either mode, before any label is printed
+    strings_file = tmp_path / "strings.txt"
+    strings_file.write_text("ab\naab\n", encoding="utf-8")
+    for header, mode in (("model v1", "exact"), ("model v4", "monte-carlo")):
+        params = json.dumps({"alphabet": "ab", "epsilon": 0.1, "failure_prob": 0.05,
+                             "master_seed": 1, "mode": mode, "n_max": 3,
+                             "scaling": "normalized", "weights": [1.7e308] * 3})
+        path = tmp_path / "big.model"
+        path.write_text(f'{header}\nmeta {{"epochs_run": 1, "errors_per_epoch": [0], '
+                        f'"params": {params}}}\n1\taab\n', encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "predict", "--model", str(path),
+                                       "--in", str(strings_file))
+        assert (code, stdout) == (2, ""), mode
+        assert "float range" in stderr
+
+
 def test_predict_names_a_support_string_outside_the_alphabet(tmp_path, capsys, ab):
     params = json.dumps(KernelParams(alphabet=ab, n_max=2).to_dict())
     path = tmp_path / "bad.model"
@@ -807,6 +825,16 @@ def test_monte_carlo_commands_never_load_numpy(tmp_path, parity, ab):
     assert json.loads(codes) == [0, 0, 0, 0, 0]
     assert json.loads(loaded) == []
     assert model.read_text(encoding="utf-8").startswith("model v4\n")
+
+
+def test_verify_concentration_never_loads_numpy():
+    code = ("import json, sys; from regkernel.cli import main; "
+            f"code = main(['verify', '--suite', 'concentration']); print(code); {LOADED}")
+    result = run_fresh("-c", code)
+    assert result.returncode == 0, result.stderr
+    *_, code, loaded = result.stdout.splitlines()
+    assert code == "0"
+    assert json.loads(loaded) == []
 
 
 def fresh_modules(code, *args):

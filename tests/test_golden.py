@@ -41,7 +41,7 @@ GOLDEN = {
         "predict.stdout": "646628053b51f5f81ddc37fe71c1b30105b6d82682347c5df0bbdd64c41d9b74",
     },
     ("monte-carlo", "normalized"): {
-        "gram.csv": "155f7e0bdd80c812cbd9039dd00cf9bd8ac8561568ff179254479cdd18d6e9e7",
+        "gram.csv": "c2a81e4dfb80c42d41e33886a67cfe805264a05030ac903f41fba7bd89d6eb26",
         "gram.csv.meta.json": "77f162b030d6a829692284712bf138f4476f5c8fe013dd2f955444be06603b32",
         "train.stdout": "b1f02db7b38ae2d12225f1c5ad5b57e6cdae86b9858320771eba04e5e609df21",
         "model": "64da31d45d8134cd55e4dd480f4918c50b6e4573113afd801e458d235c864718",

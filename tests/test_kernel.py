@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import struct
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -66,13 +67,8 @@ def walked_counts(x, y, n_top, alphabet):
 def reference_value(same, counts, params, m=None):
     """Independent kernel value of a pair from its identity term and its
     agreement counts A_1..A_n_used, out of all n**(n*k) tables (m None) or
-    out of m sampled ones: a Fraction sum of the terms, except Monte Carlo
-    normalized values, a left-to-right float sum of w_n * (m + A_n) / (4m)."""
-    if m is not None and params.scaling == "normalized":
-        total = float(same)
-        for n, a in enumerate(counts, 1):
-            total += params.weight_for(n) * ((m + a) / (4 * m))
-        return total
+    out of m sampled ones: a Fraction sum of the terms, an exact integer in
+    exact paper scaling and rounded once to float otherwise."""
     k = len(params.alphabet)
     total = Fraction(same)
     for n, a in enumerate(counts, 1):
@@ -874,6 +870,39 @@ def test_kernel_params_validation(ab):
         KernelParams(alphabet=ab, n_max=2, scaling="normalized", weights=(1.0, -0.5))
 
 
+def test_kernel_params_refuse_values_past_the_float_range(ab):
+    # a value is at most 1 + sum_n w_n / 2, as P_n <= 1/2: past the float
+    # range exact division would raise and a Monte Carlo sum overflow
+    big = sys.float_info.max
+    for mode in ("exact", "monte-carlo"):
+        with pytest.raises(ValueError, match="float range"):
+            KernelParams(alphabet=ab, n_max=3, mode=mode, scaling="normalized",
+                         weights=(1.7e308,) * 3)
+        with pytest.raises(ValueError, match="float range"):
+            KernelParams(alphabet=ab, n_max=2, mode=mode, scaling="normalized",
+                         weights=(big, big))
+        # only the weights up to n_max count, and 1 + big / 2 is in range
+        params = KernelParams(alphabet=ab, n_max=1, mode=mode, scaling="normalized",
+                              weights=(big, big))
+        assert kernel_value("ab", "ab", params).value == float(1 + Fraction(big) / 2)
+
+
+def test_kernel_params_refuse_float_integers(ab):
+    # a float seed would be recorded as given and fail at the first draw
+    with pytest.raises(ValueError, match="integers"):
+        KernelParams(alphabet=ab, n_max=2, mode="monte-carlo", master_seed=7.9)
+    with pytest.raises(ValueError, match="integers"):
+        KernelParams(alphabet=ab, n_max=2.5)
+
+
+def test_kernel_params_store_numpy_integers_as_int(ab):
+    params = KernelParams(alphabet=ab, n_max=np.int64(2), mode="monte-carlo",
+                          master_seed=np.uint64(2**64 - 1))
+    assert type(params.n_max) is int and type(params.master_seed) is int
+    assert params == KernelParams(alphabet=ab, n_max=2, mode="monte-carlo",
+                                  master_seed=2**64 - 1)
+
+
 def test_kernel_params_round_trip(ab):
     params = KernelParams(
         alphabet=ab, n_max=3, mode="monte-carlo", scaling="normalized",
@@ -1253,7 +1282,10 @@ def test_mc_pn_reads_the_shared_sample(ab):
         assert gram.value(strings.index("ab"), strings.index("ba")) == expected
 
 
-def test_mc_path_reads_tables_only(ab):
+@pytest.mark.parametrize("scaling,weights", [
+    ("paper", None), ("normalized", None), ("normalized", (0.1, 0.3, 0.7)),
+])
+def test_mc_path_reads_tables_only(ab, scaling, weights):
     # the accepting bits are integrated out, so every Monte Carlo Gram entry,
     # kernel value and decision value is assembled from the end-state
     # agreement of plainly decoded tables, and from nothing else
@@ -1264,28 +1296,59 @@ def test_mc_path_reads_tables_only(ab):
     support = (("ab", 1), ("aab", -2), ("b", 1))
     m = hoeffding_samples(0.1, 0.05)
     tables = {n: stream_tables(n, m, 5) for n in (1, 2, 3)}
+    params = KernelParams(alphabet=ab, n_max=3, mode="monte-carlo", scaling=scaling,
+                          master_seed=5, weights=weights)
 
-    for scaling in ("paper", "normalized"):
-        params = mc_params(ab, scaling)
+    def plain_value(x, y):
+        counts = [sum(end_state(t, ab.encode(x)) == end_state(t, ab.encode(y))
+                      for t in tables[n])
+                  for n in range(1, min(len(x), len(y), 3) + 1)]
+        return reference_value(int(x == y), counts, params, m)
 
-        def plain_value(x, y):
-            counts = [sum(end_state(t, ab.encode(x)) == end_state(t, ab.encode(y))
-                          for t in tables[n])
-                      for n in range(1, min(len(x), len(y), 3) + 1)]
-            return reference_value(int(x == y), counts, params, m)
+    gram = gram_matrix(strings, params)
+    assert gram.values == tuple(tuple(plain_value(x, y) for y in strings) for x in strings)
+    assert kernel_value("abab", "bba", params).value == plain_value("abab", "bba")
+    model = PerceptronModel(support=support, params=params, epochs_run=1,
+                            errors_per_epoch=(0,))
+    expected = []
+    for x in queries:
+        total = 0
+        for s, coeff in support:
+            total += coeff * plain_value(s, x)
+        expected.append(total)
+    assert decision_values(model, queries) == expected
 
-        gram = gram_matrix(strings, params)
-        assert gram.values == tuple(tuple(plain_value(x, y) for y in strings) for x in strings)
-        assert kernel_value("abab", "bba", params).value == plain_value("abab", "bba")
-        model = PerceptronModel(support=support, params=params, epochs_run=1,
-                                errors_per_epoch=(0,))
-        expected = []
-        for x in queries:
-            total = 0
-            for s, coeff in support:
-                total += coeff * plain_value(s, x)
-            expected.append(total)
-        assert decision_values(model, queries) == expected
+
+def test_mc_normalized_values_are_their_rationals_rounded_once(ab):
+    # every Monte Carlo normalized value is float() of its exact rational
+    # sum, as in every other mode: no partial sum is rounded on the way
+    from regkernel.learner import PerceptronModel, decision_values
+
+    strings = ["", "a", "b", "aa", "ab", "ba", "bb", "aab", "aba", "bbb"]
+    queries = ["abab", "bba", "aaaa", "babb", "b", "abbab", "aaaaa", "ba"]
+    support = (("aa", 1), ("aba", -1), ("bb", 2), ("b", -1))
+    params = mc_params(ab, seed=20261018)
+    m = hoeffding_samples(0.1, 0.05)
+    assert m == 185
+
+    def rational(x, y):
+        counts = [agreement_matrix((x, y), n, ab, sample=(m, params.master_seed))[0][1]
+                  for n in range(1, min(len(x), len(y), 3) + 1)]
+        return reference_value(int(x == y), counts, params, m)
+
+    gram = gram_matrix(strings, params)
+    assert gram.values == tuple(tuple(rational(x, y) for y in strings) for x in strings)
+    assert all(kernel_value(x, y, params).value == rational(x, y)
+               for x in strings for y in queries)
+    model = PerceptronModel(support=support, params=params, epochs_run=1,
+                            errors_per_epoch=(0,))
+    expected = []
+    for x in queries:
+        total = 0
+        for s, coeff in support:
+            total += coeff * rational(s, x)
+        expected.append(total)
+    assert decision_values(model, queries) == expected
 
 
 def test_gram_rejects_jobs_below_one(ab):

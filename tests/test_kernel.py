@@ -1282,10 +1282,7 @@ def test_mc_pn_reads_the_shared_sample(ab):
         assert gram.value(strings.index("ab"), strings.index("ba")) == expected
 
 
-@pytest.mark.parametrize("scaling,weights", [
-    ("paper", None), ("normalized", None), ("normalized", (0.1, 0.3, 0.7)),
-])
-def test_mc_path_reads_tables_only(ab, scaling, weights):
+def test_mc_path_reads_tables_only(ab):
     # the accepting bits are integrated out, so every Monte Carlo Gram entry,
     # kernel value and decision value is assembled from the end-state
     # agreement of plainly decoded tables, and from nothing else
@@ -1296,27 +1293,30 @@ def test_mc_path_reads_tables_only(ab, scaling, weights):
     support = (("ab", 1), ("aab", -2), ("b", 1))
     m = hoeffding_samples(0.1, 0.05)
     tables = {n: stream_tables(n, m, 5) for n in (1, 2, 3)}
-    params = KernelParams(alphabet=ab, n_max=3, mode="monte-carlo", scaling=scaling,
-                          master_seed=5, weights=weights)
 
-    def plain_value(x, y):
-        counts = [sum(end_state(t, ab.encode(x)) == end_state(t, ab.encode(y))
-                      for t in tables[n])
-                  for n in range(1, min(len(x), len(y), 3) + 1)]
-        return reference_value(int(x == y), counts, params, m)
+    for scaling, weights in (("paper", None), ("normalized", None),
+                             ("normalized", (0.1, 0.3, 0.7))):
+        params = KernelParams(alphabet=ab, n_max=3, mode="monte-carlo", scaling=scaling,
+                              master_seed=5, weights=weights)
 
-    gram = gram_matrix(strings, params)
-    assert gram.values == tuple(tuple(plain_value(x, y) for y in strings) for x in strings)
-    assert kernel_value("abab", "bba", params).value == plain_value("abab", "bba")
-    model = PerceptronModel(support=support, params=params, epochs_run=1,
-                            errors_per_epoch=(0,))
-    expected = []
-    for x in queries:
-        total = 0
-        for s, coeff in support:
-            total += coeff * plain_value(s, x)
-        expected.append(total)
-    assert decision_values(model, queries) == expected
+        def plain_value(x, y):
+            counts = [sum(end_state(t, ab.encode(x)) == end_state(t, ab.encode(y))
+                          for t in tables[n])
+                      for n in range(1, min(len(x), len(y), 3) + 1)]
+            return reference_value(int(x == y), counts, params, m)
+
+        gram = gram_matrix(strings, params)
+        assert gram.values == tuple(tuple(plain_value(x, y) for y in strings) for x in strings)
+        assert kernel_value("abab", "bba", params).value == plain_value("abab", "bba")
+        model = PerceptronModel(support=support, params=params, epochs_run=1,
+                                errors_per_epoch=(0,))
+        expected = []
+        for x in queries:
+            total = 0
+            for s, coeff in support:
+                total += coeff * plain_value(s, x)
+            expected.append(total)
+        assert decision_values(model, queries) == expected
 
 
 def test_mc_normalized_values_are_their_rationals_rounded_once(ab):

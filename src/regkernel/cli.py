@@ -38,7 +38,7 @@ EXIT_CAP = 3
 EXIT_VERIFY = 4
 
 MODE_ALIASES = {"exact": "exact", "mc": "monte-carlo", "monte-carlo": "monte-carlo"}
-SEED_HELP = "64-bit master seed; sampled and printed when omitted"
+SEED_HELP = "64-bit master seed; when omitted, Monte Carlo runs sample and print one"
 DEFAULT_ALPHABET = "ab"
 DATASET_HELP = "labelled strings; the '# alphabet <symbols>' header sets the alphabet"
 
@@ -59,13 +59,17 @@ def _print_config(command: str, resolved: dict) -> None:
           file=sys.stderr)
 
 
-def _kernel_params(args: argparse.Namespace, seed: int, alphabet: Alphabet) -> KernelParams:
+def _kernel_params(args: argparse.Namespace, alphabet: Alphabet) -> KernelParams:
     from .kernel import KernelParams
 
+    mode = MODE_ALIASES[args.mode]
+    # no exact value reads the seed: an exact run records 0, so that its
+    # outputs are the same bytes on every run
+    seed = 0 if mode == "exact" and args.seed is None else _resolve_seed(args.seed)
     return KernelParams(
         alphabet=alphabet,
         n_max=args.nmax,
-        mode=MODE_ALIASES[args.mode],
+        mode=mode,
         scaling=args.scaling,
         epsilon=args.eps,
         failure_prob=args.delta,
@@ -137,8 +141,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     from .automata import Alphabet
     from .kernel import format_scalar, kernel_value
 
-    seed = _resolve_seed(args.seed)
-    params = _kernel_params(args, seed, Alphabet(tuple(args.alphabet)))
+    params = _kernel_params(args, Alphabet(tuple(args.alphabet)))
     _print_config("kernel", {**params.to_dict(), "x": args.x, "y": args.y})
     kv = kernel_value(args.x, args.y, params)
     print(format_scalar(kv.value))
@@ -157,9 +160,8 @@ def cmd_gram(args: argparse.Namespace) -> int:
     from .kernel import gram_matrix, gram_metadata_json, gram_to_csv
     from .learner import load_dataset
 
-    seed = _resolve_seed(args.seed)
     dataset = load_dataset(args.dataset)
-    params = _kernel_params(args, seed, dataset.alphabet)
+    params = _kernel_params(args, dataset.alphabet)
     _check_out_path(args.out)
     out = Path(args.out)
     # a CSV without its sidecar cannot be replayed: check both before the work
@@ -179,9 +181,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .kernel import gram_matrix
     from .learner import load_dataset, save_model, train
 
-    seed = _resolve_seed(args.seed)
     dataset = load_dataset(args.dataset)
-    params = _kernel_params(args, seed, dataset.alphabet)
+    params = _kernel_params(args, dataset.alphabet)
     if args.epochs < 1:
         raise ValueError(f"max_epochs must be >= 1, got {args.epochs}")
     _check_out_path(args.out)

@@ -167,12 +167,12 @@ class KernelParams(Record):
     def from_dict(cls, d: dict) -> "KernelParams":
         return cls(
             alphabet=Alphabet(tuple(d["alphabet"])),
-            n_max=int(d["n_max"]),
+            n_max=d["n_max"],
             mode=d["mode"],
             scaling=d["scaling"],
             epsilon=float(d["epsilon"]),
             failure_prob=float(d["failure_prob"]),
-            master_seed=int(d["master_seed"]),
+            master_seed=d["master_seed"],
             weights=tuple(d["weights"]) if d.get("weights") is not None else None,
         )
 

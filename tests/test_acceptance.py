@@ -1,12 +1,15 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one ``ACCEPTANCE <id>: PASS|FAIL`` line (run pytest with
-``-s`` to see them as they happen).  Criterion 2, which compares two
-fractions per ordered pair of the exhaustive grid, takes the most time; the
-whole module finishes in about 6 s on a 2-core host.
+``-s`` to see them as they happen).  Criteria 1, 2, 3, 4 and 6 are facts
+that a ``regkernel verify`` suite proves; each asserts the suite's named
+rows, and fails when one of them is missing.  Criterion 4, whose suite
+scores every target on every string under two universes, takes the most
+time; the whole module finishes in about 4 s on a 2-core host.
 """
 
-from fractions import Fraction
+from contextlib import redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -18,25 +21,18 @@ from regkernel import (
     KernelParams,
     dfa_space_size,
     enumerate_strings,
-    exact_pn,
     gram_matrix,
-    hoeffding_samples,
     kernel_value,
     label_strings,
-    mc_pn,
     phi,
-    required_samples,
-    score,
-    separator,
     table_count,
     train,
+    verify,
 )
 from regkernel import stream
-from regkernel.automata import agreement_count_grid, joint_accept_count_grid
-from regkernel.count import agreement_matrix
+from regkernel.cli import main
 
 AB = Alphabet(("a", "b"))
-QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -44,128 +40,67 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def grid_strings():
-    strings = enumerate_strings(AB, 6)
-    assert len(strings) == 127
-    return strings
+def report_rows(criterion: str, checks: list[verify.Check], names: list[str]) -> None:
+    """Report a criterion that a verify suite proves: it passes when each
+    named row is present and passed, and its detail is the rows' own."""
+    rows = {check.name: check for check in checks}
+    details = []
+    for name in names:
+        row = rows.get(name)
+        status = "MISSING" if row is None else "PASS" if row.passed else "FAIL"
+        details.append(f"{name} {status}" + (f": {row.detail}" if row is not None else ""))
+    report(criterion, all(name in rows and rows[name].passed for name in names),
+           "; ".join(details))
 
 
 @pytest.fixture(scope="module")
-def grids(grid_strings):
-    """Shared agreement and direct-enumeration count grids for n = 1..3."""
-    out = {}
-    for n in (1, 2, 3):
-        out[n] = (
-            agreement_count_grid(grid_strings, n, AB),
-            joint_accept_count_grid(grid_strings, n, AB),
-        )
-    return out
+def bounds_checks():
+    """One run of the bounds suite over the 127 strings of length <= 6, n = 1..3."""
+    return verify.suite_bounds()
 
 
-def test_criterion_1_bounds(grid_strings, grids):
+def test_criterion_1_bounds(bounds_checks):
     """P_n within [1/4, 1/2] on every ordered pair, diagonal exactly 1/2."""
-    count = len(grid_strings)
-    violations = 0
-    diagonal_bad = 0
-    for n in (1, 2, 3):
-        agree, _ = grids[n]
-        t = table_count(n, 2)
-        for i in range(count):
-            for j in range(count):
-                pn = Fraction(t + int(agree[i, j]), 4 * t)
-                if not QUARTER <= pn <= HALF:
-                    violations += 1
-                if i == j and pn != HALF:
-                    diagonal_bad += 1
-    report(
-        "1 bounds",
-        violations == 0 and diagonal_bad == 0,
-        f"3 x {count * count} ordered pairs in [1/4, 1/2], diagonals exact",
-    )
+    report_rows("1 bounds", bounds_checks,
+                [f"bounds.{kind}.n{n}" for kind in ("range", "diagonal") for n in (1, 2, 3)])
 
 
-def test_criterion_2_two_path_identity(grid_strings, grids):
-    """Lazy-walk P_n equals full-DFA-enumeration P_n, exactly, gridwide."""
-    count = len(grid_strings)
-    mismatches = 0
-    for n in (1, 2, 3):
-        _, joint = grids[n]
-        space = dfa_space_size(n, 2)
-        for i, x in enumerate(grid_strings):
-            for j, y in enumerate(grid_strings):
-                if exact_pn(x, y, n, AB) != Fraction(int(joint[i, j]), space):
-                    mismatches += 1
-    report(
-        "2 two-path identity",
-        mismatches == 0,
-        f"lazy-walk closed form == enumeration on 3 x {count * count} pairs",
-    )
+def test_criterion_2_two_path_identity(bounds_checks):
+    """The closed form P_n = (T + A) / (4T) equals full-DFA enumeration,
+    and the runtime counter equals the enumeration oracle, gridwide."""
+    report_rows("2 two-path identity", bounds_checks,
+                [f"bounds.{kind}.n{n}" for kind in ("two_path", "runtime") for n in (1, 2, 3)])
 
 
 def test_criterion_3_sample_budget_and_concentration():
-    """Budget formula values, then the relative-error rate over 1000 seeds,
-    at the joint-acceptance budgets and at the Hoeffding budgets the
-    kernel samples.  The relative error is at most |A/m - q|, here with
-    q = 1/2, and passes even at budgets far too small, so the Hoeffding
-    budgets are also held to the bound itself: |A/m - q| > 0.1 on at most
-    delta of the seeds, plus three standard errors."""
-    budgets_ok = required_samples(0.1, 0.05) == 4427 and required_samples(0.1, 0.01) == 6358
-    exact = 0.375  # P_2(a, b) = 3/8, criterion 1 grid
-    seeds = 1000
-    rates = {}
-    for delta in (0.05, 0.01):
-        for m in (required_samples(0.1, delta), hoeffding_samples(0.1, delta)):
-            hits = sum(
-                1
-                for seed in range(seeds)
-                if abs(mc_pn("a", "b", 2, m, AB, seed) - exact) <= 0.1 * exact
-            )
-            rates[m] = hits / seeds
-    misses = {}
-    for delta in (0.05, 0.01):
-        m = hoeffding_samples(0.1, delta)
-        count = sum(
-            1
-            for seed in range(seeds)
-            if abs(Fraction(agreement_matrix(("a", "b"), 2, AB, sample=(m, seed))[0][1], m) - HALF)
-            > Fraction(0.1)
-        )
-        misses[m] = (count / seeds, delta + 3 * (delta / seeds) ** 0.5)
-    report(
-        "3 sample budget + concentration",
-        budgets_ok
-        and all(rate >= 0.94 for rate in rates.values())
-        and all(rate <= allowed for rate, allowed in misses.values()),
-        "m=4427 and m=6358, Hoeffding m=185 and m=265; hit rates "
-        + ", ".join(f"{rate:.3f} @ m={m}" for m, rate in rates.items())
-        + "; |A/m - 1/2| > 0.1 on "
-        + ", ".join(f"{rate:.3f} <= {allowed:.4f} @ m={m}"
-                    for m, (rate, allowed) in misses.items()),
-    )
+    """Budget formula values, then over 1000 seeds the relative-error rate
+    at the joint-acceptance budgets and at the Hoeffding budgets the kernel
+    samples, and |A/m - q| against the Hoeffding bound itself."""
+    report_rows("3 sample budget + concentration", verify.suite_concentration(), [
+        "concentration.budget_4427",
+        "concentration.budget_6358",
+        "concentration.eps0.1_delta0.05",
+        "concentration.eps0.1_delta0.01",
+        "concentration.hoeffding.eps0.1_delta0.05",
+        "concentration.hoeffding.eps0.1_delta0.01",
+        "concentration.hoeffding_agreement.eps0.1_delta0.05",
+        "concentration.hoeffding_agreement.eps0.1_delta0.01",
+    ])
 
 
 def test_criterion_4_membership_recovery():
     """Separator score equals the membership indicator for all 66 targets
-    with up to two states and all 63 strings up to length five, exactly."""
-    universe = ConceptUniverse(AB, 3)
-    strings = enumerate_strings(AB, 5)
-    assert len(strings) == 63
-    targets = [dfa for _, dfa in universe.iter_concepts(max_n=2)]
-    assert len(targets) == 66
-    phis = {x: phi(x, universe) for x in strings}
-    bad = 0
-    for target in targets:
-        w = separator(target, universe)
-        for x in strings:
-            expected = Fraction(1) if target.accepts(x) else Fraction(0)
-            if score(w, phis[x]) != expected:
-                bad += 1
-    report(
-        "4 membership recovery",
-        bad == 0,
-        f"{len(targets)} targets x {len(strings)} strings, zero tolerance",
-    )
+    with up to two states and all 63 strings up to length five, exactly,
+    as ``regkernel verify --suite embedding`` reports it (exit 0)."""
+    with redirect_stdout(StringIO()) as out:
+        code = main(["verify", "--suite", "embedding"])
+    rows = [line.split("\t") for line in out.getvalue().splitlines()]
+    checks = [verify.Check(name, status == "PASS", detail)
+              for name, status, detail in rows if name != "summary"]
+    report_rows("4 membership recovery", checks, [
+        "embedding.recovery", "embedding.partition", "embedding.universe_invariance",
+    ])
+    assert code == 0, f"verify --suite embedding exited {code}"
 
 
 def test_criterion_5_embedding_kernel_duality():
@@ -191,16 +126,7 @@ def test_criterion_5_embedding_kernel_duality():
 
 def test_criterion_6_gram_psd():
     """Exact Gram on 20 strings: minimum eigenvalue above -1e-9 x max diagonal."""
-    strings = enumerate_strings(AB, 5)[:20]
-    params = KernelParams(alphabet=AB, n_max=2, mode="exact", scaling="paper")
-    matrix = gram_matrix(strings, params).to_array()
-    min_eig = float(np.linalg.eigvalsh(matrix)[0])
-    bound = -1e-9 * float(matrix.diagonal().max())
-    report(
-        "6 Gram PSD",
-        min_eig >= bound,
-        f"min eigenvalue {min_eig:.3e} >= {bound:.1e} on 20 strings",
-    )
+    report_rows("6 Gram PSD", verify.suite_psd(), ["psd.min_eigenvalue"])
 
 
 @pytest.fixture(scope="module")

@@ -229,6 +229,25 @@ def test_gram_rerun_is_byte_identical(tmp_path, capsys, parity, ab):
     assert header == ",".join(f"s{i}" for i in range(7))
 
 
+def test_exact_runs_without_a_seed_write_the_same_bytes(tmp_path, capsys, parity, ab):
+    # no exact value reads the master seed, so an exact run that omits it
+    # records 0; a Monte Carlo run still samples one
+    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=2)
+    seeds = []
+    for mode, command, out in (("exact", "gram", "1.csv"), ("exact", "gram", "2.csv"),
+                               ("exact", "train", "1.model"), ("exact", "train", "2.model"),
+                               ("mc", "gram", "mc1.csv"), ("mc", "gram", "mc2.csv")):
+        code, _, stderr = run_cli(capsys, command, "--dataset", str(dataset), "--mode", mode,
+                                  "--nmax", "2", "--out", str(tmp_path / out))
+        assert code == 0, stderr
+        seeds.append(json.loads(stderr.splitlines()[0].removeprefix("config "))["master_seed"])
+    assert seeds[:4] == [0] * 4
+    # two equal 63-bit draws would be a 1-in-2**63 event
+    assert seeds[4] != seeds[5]
+    for first, second in (("1.csv.meta.json", "2.csv.meta.json"), ("1.model", "2.model")):
+        assert (tmp_path / first).read_bytes() == (tmp_path / second).read_bytes()
+
+
 def test_train_and_predict_round_trip(tmp_path, capsys, parity, ab):
     dataset = write_parity_dataset(tmp_path, parity, ab, max_len=4)
     model_path = tmp_path / "parity.model"
@@ -477,12 +496,6 @@ def test_verify_psd_suite(capsys):
     assert any("eigenvalue" in row[2] for row in rows)
 
 
-def test_verify_embedding_suite(capsys):
-    code, stdout, _ = run_cli(capsys, "verify", "--suite", "embedding")
-    assert code == 0
-    assert "embedding.recovery\tPASS" in stdout
-
-
 def test_verify_concentration_suite(capsys):
     # every row is a deterministic function of seeds 0..999, so the table is
     # pinned whole: a change to how the suite counts its samples shows here
@@ -647,6 +660,21 @@ def test_predict_refuses_non_finite_model_numbers(tmp_path, capsys):
                                        "--in", str(strings_file))
         assert (code, stdout) == (2, ""), text
         assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("field, value", [("n_max", 2.5), ("master_seed", 7.9)])
+def test_predict_refuses_a_model_whose_integers_are_floats(tmp_path, capsys, ab, field, value):
+    # a float is refused, not truncated to the integer below it
+    params = json.dumps({**KernelParams(alphabet=ab, n_max=2).to_dict(), field: value})
+    path = tmp_path / "float.model"
+    path.write_text(f'model v1\nmeta {{"epochs_run": 1, "errors_per_epoch": [0], '
+                    f'"params": {params}}}\n1\tab\n', encoding="utf-8")
+    strings_file = tmp_path / "strings.txt"
+    strings_file.write_text("ab\nba\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "predict", "--model", str(path),
+                                   "--in", str(strings_file))
+    assert (code, stdout) == (2, "")
+    assert "integers" in stderr
 
 
 def test_predict_refuses_weights_whose_values_pass_the_float_range(tmp_path, capsys):
@@ -875,7 +903,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, parity, ab):
     queries = tmp_path / "queries.txt"
     queries.write_text("aa\nab\naba\n", encoding="utf-8")
     model = tmp_path / "m.model"
-    # kernel draws its master seed: that is no reason to load hashlib either
+    # kernel omits its master seed: that is no reason to load hashlib either
     exact = [
         ["kernel", "--mode", "exact", "--nmax", "3", "abab", "abba"],
         ["gram", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",

@@ -118,6 +118,18 @@ def test_exact_pn_equals_enumerated_fraction(ab):
             assert exact_pn(x, y, n, ab) == pn_by_enumeration(x, y, n, ab)
 
 
+def test_exact_pn_equals_enumeration_on_a_grid(ab):
+    # exact_pn counts each pair as a 1 x 1 block: every ordered pair of
+    # strings of length <= 3, against the oracle's joint-acceptance grid
+    strings = enumerate_strings(ab, 3)
+    for n in (1, 2, 3):
+        joint = joint_accept_count_grid(strings, n, ab)
+        space = dfa_space_size(n, 2)
+        for i, x in enumerate(strings):
+            for j, y in enumerate(strings):
+                assert exact_pn(x, y, n, ab) == Fraction(int(joint[i, j]), space), (x, y, n)
+
+
 def test_exact_kn_examples(ab):
     assert exact_kn("a", "b", 2, ab) == 24 == kn_by_enumeration("a", "b", 2, ab)
     assert exact_kn("a", "b", 1, ab) == 1 == kn_by_enumeration("a", "b", 1, ab)
@@ -1276,7 +1288,10 @@ def test_mc_gram_draws_one_sample_per_n(ab, monkeypatch):
 def test_mc_pn_reads_the_shared_sample(ab):
     # mc_pn and every Gram that contains the pair read the same counts
     m = hoeffding_samples(0.1, 0.05)
-    expected = mc_pn("ab", "ba", 1, m, ab, 5) + mc_pn("ab", "ba", 2, m, ab, 5)
+    a = {n: agreement_matrix(("ab", "ba"), n, ab, sample=(m, 5))[0][1] for n in (1, 2)}
+    for n in (1, 2):
+        assert mc_pn("ab", "ba", n, m, ab, 5) == (m + a[n]) / (4 * m)
+    expected = float(Fraction(m + a[1], 4 * m) + Fraction(m + a[2], 4 * m))
     for strings in (["ab", "ba"], ["", "ba", "a", "ab", "bb"]):
         gram = gram_matrix(strings, mc_params(ab, seed=5))
         assert gram.value(strings.index("ab"), strings.index("ba")) == expected

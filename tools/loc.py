@@ -1,4 +1,5 @@
-"""Print lines and code lines per module of src/regkernel, and their totals.
+"""Print lines and code lines per module of src/regkernel, and their totals,
+then the same table for the test modules under tests/.
 
 A code line holds at least one token that is not a comment, a blank line
 or part of a docstring (the string that opens a module, class or function
@@ -16,7 +17,7 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "regkernel"
+ROOT = Path(__file__).resolve().parent.parent
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -43,15 +44,24 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docs)
 
 
-def main() -> int:
+def table(directory: Path) -> None:
+    """Print one row per module of ``directory`` and a total row."""
+    paths = sorted(directory.glob("*.py"))
+    width = max(12, *(len(path.stem) + 1 for path in paths))
     total_lines = total_code = 0
-    print(f"{'module':<12}{'lines':>6}{'code':>6}")
-    for path in sorted(PACKAGE.glob("*.py")):
+    print(f"{'module':<{width}}{'lines':>6}{'code':>6}")
+    for path in paths:
         lines, code = count(path.read_text(encoding="utf-8"))
         total_lines += lines
         total_code += code
-        print(f"{path.stem:<12}{lines:>6}{code:>6}")
-    print(f"{'total':<12}{total_lines:>6}{total_code:>6}")
+        print(f"{path.stem:<{width}}{lines:>6}{code:>6}")
+    print(f"{'total':<{width}}{total_lines:>6}{total_code:>6}")
+
+
+def main() -> int:
+    table(ROOT / "src" / "regkernel")
+    print()
+    table(ROOT / "tests")
     return 0
 
 

@@ -10,8 +10,8 @@ exactly n**(n*k) * 2**n members.  The uniform sampler,
 stream.sample_dfas, reads the Monte Carlo kernel's own table stream.
 
 Enumerating every table (with numpy) and every DFA is the package's
-independent oracle for the kernel: the tests check both of the kernel's
-exact counters against it, and ``verify --suite bounds`` and the
+independent oracle for the kernel: the tests check the kernel's exact
+counter against it, and ``verify --suite bounds`` and the
 benchmark reference are computed from it.  TABLE_CAP bounds every
 enumeration here, and the kernel's exact path reads the same cap.  numpy
 is imported inside the oracle functions only, so importing this module
@@ -29,7 +29,8 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-# Upper bound on how many transition tables an exhaustive walk may touch.
+# Upper bound on the n**(n*k) transition tables of one state count that an
+# enumeration lists, or that an exact kernel term counts over.
 TABLE_CAP = 10_000_000
 
 COMMENT_CHAR = "#"
@@ -286,8 +287,8 @@ def _walk(cells: np.ndarray, encoded: Sequence[int]) -> np.ndarray:
 def kn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> int:
     """Oracle for kernel.exact_kn: literally walk every DFA and test both strings.
 
-    Much slower than exact_kn; exists so the lazy walk and the closed form
-    can be cross-checked against the definition.
+    Much slower than exact_kn; exists so the accessible-table counter and
+    the closed form can be cross-checked against the definition.
     """
     count = 0
     for dfa in enumerate_dfas(n, alphabet):

@@ -5,7 +5,8 @@ stdout, diagnostics to stderr.  Every run prints its fully resolved
 configuration (defaults filled in, master seed included) to stderr as a
 single ``config {...}`` line so outputs can be replayed exactly.
 
-Exit codes: 0 success, 2 usage or input error, 3 resource cap exceeded,
+Exit codes: 0 success, 1 stdout closed before the output was written
+(``cmd | head``), 2 usage or input error, 3 resource cap exceeded,
 4 verification failure.
 
 ``gram`` and ``train`` take the alphabet from their dataset's required
@@ -298,13 +299,23 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        raise  # a closed stdout is no input error: entry() ends the run
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 
 
 def entry() -> None:
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The recipe of Python's signal documentation: the streams are
+        # flushed again at exit, so stdout is pointed at devnull to keep
+        # that from raising too, and the exit code is 1, as on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     # At exit the interpreter runs full cyclic collections over every object
     # still alive (the standard library, site's modules, this package), whose
     # memory the OS takes back anyway.  Frozen objects are never collected, so

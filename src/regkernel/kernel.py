@@ -401,15 +401,15 @@ def kernel_block(
     min(|s|, n_max), lists for each n up to the block's n_top a matrix of
     counts over them: A_n over the first
     hoeffding_samples(epsilon, failure_prob) tables of n's stream in Monte
-    Carlo mode, and in exact mode A_n, or C_m over the accessible m-state
-    tables with the weights ``mix`` that give A_n, from the counter that
-    suits the block.  One value function (_value_function), built once per
-    block, then assembles each distinct pair once (only j >= i of a
-    symmetric block) from its identity term and its counts for
-    n = 1..n_used; with accessible counts, ``mix`` is folded into its
-    per-block integer constants.  plan.expand mirrors a symmetric block and
-    maps the distinct pairs back to the block's strings.  kernel_value,
-    gram_matrix and prediction all read their values from here.
+    Carlo mode, and in exact mode C_m over the accessible m-state tables,
+    with the weights ``mix`` that give A_n.  One value function
+    (_value_function), built once per block, then assembles each distinct
+    pair once (only j >= i of a symmetric block) from its identity term
+    and its counts for n = 1..n_used; in exact mode, ``mix`` is folded
+    into its per-block integer constants.  plan.expand mirrors a symmetric
+    block and maps the distinct pairs back to the block's strings.
+    kernel_value, gram_matrix and prediction all read their values from
+    here.
     """
     plan = count.BlockPlan(rows, cols, params.alphabet)  # validates every string
     row_lens = [min(len(s), params.n_max) for s in plan.row_ids]

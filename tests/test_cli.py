@@ -787,13 +787,17 @@ def test_gram_unwritable_sidecar_exits_2_before_any_kernel_work(tmp_path, capsys
 # cold start: each test runs in a fresh interpreter
 # ---------------------------------------------------------------------
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def run_fresh(*argv, cwd=None):
     """``python *argv`` in a fresh interpreter that imports from src/."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], env=fresh_env(), cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 LOADED = "print(json.dumps([m for m in ('numpy', 'concurrent.futures') if m in sys.modules]))"
@@ -1001,6 +1005,28 @@ def test_fresh_monte_carlo_gram_rerun_is_byte_identical(tmp_path, parity, ab):
         assert result.returncode == 0, result.stderr
         outputs.append((out.read_bytes(), (tmp_path / "mc.csv.meta.json").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_predict_into_a_closed_pipe_exits_1_quietly(tmp_path, ab):
+    # ``predict ... | head -1``: the reader closes stdout after one line.
+    # 150 KB of labels fill more than a pipe and the reader's buffer, so
+    # predict still has labels to write once the pipe is closed.
+    model = tmp_path / "m.model"
+    save_model(PerceptronModel(support=(("ab", 1),), params=KernelParams(alphabet=ab, n_max=1),
+                               epochs_run=1, errors_per_epoch=(0,)), model)
+    queries = tmp_path / "queries.txt"
+    queries.write_text("ab\n" * 50_000, encoding="utf-8")
+    argv = [sys.executable, "-m", "regkernel.cli", "predict", "--model", str(model),
+            "--in", str(queries)]
+    with subprocess.Popen(argv, env=fresh_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"+1\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    # no traceback, no "error:" and no "Exception ignored": the config line alone
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config "), stderr
 
 
 def test_fresh_sample_and_verify_psd_exit_0(tmp_path):

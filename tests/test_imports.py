@@ -122,13 +122,11 @@ def test_no_module_imports_a_worker_pool():
 
 
 # The private counters, and the functions of ``count`` allowed to name each:
-# block_counts picks a counter, and two counters call the one beneath them.
-COUNTERS = ("_walk_counts", "_walked_agreement_counts", "_accessible_agreement_counts",
-            "_sliced_agreement_counts")
+# block_counts counts a sample with the bit-sliced counter, or the
+# accessible tables with the counter that calls it in turn.
+COUNTERS = ("_accessible_agreement_counts", "_sliced_agreement_counts")
 CHAIN = {
-    "block_counts": {"_walked_agreement_counts", "_accessible_agreement_counts",
-                     "_sliced_agreement_counts"},
-    "_walked_agreement_counts": {"_walk_counts"},
+    "block_counts": {"_accessible_agreement_counts", "_sliced_agreement_counts"},
     "_accessible_agreement_counts": {"_sliced_agreement_counts"},
 }
 
@@ -170,34 +168,35 @@ def test_side_door_guard_sees_every_spelling():
     source = """
 from functools import partial
 from . import count
-from .count import _walk_counts
+from .count import _sliced_agreement_counts
 
 
-def exact(x, y, n, k):
-    return _walk_counts(x, y, n, k)
+def exact(plan, blocks):
+    return _sliced_agreement_counts(plan, blocks)
 
 
-def sampled(plan, m, draw):
-    return count._sliced_agreement_counts(plan, m, draw)
+def accessible(plan, n_top, k):
+    return count._accessible_agreement_counts(plan, n_top, k)
 
 
 class Counter:
-    def walk(self, plan):
-        return partial(count._walked_agreement_counts, plan)
+    def count(self, plan):
+        return partial(count._sliced_agreement_counts, plan)
 
 
 LATER = count._accessible_agreement_counts
 
 
-def block_counts(plan):
-    return _walk_counts(plan)
+def _sliced_agreement_counts(plan):
+    return count._accessible_agreement_counts(plan)
 """
     assert side_doors("kernel", source) == {
-        "kernel.exact": ["_walk_counts"],
-        "kernel.sampled": ["_sliced_agreement_counts"],
-        "kernel.Counter": ["_walked_agreement_counts"],
+        "kernel.exact": ["_sliced_agreement_counts"],
+        "kernel.accessible": ["_accessible_agreement_counts"],
+        "kernel.Counter": ["_sliced_agreement_counts"],
         "kernel.<module>": ["_accessible_agreement_counts"],
-        "kernel.block_counts": ["_walk_counts"],
+        "kernel._sliced_agreement_counts": ["_accessible_agreement_counts"],
     }
-    # in count, block_counts may pick a counter but not reach the walk itself
-    assert side_doors("count", source)["count.block_counts"] == ["_walk_counts"]
+    # in count, the chain may name only the counter beneath each link
+    assert side_doors("count", source)["count._sliced_agreement_counts"] == [
+        "_accessible_agreement_counts"]

@@ -53,17 +53,6 @@ def agreement(x, y, n, alphabet):
     return agreement_matrix([x], n, alphabet, [y])[0][0]
 
 
-def walked_counts(x, y, n_top, alphabet):
-    """[A_1, ..., A_n_top] of one pair from the lazy walk, which a zero
-    exhaustive limit forces: block_counts with both strings at depth n_top."""
-    plan = count.BlockPlan([x], [y], alphabet)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(count, "_EXHAUSTIVE_LIMIT", 0)
-        per_size, mix = count.block_counts(plan, [n_top], [n_top], len(alphabet))
-    assert mix is None
-    return [a[0][0] for a in per_size]
-
-
 def reference_value(same, counts, params, m=None):
     """Independent kernel value of a pair from its identity term and its
     agreement counts A_1..A_n_used, out of all n**(n*k) tables (m None) or
@@ -163,7 +152,7 @@ def test_cap_error_propagates(ab):
 
 
 def test_agreement_count_matches_grid_all_short_pairs(ab):
-    # the lazy walk against full table enumeration, every pair up to length 4
+    # 1 x 1 blocks against full table enumeration, every pair up to length 4
     strings = enumerate_strings(ab, 4)
     for n in (1, 2, 3):
         grid = agreement_count_grid(strings, n, ab)
@@ -200,42 +189,21 @@ def test_agreement_count_symmetric_and_bounded(x, y, n):
     assert 0 <= a <= n ** (2 * n)
 
 
-def test_agreement_counts_match_grid_all_short_pairs(ab):
-    # one walk at n = 3 against full table enumeration at every n <= 3
-    strings = enumerate_strings(ab, 4)
-    grids = [agreement_count_grid(strings, n, ab) for n in (1, 2, 3)]
-    for i, x in enumerate(strings):
-        for j, y in enumerate(strings):
-            assert walked_counts(x, y, 3, ab) == [g[i, j] for g in grids], (x, y)
-
-
-def test_agreement_counts_match_oracle_larger_n(ab):
-    for x, y in [("ababa", "abbaa"), ("aab", "bba"), ("abab", "")]:
-        assert walked_counts(x, y, 4, ab) == [brute_agreement(x, y, n) for n in (1, 2, 3, 4)]
-    assert walked_counts("ababa", "abbaa", 5, ab)[-1] == 4305125
-
-
-def test_agreement_counts_match_grid_three_symbols():
-    # the last-step shortcut against full table enumeration over k = 3
-    abc = Alphabet(("a", "b", "c"))
-    strings = enumerate_strings(abc, 3)
-    grids = [agreement_count_grid(strings, n, abc) for n in (1, 2)]
-    for i, x in enumerate(strings):
-        for j, y in enumerate(strings):
-            assert walked_counts(x, y, 2, abc) == [g[i, j] for g in grids], (x, y)
-
-
 @pytest.mark.parametrize("x, y", [
     ("", ""), ("", "abba"), ("abba", ""),            # x or y empty
     ("abab", "ab"), ("abb", "a"),                   # y a prefix of x
     ("ab", "abab"), ("a", "abba"),                  # x a prefix of y
-    ("aa", "a"), ("aba", "ab"), ("ba", "bb"),       # y's last cell assigned by x
-    ("a", "aa"), ("ab", "bab"),                     # ... or by y, on some branches
+    ("aa", "a"), ("aba", "ab"), ("ba", "bb"),       # y's last cell read by x
+    ("a", "aa"), ("ab", "bab"),                     # ... or by y itself, on some tables
 ])
 def test_agreement_counts_last_step_edge_cases(ab, x, y):
+    # one block_counts call at depth 3 folds its accessible counts into
+    # A_1, A_2 and A_3 of the 1 x 1 block, in either order
     grids = [agreement_count_grid([x, y], n, ab) for n in (1, 2, 3)]
-    assert walked_counts(x, y, 3, ab) == [g[0, 1] for g in grids]
-    assert walked_counts(y, x, 3, ab) == [g[1, 0] for g in grids]
+    for left, right, i, j in ((x, y, 0, 1), (y, x, 1, 0)):
+        per_size, mix = count.block_counts(count.BlockPlan([left], [right], ab), [3], [3], 2)
+        assert [sum(w * c[0][0] for w, c in zip(weights, per_size)) for weights in mix] == [
+            g[i, j] for g in grids]
 
 
 def test_agreement_counts_cap_checked_at_n_top(ab, monkeypatch):
@@ -259,23 +227,9 @@ def test_agreement_counts_cap_checked_at_n_top(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a counter ran before the cap check")
 
-    for name in ("_sliced_agreement_counts", "_walk_counts"):
-        monkeypatch.setattr(count, name, refuse)
+    monkeypatch.setattr(count, "_sliced_agreement_counts", refuse)
     with pytest.raises(CapExceededError):
         agreement_matrix(["a", "b"], 6, ab)
-
-
-@given(
-    x=st.text(alphabet="ab", max_size=5),
-    y=st.text(alphabet="ab", max_size=5),
-    n=st.integers(1, 4),
-    extra=st.integers(0, 3),
-)
-@settings(max_examples=40, deadline=None)
-def test_agreement_counts_prefix_does_not_depend_on_n_top(x, y, n, extra):
-    ab = Alphabet(("a", "b"))
-    top = min(4, n + extra)
-    assert walked_counts(x, y, top, ab)[n - 1] == walked_counts(x, y, n, ab)[-1]
 
 
 # ---------------------------------------------------------------------
@@ -288,7 +242,8 @@ def permute(s: str, alphabet: Alphabet, perm: tuple[str, ...]) -> str:
 
 @pytest.mark.parametrize("symbols,max_len,n_top", [("ab", 4, 3), ("abc", 3, 2)])
 def test_enumerated_agreement_invariant_under_symbol_permutation(symbols, max_len, n_top):
-    # the math the exact memo relies on, checked on the enumeration oracle
+    # the symmetry a memo of exact counts by class of pair would rest on,
+    # checked on the enumeration oracle
     alphabet = Alphabet(tuple(symbols))
     strings = enumerate_strings(alphabet, max_len)
     for n in range(1, n_top + 1):
@@ -312,51 +267,6 @@ def test_exact_gram_equals_per_pair_kernel_value_three_symbols(scaling, weights)
             kv = kernel_value(x, y, params)
             assert gram.value(i, j) == kv.value, (x, y)
             assert type(gram.value(i, j)) is type(kv.value)
-
-
-def test_exact_gram_walks_each_canonical_pair_once(ab, monkeypatch):
-    from regkernel import count
-
-    calls = []
-    original = count._walk_counts
-
-    def counting(x, y, n_top, k):
-        calls.append((tuple(x), tuple(y), n_top))
-        return original(x, y, n_top, k)
-
-    monkeypatch.setattr(count, "_walk_counts", counting)
-    # at n_max 5 the block's n_top is 5, and 5**10 tables are above the
-    # exhaustive limit, so every class is walked
-    strings = enumerate_strings(ab, 3) + ["ababa", "babab"]
-    assert count.table_count(5, 2) > count._EXHAUSTIVE_LIMIT
-    gram_matrix(strings, KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="paper"))
-    # The 16 non-empty strings make 136 unordered pairs with n_used >= 1.
-    # Swapping a and b fixes none of them and pairs them into orbits, except
-    # the 8 pairs {x, swapped x} that it maps to themselves: (136 + 8) / 2.
-    assert len(calls) == 72
-    assert len(set(calls)) == 72
-
-
-def test_walk_gram_runs_on_the_callers_thread(ab, monkeypatch):
-    import threading
-
-    from regkernel import count
-
-    threads = []
-    original = count._walk_counts
-
-    def recording(x, y, n_top, k):
-        threads.append(threading.get_ident())
-        return original(x, y, n_top, k)
-
-    monkeypatch.setattr(count, "_walk_counts", recording)
-    # the two length-5 strings lift the block's n_top to 5, above the limit
-    strings = enumerate_strings(ab, 2) + ["ababa", "babab"]
-    params = KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="paper")
-    assert count.table_count(5, 2) > count._EXHAUSTIVE_LIMIT
-    threaded = gram_matrix(strings, params, jobs=2)
-    assert threads and set(threads) == {threading.get_ident()}
-    assert threaded.values == gram_matrix(strings, params, jobs=1).values
 
 
 # ---------------------------------------------------------------------
@@ -411,7 +321,7 @@ def test_exhaustive_counts_match_walk(data, symbols):
     x = data.draw(st.text(alphabet=symbols, max_size=6))
     y = data.draw(st.text(alphabet=symbols, max_size=6))
     n = data.draw(st.integers(1, 4 if symbols == "ab" else 3))
-    a = walked_counts(x, y, n, alphabet)[-1]
+    a = agreement_count_grid([x, y], n, alphabet)[0, 1]
     counts = agreement_matrix([x, y], n, alphabet)
     assert counts[0][1] == counts[1][0] == a
     # a string agrees with itself on every table
@@ -424,34 +334,33 @@ def test_exhaustive_counts_match_walk(data, symbols):
 ])
 def test_exhaustive_block_matches_walk_per_pair(ab, scaling, weights):
     # cross and symmetric blocks with duplicate strings, and pairs whose
-    # n_used (1, 2, 3) is below the block's n_top of 4
-    from regkernel.count import _EXHAUSTIVE_LIMIT
-    from regkernel.kernel import kernel_block, table_count
+    # n_used (1, 2, 3) is below the block's n_top of 4, against the counts
+    # of the enumeration oracle
+    from regkernel.kernel import kernel_block
 
-    assert table_count(4, 2) <= _EXHAUSTIVE_LIMIT
     params = KernelParams(alphabet=ab, n_max=4, mode="exact", scaling=scaling, weights=weights)
     rows = ["abab", "", "a", "abab", "bba", "ba", "babba"]
     cols = ["ab", "abab", "b", "", "ab", "aabbb", "bbbb"]
+    strings = sorted({*rows, *cols})
+    index = {s: i for i, s in enumerate(strings)}
+    grids = [agreement_count_grid(strings, n, ab) for n in (1, 2, 3, 4)]
 
-    def walked(x, y):
+    def enumerated(x, y):
         n_used = min(len(x), len(y), 4)
-        counts = walked_counts(x, y, n_used, ab) if n_used else []
+        counts = [int(g[index[x], index[y]]) for g in grids[:n_used]]
         return reference_value(int(x == y), counts, params)
 
     for block, left, right in [(kernel_block(rows, cols, params), rows, cols),
                                (kernel_block(rows, None, params), rows, rows)]:
-        expected = [[walked(x, y) for y in right] for x in left]
+        expected = [[enumerated(x, y) for y in right] for x in left]
         assert block == expected
         assert [type(v) for line in block for v in line] == [
             type(v) for line in expected for v in line]
 
 
-def test_exact_block_below_limit_makes_no_walk(ab, monkeypatch):
+def test_exact_tables_built_once_per_process(ab, monkeypatch):
     from regkernel import count
-    from regkernel.learner import PerceptronModel, decision_values
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a walk below the exhaustive limit")
+    from regkernel.learner import _QUERY_CHUNK, PerceptronModel, decision_values
 
     built = []
     real = count.accessible_tables
@@ -460,26 +369,28 @@ def test_exact_block_below_limit_makes_no_walk(ab, monkeypatch):
         built.append((m, k))
         return real(m, k)
 
-    monkeypatch.setattr(count, "_walk_counts", refuse)
     monkeypatch.setattr(count, "accessible_tables", counting)
-    count._accessible_parts.cache_clear()
-    params = KernelParams(alphabet=ab, n_max=4, mode="exact", scaling="paper")
+    count._accessible_blocks.cache_clear()
+    params = KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="paper")
     strings = enumerate_strings(ab, 5)
-    # the accessible tables of m = 1..4 states are built once, on first use,
-    # and serve every later block of the process
-    expected = [(1, 2), (2, 2), (3, 2), (4, 2)]
-    gram_matrix(strings, params, jobs=2)
+    # the accessible tables of m = 1..5 states are built and cut once, on
+    # first use, and serve every later block of the process: the Gram, and
+    # each chunk of queries of a prediction
+    expected = [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]
+    gram_matrix(strings, params)
     assert built == expected
     model = PerceptronModel(support=(("abab", 1), ("ba", -1), ("bbbba", 2)), params=params,
                             epochs_run=1, errors_per_epoch=(0,))
-    decision_values(model, strings)
+    queries = enumerate_strings(ab, 8)
+    assert len(queries) > _QUERY_CHUNK
+    decision_values(model, queries)
     assert built == expected
 
 
 def test_value_function_built_once_per_block(ab, monkeypatch):
-    # the walk, the accessible counter and the stream each feed one value
-    # function per block, however many pairs or classes the block holds
-    from regkernel import count, kernel
+    # the accessible tables and the stream each feed one value function per
+    # block, however many pairs the block holds
+    from regkernel import kernel
 
     built = []
     real = kernel._value_function
@@ -489,11 +400,10 @@ def test_value_function_built_once_per_block(ab, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kernel, "_value_function", counting)
-    walked = KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="normalized",
-                          weights=(0.5, 1.0, 2.0, 0.25, 3.0))
-    assert kernel.table_count(5, 2) > count._EXHAUSTIVE_LIMIT
+    deep = KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="normalized",
+                        weights=(0.5, 1.0, 2.0, 0.25, 3.0))
     for strings, params in [
-        (["aaaaa", "ababa", "abbab", "bbbab", "babba"], walked),
+        (["aaaaa", "ababa", "abbab", "bbbab", "babba"], deep),
         (enumerate_strings(ab, 3), KernelParams(alphabet=ab, n_max=4, mode="exact")),
         (enumerate_strings(ab, 3), mc_params(ab)),
     ]:
@@ -503,9 +413,7 @@ def test_value_function_built_once_per_block(ab, monkeypatch):
 
 
 def test_walk_gram_encodes_each_string_once(ab, monkeypatch):
-    # the plan encodes every string; the walk reads its codes
-    from regkernel import count
-
+    # the plan encodes every string once, and the counter walks its tries
     encoded = []
     real = Alphabet.encode
 
@@ -515,7 +423,6 @@ def test_walk_gram_encodes_each_string_once(ab, monkeypatch):
 
     monkeypatch.setattr(Alphabet, "encode", counting)
     strings = enumerate_strings(ab, 5)
-    assert count.table_count(5, 2) > count._EXHAUSTIVE_LIMIT
     gram_matrix(strings, KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="paper"))
     assert sorted(encoded) == sorted(strings)
 
@@ -570,7 +477,7 @@ def test_accessible_table_counts_known_answer():
     # initially connected automata over 2 and 3 symbols (Liskovets 1969)
     from regkernel.count import accessible_tables
 
-    assert [accessible_tables(m, 2)[0] for m in range(1, 5)] == [1, 12, 216, 5248]
+    assert [accessible_tables(m, 2)[0] for m in range(1, 6)] == [1, 12, 216, 5248, 160675]
     assert [accessible_tables(m, 3)[0] for m in range(1, 4)] == [1, 56, 7965]
 
 
@@ -837,9 +744,9 @@ def test_kernel_cap_checked_before_any_term(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was evaluated before the cap check")
 
-    # every term is counted by the walk or the bit-sliced counter, then
-    # valued by the block's value function
-    for name in ("count._walk_counts", "count._sliced_agreement_counts", "kernel._value_function"):
+    # every term is counted by the bit-sliced counter, then valued by the
+    # block's value function
+    for name in ("count._sliced_agreement_counts", "kernel._value_function"):
         monkeypatch.setattr(f"regkernel.{name}", refuse)
     params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
     with pytest.raises(CapExceededError, match="monte-carlo"):

@@ -283,9 +283,9 @@ def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was evaluated before the cap check")
 
-    # every term is counted by the walk or the bit-sliced counter, then
-    # valued by the block's value function
-    for name in ("count._walk_counts", "count._sliced_agreement_counts", "kernel._value_function"):
+    # every term is counted by the bit-sliced counter, then valued by the
+    # block's value function
+    for name in ("count._sliced_agreement_counts", "kernel._value_function"):
         monkeypatch.setattr(f"regkernel.{name}", refuse)
     model = PerceptronModel(
         support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
@@ -303,7 +303,7 @@ def test_exact_cap_refused_before_the_first_chunk_counts(ab, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was evaluated before the cap check")
 
-    for name in ("count._walk_counts", "count._sliced_agreement_counts", "kernel._value_function"):
+    for name in ("count._sliced_agreement_counts", "kernel._value_function"):
         monkeypatch.setattr(f"regkernel.{name}", refuse)
     model = PerceptronModel(
         support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,

@@ -246,7 +246,8 @@ def block_counts(
                 for n in range(1, n_top + 1) if n == n_top or not top_only], None
     check_table_cap(n_top, k)
     mix = [accessible_weights(n, k) for n in range(1, n_top + 1)]
-    return _accessible_agreement_counts(plan, n_top, k), mix
+    return [_sliced_agreement_counts(plan, _accessible_blocks(m, k, stream._BLOCK_SAMPLES))
+            for m in range(1, n_top + 1)], mix
 
 
 def agreement_matrix(
@@ -281,10 +282,11 @@ def agreement_matrix(
 # ---------------------------------------------------------------------------
 
 
-def accessible_tables(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+def accessible_tables(m: int, k: int) -> tuple[int, list[list[list[int]]]]:
     """(count, parts): every accessible m-state table over k symbols in
     canonical labelling, bit-sliced as in draw_table_block: bit t of
-    parts[q][c][r] is set when table t maps state q on symbol c to r.
+    parts[q][c][r] is set when table t maps state q on symbol c to r.  The
+    lists are the caller's: _accessible_blocks cuts them in place.
 
     Canonical means: scanning the cells (q, c) in rank order, each holds an
     earlier label or the next new one, and label q appears before row q is
@@ -329,7 +331,7 @@ def accessible_tables(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...],
             for i in range(size):
                 cell[low + i] |= ((tiled << (i * run)) & full) << count
         count += group
-    return count, tuple(tuple(tuple(masks[q * k + c]) for c in range(k)) for q in range(m))
+    return count, [masks[q * k : (q + 1) * k] for q in range(m)]
 
 
 def _cut(mask: int, width: int, blocks: int) -> list[int]:
@@ -350,12 +352,16 @@ def _accessible_blocks(m: int, k: int, width: int) -> tuple[Block, ...]:
     blocks the counter reads: block b holds tables b*width onwards, as
     (size, parts) bit-sliced as in draw_table_block.  Built and cut once
     per process for each (m, k, width), the width being
-    stream._BLOCK_SAMPLES when called; only the cut tables are kept."""
+    stream._BLOCK_SAMPLES when called.  Each mask is cut in place and its
+    full width dropped at once, so the build holds about one copy of the
+    tables, and only the cut tables are kept."""
     count, parts = accessible_tables(m, k)
     sizes = [min(width, count - lo) for lo in range(0, count, width)]
-    cut = [[[_cut(mask, width, len(sizes)) for mask in cell] for cell in row] for row in parts]
+    for cell in itertools.chain.from_iterable(parts):
+        for r in range(m):
+            cell[r] = _cut(cell[r], width, len(sizes))
     return tuple((size, tuple(tuple(tuple(masks[b] for masks in cell) for cell in row)
-                              for row in cut))
+                              for row in parts))
                  for b, size in enumerate(sizes))
 
 
@@ -376,10 +382,3 @@ def accessible_weights(n: int, k: int) -> tuple[int, ...]:
     for the process, like the tables they weigh."""
     return tuple(_completions(n, k, m, m * k) for m in range(1, n + 1))
 
-
-def _accessible_agreement_counts(plan: BlockPlan, n_top: int, k: int) -> list[list[list[int]]]:
-    """[C_1, ..., C_n_top]: C_m lists, for distinct row i and distinct
-    column j of the plan, the accessible m-state tables on which both end
-    in the same state, counted by _sliced_agreement_counts."""
-    return [_sliced_agreement_counts(plan, _accessible_blocks(m, k, stream._BLOCK_SAMPLES))
-            for m in range(1, n_top + 1)]

@@ -275,6 +275,31 @@ def test_parse_malformed_header():
         parse_dfa("dfa v2\nstates 1\n")
 
 
+HEADER = "dfa v1\nstates 1\nalphabet ab\nstart 0\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("dfa v1\n", 1, "unexpected end of input, expected 'states <n>'"),
+    ("dfa v1\nstates two\n", 2, "malformed states line: 'states two'"),
+    ("dfa v1\nstates 0\n", 2, "state count must be >= 1, got 0"),
+    ("dfa v1\nstates 1\nalphabet a b\n", 3, "malformed alphabet line: 'alphabet a b'"),
+    ("dfa v1\nstates 1\nalphabet aa\n", 3, "alphabet has duplicate symbols: 'aa'"),
+    ("dfa v1\nstates 1\nalphabet ab\nbegin 0\n", 4, "malformed start line: 'begin 0'"),
+    (HEADER + "accepting 0\n", 5, "malformed accept line: 'accepting 0'"),
+    (HEADER + "accept x\n", 5, "malformed accepting state id 'x'"),
+    (HEADER + "accept 1\n", 5, "accepting state 1 outside states 0..0"),
+    (HEADER + "accept\ntrans 0 a\n", 6, "malformed transition line: 'trans 0 a'"),
+    (HEADER + "accept\ntrans 0 a x\n", 6, "malformed transition line: 'trans 0 a x'"),
+    (HEADER + "accept\ntrans 1 a 0\n", 6, "source state 1 outside states 0..0"),
+], ids=["end", "states", "states-zero", "alphabet", "alphabet-duplicate", "start", "accept",
+        "accept-id", "accept-range", "trans-fields", "trans-state", "trans-source"])
+def test_parse_refusals_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as caught:
+        parse_dfa(text)
+    assert caught.value.line == line
+    assert str(caught.value) == f"line {line}: {message}"
+
+
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_serialize_parse_round_trip_random(data):

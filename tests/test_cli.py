@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from regkernel import KernelParams, label_strings, enumerate_strings, parse_dfa
+from regkernel import Alphabet, Dfa, KernelParams, label_strings, enumerate_strings, parse_dfa
 from regkernel.cli import main
 from regkernel.learner import PerceptronModel, dataset_to_text, load_model, predict, save_model
 
@@ -569,18 +569,6 @@ def test_config_line_is_replayable_json(capsys):
     assert config["command"] == "kernel"
 
 
-def test_cli_start_does_not_import_scipy():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    code = (
-        "import sys; import regkernel.cli as c; c.build_parser(); "
-        "sys.exit(1 if 'scipy' in sys.modules else 0)"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
-    assert result.returncode == 0, "importing the CLI loaded scipy"
-
-
 # ---------------------------------------------------------------------
 # format versions
 # ---------------------------------------------------------------------
@@ -787,11 +775,13 @@ def test_gram_unwritable_sidecar_exits_2_before_any_kernel_work(tmp_path, capsys
 # cold start: each test runs in a fresh interpreter
 # ---------------------------------------------------------------------
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def fresh_env():
     """The environment of a fresh interpreter that imports from src/."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
 
 
 def run_fresh(*argv, cwd=None):
@@ -800,183 +790,103 @@ def run_fresh(*argv, cwd=None):
                           capture_output=True, text=True, timeout=120)
 
 
-LOADED = "print(json.dumps([m for m in ('numpy', 'concurrent.futures') if m in sys.modules]))"
-
-
-@pytest.mark.parametrize("setup", ["import regkernel",
-                                   "import regkernel.cli as c; c.build_parser()"])
-def test_import_loads_neither_numpy_nor_thread_pool(setup):
-    result = run_fresh("-c", f"import json, sys; {setup}; {LOADED}")
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == []
-
-
-def test_exact_commands_never_load_numpy(tmp_path, parity, ab):
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
-    queries = tmp_path / "queries.txt"
-    queries.write_text("aa\nab\naba\n", encoding="utf-8")
-    model = tmp_path / "m.model"
-    runs = [
-        ["kernel", "--mode", "exact", "--nmax", "3", "--seed", "0", "abab", "abba"],
-        ["gram", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
-         "--out", str(tmp_path / "g.csv")],
-        ["train", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
-         "--out", str(model)],
-        ["predict", "--model", str(model), "--in", str(queries)],
-    ]
-    code = ("import json, sys; from regkernel.cli import main; "
-            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-            f"print(json.dumps(codes)); {LOADED}")
-    result = run_fresh("-c", code, json.dumps(runs))
-    assert result.returncode == 0, result.stderr
-    *_, codes, loaded = result.stdout.splitlines()
-    assert json.loads(codes) == [0, 0, 0, 0]
-    assert json.loads(loaded) == []
-
-
-def test_monte_carlo_commands_never_load_numpy(tmp_path, parity, ab):
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
-    queries = tmp_path / "queries.txt"
-    queries.write_text("aa\nab\naba\n", encoding="utf-8")
-    model = tmp_path / "m.model"
-    flags = ["--mode", "mc", "--nmax", "3", "--seed", "0"]
-    runs = [
-        ["sample", "--states", "3", "--count", "2", "--seed", "0",
-         "--out", str(tmp_path / "dfas")],
-        ["kernel", *flags, "abab", "abba"],
-        ["gram", "--dataset", str(dataset), *flags, "--out", str(tmp_path / "g.csv")],
-        ["train", "--dataset", str(dataset), *flags, "--out", str(model)],
-        ["predict", "--model", str(model), "--in", str(queries)],
-    ]
-    code = ("import json, sys; from regkernel.cli import main; "
-            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-            f"print(json.dumps(codes)); {LOADED}")
-    result = run_fresh("-c", code, json.dumps(runs))
-    assert result.returncode == 0, result.stderr
-    *_, codes, loaded = result.stdout.splitlines()
-    assert json.loads(codes) == [0, 0, 0, 0, 0]
-    assert json.loads(loaded) == []
-    assert model.read_text(encoding="utf-8").startswith("model v4\n")
-
-
-def test_verify_concentration_never_loads_numpy():
-    code = ("import json, sys; from regkernel.cli import main; "
-            f"code = main(['verify', '--suite', 'concentration']); print(code); {LOADED}")
-    result = run_fresh("-c", code)
-    assert result.returncode == 0, result.stderr
-    *_, code, loaded = result.stdout.splitlines()
-    assert code == "0"
-    assert json.loads(loaded) == []
-
-
-def fresh_modules(code, *args):
-    """The names in sys.modules after ``code`` runs in a fresh interpreter."""
-    report = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    result = run_fresh("-c", code + report, *args)
-    assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout.splitlines()[-1]))
-
-
-# what ``python -m regkernel.cli --help`` runs
-HELP = """import runpy, sys
-sys.argv[1:] = ["--help"]
-try:
-    runpy.run_module("regkernel.cli", run_name="__main__", alter_sys=True)
-except SystemExit as e:
-    assert e.code == 0, e.code
+# Prefixed to each run's code: at exit, after the console entry's
+# gc.freeze() and sys.exit(), the names in sys.modules are printed as the
+# last line of stderr.
+REPORT = """import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))
 """
-# main runs each argv list of sys.argv[1] (JSON), and every run must exit 0
-RUN_COMMANDS = """import json, sys
-from regkernel.cli import main
-runs = json.loads(sys.argv[1])
-assert [main(argv) for argv in runs] == [0] * len(runs)
-"""
+# what ``python -m regkernel.cli *sys.argv[1:]`` runs: the console entry
+CONSOLE = 'runpy.run_module("regkernel.cli", run_name="__main__", alter_sys=True)'
+
+PACKAGE = {f"regkernel.{p.stem}" for p in (SRC / "regkernel").glob("*.py")} - {
+    "regkernel.__init__"}
+# no run loads a worker pool, scipy (a test dependency) or secrets (with
+# hmac: an omitted seed comes from random.SystemRandom)
+NEVER = {"concurrent.futures", "scipy", "secrets"}
+# records are plain classes and values integer ratios, so dataclasses
+# (inspect) and fractions (decimal) would only slow a command's start, as
+# numpy would; only verify loads them, with the embedding and its suites
+MONTE_CARLO = NEVER | {"numpy", "dataclasses", "inspect", "fractions", "decimal",
+                       "regkernel.embedding", "regkernel.verify"}
+# hashlib is the Monte Carlo stream's, for SHAKE-256
+EXACT = MONTE_CARLO | {"hashlib"}
+# importing the package, building the parser or printing --help
+COLD = EXACT | PACKAGE
 
 
-@pytest.mark.parametrize("code", ["import regkernel.cli as c; c.build_parser()", HELP],
-                         ids=["build_parser", "help"])
-def test_cold_start_loads_no_other_module_of_the_package(code):
-    bare = fresh_modules("pass")
-    loaded = fresh_modules(code)
-    assert {m for m in loaded if m.startswith("regkernel.")} <= {"regkernel.cli"}
-    assert not ({"dataclasses", "fractions", "hashlib", "secrets"} - bare) & loaded
+def kernel_commands(mode, flags):
+    """The four kernel commands of one mode, run in the table's directory."""
+    return {
+        "kernel": ["kernel", *flags, "abab", "abba"],
+        "gram": ["gram", "--dataset", "parity.tsv", *flags, "--out", f"{mode}.csv"],
+        "train": ["train", "--dataset", "parity.tsv", *flags, "--out", f"{mode}-trained.model"],
+        "predict": ["predict", "--model", f"{mode}.model", "--in", "queries.txt"],
+    }
 
 
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, parity, ab):
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
-    queries = tmp_path / "queries.txt"
-    queries.write_text("aa\nab\naba\n", encoding="utf-8")
-    model = tmp_path / "m.model"
-    # kernel omits its master seed: that is no reason to load hashlib either
-    exact = [
-        ["kernel", "--mode", "exact", "--nmax", "3", "abab", "abba"],
-        ["gram", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
-         "--out", str(tmp_path / "g.csv")],
-        ["train", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
-         "--out", str(model)],
-        ["predict", "--model", str(model), "--in", str(queries)],
-    ]
-    monte_carlo = [["gram", "--dataset", str(dataset), "--mode", "mc", "--nmax", "3",
-                    "--seed", "0", "--out", str(tmp_path / "mc.csv")]]
-    bare = fresh_modules("pass")
-    loaded = fresh_modules(RUN_COMMANDS, json.dumps(exact))
-    assert not ({"hashlib"} - bare) & loaded
-    assert not {"regkernel.embedding", "regkernel.verify"} & loaded
-    loaded = fresh_modules(RUN_COMMANDS, json.dumps(monte_carlo))
-    assert "hashlib" in loaded
-    assert not {"regkernel.embedding", "regkernel.verify"} & loaded
+# Each row runs in a fresh interpreter, in the directory of the cold_start
+# fixture, and must exit 0: its code, or the console entry with its argv.
+# It must load the modules of ``loads``, none of ``never`` that a bare
+# interpreter has not loaded, and print ``prints`` to stdout.
+MODULE_LOADS = [
+    pytest.param("import regkernel", {"regkernel"}, COLD, "", id="import"),
+    pytest.param("import regkernel.cli as c; c.build_parser()", {"regkernel.cli"},
+                 COLD - {"regkernel.cli"}, "", id="build_parser"),
+    # the console entry runs cli as __main__, never as regkernel.cli
+    pytest.param(["--help"], {"regkernel"}, COLD, "", id="help"),
+    *[pytest.param(argv, {"regkernel.count"}, EXACT, "", id=f"{command}-exact")
+      for command, argv in kernel_commands("exact", ["--nmax", "3"]).items()],
+    pytest.param(["sample", "--states", "2", "--count", "2", "--seed", "3", "--out", "dfas"],
+                 {"regkernel.stream", "hashlib"},
+                 MONTE_CARLO | {"regkernel.count", "regkernel.kernel"},
+                 "dfas/dfa_0000.dfa\ndfas/dfa_0001.dfa\n", id="sample"),
+    *[pytest.param(argv, {"regkernel.count", "hashlib"}, MONTE_CARLO, "", id=f"{command}-mc")
+      for command, argv in kernel_commands(
+          "monte-carlo", ["--mode", "mc", "--nmax", "3", "--seed", "0"]).items()],
+    pytest.param(["verify", "--suite", "concentration"], {"regkernel.verify"},
+                 NEVER | {"numpy"}, "", id="verify-concentration"),
+    pytest.param(["verify", "--suite", "psd"], {"numpy"}, NEVER, "psd.min_eigenvalue\tPASS",
+                 id="verify-psd"),
+]
 
 
-def test_sample_loads_the_stream_but_no_kernel(tmp_path):
-    sample = [["sample", "--states", "2", "--count", "2", "--seed", "3",
-               "--out", str(tmp_path / "dfas")]]
-    loaded = fresh_modules(RUN_COMMANDS, json.dumps(sample))
-    assert "regkernel.stream" in loaded
-    assert not {"regkernel.kernel", "regkernel.count"} & loaded
+def fresh_modules(code, *args, cwd=None):
+    """The finished run of ``code`` with ``args`` in a fresh interpreter,
+    and the names in its sys.modules at exit."""
+    result = run_fresh("-c", REPORT + code, *args, cwd=cwd)
+    return result, set(json.loads(result.stderr.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("command", ["kernel", "gram", "train", "predict"])
-def test_exact_command_loads_the_counters_but_no_hashlib(tmp_path, parity, ab, command):
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
-    model = tmp_path / "m.model"
-    save_model(PerceptronModel(support=(("ab", 1), ("a", -1)),
-                               params=KernelParams(alphabet=ab, n_max=3),
-                               epochs_run=1, errors_per_epoch=(0,)), model)
-    queries = tmp_path / "queries.txt"
-    queries.write_text("aa\nab\naba\n", encoding="utf-8")
-    argv = {
-        "kernel": ["kernel", "--mode", "exact", "--nmax", "3", "abab", "abba"],
-        "gram": ["gram", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
-                 "--out", str(tmp_path / "g.csv")],
-        "train": ["train", "--dataset", str(dataset), "--nmax", "3", "--seed", "0",
-                  "--out", str(tmp_path / "t.model")],
-        "predict": ["predict", "--model", str(model), "--in", str(queries)],
-    }[command]
-    bare = fresh_modules("pass")
-    loaded = fresh_modules(RUN_COMMANDS, json.dumps([argv]))
-    assert "regkernel.count" in loaded
-    assert not ({"hashlib"} - bare) & loaded
+@pytest.fixture(scope="module")
+def bare_modules():
+    return fresh_modules("")[1]
 
 
-@pytest.mark.parametrize("mode", ["exact", "mc"])
-def test_kernel_commands_load_no_dataclasses_or_fractions(tmp_path, parity, ab, mode):
-    # records are plain classes and values integer ratios: importing
-    # dataclasses (inspect) or fractions (decimal) would only slow the start
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
-    queries = tmp_path / "queries.txt"
-    queries.write_text("aa\nab\naba\n", encoding="utf-8")
-    model = tmp_path / "m.model"
-    flags = ["--mode", mode, "--nmax", "3", "--seed", "0"]
-    runs = [
-        ["gram", "--dataset", str(dataset), *flags, "--out", str(tmp_path / "g.csv")],
-        ["train", "--dataset", str(dataset), *flags, "--out", str(model)],
-        ["predict", "--model", str(model), "--in", str(queries)],
-    ]
-    if mode == "exact":
-        runs.insert(0, ["kernel", *flags, "abab", "abba"])
-    bare = fresh_modules("pass")
-    loaded = fresh_modules(RUN_COMMANDS, json.dumps(runs))
-    assert not ({"dataclasses", "inspect", "fractions", "decimal"} - bare) & loaded
+@pytest.fixture(scope="module")
+def cold_start(tmp_path_factory):
+    """A directory with the files the table's commands read: a parity
+    dataset, three queries, and an exact and a Monte Carlo model."""
+    path = tmp_path_factory.mktemp("cold_start")
+    ab = Alphabet(("a", "b"))
+    write_parity_dataset(path, Dfa(n=2, alphabet=ab, table=((1, 1), (0, 0)),
+                                   accepting=frozenset({0})), ab)
+    (path / "queries.txt").write_text("aa\nab\naba\n", encoding="utf-8")
+    for mode in ("exact", "monte-carlo"):
+        save_model(PerceptronModel(support=(("ab", 1), ("a", -1)),
+                                   params=KernelParams(alphabet=ab, n_max=3, mode=mode),
+                                   epochs_run=1, errors_per_epoch=(0,)), path / f"{mode}.model")
+    return path
+
+
+@pytest.mark.parametrize("run, loads, never, prints", MODULE_LOADS)
+def test_module_loads(cold_start, bare_modules, run, loads, never, prints):
+    code, args = (run, []) if isinstance(run, str) else (CONSOLE, run)
+    result, loaded = fresh_modules(code, *args, cwd=cold_start)
+    assert result.returncode == 0, result.stderr
+    assert loads <= loaded, loads - loaded
+    assert not (never - bare_modules) & loaded, (never - bare_modules) & loaded
+    assert prints in result.stdout
 
 
 def test_only_the_console_entry_freezes_the_heap_at_exit():
@@ -1028,12 +938,3 @@ def test_predict_into_a_closed_pipe_exits_1_quietly(tmp_path, ab):
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config "), stderr
 
-
-def test_fresh_sample_and_verify_psd_exit_0(tmp_path):
-    result = run_fresh("-m", "regkernel.cli", "sample", "--states", "2", "--count", "2",
-                       "--seed", "3", "--out", str(tmp_path / "dfas"))
-    assert result.returncode == 0, result.stderr
-    assert len(result.stdout.splitlines()) == 2
-    result = run_fresh("-m", "regkernel.cli", "verify", "--suite", "psd")
-    assert result.returncode == 0, result.stderr
-    assert "psd.min_eigenvalue\tPASS" in result.stdout

@@ -3,8 +3,8 @@
 count; imports under ``if TYPE_CHECKING:`` do not, since they never run.
 No module imports ``concurrent.futures``: the counters are pure Python and
 hold the GIL, so a thread pool only adds scheduling to the same work.  And
-only ``count.block_counts``, through the counter chain beneath it, reaches
-the private counters: no function goes round its table cap."""
+only ``count.block_counts`` reaches the private counter: no function goes
+round its table cap."""
 
 import ast
 from pathlib import Path
@@ -121,14 +121,10 @@ def test_no_module_imports_a_worker_pool():
         assert "concurrent.futures" in imported_modules(source), source
 
 
-# The private counters, and the functions of ``count`` allowed to name each:
-# block_counts counts a sample with the bit-sliced counter, or the
-# accessible tables with the counter that calls it in turn.
-COUNTERS = ("_accessible_agreement_counts", "_sliced_agreement_counts")
-CHAIN = {
-    "block_counts": {"_accessible_agreement_counts", "_sliced_agreement_counts"},
-    "_accessible_agreement_counts": {"_sliced_agreement_counts"},
-}
+# The private counter, and the one function of ``count`` allowed to name
+# it: block_counts counts a sample or the accessible tables with it.
+COUNTERS = ("_sliced_agreement_counts",)
+CHAIN = {"block_counts": {"_sliced_agreement_counts"}}
 
 
 def counter_references(source: str) -> dict[str, set[str]]:
@@ -175,8 +171,8 @@ def exact(plan, blocks):
     return _sliced_agreement_counts(plan, blocks)
 
 
-def accessible(plan, n_top, k):
-    return count._accessible_agreement_counts(plan, n_top, k)
+def accessible(plan, blocks):
+    return count._sliced_agreement_counts(plan, blocks)
 
 
 class Counter:
@@ -184,19 +180,15 @@ class Counter:
         return partial(count._sliced_agreement_counts, plan)
 
 
-LATER = count._accessible_agreement_counts
+LATER = count._sliced_agreement_counts
 
 
-def _sliced_agreement_counts(plan):
-    return count._accessible_agreement_counts(plan)
+def block_counts(plan, blocks):
+    return _sliced_agreement_counts(plan, blocks)
 """
+    owners = ["exact", "accessible", "Counter", "<module>"]
     assert side_doors("kernel", source) == {
-        "kernel.exact": ["_sliced_agreement_counts"],
-        "kernel.accessible": ["_accessible_agreement_counts"],
-        "kernel.Counter": ["_sliced_agreement_counts"],
-        "kernel.<module>": ["_accessible_agreement_counts"],
-        "kernel._sliced_agreement_counts": ["_accessible_agreement_counts"],
-    }
-    # in count, the chain may name only the counter beneath each link
-    assert side_doors("count", source)["count._sliced_agreement_counts"] == [
-        "_accessible_agreement_counts"]
+        f"kernel.{owner}": ["_sliced_agreement_counts"] for owner in owners + ["block_counts"]}
+    # in count, only block_counts may name the counter
+    assert side_doors("count", source) == {
+        f"count.{owner}": ["_sliced_agreement_counts"] for owner in owners}

@@ -166,7 +166,7 @@ def test_agreement_count_matches_oracle_larger_n(ab):
         assert agreement(x, y, 4, ab) == brute_agreement(x, y, 4)
     # counted once by enumerating all 5**10 tables
     assert agreement("ababa", "abbaa", 5, ab) == 4305125
-    # pairs shorter than n, walked to n all the same: "a" and "b" agree
+    # pairs shorter than n, counted at n all the same: "a" and "b" agree
     # exactly when state 0 goes to one state on both symbols, on 5 * 5**8
     # tables
     tables = 5**10
@@ -316,7 +316,7 @@ def test_exhaustive_counts_match_grid(symbols, max_len, n_top):
 
 @given(data=st.data(), symbols=st.sampled_from(["ab", "abc"]))
 @settings(max_examples=40, deadline=None)
-def test_exhaustive_counts_match_walk(data, symbols):
+def test_exhaustive_pair_counts_match_grid(data, symbols):
     alphabet = Alphabet(tuple(symbols))
     x = data.draw(st.text(alphabet=symbols, max_size=6))
     y = data.draw(st.text(alphabet=symbols, max_size=6))
@@ -332,7 +332,7 @@ def test_exhaustive_counts_match_walk(data, symbols):
 @pytest.mark.parametrize("scaling,weights", [
     ("paper", None), ("normalized", None), ("normalized", (0.3, 1.7, 0.1, 2.5)),
 ])
-def test_exhaustive_block_matches_walk_per_pair(ab, scaling, weights):
+def test_exhaustive_block_matches_grid_per_pair(ab, scaling, weights):
     # cross and symmetric blocks with duplicate strings, and pairs whose
     # n_used (1, 2, 3) is below the block's n_top of 4, against the counts
     # of the enumeration oracle
@@ -412,7 +412,7 @@ def test_value_function_built_once_per_block(ab, monkeypatch):
         assert len(built) == 1, params
 
 
-def test_walk_gram_encodes_each_string_once(ab, monkeypatch):
+def test_exact_gram_encodes_each_string_once(ab, monkeypatch):
     # the plan encodes every string once, and the counter walks its tries
     encoded = []
     real = Alphabet.encode
@@ -532,6 +532,23 @@ def test_accessible_counts_across_blocks(ab, monkeypatch, block):
         index = {s: i for i, s in enumerate(strings)}
         assert count.agreement_matrix(rows, n, ab, cols) == [
             [grid[index[x]][index[y]] for y in cols] for x in rows], n
+
+
+def test_accessible_blocks_cut_each_mask_in_place():
+    # the 65,280 accessible 2-state tables over 8 symbols, cut into 4
+    # blocks: each full-width mask is dropped once it is cut, so the build
+    # peaks near the bytes it keeps, where holding the full masks and their
+    # cut copies at once peaks above twice them
+    tracemalloc.start()
+    try:
+        blocks = count._accessible_blocks.__wrapped__(2, 8, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [size for size, _ in blocks] == [16384, 16384, 16384, 16128]
+    kept = sum(sys.getsizeof(mask)
+               for _, parts in blocks for row in parts for cell in row for mask in cell)
+    assert peak <= 1.5 * kept, (peak, kept)
 
 
 # ---------------------------------------------------------------------
@@ -689,7 +706,7 @@ def test_kernel_normalized_weights(ab):
 
 @pytest.mark.parametrize("symbols,n_max", [("ab", 4), ("ab", 5), ("abc", 3)])
 def test_exact_values_equal_rational_reference(symbols, n_max):
-    # below and above the exhaustive limit, paper values are the integer sum
+    # up to the table cap (n_max 5 over ab), paper values are the integer sum
     # of exact_kn and normalized values the rational sum of w_n * exact_pn,
     # rounded once; weights with long binary expansions, zero and one
     alphabet = Alphabet(tuple(symbols))

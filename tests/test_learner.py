@@ -441,6 +441,12 @@ def test_dataset_text_errors():
         dataset_from_text("# alphabet ab\n+1\tab\n-1\tb\n-1\tab\n")
     with pytest.raises(ParseError, match=r"line 2: alphabet has duplicate symbols"):
         dataset_from_text("# comment\n# alphabet aa\n+1\ta\n")
+    with pytest.raises(ParseError, match=r"line 2: duplicate alphabet header"):
+        dataset_from_text("# alphabet ab\n# alphabet ab\n+1\ta\n")
+    with pytest.raises(ParseError, match=r"line 2: expected '<label>\\t<string>', got '\+1 a'"):
+        dataset_from_text("# alphabet ab\n+1 a\n")
+    with pytest.raises(ParseError, match=r"line 1: missing '# alphabet <symbols>' header"):
+        dataset_from_text("# comment\n")
 
 
 def test_model_round_trip(tmp_path, parity, ab):
@@ -465,6 +471,8 @@ def test_model_text_errors():
         model_from_text("nope\n")
     with pytest.raises(ParseError, match="meta"):
         model_from_text("model v1\nnometa\n")
+    with pytest.raises(ParseError, match=r"line 3: expected '<alpha>\\t<string>', got '1 ab'"):
+        model_from_text(model_text("model v1", "exact", "null", "1 ab"))
     # non-finite weights and support coefficients are refused, not scored
     for header, mode, weights in (("model v4", "monte-carlo", "[NaN, 1.0]"),
                                   ("model v1", "exact", "[Infinity, 1.0]"),

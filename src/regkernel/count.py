@@ -264,8 +264,10 @@ def agreement_matrix(
     block; ``mix`` folds accessible counts into A_n, and a sample is
     drawn for n alone (``top_only``).
     """
-    if sample is not None and sample[0] < 1:
-        raise ValueError(f"sample count must be >= 1, got {sample[0]}")
+    if sample is not None:
+        if sample[0] < 1:
+            raise ValueError(f"sample count must be >= 1, got {sample[0]}")
+        stream.check_seed(sample[1])
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
     plan = BlockPlan(rows, cols, alphabet)

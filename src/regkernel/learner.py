@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +47,7 @@ class Dataset(Record):
 
     def __init__(self, alphabet: Alphabet, records: tuple[tuple[str, int], ...],
                  lines: Sequence[int] | None = None):
-        self._set(alphabet=alphabet, records=tuple((s, int(label)) for s, label in records))
+        self._set(alphabet=alphabet, records=tuple((s, _label(label)) for s, label in records))
         first: dict[str, int] = {}
         for i, (s, label) in enumerate(self.records):
             try:
@@ -100,6 +101,15 @@ class PerceptronModel(Record):
         return self.errors_per_epoch[-1] if self.errors_per_epoch else 0
 
 
+def _label(y) -> int:
+    """y as an int, numpy integers included: a float or a string is
+    refused, where int() would truncate 1.9 to the label +1."""
+    try:
+        return operator.index(y)
+    except TypeError as e:
+        raise ValueError(f"labels must be +1 or -1, got {y!r}") from e
+
+
 def _check_support(alphabet: Alphabet, s: str, coeff: int | float) -> None:
     """Raise ValueError unless s is over the alphabet and coeff is a
     finite nonzero number."""
@@ -146,7 +156,7 @@ def train(gram: GramMatrix, labels: Sequence[int], max_epochs: int) -> Perceptro
     reports its residual errors.
     """
     count = len(gram.strings)
-    labels = [int(y) for y in labels]
+    labels = [_label(y) for y in labels]
     if len(labels) != count:
         raise ValueError(f"{count} strings but {len(labels)} labels")
     for y in labels:
@@ -309,8 +319,8 @@ def model_from_text(text: str) -> PerceptronModel:
     try:
         meta = json.loads(lines[1][len("meta ") :])
         params = KernelParams.from_dict(meta["params"])
-        epochs_run = int(meta["epochs_run"])
-        errors = tuple(int(e) for e in meta["errors_per_epoch"])
+        epochs_run = operator.index(meta["epochs_run"])
+        errors = tuple(map(operator.index, meta["errors_per_epoch"]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed metadata: {e}", 2) from e
     expected = f"model v{format_version(params)}"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from regkernel import (
@@ -73,6 +74,12 @@ def test_dataset_validation(ab):
         Dataset(alphabet=ab, records=(("a", 1), ("a", -1)))
     with pytest.raises(ValueError, match="not in alphabet"):
         Dataset(alphabet=ab, records=(("c", 1),))
+    # a float label is refused, not truncated to +1; numpy integers are ints
+    for label in (1.9, 1.0, "1"):
+        with pytest.raises(ValueError, match="label"):
+            Dataset(alphabet=ab, records=(("a", label),))
+    ds = Dataset(alphabet=ab, records=(("a", np.int64(1)), ("b", np.int8(-1))))
+    assert [(y, type(y)) for y in ds.labels] == [(1, int), (-1, int)]
 
 
 # ---------------------------------------------------------------------
@@ -113,6 +120,9 @@ def test_train_validation(ab):
         train(gram, [1, 0], max_epochs=5)
     with pytest.raises(ValueError):
         train(gram, [1, -1], max_epochs=0)
+    with pytest.raises(ValueError, match="label"):
+        train(gram, [1.9, -1], max_epochs=5)
+    assert train(gram, np.array([1, -1]), max_epochs=5) == train(gram, [1, -1], max_epochs=5)
 
 
 def test_train_deterministic(parity, ab):
@@ -483,6 +493,14 @@ def test_model_text_errors():
     for coeff in ("nan", "inf", "-inf", str(10**400)):
         with pytest.raises(ValueError, match="coefficient"):
             model_from_text(model_text("model v1", "exact", "null", f"{coeff}\tab"))
+    # metadata integers that are floats or strings are refused, not truncated
+    text = model_text("model v1", "exact", "null", "1\tab")
+    for old, new in (('"epochs_run": 1', '"epochs_run": 2.7'),
+                     ('"epochs_run": 1', '"epochs_run": "2"'),
+                     ('"errors_per_epoch": [0]', '"errors_per_epoch": [3.9, 0.2]')):
+        with pytest.raises(ParseError, match="malformed metadata") as caught:
+            model_from_text(text.replace(old, new))
+        assert caught.value.line == 2
 
 
 @pytest.mark.parametrize("bad, message", [

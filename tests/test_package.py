@@ -1,4 +1,7 @@
+import ast
 import importlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +77,19 @@ def test_only_the_bounds_suite_takes_parameters():
                   for name, suite in verify.SUITES.items()}
     assert parameters == {"bounds": ["n_values", "max_len"], "embedding": [],
                           "concentration": [], "psd": []}
+
+
+def test_mutant_catalogue_still_applies():
+    # tools/mutants.py runs outside tier-1; this runs no mutant, but fails
+    # once an entry's snippet no longer occurs exactly once in its file, or
+    # a test it names is no longer defined in its test file
+    root = Path(__file__).resolve().parent.parent
+    defined = {}
+    for m in json.loads((root / "tools" / "mutants.json").read_text(encoding="utf-8")):
+        assert (root / m["file"]).read_text(encoding="utf-8").count(m["snippet"]) == 1, m["id"]
+        for test in m["tests"]:
+            path, name = test.split("::")
+            if path not in defined:
+                tree = ast.parse((root / path).read_text(encoding="utf-8"))
+                defined[path] = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+            assert name.split("[")[0] in defined[path], (m["id"], test)

@@ -287,6 +287,22 @@ def test_enumerated_agreement_invariant_under_symbol_permutation(symbols, max_le
             assert np.array_equal(agreement_count_grid(permuted, n, alphabet), grid), (n, perm)
 
 
+@pytest.mark.parametrize("scaling,weights", [
+    ("paper", None), ("normalized", None), ("normalized", (0.3, 1.7, 0.1)),
+])
+def test_exact_gram_equals_per_pair_kernel_value_three_symbols(scaling, weights):
+    abc = Alphabet(("a", "b", "c"))
+    strings = enumerate_strings(abc, 2) + ["abc", "cab", "bba", "cca"]
+    params = KernelParams(alphabet=abc, n_max=3, mode="exact", scaling=scaling,
+                          weights=weights)
+    gram = gram_matrix(strings, params, jobs=2)
+    for i, x in enumerate(strings):
+        for j, y in enumerate(strings):
+            kv = kernel_value(x, y, params)
+            assert gram.value(i, j) == kv.value, (x, y)
+            assert type(gram.value(i, j)) is type(kv.value)
+
+
 # ---------------------------------------------------------------------
 # grid helpers
 # ---------------------------------------------------------------------
@@ -639,6 +655,31 @@ def test_kernel_normalized_weights(ab):
     )
     v = kernel_value("ab", "ba", params).value
     assert v == float(2 * exact_pn("ab", "ba", 2, ab))
+
+
+@pytest.mark.parametrize("symbols,n_max", [("ab", 4), ("ab", 5), ("abc", 3)])
+def test_exact_values_equal_rational_reference(symbols, n_max):
+    # up to the table cap (n_max 5 over ab), paper values are the integer sum
+    # of exact_kn and normalized values the rational sum of w_n * exact_pn,
+    # rounded once; weights with long binary expansions, zero and one
+    alphabet = Alphabet(tuple(symbols))
+    weights = (0.1, 0.0, 1 / 3, 2.5, 1e-300)[:n_max]
+    strings = ["", "a", "ab", "abb", "ba", "abab", "bbaba"]
+    for scaling, ws in (("paper", None), ("normalized", None), ("normalized", weights)):
+        params = KernelParams(alphabet=alphabet, n_max=n_max, mode="exact", scaling=scaling,
+                              weights=ws)
+        gram = gram_matrix(strings, params)
+        for i, x in enumerate(strings):
+            for j, y in enumerate(strings):
+                ns = range(1, min(len(x), len(y), n_max) + 1)
+                if scaling == "paper":
+                    expected = int(x == y) + sum(exact_kn(x, y, n, alphabet) for n in ns)
+                else:
+                    expected = float(int(x == y) + sum(
+                        Fraction(params.weight_for(n)) * exact_pn(x, y, n, alphabet)
+                        for n in ns))
+                assert gram.value(i, j) == expected, (scaling, ws, x, y)
+                assert type(gram.value(i, j)) is type(expected)
 
 
 def test_kernel_mc_certificate(ab):

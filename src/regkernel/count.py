@@ -265,8 +265,12 @@ def agreement_matrix(
     drawn for n alone (``top_only``).
     """
     if sample is not None:
-        if sample[0] < 1:
-            raise ValueError(f"sample count must be >= 1, got {sample[0]}")
+        try:
+            m = operator.index(sample[0])
+        except TypeError as e:
+            raise ValueError(f"sample count must be an integer: {e}") from e
+        if m < 1:
+            raise ValueError(f"sample count must be >= 1, got {m}")
         stream.check_seed(sample[1])
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")

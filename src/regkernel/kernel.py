@@ -460,9 +460,6 @@ class GramMatrix(Record):
                  values: tuple[tuple[int | float, ...], ...]):
         self._set(strings=strings, params=params, values=values)
 
-    def value(self, i: int, j: int) -> int | float:
-        return self.values[i][j]
-
     def numeric(self) -> list[list[int | float]]:
         return [list(row) for row in self.values]
 

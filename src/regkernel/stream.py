@@ -19,6 +19,7 @@ every exact command, loads none of it.
 
 from __future__ import annotations
 
+import operator
 import struct
 from typing import TYPE_CHECKING, Iterator
 
@@ -37,8 +38,13 @@ _BLOCK_SAMPLES = 1 << 14
 
 
 def check_seed(seed: int) -> None:
-    """Refuse a master seed outside [0, 2**64): the streams key on its 64
-    bits, so 2**64 would silently replay seed 0."""
+    """Refuse a master seed that is not an integer in [0, 2**64): the
+    streams key on its 64 bits, so 2**64 would silently replay seed 0, and
+    a float would fail at the first draw."""
+    try:
+        seed = operator.index(seed)
+    except TypeError as e:
+        raise ValueError(f"seed must be an integer: {e}") from e
     if not 0 <= seed <= _SEED_MASK:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 

@@ -1,15 +1,24 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from regkernel import Alphabet, Dfa, KernelParams, label_strings, enumerate_strings, parse_dfa
+from regkernel import (
+    Alphabet, CapExceededError, Dataset, Dfa, KernelParams, enumerate_strings, exact_kn, exact_pn,
+    label_strings, parse_dfa,
+)
 from regkernel.cli import main
-from regkernel.learner import PerceptronModel, dataset_to_text, load_model, predict, save_model
+from regkernel.count import agreement_matrix
+from regkernel.learner import (
+    _QUERY_CHUNK, PerceptronModel, dataset_to_text, load_model, model_to_text, predict,
+    save_model,
+)
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +32,157 @@ def write_parity_dataset(tmp_path, parity, ab, max_len=3):
     path = tmp_path / "parity.tsv"
     path.write_text(dataset_to_text(ds), encoding="utf-8")
     return path
+
+
+# ---------------------------------------------------------------------
+# refused before any work
+# ---------------------------------------------------------------------
+
+AB = Alphabet(("a", "b"))
+
+
+class Tripwire(AssertionError):
+    """Work that a refusal should have come before: a counter, a table draw
+    or a value assembly."""
+
+
+def trip(name, *args, **kwargs):
+    raise Tripwire(f"{name} ran before the refusal")
+
+
+def dataset_text(strings):
+    records = tuple((s, 1 - 2 * (i % 2)) for i, s in enumerate(strings))
+    return dataset_to_text(Dataset(alphabet=AB, records=records))
+
+
+def model_text(support, **params):
+    return model_to_text(PerceptronModel(support=((support, 1),),
+                                         params=KernelParams(alphabet=AB, **params),
+                                         epochs_run=1, errors_per_epoch=(0,)))
+
+
+# The directory each CLI row runs in: file name -> text, None for an empty
+# directory.
+REFUSAL_FILES = {
+    "short.tsv": dataset_text(enumerate_strings(AB, 3)),
+    "deep.tsv": dataset_text(["a", "a" * 9, "a" * 8 + "b"]),
+    "long.tsv": dataset_text(["ab" * 40, "ba" * 40, "a" * 80, "b" * 80, "ab" * 39 + "aa",
+                              "ba" * 39 + "bb"]),
+    "exact.model": model_text("ab", n_max=2),
+    "mc.model": model_text("ab", n_max=2, mode="monte-carlo", scaling="normalized"),
+    "deep.model": model_text("a" * 6, n_max=6),
+    "paper.model": model_text("b" * 80, n_max=80, mode="monte-carlo", scaling="paper"),
+    "deep.txt": "a\nab\naaaaaa\nb\n",
+    # the first chunk alone passes every check; the deep query sorts last,
+    # into the second chunk
+    "deep-second.txt": "a\n" * _QUERY_CHUNK + "aaaaaa\n",
+    "long-second.txt": "a\n" * _QUERY_CHUNK + "b" * 80 + "\n",
+    "bad-2.txt": "ab\nacb\nba\n",
+    "bad-262.txt": "ab\n" * 261 + "abc\n",
+    "file": "",
+    "dir.csv": None,
+    "side.csv.meta.json": None,
+}
+EXACT_CAP = r"transition tables, above the cap of \d+ \(use monte-carlo mode"
+FLOAT_RANGE = "paper-scaled Monte Carlo sum.*use normalized scaling"
+SINGLE_N = {"agreement_matrix": partial(agreement_matrix, ["a", "b"]),
+            "exact_kn": partial(exact_kn, "a", "b"), "exact_pn": partial(exact_pn, "a", "b")}
+
+
+def refusal(run, expect, pattern, cap=None, *, id):
+    """A row of REFUSALS: a CLI argv ``run``, run in a directory of
+    REFUSAL_FILES, exits ``expect`` with ``pattern`` in stderr; a library
+    call ``run`` raises ``expect`` matching ``pattern``.  ``cap``, when
+    given, stands in for automata.TABLE_CAP."""
+    return pytest.param(run, expect, pattern, cap, id=id)
+
+
+REFUSALS = [
+    # exact past the table cap: 6**12 tables at n = 6, 9**18 at n = 9
+    refusal(["kernel", "--mode", "exact", "--nmax", "9", "a" * 9, "a" * 8 + "b"], 3, EXACT_CAP,
+            id="kernel-exact-cap"),
+    *[refusal([command, "--dataset", "deep.tsv", "--mode", "exact", "--nmax", "9",
+               "--out", "out"], 3, EXACT_CAP, id=f"{command}-exact-cap")
+      for command in ("gram", "train")],
+    refusal(["predict", "--model", "deep.model", "--in", "deep.txt"], 3, EXACT_CAP,
+            id="predict-exact-cap"),
+    refusal(["predict", "--model", "deep.model", "--in", "deep-second.txt"], 3, EXACT_CAP,
+            id="predict-exact-cap-second-chunk"),
+    # the single-n path, which no command takes, checks the cap at n itself:
+    # 3**6 = 729 tables at n = 3 pass a cap of 729, and the counter is next
+    *[refusal(partial(f, n, AB), error, pattern, cap,
+              id=f"{name}-n{n}" + (f"-cap{cap}" if cap else ""))
+      for name, f in SINGLE_N.items()
+      for n, cap, error, pattern in ((6, None, CapExceededError, EXACT_CAP),
+                                     (3, 728, CapExceededError, EXACT_CAP),
+                                     (0, None, ValueError, "state count"))],
+    refusal(partial(agreement_matrix, ["a", "b"], 3, AB), Tripwire, "_sliced_agreement_counts",
+            729, id="agreement_matrix-n3-cap729"),
+    # Monte Carlo paper scaling past the float range, first refused at
+    # n = 76 over two symbols
+    refusal(["kernel", "--mode", "mc", "--scaling", "paper", "--nmax", "80", "ab" * 40,
+             "ba" * 40], 3, FLOAT_RANGE, id="kernel-mc-paper"),
+    *[refusal([command, "--dataset", "long.tsv", "--mode", "mc", "--scaling", "paper",
+               "--nmax", "76", "--out", "out"], 3, FLOAT_RANGE, id=f"{command}-mc-paper")
+      for command in ("gram", "train")],
+    refusal(["predict", "--model", "paper.model", "--in", "long-second.txt"], 3, FLOAT_RANGE,
+            id="predict-mc-paper-second-chunk"),
+    # bad input: every query is validated first, and a bad one named by its line
+    refusal(["kernel", "a", "c"], 2, "symbol 'c' at position 0 is not in alphabet 'ab'",
+            id="kernel-bad-symbol"),
+    refusal(["predict", "--model", "exact.model", "--in", "bad-2.txt"], 2,
+            "line 2: symbol 'c' at position 1", id="predict-bad-line"),
+    *[refusal(["predict", "--model", f"{mode}.model", "--in", "bad-262.txt"], 2,
+              "line 262: symbol 'c' at position 2", id=f"predict-bad-line-second-chunk-{mode}")
+      for mode in ("exact", "mc")],
+    refusal(["predict", "--model", "none.model", "--in", "deep.txt"], 2,
+            "No such file or directory: 'none.model'", id="predict-missing-model"),
+    refusal(["sample", "--states", "0", "--out", "dfas"], 2, "state count must be >= 1, got 0",
+            id="sample-zero-states"),
+    refusal(["sample", "--states", "2", "--count", "0", "--out", "dfas"], 2,
+            "count must be >= 1, got 0", id="sample-zero-count"),
+    # the CLI's own checks
+    refusal(["train", "--dataset", "short.tsv", "--epochs", "0", "--out", "out"], 2,
+            "max_epochs must be >= 1", id="train-zero-epochs"),
+    *[refusal([command, "--dataset", "short.tsv", "--out", out], 2, f"{error}: '{out}'",
+              id=f"{command}-out-{case}")
+      for command in ("gram", "train")
+      for case, out, error in (("missing-parent", "missing/out", "No such file or directory"),
+                               ("parent-is-a-file", "file/out", "Not a directory"),
+                               ("is-a-directory", "dir.csv", "Is a directory"))],
+    # a CSV without its sidecar could not be replayed
+    refusal(["gram", "--dataset", "short.tsv", "--out", "side.csv"], 2,
+            "Is a directory: 'side.csv.meta.json'", id="gram-sidecar-is-a-directory"),
+]
+
+
+@pytest.mark.parametrize("run, expect, pattern, cap", REFUSALS)
+def test_refused_before_any_work(tmp_path, capsys, monkeypatch, run, expect, pattern, cap):
+    # every kernel value, Gram and prediction reaches the counter, and every
+    # sample the draw: work begun before the refusal trips a wire
+    from regkernel import count, kernel, stream
+
+    for module, name in ((stream, "draw_table_block"), (count, "_sliced_agreement_counts"),
+                         (kernel, "_value_function")):
+        monkeypatch.setattr(module, name, partial(trip, name))
+    if cap is not None:
+        monkeypatch.setattr("regkernel.automata.TABLE_CAP", cap)
+    if callable(run):
+        with pytest.raises(expect, match=pattern):
+            run()
+        return
+    for name, text in REFUSAL_FILES.items():
+        if text is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(capsys, *run)
+    assert (code, stdout) == (expect, ""), stderr
+    assert re.search(pattern, stderr), stderr
+    # no --out file, sidecar, model or sample directory is left
+    assert sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("*")) == sorted(REFUSAL_FILES)
 
 
 # ---------------------------------------------------------------------
@@ -48,14 +208,6 @@ def test_sample_writes_deterministic_files(tmp_path, capsys):
     )
     assert code == 0
     assert [Path(p).read_text() for p in stdout.splitlines()] == first
-
-
-def test_sample_zero_states_exits_2(tmp_path, capsys):
-    code, _, stderr = run_cli(
-        capsys, "sample", "--states", "0", "--out", str(tmp_path / "x"),
-    )
-    assert code == 2
-    assert "state count" in stderr
 
 
 def test_sample_different_seeds_differ(tmp_path, capsys):
@@ -163,45 +315,6 @@ def test_kernel_mc_prints_certificate(capsys):
     assert "master_seed=5" in lines[1]
 
 
-def test_kernel_cap_exit_3(capsys):
-    code, _, stderr = run_cli(
-        capsys, "kernel", "--mode", "exact", "--nmax", "9", "--alphabet", "ab",
-        "--seed", "0", "aaaaaaaaa", "aaaaaaaaa",
-    )
-    assert code == 3
-    assert "monte-carlo" in stderr
-
-
-def refuse_draws(monkeypatch):
-    from regkernel import stream
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a table was drawn before the float range check")
-
-    monkeypatch.setattr(stream, "draw_table_block", refuse)
-
-
-def test_kernel_mc_paper_past_the_float_range_exits_3(capsys, monkeypatch):
-    # a paper-scaled sum to n = 80 over two symbols could pass the float
-    # range, so it is refused before any table is drawn
-    refuse_draws(monkeypatch)
-    code, stdout, stderr = run_cli(
-        capsys, "kernel", "--mode", "mc", "--scaling", "paper", "--nmax", "80",
-        "--seed", "1", "ab" * 40, "ba" * 40,
-    )
-    assert code == 3
-    assert stdout == ""
-    assert "use normalized scaling" in stderr
-
-
-def test_kernel_bad_symbol_exit_2(capsys):
-    code, _, stderr = run_cli(
-        capsys, "kernel", "--alphabet", "ab", "--seed", "0", "a", "c",
-    )
-    assert code == 2
-    assert "not in alphabet" in stderr
-
-
 # ---------------------------------------------------------------------
 # gram / train / predict
 # ---------------------------------------------------------------------
@@ -305,24 +418,6 @@ def test_gram_and_train_refuse_alphabet_and_jobs(tmp_path, capsys, parity, ab, c
     assert not out.exists()
 
 
-def test_predict_validates_all_lines_before_output(tmp_path, capsys, parity, ab):
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=2)
-    model_path = tmp_path / "parity.model"
-    code, _, _ = run_cli(
-        capsys, "train", "--dataset", str(dataset), "--mode", "exact",
-        "--nmax", "2", "--seed", "0", "--out", str(model_path),
-    )
-    assert code == 0
-    strings_file = tmp_path / "strings.txt"
-    strings_file.write_text("ab\nacb\nba\n", encoding="utf-8")
-    code, stdout, stderr = run_cli(
-        capsys, "predict", "--model", str(model_path), "--in", str(strings_file),
-    )
-    assert code == 2
-    assert stdout == ""
-    assert "'c'" in stderr and "line 2" in stderr
-
-
 def test_predict_encodes_each_query_once(tmp_path, capsys, parity, ab, monkeypatch):
     # the block's plan validates each query as it encodes it for the trie
     from regkernel.automata import Alphabet
@@ -353,14 +448,6 @@ def test_predict_encodes_each_query_once(tmp_path, capsys, parity, ab, monkeypat
     assert [encoded.count(q) for q in queries] == [1] * len(queries)
 
 
-def test_predict_missing_model_exit_2(tmp_path, capsys):
-    code, _, stderr = run_cli(
-        capsys, "predict", "--model", str(tmp_path / "none.model"),
-        "--in", str(tmp_path / "none.txt"),
-    )
-    assert code == 2
-
-
 def count_sample_draws(monkeypatch):
     """Record the state count of every draw_table_block call."""
     from regkernel import stream
@@ -374,44 +461,6 @@ def count_sample_draws(monkeypatch):
 
     monkeypatch.setattr(stream, "draw_table_block", counting)
     return drawn
-
-
-@pytest.mark.parametrize("command", ["gram", "train"])
-def test_mc_paper_past_the_float_range_exits_3(tmp_path, capsys, ab, monkeypatch, command):
-    # n = 76 is the first paper-scaled sum over two symbols refused
-    from regkernel import Dataset
-
-    strings = ["ab" * 40, "ba" * 40, "a" * 80, "b" * 80, "ab" * 39 + "aa", "ba" * 39 + "bb"]
-    dataset = tmp_path / "long.tsv"
-    records = tuple((s, 1 - 2 * (i % 2)) for i, s in enumerate(strings))
-    dataset.write_text(dataset_to_text(Dataset(alphabet=ab, records=records)), encoding="utf-8")
-    refuse_draws(monkeypatch)
-    out = tmp_path / "out"
-    code, stdout, stderr = run_cli(
-        capsys, command, "--dataset", str(dataset), "--mode", "mc", "--scaling", "paper",
-        "--nmax", "76", "--seed", "1", "--out", str(out),
-    )
-    assert code == 3
-    assert stdout == ""
-    assert "use normalized scaling" in stderr
-    assert not out.exists()
-
-
-def test_predict_exact_cap_exits_3_before_any_label(tmp_path, capsys, ab):
-    # the first two queries are cheap; the third needs n = 6, 6**12 tables
-    model_path = tmp_path / "big.model"
-    save_model(PerceptronModel(
-        support=(("aaaaaa", 1),), params=KernelParams(alphabet=ab, n_max=6),
-        epochs_run=1, errors_per_epoch=(0,),
-    ), model_path)
-    strings_file = tmp_path / "strings.txt"
-    strings_file.write_text("a\nab\naaaaaa\nb\n", encoding="utf-8")
-    code, stdout, stderr = run_cli(
-        capsys, "predict", "--model", str(model_path), "--in", str(strings_file),
-    )
-    assert code == 3
-    assert stdout == ""
-    assert "transition tables" in stderr
 
 
 def test_predict_draws_one_sample_per_n(tmp_path, capsys, parity, ab, monkeypatch):
@@ -708,67 +757,6 @@ def test_predict_names_the_model_line_of_a_bad_support_string(tmp_path, capsys, 
     assert (code, stdout) == (2, "")
     assert stderr.splitlines()[-1] == ("error: line 4: support string 'ac': "
                                        "symbol 'c' at position 1 is not in alphabet 'ab'")
-
-
-def test_train_epochs_zero_exits_2_before_any_kernel_work(tmp_path, capsys, parity, ab,
-                                                          monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("kernel work started before --epochs was checked")
-
-    monkeypatch.setattr("regkernel.kernel.gram_matrix", refuse)
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
-    model_path = tmp_path / "m.model"
-    code, stdout, stderr = run_cli(
-        capsys, "train", "--dataset", str(dataset), "--mode", "exact", "--nmax", "3",
-        "--epochs", "0", "--out", str(model_path),
-    )
-    assert code == 2
-    assert stdout == ""
-    assert "max_epochs must be >= 1" in stderr
-    assert not model_path.exists()
-
-
-@pytest.mark.parametrize("command", ["gram", "train"])
-def test_unwritable_out_exits_2_before_any_kernel_work(tmp_path, capsys, parity, ab,
-                                                      monkeypatch, command):
-    def refuse(*args, **kwargs):
-        raise AssertionError("kernel work started before --out was checked")
-
-    monkeypatch.setattr("regkernel.kernel.gram_matrix", refuse)
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
-    blocker = tmp_path / "file"
-    blocker.write_text("", encoding="utf-8")
-    for out, message in ((tmp_path / "missing" / "g.csv", "No such file or directory"),
-                         (blocker / "g.csv", "Not a directory"),
-                         (tmp_path, "Is a directory")):
-        code, stdout, stderr = run_cli(
-            capsys, command, "--dataset", str(dataset), "--mode", "exact",
-            "--nmax", "3", "--out", str(out),
-        )
-        assert code == 2
-        assert stdout == ""
-        assert message in stderr and str(out) in stderr
-
-
-def test_gram_unwritable_sidecar_exits_2_before_any_kernel_work(tmp_path, capsys, parity,
-                                                                 ab, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("kernel work started before the sidecar path was checked")
-
-    monkeypatch.setattr("regkernel.kernel.gram_matrix", refuse)
-    dataset = write_parity_dataset(tmp_path, parity, ab, max_len=3)
-    out = tmp_path / "side" / "g.csv"
-    meta = tmp_path / "side" / "g.csv.meta.json"
-    meta.mkdir(parents=True)
-    code, stdout, stderr = run_cli(
-        capsys, "gram", "--dataset", str(dataset), "--mode", "exact", "--nmax", "3",
-        "--out", str(out),
-    )
-    assert code == 2
-    assert stdout == ""
-    assert "Is a directory" in stderr and str(meta) in stderr
-    # no CSV is left without a sidecar to replay it
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ import struct
 import sys
 import tracemalloc
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 import pytest
@@ -235,37 +235,6 @@ def test_exact_kn_dominated_by_diagonal(ab):
                 assert exact_kn(x, y, n, ab) <= kxx
 
 
-def test_cap_error_propagates(ab):
-    with pytest.raises(CapExceededError):
-        exact_kn("a", "b", 6, ab)
-
-
-def test_agreement_counts_cap_checked_at_n_top(ab, monkeypatch):
-    # 3**6 = 729 tables at n = 3, the largest term; the single-n matrix and
-    # the exact terms over it count nothing below the cap
-    single_n = (partial(agreement_matrix, ["a", "b"]), partial(exact_kn, "a", "b"),
-                partial(exact_pn, "a", "b"))
-    monkeypatch.setattr("regkernel.automata.TABLE_CAP", 728)
-    for f in single_n:
-        with pytest.raises(CapExceededError):
-            f(3, ab)
-    monkeypatch.setattr("regkernel.automata.TABLE_CAP", 729)
-    assert agreement_matrix(["a", "b"], 3, ab) == agreement_count_grid(["a", "b"], 3, ab).tolist()
-    for f in single_n:
-        with pytest.raises(ValueError, match="state count"):
-            f(0, ab)
-    # the default cap refuses 6**12 tables before any counter runs, on the
-    # path verify's runtime check takes
-    monkeypatch.undo()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a counter ran before the cap check")
-
-    monkeypatch.setattr(count, "_sliced_agreement_counts", refuse)
-    with pytest.raises(CapExceededError):
-        agreement_matrix(["a", "b"], 6, ab)
-
-
 # ---------------------------------------------------------------------
 # symbol permutation
 # ---------------------------------------------------------------------
@@ -299,8 +268,8 @@ def test_exact_gram_equals_per_pair_kernel_value_three_symbols(scaling, weights)
     for i, x in enumerate(strings):
         for j, y in enumerate(strings):
             kv = kernel_value(x, y, params)
-            assert gram.value(i, j) == kv.value, (x, y)
-            assert type(gram.value(i, j)) is type(kv.value)
+            assert gram.values[i][j] == kv.value, (x, y)
+            assert type(gram.values[i][j]) is type(kv.value)
 
 
 # ---------------------------------------------------------------------
@@ -585,10 +554,14 @@ def test_mc_pn_validation(ab):
         mc_pn("a", "b", 2, 0, ab, 0)
     with pytest.raises(ValueError):
         mc_pn("a", "b", 0, 10, ab, 0)
-    # the stream keys on 64 bits: 2**64 would replay seed 0, and -1 seed 2**64 - 1
-    for seed in (2**64, -1):
+    # the stream keys on 64 bits: 2**64 would replay seed 0, -1 seed 2**64 - 1,
+    # and a float would fail inside it
+    for seed in (2**64, -1, 1.5):
         with pytest.raises(ValueError, match="seed"):
             mc_pn("ab", "ba", 2, 200, ab, seed)
+    # a float sample count is refused, not failed on inside the stream
+    with pytest.raises(ValueError, match="sample count"):
+        mc_pn("ab", "ba", 2, 2.5, ab, 5)
 
 
 # ---------------------------------------------------------------------
@@ -678,8 +651,8 @@ def test_exact_values_equal_rational_reference(symbols, n_max):
                     expected = float(int(x == y) + sum(
                         Fraction(params.weight_for(n)) * exact_pn(x, y, n, alphabet)
                         for n in ns))
-                assert gram.value(i, j) == expected, (scaling, ws, x, y)
-                assert type(gram.value(i, j)) is type(expected)
+                assert gram.values[i][j] == expected, (scaling, ws, x, y)
+                assert type(gram.values[i][j]) is type(expected)
 
 
 def test_kernel_mc_certificate(ab):
@@ -702,27 +675,6 @@ def test_kernel_mc_paper_scaling_estimates_counts(ab):
     kv = kernel_value("a", "a", params)
     # estimates 1 + P_1(a,a) * |space(1)| = 1 + 0.5 * 2 within 5% per term
     assert 1.9 <= kv.value <= 2.1
-
-
-def test_kernel_cap_error_suggests_monte_carlo(ab):
-    params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        kernel_value("aaaaaaaaa", "aaaaaaaab", params)
-
-
-def test_kernel_cap_checked_before_any_term(ab, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a term was evaluated before the cap check")
-
-    # every term is counted by the bit-sliced counter, then valued by the
-    # block's value function
-    for name in ("count._sliced_agreement_counts", "kernel._value_function"):
-        monkeypatch.setattr(f"regkernel.{name}", refuse)
-    params = KernelParams(alphabet=ab, n_max=9, mode="exact", scaling="paper")
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        kernel_value("aaaaaaaaa", "aaaaaaaab", params)
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        gram_matrix(["a", "aaaaaaaaa", "aaaaaaaab"], params)
 
 
 @pytest.mark.parametrize("k, n_top", [(1, 128), (2, 75), (3, 55), (4, 44)])
@@ -1017,7 +969,7 @@ def test_sample_dfas_known_answer(ab, monkeypatch):
 def test_sample_dfas_rejects_bad_arguments(ab):
     from regkernel import stream
 
-    for n, seed in ((0, 1), (2, -1), (2, 2**64)):
+    for n, seed in ((0, 1), (2, -1), (2, 2**64), (2, 3.0)):
         with pytest.raises(ValueError):
             next(stream.sample_dfas(n, ab, seed, 1))
 
@@ -1109,8 +1061,8 @@ def test_mc_kernel_value_equals_gram_entry(ab):
         for i, x in enumerate(strings):
             for j in range(i, len(strings)):
                 kv = kernel_value(x, strings[j], params)
-                assert gram.value(i, j) == kv.value
-                assert type(gram.value(i, j)) is type(kv.value)
+                assert gram.values[i][j] == kv.value
+                assert type(gram.values[i][j]) is type(kv.value)
 
 
 @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
@@ -1133,7 +1085,7 @@ def test_gram_and_predict_build_no_per_entry_objects(ab, mode, monkeypatch):
     monkeypatch.setattr(kernel, "KernelValue", real)
     kv = kernel_value("ab", "aab", params)
     assert isinstance(kv, real)
-    assert gram.value(strings.index("ab"), strings.index("aab")) == kv.value
+    assert gram.values[strings.index("ab")][strings.index("aab")] == kv.value
     assert scores[strings.index("ab")] == (
         kernel_value("ab", "ab", params).value - 2 * kv.value)
 
@@ -1171,7 +1123,7 @@ def test_mc_pn_reads_the_shared_sample(ab):
     expected = float(Fraction(m + a[1], 4 * m) + Fraction(m + a[2], 4 * m))
     for strings in (["ab", "ba"], ["", "ba", "a", "ab", "bb"]):
         gram = gram_matrix(strings, mc_params(ab, seed=5))
-        assert gram.value(strings.index("ab"), strings.index("ba")) == expected
+        assert gram.values[strings.index("ab")][strings.index("ba")] == expected
 
 
 def test_mc_path_reads_tables_only(ab):

@@ -232,7 +232,7 @@ def test_decision_values_reproduce_training_dual_sums(parity, ab):
         for i in range(len(gram.strings)):
             total = 0
             for s, coeff in model.support:
-                total += coeff * gram.value(position[s], i)
+                total += coeff * gram.values[position[s]][i]
             expected.append(total)
         assert decision_values(model, gram.strings) == expected
 
@@ -289,57 +289,6 @@ def test_decision_values_empty_inputs(ab):
     assert decision_values(model, []) == []
 
 
-def test_decision_values_check_exact_cap_before_any_term(ab, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a term was evaluated before the cap check")
-
-    # every term is counted by the bit-sliced counter, then valued by the
-    # block's value function
-    for name in ("count._sliced_agreement_counts", "kernel._value_function"):
-        monkeypatch.setattr(f"regkernel.{name}", refuse)
-    model = PerceptronModel(
-        support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
-        errors_per_epoch=(0,),
-    )
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        decision_values(model, ["a", "ab", "aaaaaa", "b"])
-
-
-def test_exact_cap_refused_before_the_first_chunk_counts(ab, monkeypatch):
-    # the first chunk of queries alone is within the cap; the deep query in
-    # the second chunk is not, and its refusal comes before any count
-    from regkernel.learner import _QUERY_CHUNK
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a term was evaluated before the cap check")
-
-    for name in ("count._sliced_agreement_counts", "kernel._value_function"):
-        monkeypatch.setattr(f"regkernel.{name}", refuse)
-    model = PerceptronModel(
-        support=(("aaaaaa", 1),), params=exact_params(ab, n_max=6), epochs_run=1,
-        errors_per_epoch=(0,),
-    )
-    with pytest.raises(CapExceededError, match="monte-carlo"):
-        decision_values(model, ["a"] * _QUERY_CHUNK + ["aaaaaa"])
-
-
-def test_monte_carlo_float_range_refused_before_the_first_chunk_draws(ab, monkeypatch):
-    # as above, with the deep query last in sorted order too: the first
-    # chunk would draw its n = 1 tables before the second refused
-    from regkernel import stream
-    from regkernel.learner import _QUERY_CHUNK
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a table was drawn before the float range was checked")
-
-    monkeypatch.setattr(stream, "draw_table_block", refuse)
-    params = KernelParams(alphabet=ab, n_max=80, mode="monte-carlo", scaling="paper")
-    model = PerceptronModel(support=(("b" * 80, 1),), params=params, epochs_run=1,
-                            errors_per_epoch=(0,))
-    with pytest.raises(CapExceededError, match="paper-scaled Monte Carlo sum"):
-        decision_values(model, ["a"] * _QUERY_CHUNK + ["b" * 80])
-
-
 def test_exact_decision_values_encode_each_string_once(ab, monkeypatch):
     # the shape of the benchmark's exact predict: 14 support strings and 192
     # queries make one block, whose plan validates what it encodes
@@ -359,42 +308,6 @@ def test_exact_decision_values_encode_each_string_once(ab, monkeypatch):
     decision_values(model, queries)
     assert len(encoded) == 206
     assert sorted(encoded) == sorted([s for s, _ in support] + queries)
-
-
-def test_decision_values_validate_every_chunk_before_any_table(ab, monkeypatch):
-    # a bad query in a later Monte Carlo chunk fails before the first
-    # chunk draws a table, and a bad exact query before any count
-    from regkernel import count, stream
-    from regkernel.learner import _QUERY_CHUNK
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a table was read before every query was validated")
-
-    monkeypatch.setattr(stream, "draw_table_block", refuse)
-    monkeypatch.setattr(count, "_sliced_agreement_counts", refuse)
-    queries = ["ab"] * (_QUERY_CHUNK + 5) + ["abc"]
-    for params in (mc_params(ab, "normalized"), exact_params(ab)):
-        model = PerceptronModel(support=(("ab", 1),), params=params, epochs_run=1,
-                                errors_per_epoch=(0,))
-        with pytest.raises(ValueError, match="'c' at position 2"):
-            decision_values(model, queries)
-
-
-def test_monte_carlo_float_range_refused_before_any_table(ab, monkeypatch):
-    # the deep query sits in the second chunk: its refusal comes before the
-    # first chunk draws a table
-    from regkernel import stream
-    from regkernel.learner import _QUERY_CHUNK
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a table was drawn before the float range was checked")
-
-    monkeypatch.setattr(stream, "draw_table_block", refuse)
-    params = KernelParams(alphabet=ab, n_max=80, mode="monte-carlo", scaling="paper")
-    model = PerceptronModel(support=(("a" * 80, 1),), params=params, epochs_run=1,
-                            errors_per_epoch=(0,))
-    with pytest.raises(CapExceededError, match="paper-scaled Monte Carlo sum"):
-        decision_values(model, ["ab"] * _QUERY_CHUNK + ["a" * 80])
 
 
 def test_monte_carlo_decision_values_encode_each_query_once(ab, monkeypatch):

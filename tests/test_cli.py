@@ -71,12 +71,15 @@ REFUSAL_FILES = {
     "exact.model": model_text("ab", n_max=2),
     "mc.model": model_text("ab", n_max=2, mode="monte-carlo", scaling="normalized"),
     "deep.model": model_text("a" * 6, n_max=6),
+    "deep-normalized.model": model_text("a" * 6, n_max=6, scaling="normalized"),
     "paper.model": model_text("b" * 80, n_max=80, mode="monte-carlo", scaling="paper"),
     "deep.txt": "a\nab\naaaaaa\nb\n",
     # the first chunk alone passes every check; the deep query sorts last,
     # into the second chunk
     "deep-second.txt": "a\n" * _QUERY_CHUNK + "aaaaaa\n",
     "long-second.txt": "a\n" * _QUERY_CHUNK + "b" * 80 + "\n",
+    # the deep query sorts first, into the first chunk
+    "long-first.txt": "ab\n" * _QUERY_CHUNK + "a" * 80 + "\n",
     "bad-2.txt": "ab\nacb\nba\n",
     "bad-262.txt": "ab\n" * 261 + "abc\n",
     "file": "",
@@ -101,11 +104,16 @@ REFUSALS = [
     # exact past the table cap: 6**12 tables at n = 6, 9**18 at n = 9
     refusal(["kernel", "--mode", "exact", "--nmax", "9", "a" * 9, "a" * 8 + "b"], 3, EXACT_CAP,
             id="kernel-exact-cap"),
+    refusal(["kernel", "--mode", "exact", "--scaling", "normalized", "--nmax", "9",
+             "--alphabet", "ab", "--seed", "0", "a" * 9, "a" * 9], 3, EXACT_CAP,
+            id="kernel-exact-cap-normalized"),
     *[refusal([command, "--dataset", "deep.tsv", "--mode", "exact", "--nmax", "9",
                "--out", "out"], 3, EXACT_CAP, id=f"{command}-exact-cap")
       for command in ("gram", "train")],
     refusal(["predict", "--model", "deep.model", "--in", "deep.txt"], 3, EXACT_CAP,
             id="predict-exact-cap"),
+    refusal(["predict", "--model", "deep-normalized.model", "--in", "deep.txt"], 3, EXACT_CAP,
+            id="predict-exact-cap-normalized"),
     refusal(["predict", "--model", "deep.model", "--in", "deep-second.txt"], 3, EXACT_CAP,
             id="predict-exact-cap-second-chunk"),
     # the single-n path, which no command takes, checks the cap at n itself:
@@ -125,6 +133,8 @@ REFUSALS = [
     *[refusal([command, "--dataset", "long.tsv", "--mode", "mc", "--scaling", "paper",
                "--nmax", "76", "--out", "out"], 3, FLOAT_RANGE, id=f"{command}-mc-paper")
       for command in ("gram", "train")],
+    refusal(["predict", "--model", "paper.model", "--in", "long-first.txt"], 3, FLOAT_RANGE,
+            id="predict-mc-paper"),
     refusal(["predict", "--model", "paper.model", "--in", "long-second.txt"], 3, FLOAT_RANGE,
             id="predict-mc-paper-second-chunk"),
     # bad input: every query is validated first, and a bad one named by its line

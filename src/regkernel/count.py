@@ -4,19 +4,23 @@ same state, for every pair of a block's distinct strings.
 For strings x, y and a state count n, let A(n) be the number of n-state
 transition tables, out of T = n**(n*k), on which x and y end in the same
 state.  A block is planned once (BlockPlan: its distinct strings, each
-encoded once, and their prefix tries), and block_counts, given the depth
-each string is counted to, lists a matrix of counts over its distinct
-strings for each size up to the block's n_top.  One bit-sliced counter
-(_sliced_agreement_counts) makes every count, over one of two sets of
-tables: the accessible m-state tables in exact mode (C_m), or m sampled
-n-state tables of ``stream`` in Monte Carlo mode (A_n).  The fixed
+encoded once, and their prefix tries).  block_counts, given the depth u
+each pair is counted to and integer weights terms[u], returns one matrix
+over the block's distinct pairs, the weighted sum
+sum_{n <= u} terms[u][n-1] * A_n of each.  One bit-sliced counter
+(_sliced_agreement_counts) adds every weighted count into it, over one of
+two sets of tables: the accessible m-state tables in exact mode (C_m), or
+m sampled n-state tables of ``stream`` in Monte Carlo mode (A_n).  It
+skips a pair whose weight at a size is 0, and a sampled size that no
+pair weighs is never drawn.  The fixed
 ``automata.TABLE_CAP`` bounds T in exact mode, as it bounds the
 enumeration oracle, so exact mode refuses the same state counts it always
 did; check_table_cap checks it once per block, before any count.
 
 block_counts is the one way into the counter: a kernel block counts
-each string to depth min(|s|, n_max), and agreement_matrix, behind
-exact_pn, exact_kn, mc_pn and verify, counts every string to one n.
+each string to depth min(|s|, n_max) with the slopes of its values as
+weights, and agreement_matrix, behind exact_pn, exact_kn, mc_pn and
+verify, counts every string to one n with weight 1 on A_n alone.
 
 A depends only on the part of a table that state 0 reaches.  Call a table
 accessible when state 0 reaches every state, and label its states
@@ -31,7 +35,9 @@ y end in the same state,
     A(n) = sum_{m <= n} (n-1)(n-2)...(n-m+1) * n**((n-m)*k) * C_m.
 
 So exact mode counts C_1..C_n_top, and one count of C_m serves every
-n >= m.  Over two symbols there are 1, 12, 216, 5,248 and 160,675
+n >= m: in a pair of depth u it weighs sum_{n=m..u} terms[u][n-1] * w(n, m),
+w(n, m) the weights of accessible_weights, and this module alone knows
+that fold.  Over two symbols there are 1, 12, 216, 5,248 and 160,675
 accessible tables for m = 1..5, against the 9,765,625 tables at n = 5
 alone.  accessible_tables builds them bit-sliced, and each (m, k) is built
 and cut into the counter's blocks once per process (_accessible_blocks).
@@ -166,12 +172,15 @@ class BlockPlan:
         return [[block[self.row_ids[x]][self.col_ids[y]] for y in self.cols] for x in self.rows]
 
 
-def _sliced_agreement_counts(plan: BlockPlan, blocks: Iterable[Block]) -> list[list[int]]:
-    """Lists of end-state agreement counts over the tables of ``blocks``:
-    entry (i, j) counts the tables on which distinct row i and distinct
-    column j of the plan end in the same state.  A symmetric plan's entries
-    with j < i stay 0: A(x, y) = A(y, x) exactly, and plan.expand mirrors
-    them.
+def _sliced_agreement_counts(
+    plan: BlockPlan, blocks: Iterable[Block], weights: Sequence[Sequence[int]],
+    counts: list[list[int]],
+) -> None:
+    """Add weights[i][j] times the end-state agreement count over the tables
+    of ``blocks`` to counts[i][j], for distinct row i and distinct column j
+    of the plan.  A pair of weight 0 is not counted, nor a row whose
+    weights are all 0.  A symmetric plan's entries with j < i are left
+    alone: A(x, y) = A(y, x) exactly, and plan.expand mirrors them.
 
     The blocks are counted one at a time.  In a block, each distinct
     string's end states are one integer of n masks laid end to end
@@ -182,21 +191,22 @@ def _sliced_agreement_counts(plan: BlockPlan, blocks: Iterable[Block]) -> list[l
     is one block's tables and rows, however many blocks there are.
     """
     n_rows = len(plan.row_ids)
-    counts = [[0] * len(plan.col_ids) for _ in range(n_rows)]
+    live = [i for i, line in enumerate(weights) if any(line)]
     for size, parts in blocks:
         row_ends = [0] * n_rows
         for i, ends in _end_states(plan.row_plan, parts, size):
             row_ends[i] = ends
         if plan.symmetric:
-            for i, ends in enumerate(row_ends):
-                line = counts[i]
+            for i in live:
+                ends, line, ws = row_ends[i], counts[i], weights[i]
                 for j in range(i, n_rows):
-                    line[j] += (ends & row_ends[j]).bit_count()
+                    if w := ws[j]:
+                        line[j] += w * (ends & row_ends[j]).bit_count()
         else:
             for j, ends in _end_states(plan.col_plan, parts, size):
-                for i, row in enumerate(row_ends):
-                    counts[i][j] += (row & ends).bit_count()
-    return counts
+                for i in live:
+                    if w := weights[i][j]:
+                        counts[i][j] += w * (row_ends[i] & ends).bit_count()
 
 
 def _sampled_blocks(n: int, k: int, master_seed: int, m: int) -> Iterable[Block]:
@@ -218,36 +228,41 @@ def check_table_cap(n_top: int, k: int) -> None:
 
 def block_counts(
     plan: BlockPlan, row_depths: Sequence[int], col_depths: Sequence[int], k: int,
-    sample: tuple[int, int] | None = None, top_only: bool = False,
-) -> tuple[list[list[list[int]]], list[tuple[int, ...]] | None]:
-    """(per_size, mix): one count matrix per size 1..n_top over the plan's
-    distinct strings, from the bit-sliced counter.
+    terms: Sequence[Sequence[int]], sample: tuple[int, int] | None = None,
+) -> list[list[int]]:
+    """One matrix over the plan's distinct strings: entry (i, j) is
+    sum_{n <= u} terms[u][n-1] * A_n of distinct row i and distinct column
+    j, with u = min(row_depths[i], col_depths[j]) the pair's depth and
+    terms[u] its integer weight on each size.  n_top, the largest depth,
+    is min(max(row_depths), max(col_depths)).
 
-    row_depths[i] and col_depths[j] are the sizes distinct row i and
-    distinct column j are counted to: pair (i, j) needs sizes 1..depth,
-    with depth = min(row_depths[i], col_depths[j]), and n_top is the
-    largest such depth, min(max(row_depths), max(col_depths)).
+    - ``sample`` (m, master_seed), Monte Carlo mode: A_n is counted over
+      the first m tables of n's stream (draw_table_block), and a size that
+      no pair weighs is not drawn;
+    - exact mode: A_n = sum_{m <= n} w(n, m) * C_m with C_m counted over
+      the accessible m-state tables and w(n, m) = accessible_weights(n, k),
+      so C_m weighs sum_{n=m..u} terms[u][n-1] * w(n, m) in a pair of
+      depth u.  The table cap is checked for n_top first (check_table_cap).
 
-    - ``sample`` (m, master_seed), Monte Carlo mode: per_size[n - 1] holds
-      A_n over the first m tables of n's stream (draw_table_block), and
-      mix is None; with ``top_only``, per_size holds only A_n_top;
-    - exact mode: per_size[m - 1] holds C_m over the accessible m-state
-      tables, and A_n = sum_{m <= n} mix[n-1][m-1] * C_m with mix[n-1] the
-      weights accessible_weights(n, k).
-
-    An exact block's table cap is checked for its largest term first
-    (check_table_cap), and it ignores ``top_only``: A_n needs C_m for
-    every m <= n.  Entries below the diagonal of a symmetric plan stay 0.
+    Each pair of weight 0 at a size is skipped.  Entries below the
+    diagonal of a symmetric plan stay 0.
     """
     n_top = min(max(row_depths, default=0), max(col_depths, default=0))
-    if sample is not None:
-        m, seed = sample
-        return [_sliced_agreement_counts(plan, _sampled_blocks(n, k, seed, m))
-                for n in range(1, n_top + 1) if n == n_top or not top_only], None
-    check_table_cap(n_top, k)
-    mix = [accessible_weights(n, k) for n in range(1, n_top + 1)]
-    return [_sliced_agreement_counts(plan, _accessible_blocks(m, k, stream._BLOCK_SAMPLES))
-            for m in range(1, n_top + 1)], mix
+    if sample is None:
+        check_table_cap(n_top, k)
+    counts = [[0] * len(col_depths) for _ in row_depths]
+    for m in range(1, n_top + 1):
+        if sample is None:
+            by_depth = [sum(terms[u][n - 1] * accessible_weights(n, k)[m - 1]
+                            for n in range(m, u + 1)) for u in range(n_top + 1)]
+        else:
+            by_depth = [terms[u][m - 1] if u >= m else 0 for u in range(n_top + 1)]
+        by_row = {d: [by_depth[min(d, e)] for e in col_depths] for d in set(row_depths)}
+        if any(map(any, by_row.values())):
+            blocks = (_accessible_blocks(m, k, stream._BLOCK_SAMPLES) if sample is None
+                      else _sampled_blocks(m, k, sample[1], sample[0]))
+            _sliced_agreement_counts(plan, blocks, [by_row[d] for d in row_depths], counts)
+    return counts
 
 
 def agreement_matrix(
@@ -260,9 +275,8 @@ def agreement_matrix(
     first m tables of n's stream when ``sample`` is (m, master_seed).
 
     The strings are planned as one block and counted by block_counts to
-    depth n each, so the table cap and the counter are those of any
-    block; ``mix`` folds accessible counts into A_n, and a sample is
-    drawn for n alone (``top_only``).
+    depth n each, with weight 1 on A_n alone, so the table cap and the
+    counter are those of any block, and a sample is drawn for n alone.
     """
     if sample is not None:
         try:
@@ -271,16 +285,13 @@ def agreement_matrix(
             raise ValueError(f"sample count must be an integer: {e}") from e
         if m < 1:
             raise ValueError(f"sample count must be >= 1, got {m}")
-        stream.check_seed(sample[1])
+        sample = (m, stream.check_seed(sample[1]))
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
     plan = BlockPlan(rows, cols, alphabet)
-    per_size, mix = block_counts(plan, [n] * len(plan.row_ids), [n] * len(plan.col_ids),
-                                 len(alphabet), sample, top_only=True)
-    if mix is None:
-        return plan.expand(per_size[-1])
-    return plan.expand([[sum(map(operator.mul, mix[-1], cells)) for cells in zip(*lines)]
-                        for lines in zip(*per_size)])
+    one_hot = [[0] * (n - 1) + [1]] * (n + 1)
+    return plan.expand(block_counts(plan, [n] * len(plan.row_ids), [n] * len(plan.col_ids),
+                                    len(alphabet), one_hot, sample))
 
 
 # ---------------------------------------------------------------------------

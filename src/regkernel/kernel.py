@@ -41,13 +41,16 @@ correlated.
 
 Both modes share one path, ``kernel_block``: plan, count, assemble,
 expand.  The block's plan (count.BlockPlan) decides its distinct strings
-and encodes each once, and count.block_counts lists a matrix of counts
-per n over them.  Then one value function, built once per block, maps a
-pair's identity term and its counts for n = 1..n_used to its value: term
-n is affine in A_n, s_n * (D_n + A_n) / (4 * D_n) with D_n the tables
-counted, so every value is one integer numerator divided once.  Each
-distinct pair is assembled once (a symmetric block's upper triangle
-only), and the plan maps the result back to the block's strings.
+and encodes each once.  Term n of a value is affine in A_n,
+s_n * (D_n + A_n) / (4 * D_n) with D_n the tables counted, so a pair of
+depth u = n_used has the integer numerator
+d * 1{x = y} + bases[u] + sum_{n <= u} terms[u][n-1] * A_n over one
+denominator d.  _value_constants computes d, bases and terms once per
+block, and count.block_counts returns the weighted sums of counts, one
+per distinct pair, in one matrix; how exact mode gets A_n from the
+accessible tables is count's alone.  Each distinct pair is then divided
+once (a symmetric block's upper triangle only), and the plan maps the
+result back to the block's strings.
 kernel_value, gram_matrix and prediction all read their values from it,
 and a Gram is one matrix of those values.  The single terms exact_pn,
 exact_kn and mc_pn read their A_n from count.agreement_matrix, through
@@ -68,7 +71,7 @@ import json
 import math
 import operator
 import sys
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import count, stream
 from .automata import (
@@ -307,25 +310,25 @@ def _summation_limit(x: str, y: str, params: KernelParams) -> tuple[int, bool]:
     return n_used, n_used < limit
 
 
-def _value_function(
-    params: KernelParams, n_top: int, mix: Sequence[Sequence[int]] | None = None
-) -> Callable[[int, Sequence[int]], int | float]:
-    """The value function of a block whose pairs sum at most n_top terms:
-    value(same, counts) is the kernel value of one pair from its identity
-    term 1{x = y} and its agreement counts A_1..A_n_used (n_used <= n_top)
-    or, with ``mix``, its counts c_1..c_n_used from which
-    A_n = sum_{j <= n} mix[n-1][j-1] * c_j.
+def _value_constants(params: KernelParams, n_top: int) -> tuple[int, list[int], list[list[int]]]:
+    """(d, bases, terms): the integer constants that value every pair of a
+    block whose pairs sum at most n_top terms, computed once per block.
 
-    Term n is s_n * (D_n + A_n) / (4 * D_n), affine in A_n: D_n is the
-    number of tables A_n is out of (n**(n*k) in exact mode, m sampled in
-    Monte Carlo mode) and s_n is |DFA space of n| in paper scaling (so an
-    exact term is K_n = (T + A) * 2**n / 4, as exact_kn counts it) and
-    w_n in normalized scaling.  Over one common denominator d, a value is
-    (d * same + base[u] + sum_j coef[u][j] * c_j) / d for u = n_used, with
-    the integers base and coef computed here, once per block.  A value is
-    then one integer numerator divided once: exactly, to an integer, in
-    exact paper scaling, and rounded once to float otherwise (int true
-    division rounds correctly, as float() of the rational sum would)."""
+    Term n of a value is s_n * (D_n + A_n) / (4 * D_n), affine in A_n: D_n
+    is the number of tables A_n is out of (n**(n*k) in exact mode, m
+    sampled in Monte Carlo mode) and s_n is |DFA space of n| in paper
+    scaling (so an exact term is K_n = (T + A) * 2**n / 4, as exact_kn
+    counts it) and w_n in normalized scaling.  Over one common denominator
+    d, the value of a pair of depth u = n_used with identity term
+    1{x = y} = same is
+
+        (d * same + bases[u] + sum_{n <= u} terms[u][n-1] * A_n) / d,
+
+    with terms[u] = slopes[:u] the weights count.block_counts sums the
+    counts with.  A value is then one integer numerator divided once:
+    exactly, to an integer, in exact paper scaling, and rounded once to
+    float otherwise (int true division rounds correctly, as float() of the
+    rational sum would)."""
     k = len(params.alphabet)
     ns = range(1, n_top + 1)
     if params.mode == "exact":
@@ -339,24 +342,9 @@ def _value_function(
                   for w, b in [params.weight_for(n).as_integer_ratio()]]
     ratios = [(p // g, q // g) for p, q in ratios for g in [math.gcd(p, q)]]  # lowest terms
     quarter = math.lcm(*(q for _, q in ratios))  # d = 4 * quarter
-    d = 4 * quarter
     slopes = [p * (quarter // q) for p, q in ratios]
     bases = [0, *itertools.accumulate(map(operator.mul, slopes, tables))]
-    if mix is None:
-        coefs = [slopes[:u] for u in range(n_top + 1)]
-    else:
-        coefs = [[sum(slopes[n - 1] * mix[n - 1][j - 1] for n in range(j, u + 1))
-                  for j in range(1, u + 1)]
-                 for u in range(n_top + 1)]
-    integral = params.mode == "exact" and params.scaling == "paper"
-    mul = operator.mul
-
-    def value(same: int, counts: Sequence[int]) -> int | float:
-        u = len(counts)
-        total = d * same + bases[u] + sum(map(mul, coefs[u], counts))
-        return total // d if integral else total / d
-
-    return value
+    return 4 * quarter, bases, [slopes[:u] for u in range(n_top + 1)]
 
 
 def _check_float_range(n_top: int, k: int) -> None:
@@ -397,19 +385,18 @@ def kernel_block(
 
     Every block plans, counts, assembles, then expands.  The plan
     (count.BlockPlan) decides the distinct rows and columns and encodes
-    each once, and count.block_counts, counting each string to its depth
-    min(|s|, n_max), lists for each n up to the block's n_top a matrix of
-    counts over them: A_n over the first
-    hoeffding_samples(epsilon, failure_prob) tables of n's stream in Monte
-    Carlo mode, and in exact mode C_m over the accessible m-state tables,
-    with the weights ``mix`` that give A_n.  One value function
-    (_value_function), built once per block, then assembles each distinct
-    pair once (only j >= i of a symmetric block) from its identity term
-    and its counts for n = 1..n_used; in exact mode, ``mix`` is folded
-    into its per-block integer constants.  plan.expand mirrors a symmetric
-    block and maps the distinct pairs back to the block's strings.
-    kernel_value, gram_matrix and prediction all read their values from
-    here.
+    each once.  _value_constants, computed once per block, gives the
+    common denominator d and, for each depth u, the constant bases[u] and
+    the weights terms[u].  count.block_counts, counting each string to its
+    depth min(|s|, n_max), returns one matrix over the distinct strings
+    whose entry is sum_n terms[u][n-1] * A_n for the pair's depth u: A_n
+    over the first hoeffding_samples(epsilon, failure_prob) tables of n's
+    stream in Monte Carlo mode, and over all tables in exact mode.  Each
+    distinct pair is then valued once (only j >= i of a symmetric block)
+    as (d * 1{x = y} + bases[u] + total) / d, and plan.expand mirrors a
+    symmetric block and maps the distinct pairs back to the block's
+    strings.  kernel_value, gram_matrix and prediction all read their
+    values from here.
     """
     plan = count.BlockPlan(rows, cols, params.alphabet)  # validates every string
     row_lens = [min(len(s), params.n_max) for s in plan.row_ids]
@@ -417,19 +404,17 @@ def kernel_block(
     n_top = min(max(row_lens, default=0), max(col_lens, default=0))
 
     check_block(params, n_top)
+    d, bases, terms = _value_constants(params, n_top)
     sample = None if params.mode == "exact" else (
         hoeffding_samples(params.epsilon, params.failure_prob), params.master_seed)
-    per_size, mix = count.block_counts(plan, row_lens, col_lens, len(params.alphabet), sample)
-    value = _value_function(params, n_top, mix)
+    block = count.block_counts(plan, row_lens, col_lens, len(params.alphabet), terms, sample)
 
+    integral = params.mode == "exact" and params.scaling == "paper"
     cols = list(plan.col_ids)
-    block: list[list[int | float]] = []
-    for i, x in enumerate(plan.row_ids):
-        lines = [counts[i] for counts in per_size[: row_lens[i]]]
-        line: list[int | float] = [0] * len(cols)
+    for i, (x, line, r) in enumerate(zip(plan.row_ids, block, row_lens)):
         for j in range(i if plan.symmetric else 0, len(cols)):
-            line[j] = value(int(x == cols[j]), [counts[j] for counts in lines[: col_lens[j]]])
-        block.append(line)
+            total = d * (x == cols[j]) + bases[min(r, col_lens[j])] + line[j]
+            line[j] = total // d if integral else total / d
     return plan.expand(block)
 
 

@@ -37,16 +37,18 @@ _ACCEPT_DOMAIN = b"regkernel.accept.v1"
 _BLOCK_SAMPLES = 1 << 14
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a master seed that is not an integer in [0, 2**64): the
-    streams key on its 64 bits, so 2**64 would silently replay seed 0, and
-    a float would fail at the first draw."""
+def check_seed(seed: int) -> int:
+    """The master seed as a Python int, refused unless it is an integer in
+    [0, 2**64): the streams key on its 64 bits, so 2**64 would silently
+    replay seed 0, a float would fail at the first draw, and a numpy
+    integer would overflow in it."""
     try:
         seed = operator.index(seed)
     except TypeError as e:
         raise ValueError(f"seed must be an integer: {e}") from e
     if not 0 <= seed <= _SEED_MASK:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def draw_table_block(
@@ -122,7 +124,7 @@ def sample_dfas(n: int, alphabet: Alphabet, master_seed: int, count: int) -> Ite
     so it is uniform on the n**(n*k) * 2**n DFAs of n states."""
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
-    check_seed(master_seed)
+    master_seed = check_seed(master_seed)
     k = len(alphabet)
     for block, lo in enumerate(range(0, count, _BLOCK_SAMPLES)):
         size = min(_BLOCK_SAMPLES, count - lo)

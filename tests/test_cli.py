@@ -173,7 +173,7 @@ def test_refused_before_any_work(tmp_path, capsys, monkeypatch, run, expect, pat
     from regkernel import count, kernel, stream
 
     for module, name in ((stream, "draw_table_block"), (count, "_sliced_agreement_counts"),
-                         (kernel, "_value_function")):
+                         (kernel, "_value_constants")):
         monkeypatch.setattr(module, name, partial(trip, name))
     if cap is not None:
         monkeypatch.setattr("regkernel.automata.TABLE_CAP", cap)

@@ -113,8 +113,8 @@ AB3, ABC3 = enumerate_strings(AB, 3), UNIVERSE["abc"]
 WIDE = AB3 + ["abba", "ababa"]
 EXACT_ROWS = [
     # x or y empty, y a prefix of x, x a prefix of y, y's last cell read by
-    # x, or by y itself on some tables; one block_counts call per pair folds
-    # its accessible counts at depth 3 into A_1, A_2 and A_3
+    # x, or by y itself on some tables; block_counts with one-hot terms
+    # folds each pair's accessible counts at depth 3 into A_1, A_2 and A_3
     row("edge-pairs", "ab", both_orders(
         ("", ""), ("", "abba"), ("abba", ""), ("abab", "ab"), ("abb", "a"), ("ab", "abab"),
         ("a", "abba"), ("aa", "a"), ("aba", "ab"), ("ba", "bb"), ("a", "aa"), ("ab", "bab")), 3),
@@ -154,7 +154,7 @@ def test_exact_counter_matches_enumeration(monkeypatch, symbols, blocks, top, wi
                                            brute):
     # each block's counts (agreement_matrix) and values (kernel_block, and
     # gram_matrix for a symmetric block), and each 1 x 1 block's exact_kn,
-    # exact_pn, kernel_value and block_counts fold, against enumeration;
+    # exact_pn, kernel_value and one-hot block_counts, against enumeration;
     # repr tells an int, a float and a Fraction of one value apart
     from regkernel.kernel import kernel_block
 
@@ -178,10 +178,10 @@ def test_exact_counter_matches_enumeration(monkeypatch, symbols, blocks, top, wi
         assert repr((exact_kn(x, y, n, alphabet), exact_pn(x, y, n, alphabet))) == repr(
             (expected(x, y, n, 1), expected(x, y, n, 2))), (x, y, n)
     for x, y in pairs:
-        per_size, mix = count.block_counts(count.BlockPlan([x], [y], alphabet), [top], [top],
-                                           len(symbols))
-        assert [sum(w * c[0][0] for w, c in zip(weights, per_size)) for weights in mix] == [
-            expected(x, y, n) for n in ns], (x, y)
+        # terms weigh A_n alone at the pair's depth, top
+        assert [count.block_counts(count.BlockPlan([x], [y], alphabet), [top], [top],
+                                   len(symbols), [[int(j == n) for j in ns]] * (top + 1))
+                for n in ns] == [[[expected(x, y, n)]] for n in ns], (x, y)
     for scaling, weights in SCALINGS:
         params = KernelParams(alphabet=alphabet, n_max=top, mode="exact", scaling=scaling,
                               weights=weights and weights[:top])
@@ -219,6 +219,46 @@ def test_exact_pair_counts_match_enumeration(data, symbols):
         [a]]
     assert agreement_matrix([x, y], n, alphabet) == [[tables, a], [a, tables]]
     assert exact_kn(x, y, n, alphabet) == exact_kn(y, x, n, alphabet)
+
+
+@given(data=st.data(), sampled=st.booleans(), symmetric=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_weighted_counts_are_terms_times_agreement(data, sampled, symmetric):
+    # block_counts against agreement_matrix at each n: a pair of depth u
+    # sums terms[u][n-1] * A_n over n <= u, exact or sampled, and no size
+    # that no pair weighs is drawn
+    from unittest import mock
+
+    def strings():
+        return st.lists(st.text(alphabet="ab", max_size=5), min_size=1, max_size=5)
+
+    plan = count.BlockPlan(data.draw(strings()), None if symmetric else data.draw(strings()), AB)
+    rows, cols = list(plan.row_ids), list(plan.col_ids)
+    depth = st.integers(0, 4)
+    row_depths = [data.draw(depth) for _ in rows]
+    col_depths = row_depths if symmetric else [data.draw(depth) for _ in cols]
+    n_top = min(max(row_depths), max(col_depths))
+    terms = [data.draw(st.lists(st.integers(-3, 3), min_size=u, max_size=u))
+             for u in range(n_top + 1)]
+    sample = (37, 9) if sampled else None
+    drawn = []
+    real = stream.draw_table_block
+
+    def recording(n, *args):
+        drawn.append(n)
+        return real(n, *args)
+
+    with mock.patch.object(stream, "draw_table_block", recording):
+        got = count.block_counts(plan, row_depths, col_depths, 2, terms, sample)
+    agree = {n: agreement_matrix(rows, n, AB, None if symmetric else cols, sample)
+             for n in range(1, n_top + 1)}
+    depths = {min(r, c) for r in row_depths for c in col_depths}
+    assert drawn == ([n for n in agree if any(terms[u][n - 1] for u in depths if u >= n)]
+                     if sampled else [])
+    assert got == [[0 if symmetric and j < i else
+                    sum(terms[u][n - 1] * agree[n][i][j] for n in range(1, u + 1))
+                    for j, c in enumerate(col_depths) for u in [min(r, c)]]
+                   for i, r in enumerate(row_depths)]
 
 
 # ---------------------------------------------------------------------
@@ -322,18 +362,18 @@ def test_exact_tables_built_once_per_process(ab, monkeypatch):
 
 
 def test_value_function_built_once_per_block(ab, monkeypatch):
-    # the accessible tables and the stream each feed one value function per
-    # block, however many pairs the block holds
+    # the accessible tables and the stream each feed one set of assembly
+    # constants per block, however many pairs the block holds
     from regkernel import kernel
 
     built = []
-    real = kernel._value_function
+    real = kernel._value_constants
 
     def counting(*args, **kwargs):
         built.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernel, "_value_function", counting)
+    monkeypatch.setattr(kernel, "_value_constants", counting)
     deep = KernelParams(alphabet=ab, n_max=5, mode="exact", scaling="normalized",
                         weights=(0.5, 1.0, 2.0, 0.25, 3.0))
     for strings, params in [
@@ -365,25 +405,22 @@ def test_exact_gram_encodes_each_string_once(ab, monkeypatch):
 def test_block_values_each_distinct_pair_once(ab, monkeypatch, mode):
     from regkernel import kernel
 
-    calls = []
-    real = kernel._value_function
+    shapes = []
+    real = count.block_counts
 
     def counting(*args, **kwargs):
-        value = real(*args, **kwargs)
+        totals = real(*args, **kwargs)
+        shapes.append([len(line) for line in totals])
+        return totals
 
-        def counted(same, counts):
-            calls.append(same)
-            return value(same, counts)
-
-        return counted
-
-    monkeypatch.setattr(kernel, "_value_function", counting)
+    monkeypatch.setattr(count, "block_counts", counting)
     params = KernelParams(alphabet=ab, n_max=3, mode=mode, scaling="paper",
                           epsilon=0.2, master_seed=3)
     rows = ["", "ab", "bba", "ab"]
     distinct = enumerate_strings(ab, 5)[:50]
     block = kernel.kernel_block(rows, distinct * 3, params)
-    assert len(calls) == 3 * 50
+    # one total per distinct pair: 3 distinct rows against 50 distinct columns
+    assert shapes == [[50] * 3]
     for line in block:
         assert line[:50] == line[50:100] == line[100:]
     assert block[1] == block[3]
@@ -559,6 +596,8 @@ def test_mc_pn_validation(ab):
     for seed in (2**64, -1, 1.5):
         with pytest.raises(ValueError, match="seed"):
             mc_pn("ab", "ba", 2, 200, ab, seed)
+    # a numpy integer seed is read as the int it holds
+    assert mc_pn("ab", "ba", 2, 20, ab, np.int64(5)) == mc_pn("ab", "ba", 2, 20, ab, 5) == 0.4375
     # a float sample count is refused, not failed on inside the stream
     with pytest.raises(ValueError, match="sample count"):
         mc_pn("ab", "ba", 2, 2.5, ab, 5)
@@ -972,6 +1011,8 @@ def test_sample_dfas_rejects_bad_arguments(ab):
     for n, seed in ((0, 1), (2, -1), (2, 2**64), (2, 3.0)):
         with pytest.raises(ValueError):
             next(stream.sample_dfas(n, ab, seed, 1))
+    # a numpy integer seed is read as the int it holds
+    assert list(stream.sample_dfas(2, ab, np.int64(5), 3)) == list(stream.sample_dfas(2, ab, 5, 3))
 
 
 @pytest.mark.parametrize("block", [16, None])

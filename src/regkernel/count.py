@@ -5,9 +5,9 @@ For strings x, y and a state count n, let A(n) be the number of n-state
 transition tables, out of T = n**(n*k), on which x and y end in the same
 state.  A block is planned once (BlockPlan: its distinct strings, each
 encoded once, and their prefix tries).  block_counts, given the depth u
-each pair is counted to and integer weights terms[u], returns one matrix
-over the block's distinct pairs, the weighted sum
-sum_{n <= u} terms[u][n-1] * A_n of each.  One bit-sliced counter
+each pair is counted to and one integer weight per size, weights[n-1],
+returns one matrix over the block's distinct pairs, the weighted sum
+sum_{n <= u} weights[n-1] * A_n of each.  One bit-sliced counter
 (_sliced_agreement_counts) adds every weighted count into it, over one of
 two sets of tables: the accessible m-state tables in exact mode (C_m), or
 m sampled n-state tables of ``stream`` in Monte Carlo mode (A_n).  It
@@ -35,7 +35,7 @@ y end in the same state,
     A(n) = sum_{m <= n} (n-1)(n-2)...(n-m+1) * n**((n-m)*k) * C_m.
 
 So exact mode counts C_1..C_n_top, and one count of C_m serves every
-n >= m: in a pair of depth u it weighs sum_{n=m..u} terms[u][n-1] * w(n, m),
+n >= m: in a pair of depth u it weighs sum_{n=m..u} weights[n-1] * w(n, m),
 w(n, m) the weights of accessible_weights, and this module alone knows
 that fold.  Over two symbols there are 1, 12, 216, 5,248 and 160,675
 accessible tables for m = 1..5, against the 9,765,625 tables at n = 5
@@ -228,20 +228,21 @@ def check_table_cap(n_top: int, k: int) -> None:
 
 def block_counts(
     plan: BlockPlan, row_depths: Sequence[int], col_depths: Sequence[int], k: int,
-    terms: Sequence[Sequence[int]], sample: tuple[int, int] | None = None,
+    weights: Sequence[int], sample: tuple[int, int] | None = None,
 ) -> list[list[int]]:
     """One matrix over the plan's distinct strings: entry (i, j) is
-    sum_{n <= u} terms[u][n-1] * A_n of distinct row i and distinct column
+    sum_{n <= u} weights[n-1] * A_n of distinct row i and distinct column
     j, with u = min(row_depths[i], col_depths[j]) the pair's depth and
-    terms[u] its integer weight on each size.  n_top, the largest depth,
-    is min(max(row_depths), max(col_depths)).
+    weights[n-1] the integer weight on size n.  n_top, the largest depth,
+    is min(max(row_depths), max(col_depths)), and weights has at least
+    n_top entries.
 
     - ``sample`` (m, master_seed), Monte Carlo mode: A_n is counted over
       the first m tables of n's stream (draw_table_block), and a size that
       no pair weighs is not drawn;
     - exact mode: A_n = sum_{m <= n} w(n, m) * C_m with C_m counted over
       the accessible m-state tables and w(n, m) = accessible_weights(n, k),
-      so C_m weighs sum_{n=m..u} terms[u][n-1] * w(n, m) in a pair of
+      so C_m weighs sum_{n=m..u} weights[n-1] * w(n, m) in a pair of
       depth u.  The table cap is checked for n_top first (check_table_cap).
 
     Each pair of weight 0 at a size is skipped.  Entries below the
@@ -253,10 +254,10 @@ def block_counts(
     counts = [[0] * len(col_depths) for _ in row_depths]
     for m in range(1, n_top + 1):
         if sample is None:
-            by_depth = [sum(terms[u][n - 1] * accessible_weights(n, k)[m - 1]
+            by_depth = [sum(weights[n - 1] * accessible_weights(n, k)[m - 1]
                             for n in range(m, u + 1)) for u in range(n_top + 1)]
         else:
-            by_depth = [terms[u][m - 1] if u >= m else 0 for u in range(n_top + 1)]
+            by_depth = [weights[m - 1] if u >= m else 0 for u in range(n_top + 1)]
         by_row = {d: [by_depth[min(d, e)] for e in col_depths] for d in set(row_depths)}
         if any(map(any, by_row.values())):
             blocks = (_accessible_blocks(m, k, stream._BLOCK_SAMPLES) if sample is None
@@ -289,9 +290,8 @@ def agreement_matrix(
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
     plan = BlockPlan(rows, cols, alphabet)
-    one_hot = [[0] * (n - 1) + [1]] * (n + 1)
     return plan.expand(block_counts(plan, [n] * len(plan.row_ids), [n] * len(plan.col_ids),
-                                    len(alphabet), one_hot, sample))
+                                    len(alphabet), [0] * (n - 1) + [1], sample))
 
 
 # ---------------------------------------------------------------------------

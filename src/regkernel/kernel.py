@@ -44,8 +44,8 @@ expand.  The block's plan (count.BlockPlan) decides its distinct strings
 and encodes each once.  Term n of a value is affine in A_n,
 s_n * (D_n + A_n) / (4 * D_n) with D_n the tables counted, so a pair of
 depth u = n_used has the integer numerator
-d * 1{x = y} + bases[u] + sum_{n <= u} terms[u][n-1] * A_n over one
-denominator d.  _value_constants computes d, bases and terms once per
+d * 1{x = y} + bases[u] + sum_{n <= u} slopes[n-1] * A_n over one
+denominator d.  _value_constants computes d, bases and slopes once per
 block, and count.block_counts returns the weighted sums of counts, one
 per distinct pair, in one matrix; how exact mode gets A_n from the
 accessible tables is count's alone.  Each distinct pair is then divided
@@ -310,8 +310,8 @@ def _summation_limit(x: str, y: str, params: KernelParams) -> tuple[int, bool]:
     return n_used, n_used < limit
 
 
-def _value_constants(params: KernelParams, n_top: int) -> tuple[int, list[int], list[list[int]]]:
-    """(d, bases, terms): the integer constants that value every pair of a
+def _value_constants(params: KernelParams, n_top: int) -> tuple[int, list[int], list[int]]:
+    """(d, bases, slopes): the integer constants that value every pair of a
     block whose pairs sum at most n_top terms, computed once per block.
 
     Term n of a value is s_n * (D_n + A_n) / (4 * D_n), affine in A_n: D_n
@@ -322,10 +322,9 @@ def _value_constants(params: KernelParams, n_top: int) -> tuple[int, list[int], 
     d, the value of a pair of depth u = n_used with identity term
     1{x = y} = same is
 
-        (d * same + bases[u] + sum_{n <= u} terms[u][n-1] * A_n) / d,
+        (d * same + bases[u] + sum_{n <= u} slopes[n-1] * A_n) / d,
 
-    with terms[u] = slopes[:u] the weights count.block_counts sums the
-    counts with.  A value is then one integer numerator divided once:
+    with slopes the weights count.block_counts sums the counts with.  A value is then one integer numerator divided once:
     exactly, to an integer, in exact paper scaling, and rounded once to
     float otherwise (int true division rounds correctly, as float() of the
     rational sum would)."""
@@ -344,7 +343,7 @@ def _value_constants(params: KernelParams, n_top: int) -> tuple[int, list[int], 
     quarter = math.lcm(*(q for _, q in ratios))  # d = 4 * quarter
     slopes = [p * (quarter // q) for p, q in ratios]
     bases = [0, *itertools.accumulate(map(operator.mul, slopes, tables))]
-    return 4 * quarter, bases, [slopes[:u] for u in range(n_top + 1)]
+    return 4 * quarter, bases, slopes
 
 
 def _check_float_range(n_top: int, k: int) -> None:
@@ -386,12 +385,13 @@ def kernel_block(
     Every block plans, counts, assembles, then expands.  The plan
     (count.BlockPlan) decides the distinct rows and columns and encodes
     each once.  _value_constants, computed once per block, gives the
-    common denominator d and, for each depth u, the constant bases[u] and
-    the weights terms[u].  count.block_counts, counting each string to its
-    depth min(|s|, n_max), returns one matrix over the distinct strings
-    whose entry is sum_n terms[u][n-1] * A_n for the pair's depth u: A_n
-    over the first hoeffding_samples(epsilon, failure_prob) tables of n's
-    stream in Monte Carlo mode, and over all tables in exact mode.  Each
+    common denominator d, for each depth u the constant bases[u], and
+    the weight slopes[n-1] of each size.  count.block_counts, counting
+    each string to its depth min(|s|, n_max), returns one matrix over the
+    distinct strings whose entry is sum_{n <= u} slopes[n-1] * A_n for the
+    pair's depth u: A_n over the first hoeffding_samples(epsilon,
+    failure_prob) tables of n's stream in Monte Carlo mode, and over all
+    tables in exact mode.  Each
     distinct pair is then valued once (only j >= i of a symmetric block)
     as (d * 1{x = y} + bases[u] + total) / d, and plan.expand mirrors a
     symmetric block and maps the distinct pairs back to the block's
@@ -404,10 +404,10 @@ def kernel_block(
     n_top = min(max(row_lens, default=0), max(col_lens, default=0))
 
     check_block(params, n_top)
-    d, bases, terms = _value_constants(params, n_top)
+    d, bases, slopes = _value_constants(params, n_top)
     sample = None if params.mode == "exact" else (
         hoeffding_samples(params.epsilon, params.failure_prob), params.master_seed)
-    block = count.block_counts(plan, row_lens, col_lens, len(params.alphabet), terms, sample)
+    block = count.block_counts(plan, row_lens, col_lens, len(params.alphabet), slopes, sample)
 
     integral = params.mode == "exact" and params.scaling == "paper"
     cols = list(plan.col_ids)

@@ -178,9 +178,9 @@ def test_exact_counter_matches_enumeration(monkeypatch, symbols, blocks, top, wi
         assert repr((exact_kn(x, y, n, alphabet), exact_pn(x, y, n, alphabet))) == repr(
             (expected(x, y, n, 1), expected(x, y, n, 2))), (x, y, n)
     for x, y in pairs:
-        # terms weigh A_n alone at the pair's depth, top
+        # weight 1 on A_n alone, counted to the pair's depth, top
         assert [count.block_counts(count.BlockPlan([x], [y], alphabet), [top], [top],
-                                   len(symbols), [[int(j == n) for j in ns]] * (top + 1))
+                                   len(symbols), [int(j == n) for j in ns])
                 for n in ns] == [[[expected(x, y, n)]] for n in ns], (x, y)
     for scaling, weights in SCALINGS:
         params = KernelParams(alphabet=alphabet, n_max=top, mode="exact", scaling=scaling,
@@ -223,10 +223,10 @@ def test_exact_pair_counts_match_enumeration(data, symbols):
 
 @given(data=st.data(), sampled=st.booleans(), symmetric=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_weighted_counts_are_terms_times_agreement(data, sampled, symmetric):
+def test_weighted_counts_are_weights_times_agreement(data, sampled, symmetric):
     # block_counts against agreement_matrix at each n: a pair of depth u
-    # sums terms[u][n-1] * A_n over n <= u, exact or sampled, and no size
-    # that no pair weighs is drawn
+    # sums weights[n-1] * A_n over n <= u, exact or sampled, and a sampled
+    # size of weight 0 is not drawn
     from unittest import mock
 
     def strings():
@@ -238,8 +238,7 @@ def test_weighted_counts_are_terms_times_agreement(data, sampled, symmetric):
     row_depths = [data.draw(depth) for _ in rows]
     col_depths = row_depths if symmetric else [data.draw(depth) for _ in cols]
     n_top = min(max(row_depths), max(col_depths))
-    terms = [data.draw(st.lists(st.integers(-3, 3), min_size=u, max_size=u))
-             for u in range(n_top + 1)]
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=n_top, max_size=n_top))
     sample = (37, 9) if sampled else None
     drawn = []
     real = stream.draw_table_block
@@ -249,14 +248,12 @@ def test_weighted_counts_are_terms_times_agreement(data, sampled, symmetric):
         return real(n, *args)
 
     with mock.patch.object(stream, "draw_table_block", recording):
-        got = count.block_counts(plan, row_depths, col_depths, 2, terms, sample)
+        got = count.block_counts(plan, row_depths, col_depths, 2, weights, sample)
     agree = {n: agreement_matrix(rows, n, AB, None if symmetric else cols, sample)
              for n in range(1, n_top + 1)}
-    depths = {min(r, c) for r in row_depths for c in col_depths}
-    assert drawn == ([n for n in agree if any(terms[u][n - 1] for u in depths if u >= n)]
-                     if sampled else [])
+    assert drawn == ([n for n in agree if weights[n - 1]] if sampled else [])
     assert got == [[0 if symmetric and j < i else
-                    sum(terms[u][n - 1] * agree[n][i][j] for n in range(1, u + 1))
+                    sum(weights[n - 1] * agree[n][i][j] for n in range(1, u + 1))
                     for j, c in enumerate(col_depths) for u in [min(r, c)]]
                    for i, r in enumerate(row_depths)]
 

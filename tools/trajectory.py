@@ -3,7 +3,8 @@ one BENCH_<short-commit>.json per commit.
 
 For each commit, ``git archive <commit>`` is extracted into a temporary
 directory (no worktree: nothing is written into .git), and that tree's own
-``bench/run.py --workload W --seed s --trace 0`` runs there.  The runs
+``bench/run.py --workload W --seed s --trace 0`` runs there, for every
+workload W of BENCHMARK.json and the seeds s of SEEDS.  The runs
 interleave: for each seed and workload every commit runs once, and the
 commit that runs first rotates from one seed to the next, so drift over
 the session spreads evenly over the commits.  The last stdout line of a
@@ -18,8 +19,7 @@ counts of every run.
 
 Run from the repository root:
 
-    python3 tools/trajectory.py COMMIT [COMMIT ...] [--seeds 101 102 ...]
-        [--workloads exact-gram mc-learn] [--out trajectory]
+    python3 tools/trajectory.py COMMIT [COMMIT ...] [--out trajectory]
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 from loc import count  # noqa: E402
 
 RUN_TIMEOUT_S = 600
+SEEDS = list(range(101, 111))
 
 
 def git(*args: str) -> str:
@@ -98,8 +99,7 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": len(values)}
 
 
-def bench_record(commit: str, size: dict, seeds: list[int],
-                 runs: dict[str, list[dict]]) -> dict:
+def bench_record(commit: str, size: dict, runs: dict[str, list[dict]]) -> dict:
     fingerprint = next((r["fingerprint"] for rs in runs.values() for r in rs
                         if "fingerprint" in r), {})
     workloads = {}
@@ -119,20 +119,17 @@ def bench_record(commit: str, size: dict, seeds: list[int],
         "subject": git("log", "-1", "--format=%s", commit),
         "fingerprint": {key: fingerprint.get(key) for key in ("cores", "python", "numpy")},
         "src_regkernel": size,
-        "seeds": seeds,
+        "seeds": SEEDS,
         "workloads": workloads,
     }
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("commits", nargs="+")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(101, 111)))
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="default: every workload of BENCHMARK.json")
     parser.add_argument("--out", type=Path, default=ROOT / "trajectory")
     args = parser.parse_args(argv)
-    workloads = args.workloads or [w["name"] for w in json.loads(
+    workloads = [w["name"] for w in json.loads(
         (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
     commits = [git("rev-parse", "--short", c) for c in args.commits]
     runs = {c: {w: [] for w in workloads} for c in commits}
@@ -141,7 +138,7 @@ def main(argv: list[str]) -> int:
         for c in commits:
             trees[c] = Path(tmp) / c
             extract(c, trees[c])
-        for index, seed in enumerate(args.seeds):
+        for index, seed in enumerate(SEEDS):
             turn = index % len(commits)
             order = commits[turn:] + commits[:turn]
             for workload in workloads:
@@ -156,7 +153,7 @@ def main(argv: list[str]) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         for c in commits:
             path = args.out / f"BENCH_{c}.json"
-            record = bench_record(c, source_size(trees[c]), args.seeds, runs[c])
+            record = bench_record(c, source_size(trees[c]), runs[c])
             path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
             print(f"wrote {path}")
     return 0

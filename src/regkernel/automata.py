@@ -9,14 +9,18 @@ unreachable states, so the space of n-state automata over k symbols has
 exactly n**(n*k) * 2**n members.  The uniform sampler,
 stream.sample_dfas, reads the Monte Carlo kernel's own table stream.
 
-Enumerating every table (with numpy) and every DFA is the package's
-independent oracle for the kernel: the tests check the kernel's exact
-counter against it, and ``verify --suite bounds`` and the
-benchmark reference are computed from it.  TABLE_CAP bounds every
-enumeration here, and the kernel's exact path reads the same cap.  numpy
-is imported inside the oracle functions only, so importing this module
-does not load it.  Alphabet, Dfa and the records of ``kernel`` and
-``learner`` derive from Record, which behaves as a frozen dataclass.
+Enumerating every table with numpy is the package's independent oracle
+for the kernel: the tests check the kernel's exact counter against it,
+and ``verify --suite bounds`` and the benchmark reference are computed
+from it.  The oracle builds no Dfa: it walks the strings over every table
+(end_state_grid), and counts DFAs as (table, accepting set) pairs, one
+pass over that grid per accepting set (joint_accept_count_grid), since a
+DFA accepts a string when its accepting set holds the string's end state.
+TABLE_CAP bounds every enumeration here, and the kernel's exact path
+reads the same cap.  numpy is imported inside the oracle functions only,
+so importing this module does not load it.  Alphabet, Dfa and the records
+of ``kernel`` and ``learner`` derive from Record, which behaves as a
+frozen dataclass.
 """
 
 from __future__ import annotations
@@ -272,29 +276,15 @@ def _table_chunks(n: int, k: int):
         yield ranks, cells.reshape(len(ranks), n, k)
 
 
-def _walk(cells: np.ndarray, encoded: Sequence[int]) -> np.ndarray:
-    """End states of one string on a batch of transition tables."""
-    import numpy as np
-
-    m = cells.shape[0]
-    state = np.zeros(m, dtype=np.int64)
-    rows = np.arange(m)
-    for ci in encoded:
-        state = cells[rows, state, ci]
-    return state
-
-
 def kn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> int:
-    """Oracle for kernel.exact_kn: literally walk every DFA and test both strings.
+    """Oracle for kernel.exact_kn: the pair's entry of
+    joint_accept_count_grid, the n-state DFAs that accept both strings
+    counted over every (table, accepting set) pair.
 
     Much slower than exact_kn; exists so the accessible-table counter and
     the closed form can be cross-checked against the definition.
     """
-    count = 0
-    for dfa in enumerate_dfas(n, alphabet):
-        if dfa.accepts(x) and dfa.accepts(y):
-            count += 1
-    return count
+    return int(joint_accept_count_grid([x, y], n, alphabet)[0, 1])
 
 
 def pn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
@@ -310,7 +300,12 @@ def pn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
 
 def end_state_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
     """(T, S) matrix of end states: row per transition table in rank order,
-    column per string.  Materializes all tables; intended for small n."""
+    column per string.  Materializes all tables; intended for small n.
+
+    The strings are walked in sorted order over each chunk of tables, and
+    ``path`` keeps the end states of every prefix of the last string
+    walked, so a prefix that several strings share is walked once per
+    chunk."""
     import numpy as np
 
     encoded = [alphabet.encode(s) for s in strings]
@@ -319,8 +314,19 @@ def end_state_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.nda
         raise CapExceededError(total, TABLE_CAP)
     out = np.empty((total, len(strings)), dtype=np.int64)
     for ranks, cells in _table_chunks(n, len(alphabet)):
-        for j, e in enumerate(encoded):
-            out[ranks[0] : ranks[-1] + 1, j] = _walk(cells, e)
+        rows = np.arange(len(ranks))
+        path = [np.zeros(len(ranks), dtype=np.int64)]  # path[d]: end states of d symbols
+        previous: list[int] = []
+        for j in sorted(range(len(encoded)), key=encoded.__getitem__):
+            e = encoded[j]
+            shared = 0  # symbols e shares with the previous string
+            while shared < min(len(e), len(previous)) and e[shared] == previous[shared]:
+                shared += 1
+            del path[shared + 1 :]
+            for ci in e[shared:]:
+                path.append(cells[rows, path[-1], ci])
+            out[ranks[0] : ranks[-1] + 1, j] = path[-1]
+            previous = e
     return out
 
 
@@ -341,19 +347,22 @@ def agreement_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> 
 def joint_accept_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
     """(S, S) matrix of K_n values by direct enumeration over every DFA.
 
-    Iterates every (table, accepting mask) pair and accumulates the outer
-    product of acceptance indicators; no use of the agreement identity,
-    so it serves as the independent oracle for the closed-form path.
+    A DFA is a (table, accepting set) pair, and it accepts a string when
+    its accepting set holds the string's end state on its table.  For each
+    of the 2**n accepting sets, one pass over the end-state grid marks the
+    (table, string) pairs it accepts, and the product of the marks with
+    themselves counts, for every pair of strings, the tables on which that
+    set accepts both.  No use of the agreement identity, so it serves as
+    the independent oracle for the closed-form path.
     """
     import numpy as np
 
     ends = end_state_grid(strings, n, alphabet)
-    s = len(strings)
-    counts = np.zeros((s, s), dtype=np.int64)
-    for row in ends:
-        for mask in range(2**n):
-            acc = (mask >> row) & 1
-            counts += acc[:, None] * acc[None, :]
+    counts = np.zeros((len(strings), len(strings)), dtype=np.int64)
+    for mask in range(2**n):
+        accepted = np.array([(mask >> q) & 1 for q in range(n)], dtype=np.float64)[ends]
+        # exact in float64: every count is at most the T <= TABLE_CAP < 2**53 tables
+        counts += (accepted.T @ accepted).astype(np.int64)
     return counts
 
 

@@ -15,7 +15,8 @@ skips a pair whose weight at a size is 0, and a sampled size that no
 pair weighs is never drawn.  The fixed
 ``automata.TABLE_CAP`` bounds T in exact mode, as it bounds the
 enumeration oracle, so exact mode refuses the same state counts it always
-did; check_table_cap checks it once per block, before any count.
+did; check_table_cap checks it once per path, before any count:
+kernel.check_block for a kernel block, agreement_matrix for its n.
 
 block_counts is the one way into the counter: a kernel block counts
 each string to depth min(|s|, n_max) with the slopes of its values as
@@ -243,14 +244,13 @@ def block_counts(
     - exact mode: A_n = sum_{m <= n} w(n, m) * C_m with C_m counted over
       the accessible m-state tables and w(n, m) = accessible_weights(n, k),
       so C_m weighs sum_{n=m..u} weights[n-1] * w(n, m) in a pair of
-      depth u.  The table cap is checked for n_top first (check_table_cap).
+      depth u.  The caller has checked the table cap for n_top
+      (check_table_cap).
 
     Each pair of weight 0 at a size is skipped.  Entries below the
     diagonal of a symmetric plan stay 0.
     """
     n_top = min(max(row_depths, default=0), max(col_depths, default=0))
-    if sample is None:
-        check_table_cap(n_top, k)
     counts = [[0] * len(col_depths) for _ in row_depths]
     for m in range(1, n_top + 1):
         if sample is None:
@@ -275,9 +275,10 @@ def agreement_matrix(
     defaults to rows), out of all n**(n*k) n-state tables, or out of the
     first m tables of n's stream when ``sample`` is (m, master_seed).
 
-    The strings are planned as one block and counted by block_counts to
-    depth n each, with weight 1 on A_n alone, so the table cap and the
-    counter are those of any block, and a sample is drawn for n alone.
+    The strings are planned as one block, the table cap is checked for n
+    in exact mode, and block_counts counts them to depth n each, with
+    weight 1 on A_n alone, so the counter is that of any block, and a
+    sample is drawn for n alone.
     """
     if sample is not None:
         try:
@@ -290,6 +291,8 @@ def agreement_matrix(
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
     plan = BlockPlan(rows, cols, alphabet)
+    if sample is None:
+        check_table_cap(n, len(alphabet))
     return plan.expand(block_counts(plan, [n] * len(plan.row_ids), [n] * len(plan.col_ids),
                                     len(alphabet), [0] * (n - 1) + [1], sample))
 
@@ -382,20 +385,12 @@ def _accessible_blocks(m: int, k: int, width: int) -> tuple[Block, ...]:
                  for b, size in enumerate(sizes))
 
 
-def _completions(n: int, k: int, v: int, c: int) -> int:
-    """(n-1)(n-2)...(n-v+1) * n**(n*k - c): the n-state tables that
-    complete a partial table with v states visited, labelled 0..v-1, and c
-    cells assigned.  The labels 1..v-1 name distinct states other than 0,
-    and the n*k - c unassigned cells are free."""
-    return math.perm(n - 1, v - 1) * n ** (n * k - c)
-
-
 @cache
 def accessible_weights(n: int, k: int) -> tuple[int, ...]:
     """(w(n, 1), ..., w(n, n)): w(n, m) = (n-1)(n-2)...(n-m+1) * n**((n-m)*k)
     n-state tables have a given accessible m-state table as the part that
-    state 0 reaches, relabelled canonically: the completions of a partial
-    table with m states visited and all m*k of their cells assigned.  Kept
-    for the process, like the tables they weigh."""
-    return tuple(_completions(n, k, m, m * k) for m in range(1, n + 1))
+    state 0 reaches, relabelled canonically: its labels 1..m-1 name
+    distinct states other than 0, and the (n - m)*k cells of the other
+    rows are free.  Kept for the process, like the tables they weigh."""
+    return tuple(math.perm(n - 1, m - 1) * n ** ((n - m) * k) for m in range(1, n + 1))
 

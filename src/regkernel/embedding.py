@@ -5,9 +5,13 @@ Strings embed two ways.  The instance embedding ``chi`` maps a string to
 the one-hot vector at its own coordinate.  The concept embedding
 ``alpha_embed`` maps a string x to the indicator over automata that
 accept x, cut off at automata with no more states than x has characters;
-the cutoff is what keeps the support finite.  Their direct sum ``phi``
-is the canonical embedding, and for every target automaton the weight
-vector built by ``separator`` satisfies
+the cutoff is what keeps the support finite.  A ConceptUniverse names the
+coordinates and stores no automaton: an automaton is a transition table
+and an accepting set, and it accepts x when the set holds x's end state,
+so ``alpha_embed`` walks x once per table and sets the coordinate of each
+accepting set that holds the end state.  The direct sum of the two
+embeddings, ``phi``, is the canonical embedding, and for every target
+automaton the weight vector built by ``separator`` satisfies
 
     <w, phi(x)> = 1  if the target accepts x,
     <w, phi(x)> = 0  otherwise,
@@ -29,7 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .automata import Alphabet, Dfa, enumerate_dfas, iter_strings
+from .automata import (Alphabet, Dfa, dfa_space_size, enumerate_dfas, enumerate_tables,
+                       iter_strings)
 
 
 @dataclass(frozen=True, order=True)
@@ -99,33 +104,27 @@ class SparseVec:
 
 @dataclass
 class ConceptUniverse:
-    """All automata with 1..n_max states over one alphabet, materialized
-    in enumeration order together with their feature coordinates."""
+    """The coordinates of the automata with 1..n_max states over one
+    alphabet, in enumeration order: by state count, table rank, then
+    accepting mask.  No automaton is stored: iter_concepts builds each as
+    it lists it, and alpha_embed reads the tables alone."""
 
     alphabet: Alphabet
     n_max: int
-    _concepts: list[tuple[ConceptKey, Dfa]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        concepts = []
-        for n in range(1, self.n_max + 1):
-            states = 2**n
-            for index, dfa in enumerate(enumerate_dfas(n, self.alphabet)):
-                key = ConceptKey(n=n, table_rank=index // states, accept_mask=index % states)
-                concepts.append((key, dfa))
-        self._concepts = concepts
 
     def __len__(self) -> int:
-        return len(self._concepts)
+        return sum(dfa_space_size(n, len(self.alphabet)) for n in range(1, self.n_max + 1))
 
     def iter_concepts(self, max_n: int | None = None) -> Iterator[tuple[ConceptKey, Dfa]]:
         limit = self.n_max if max_n is None else min(max_n, self.n_max)
-        for key, dfa in self._concepts:
-            if key.n > limit:
-                break
-            yield key, dfa
+        for n in range(1, limit + 1):
+            states = 2**n
+            for index, dfa in enumerate(enumerate_dfas(n, self.alphabet)):
+                yield ConceptKey(n=n, table_rank=index // states, accept_mask=index % states), dfa
 
     def concept_id(self, dfa: Dfa) -> ConceptKey:
         """Feature coordinate of a member automaton; input error otherwise."""
@@ -150,15 +149,24 @@ def alpha_embed(x: str, universe: ConceptUniverse) -> SparseVec:
     """Concept embedding: indicator over automata accepting x, restricted
     to automata with at most |x| states.
 
+    An automaton accepts x when its accepting set holds x's end state on
+    its table, so each table is walked once, and the 2**(n-1) accepting
+    masks with that state's bit set are its coordinates in the support.
     The size cutoff keeps the support finite; the vector is marked
     truncated when the universe is too small to hold every coordinate the
     cutoff allows (n_max < |x|).
     """
+    encoded = universe.alphabet.encode(x)
     entries: dict[FeatureKey, Fraction] = {}
     one = Fraction(1)
-    for key, dfa in universe.iter_concepts(max_n=len(x)):
-        if dfa.accepts(x):
-            entries[key] = one
+    for n in range(1, min(len(x), universe.n_max) + 1):
+        for rank, table in enumerate(enumerate_tables(n, universe.alphabet)):
+            q = 0
+            for c in encoded:
+                q = table[q][c]
+            for mask in range(2**n):
+                if mask >> q & 1:
+                    entries[ConceptKey(n=n, table_rank=rank, accept_mask=mask)] = one
     return SparseVec(entries, truncated=universe.n_max < len(x))
 
 

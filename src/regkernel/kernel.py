@@ -324,10 +324,11 @@ def _value_constants(params: KernelParams, n_top: int) -> tuple[int, list[int], 
 
         (d * same + bases[u] + sum_{n <= u} slopes[n-1] * A_n) / d,
 
-    with slopes the weights count.block_counts sums the counts with.  A value is then one integer numerator divided once:
-    exactly, to an integer, in exact paper scaling, and rounded once to
-    float otherwise (int true division rounds correctly, as float() of the
-    rational sum would)."""
+    with slopes the weights count.block_counts sums the counts with.  A
+    value is then one integer numerator divided once: exactly, to an
+    integer, in exact paper scaling, and rounded once to float otherwise
+    (int true division rounds correctly, as float() of the rational sum
+    would)."""
     k = len(params.alphabet)
     ns = range(1, n_top + 1)
     if params.mode == "exact":

@@ -844,6 +844,9 @@ MODULE_LOADS = [
           "monte-carlo", ["--mode", "mc", "--nmax", "3", "--seed", "0"]).items()],
     pytest.param(["verify", "--suite", "concentration"], {"regkernel.verify"},
                  NEVER | {"numpy"}, "", id="verify-concentration"),
+    # the concept embedding reads tables, never the numpy oracle
+    pytest.param(["verify", "--suite", "embedding"], {"regkernel.embedding"},
+                 NEVER | {"numpy"}, "embedding.recovery\tPASS", id="verify-embedding"),
     pytest.param(["verify", "--suite", "psd"], {"numpy"}, NEVER, "psd.min_eigenvalue\tPASS",
                  id="verify-psd"),
 ]

@@ -11,8 +11,11 @@ from regkernel import (
     alpha_embed,
     chi,
     enumerate_dfas,
+    enumerate_strings,
+    exact_kn,
     kernel_value,
     KernelParams,
+    kn_by_enumeration,
     phi,
     score,
     separator,
@@ -182,3 +185,44 @@ def test_universe_level_sizes(universe):
 def test_concept_id_round_trip(universe, ab):
     for key, dfa in universe.iter_concepts():
         assert universe.concept_id(dfa) == key
+
+
+# ---------------------------------------------------------------------
+# the universe names coordinates; no automaton is stored or built
+# ---------------------------------------------------------------------
+
+def test_iter_concepts_lists_every_automaton_in_key_order(universe, ab):
+    concepts = list(universe.iter_concepts())
+    assert [dfa for _, dfa in concepts] == [*enumerate_dfas(1, ab), *enumerate_dfas(2, ab)]
+    keys = [key for key, _ in concepts]
+    assert keys == sorted(set(keys)) and len(keys) == len(universe)
+    assert [key for key, _ in universe.iter_concepts(max_n=1)] == [ConceptKey(1, 0, 0),
+                                                                  ConceptKey(1, 0, 1)]
+    assert len(ConceptUniverse(ab, 3)) == 2 + 64 + 5832
+
+
+def test_embedding_and_oracle_build_no_automaton(monkeypatch, ab):
+    # the concept embedding and the oracle read tables and accepting sets;
+    # their values are those of a literal construction over every Dfa
+    from regkernel import automata
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Dfa was built")
+
+    strings = enumerate_strings(ab, 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(automata.Dfa, "__init__", refuse)
+        universe = ConceptUniverse(ab, 3)
+        embedded = {x: (alpha_embed(x, universe), phi(x, universe)) for x in strings}
+        joint = automata.joint_accept_count_grid(strings, 3, ab)
+        kn = kn_by_enumeration("ababa", "abbaa", 3, ab)
+    assert kn == exact_kn("ababa", "abbaa", 3, ab)
+    assert (joint.diagonal() == 5832 // 2).all()
+    concepts = [(ConceptKey(n, i // 2**n, i % 2**n), dfa)
+                for n in (1, 2, 3) for i, dfa in enumerate(enumerate_dfas(n, ab))]
+    for x, (alpha, whole) in embedded.items():
+        literal = {key: Fraction(1) for key, dfa in concepts
+                   if key.n <= len(x) and dfa.accepts(x)}
+        assert (alpha.entries, alpha.truncated) == (literal, len(x) > 3), x
+        assert (whole.entries, whole.truncated) == ({InstanceKey(x): Fraction(1), **literal},
+                                                    len(x) > 3), x

@@ -4,7 +4,7 @@ count; imports under ``if TYPE_CHECKING:`` do not, since they never run.
 No module imports ``concurrent.futures``: the counters are pure Python and
 hold the GIL, so a thread pool only adds scheduling to the same work.  And
 only ``count.block_counts`` reaches the private counter: no function goes
-round its table cap."""
+round it, or round the table cap that its callers check first."""
 
 import ast
 from pathlib import Path

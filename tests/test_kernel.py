@@ -18,12 +18,14 @@ from regkernel import (
     KernelParams,
     count,
     dfa_space_size,
+    enumerate_dfas,
     enumerate_strings,
     exact_kn,
     exact_pn,
     gram_matrix,
     hoeffding_samples,
     kernel_value,
+    kn_by_enumeration,
     mc_pn,
     pn_by_enumeration,
     required_samples,
@@ -82,13 +84,12 @@ UNIVERSE = {"ab": enumerate_strings(AB, 4) + ["ababa", "abbaa"], "abc": enumerat
 def enumerated(symbols, n):
     """(A_n, K_n, P_n) of every ordered pair of UNIVERSE[symbols] by
     enumeration: A from agreement_count_grid, and K from
-    joint_accept_count_grid up to 729 tables (n = 3 over ab, 2 over abc; it
-    lists 2**n DFAs per table), beyond them from K = (T + A) * 2**n / 4."""
+    joint_accept_count_grid, which counts every (table, accepting set)
+    pair and not the identity K = (T + A) * 2**n / 4 under test."""
     alphabet, strings = Alphabet(tuple(symbols)), UNIVERSE[symbols]
     tables = table_count(n, len(symbols))
     agree = agreement_count_grid(strings, n, alphabet).tolist()
-    joint = (joint_accept_count_grid(strings, n, alphabet).tolist() if tables <= 729
-             else [[(tables + a) * 2**n // 4 for a in line] for line in agree])
+    joint = joint_accept_count_grid(strings, n, alphabet).tolist()
     return {(x, y): (agree[i][j], joint[i][j], Fraction(joint[i][j], tables * 2**n))
             for i, x in enumerate(strings) for j, y in enumerate(strings)}
 
@@ -104,7 +105,8 @@ def row(name, symbols, blocks, top, width=None, known=None, brute=()):
     each is counted for n = 1..top and valued at n_max = top, with
     stream._BLOCK_SAMPLES = width (None keeps it).  ``known`` maps (x, y, n)
     to literal answers (A_n, K_n, P_n) that stand in for enumeration, and
-    the pairs of the strings ``brute`` check the plain oracles against the
+    the pairs of the strings ``brute`` check the plain oracles, and the
+    per-pair oracles against a literal DFA-by-DFA count, against the
     grids."""
     return pytest.param(symbols, blocks, top, width, known or {}, brute, id=name)
 
@@ -166,11 +168,17 @@ def test_exact_counter_matches_enumeration(monkeypatch, symbols, blocks, top, wi
         return (known.get((x, y, n)) or known.get((y, x, n)) or enumerated(symbols, n)[x, y])[item]
 
     pairs = [(rows[0], cols[0]) for rows, cols in blocks if cols and len(rows) == len(cols) == 1]
+    # the strings of ``brute`` that each n-state DFA accepts, one DFA at a time
+    accepted = {n: [{x for x in brute if dfa.accepts(x)} for dfa in enumerate_dfas(n, alphabet)]
+                for n in ns if brute}
     for x, y in itertools.combinations_with_replacement(brute, 2):
-        # pn_by_enumeration builds every DFA as an object, so n <= 2
+        literal = [sum(x in a and y in a for a in accepted[n]) for n in ns]
         assert [brute_agreement(x, y, n) for n in ns] == [expected(x, y, n) for n in ns]
-        assert [pn_by_enumeration(x, y, n, alphabet) for n in (1, 2)] == [
-            expected(x, y, n, 2) for n in (1, 2)]
+        assert [kn_by_enumeration(x, y, n, alphabet) for n in ns] == literal == [
+            expected(x, y, n, 1) for n in ns]
+        assert [pn_by_enumeration(x, y, n, alphabet) for n in ns] == [
+            Fraction(kn, dfa_space_size(n, len(symbols))) for n, kn in zip(ns, literal)] == [
+            expected(x, y, n, 2) for n in ns]
     for n, (rows, cols) in itertools.product(ns, blocks):
         assert repr(agreement_matrix(rows, n, alphabet, cols)) == repr(
             [[expected(x, y, n) for y in cols or rows] for x in rows]), n

@@ -104,10 +104,11 @@ def row(name, symbols, blocks, top, width=None, known=None, brute=()):
     ([x], [y]), or one block (rows, cols), cols None for a symmetric block;
     each is counted for n = 1..top and valued at n_max = top, with
     stream._BLOCK_SAMPLES = width (None keeps it).  ``known`` maps (x, y, n)
-    to literal answers (A_n, K_n, P_n) that stand in for enumeration, and
-    the pairs of the strings ``brute`` check the plain oracles, and the
-    per-pair oracles against a literal DFA-by-DFA count, against the
-    grids."""
+    to literal answers (A_n, K_n, P_n) that stand in for enumeration.  The
+    pairs of the strings ``brute`` check the plain agreement oracle against
+    the grids, and the per-pair oracles kn_by_enumeration and
+    pn_by_enumeration against the grids and a literal count over every
+    Dfa."""
     return pytest.param(symbols, blocks, top, width, known or {}, brute, id=name)
 
 

@@ -29,23 +29,21 @@ stores finite supports only, which is the point of the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
-from .automata import (Alphabet, Dfa, dfa_space_size, enumerate_dfas, enumerate_tables,
+from . import automata
+from .automata import (Alphabet, CapExceededError, Dfa, Record, dfa_space_size, enumerate_dfas,
                        iter_strings)
 
 
-@dataclass(frozen=True, order=True)
-class InstanceKey:
+class InstanceKey(NamedTuple):
     """Feature coordinate indexed by a string."""
 
     string: str
 
 
-@dataclass(frozen=True, order=True)
-class ConceptKey:
+class ConceptKey(NamedTuple):
     """Feature coordinate indexed by an automaton: its state count, the
     rank of its transition table in enumeration order, and its accepting
     set as a bit mask.  Two automata with the same language but different
@@ -59,38 +57,38 @@ class ConceptKey:
 FeatureKey = Union[InstanceKey, ConceptKey]
 
 
-@dataclass
-class SparseVec:
+class SparseVec(Record):
     """Finite-support vector over feature coordinates, rational-valued.
 
-    Zeros are never stored, so ``nnz`` is the true support size.
-    ``truncated`` records that a concept cutoff exceeded the universe it
-    was computed in (provenance only; excluded from equality).
+    Zeros are never stored, so ``nnz`` is the true support size.  An int
+    or Fraction value is kept as given and any other number made exact
+    with Fraction.  ``truncated`` records that a concept cutoff exceeded
+    the universe it was computed in (provenance only; excluded from
+    equality).
     """
 
-    entries: dict[FeatureKey, Fraction]
-    truncated: bool = field(default=False, compare=False)
+    _fields = ("entries", "truncated")
 
-    def __post_init__(self):
-        self.entries = {k: f for k, v in self.entries.items() if (f := Fraction(v))}
+    def __init__(self, entries: dict[FeatureKey, int | Fraction], truncated: bool = False):
+        exact = {k: f for k, v in entries.items()
+                 if (f := v if isinstance(v, (int, Fraction)) else Fraction(v))}
+        self._set(entries=exact, truncated=truncated)
+
+    def _key(self) -> tuple:
+        return (self.entries,)
 
     @property
     def nnz(self) -> int:
         return len(self.entries)
 
-    def get(self, key: FeatureKey) -> Fraction:
+    def get(self, key: FeatureKey) -> int | Fraction:
         return self.entries.get(key, Fraction(0))
 
     def dot(self, other: "SparseVec") -> Fraction:
         a, b = self.entries, other.entries
         if len(b) < len(a):
             a, b = b, a
-        total = Fraction(0)
-        for key, va in a.items():
-            vb = b.get(key)
-            if vb is not None:
-                total += va * vb
-        return total
+        return Fraction(sum(va * b[key] for key, va in a.items() if key in b))
 
     def direct_sum(self, other: "SparseVec") -> "SparseVec":
         """Union of two vectors with disjoint supports."""
@@ -102,19 +100,18 @@ class SparseVec:
         return SparseVec(merged, truncated=self.truncated or other.truncated)
 
 
-@dataclass
-class ConceptUniverse:
+class ConceptUniverse(Record):
     """The coordinates of the automata with 1..n_max states over one
     alphabet, in enumeration order: by state count, table rank, then
     accepting mask.  No automaton is stored: iter_concepts builds each as
     it lists it, and alpha_embed reads the tables alone."""
 
-    alphabet: Alphabet
-    n_max: int
+    _fields = ("alphabet", "n_max")
 
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+    def __init__(self, alphabet: Alphabet, n_max: int):
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        self._set(alphabet=alphabet, n_max=n_max)
 
     def __len__(self) -> int:
         return sum(dfa_space_size(n, len(self.alphabet)) for n in range(1, self.n_max + 1))
@@ -142,7 +139,7 @@ class ConceptUniverse:
 
 def chi(x: str) -> SparseVec:
     """Instance embedding: the one-hot vector at the string's own coordinate."""
-    return SparseVec({InstanceKey(x): Fraction(1)})
+    return SparseVec({InstanceKey(x): 1})
 
 
 def alpha_embed(x: str, universe: ConceptUniverse) -> SparseVec:
@@ -151,22 +148,28 @@ def alpha_embed(x: str, universe: ConceptUniverse) -> SparseVec:
 
     An automaton accepts x when its accepting set holds x's end state on
     its table, so each table is walked once, and the 2**(n-1) accepting
-    masks with that state's bit set are its coordinates in the support.
-    The size cutoff keeps the support finite; the vector is marked
-    truncated when the universe is too small to hold every coordinate the
-    cutoff allows (n_max < |x|).
+    masks with that state's bit set, listed once per n, are its
+    coordinates in the support.  The size cutoff keeps the support finite;
+    the vector is marked truncated when the universe is too small to hold
+    every coordinate the cutoff allows (n_max < |x|).  Half of each size's
+    automata accept x, so the support size is known up front, and one past
+    automata.TABLE_CAP is refused with CapExceededError before any table
+    is listed.
     """
     encoded = universe.alphabet.encode(x)
-    entries: dict[FeatureKey, Fraction] = {}
-    one = Fraction(1)
-    for n in range(1, min(len(x), universe.n_max) + 1):
-        for rank, table in enumerate(enumerate_tables(n, universe.alphabet)):
+    top = min(len(x), universe.n_max)
+    required = sum(dfa_space_size(n, len(universe.alphabet)) // 2 for n in range(1, top + 1))
+    if required > automata.TABLE_CAP:
+        raise CapExceededError(required, automata.TABLE_CAP, what="concept coordinates")
+    entries: dict[FeatureKey, int] = {}
+    for n in range(1, top + 1):
+        holding = [[mask for mask in range(2**n) if mask >> q & 1] for q in range(n)]
+        for rank, table in enumerate(automata.enumerate_tables(n, universe.alphabet)):
             q = 0
             for c in encoded:
                 q = table[q][c]
-            for mask in range(2**n):
-                if mask >> q & 1:
-                    entries[ConceptKey(n=n, table_rank=rank, accept_mask=mask)] = one
+            for mask in holding[q]:
+                entries[ConceptKey(n, rank, mask)] = 1
     return SparseVec(entries, truncated=universe.n_max < len(x))
 
 
@@ -188,10 +191,10 @@ def separator(target: Dfa, universe: ConceptUniverse) -> SparseVec:
     and at-or-above the state count respectively.
     """
     key = universe.concept_id(target)
-    entries: dict[FeatureKey, Fraction] = {key: Fraction(1)}
+    entries: dict[FeatureKey, int] = {key: 1}
     for u in iter_strings(target.alphabet, target.n - 1):
         if target.accepts(u):
-            entries[InstanceKey(u)] = Fraction(1)
+            entries[InstanceKey(u)] = 1
     return SparseVec(entries)
 
 

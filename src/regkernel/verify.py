@@ -12,9 +12,9 @@ parameters, so that tests can run it on a smaller one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .automata import (
     Alphabet,
@@ -31,8 +31,7 @@ from .learner import enumerate_strings
 AB = Alphabet(("a", "b"))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -804,7 +804,8 @@ PACKAGE = {f"regkernel.{p.stem}" for p in (SRC / "regkernel").glob("*.py")} - {
 NEVER = {"concurrent.futures", "scipy", "secrets"}
 # records are plain classes and values integer ratios, so dataclasses
 # (inspect) and fractions (decimal) would only slow a command's start, as
-# numpy would; only verify loads them, with the embedding and its suites
+# numpy would; only verify loads fractions, with the embedding and its
+# suites, and no command loads dataclasses or inspect
 MONTE_CARLO = NEVER | {"numpy", "dataclasses", "inspect", "fractions", "decimal",
                        "regkernel.embedding", "regkernel.verify"}
 # hashlib is the Monte Carlo stream's, for SHAKE-256
@@ -843,12 +844,14 @@ MODULE_LOADS = [
       for command, argv in kernel_commands(
           "monte-carlo", ["--mode", "mc", "--nmax", "3", "--seed", "0"]).items()],
     pytest.param(["verify", "--suite", "concentration"], {"regkernel.verify"},
-                 NEVER | {"numpy"}, "", id="verify-concentration"),
+                 NEVER | {"numpy", "dataclasses", "inspect"}, "", id="verify-concentration"),
     # the concept embedding reads tables, never the numpy oracle
     pytest.param(["verify", "--suite", "embedding"], {"regkernel.embedding"},
-                 NEVER | {"numpy"}, "embedding.recovery\tPASS", id="verify-embedding"),
-    pytest.param(["verify", "--suite", "psd"], {"numpy"}, NEVER, "psd.min_eigenvalue\tPASS",
-                 id="verify-psd"),
+                 NEVER | {"numpy", "dataclasses", "inspect"}, "embedding.recovery\tPASS",
+                 id="verify-embedding"),
+    # numpy itself loads inspect
+    pytest.param(["verify", "--suite", "psd"], {"numpy"}, NEVER | {"dataclasses"},
+                 "psd.min_eigenvalue\tPASS", id="verify-psd"),
 ]
 
 

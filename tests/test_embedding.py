@@ -4,6 +4,7 @@ import pytest
 
 from regkernel import (
     Alphabet,
+    CapExceededError,
     ConceptKey,
     ConceptUniverse,
     InstanceKey,
@@ -32,9 +33,22 @@ def universe():
 # ---------------------------------------------------------------------
 
 def test_sparsevec_drops_zeros():
-    v = SparseVec({InstanceKey("a"): Fraction(0), InstanceKey("b"): Fraction(2)})
-    assert v.nnz == 1
-    assert v.get(InstanceKey("a")) == 0
+    v = SparseVec({InstanceKey("a"): Fraction(0), InstanceKey("b"): Fraction(2),
+                   InstanceKey("c"): 0.5, InstanceKey("d"): 2, InstanceKey("e"): 0.0})
+    assert v.nnz == 3
+    assert v.get(InstanceKey("a")) == v.get(InstanceKey("e")) == 0
+    # a float is held exactly; an int or Fraction as given
+    assert [(value, type(value)) for value in v.entries.values()] == [
+        (2, Fraction), (Fraction(1, 2), Fraction), (2, int)]
+
+
+def test_sparsevec_is_frozen_and_equality_ignores_truncated():
+    v = SparseVec({InstanceKey("a"): 1}, truncated=True)
+    for name in ("entries", "truncated"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+    assert v == SparseVec({InstanceKey("a"): 1}) != SparseVec({InstanceKey("b"): 1})
+    assert repr(v) == "SparseVec(entries={InstanceKey(string='a'): 1}, truncated=True)"
 
 
 def test_sparsevec_dot_and_direct_sum():
@@ -100,6 +114,41 @@ def test_alpha_support_matches_enumeration(universe, ab):
 def test_alpha_truncation_flag(universe):
     assert alpha_embed("aaa", universe).truncated  # |x| = 3 > n_max = 2
     assert not alpha_embed("ab", universe).truncated
+
+
+class Walked(Exception):
+    """Raised in place of listing a table: the call was admitted."""
+
+
+# Half of the n-state automata accept any one string, so the support of x
+# has sum_{n <= min(|x|, n_max)} dfa_space_size(n, k) // 2 coordinates.
+# ``required`` is None for an admitted call; ``cap`` None keeps TABLE_CAP.
+@pytest.mark.parametrize("symbols, x, n_max, cap, required", [
+    ("ab", "abab", 4, None, None),  # 527,237 coordinates
+    ("ab", "ababa", 5, None, 156_777_237),
+    ("ab", "abababab", 5, None, 156_777_237),
+    ("a", "aaaaaaa", 6, None, None),
+    ("a", "aaaaaaa", 7, None, 54_251_909),
+    ("ab", "aaa", 3, 2_949, None),
+    ("ab", "aaa", 3, 2_948, 2_949),
+])
+def test_alpha_embed_refuses_before_the_walk(monkeypatch, symbols, x, n_max, cap, required):
+    from regkernel import automata
+
+    def walk(*args, **kwargs):
+        raise Walked
+
+    monkeypatch.setattr(automata, "enumerate_tables", walk)
+    if cap is not None:
+        monkeypatch.setattr(automata, "TABLE_CAP", cap)
+    universe = ConceptUniverse(Alphabet(tuple(symbols)), n_max)
+    if required is None:
+        with pytest.raises(Walked):
+            alpha_embed(x, universe)
+        return
+    with pytest.raises(CapExceededError, match="concept coordinates") as refused:
+        alpha_embed(x, universe)
+    assert (refused.value.required, refused.value.cap) == (required, automata.TABLE_CAP)
 
 
 # ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The package's eight records behave as frozen dataclasses: construction,
+"""The package's nine records behave as frozen dataclasses: construction,
 equality, hashing, repr, immutability, copying and pickling."""
 
 import copy
@@ -9,6 +9,7 @@ import pytest
 from regkernel import (
     Alphabet,
     ApproxCertificate,
+    ConceptUniverse,
     Dataset,
     Dfa,
     GramMatrix,
@@ -36,6 +37,7 @@ FIELDS = {
     Dataset: {"alphabet": AB, "records": (("a", 1), ("b", -1))},
     PerceptronModel: {"support": (("a", 1),), "params": PARAMS, "epochs_run": 1,
                       "errors_per_epoch": (0,)},
+    ConceptUniverse: {"alphabet": AB, "n_max": 2},
 }
 RECORDS = list(FIELDS)
 # fields that the class fixes and the constructor does not take

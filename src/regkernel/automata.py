@@ -19,8 +19,9 @@ DFA accepts a string when its accepting set holds the string's end state.
 TABLE_CAP bounds every enumeration here, and the kernel's exact path
 reads the same cap.  numpy is imported inside the oracle functions only,
 so importing this module does not load it.  Alphabet, Dfa and the records
-of ``kernel`` and ``learner`` derive from Record, which behaves as a
-frozen dataclass.
+of ``kernel``, ``learner`` and ``embedding`` derive from Record, which
+behaves as a frozen dataclass, so no module of the package imports
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -65,13 +66,15 @@ class ParseError(ValueError):
 
 
 class Record:
-    """Base of the package's immutable records: frozen dataclasses in
+    """Base of the package's immutable records, those of ``automata``,
+    ``kernel``, ``learner`` and ``embedding``: frozen dataclasses in
     behaviour, without the import of ``dataclasses`` (and ``inspect``) and
     the generated code that every command would pay for.  ``_fields``
-    names the fields in order; equality (same class only), hash and repr
-    read them.  ``__init__`` stores attributes with ``_set``, and any later
-    assignment or deletion raises AttributeError.  The ``__dict__`` stays,
-    for pickle, copy and vars()."""
+    names the fields in order, and repr reads them; equality (same class
+    only) and hash read ``_key``, the fields' values unless a subclass
+    narrows it (SparseVec leaves ``truncated`` out).  ``__init__`` stores
+    attributes with ``_set``, and any later assignment or deletion raises
+    AttributeError.  The ``__dict__`` stays, for pickle, copy and vars()."""
 
     _fields: tuple[str, ...] = ()
 

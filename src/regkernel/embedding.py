@@ -9,22 +9,27 @@ the cutoff is what keeps the support finite.  A ConceptUniverse names the
 coordinates and stores no automaton: an automaton is a transition table
 and an accepting set, and it accepts x when the set holds x's end state,
 so ``alpha_embed`` walks x once per table and sets the coordinate of each
-accepting set that holds the end state.  The direct sum of the two
-embeddings, ``phi``, is the canonical embedding, and for every target
-automaton the weight vector built by ``separator`` satisfies
+accepting set that holds the end state.  It refuses, before any table is
+listed, a support past ``automata.TABLE_CAP`` coordinates.  The direct
+sum of the two embeddings, ``phi``, is the canonical embedding, and for
+every target automaton the weight vector built by ``separator`` satisfies
 
     <w, phi(x)> = 1  if the target accepts x,
     <w, phi(x)> = 0  otherwise,
 
-exactly, in rational arithmetic: the instance half of w covers the
-strings shorter than the target's state count and the concept half is
-the single coordinate of the target itself, so exactly one half fires on
-members and neither fires on non-members.
+exactly, in rational arithmetic: every coordinate built here holds the
+integer 1, and ``score`` returns a Fraction.  The instance half of w
+covers the strings shorter than the target's state count and the concept
+half is the single coordinate of the target itself, so exactly one half
+fires on members and neither fires on non-members.
 
 Infinite-support variants (indicator over all concepts with no cutoff,
 or a weight vector listing every member of an infinite language) would
 satisfy the same identity but are not representable here: SparseVec
 stores finite supports only, which is the point of the construction.
+Coordinates are keyed by InstanceKey and ConceptKey, named tuples that
+compare equal to plain tuples of their fields; SparseVec and
+ConceptUniverse are ``automata.Record``s, immutable once built.
 """
 
 from __future__ import annotations

@@ -16,9 +16,11 @@ from it.  The oracle builds no Dfa: it walks the strings over every table
 (end_state_grid), and counts DFAs as (table, accepting set) pairs, one
 pass over that grid per accepting set (joint_accept_count_grid), since a
 DFA accepts a string when its accepting set holds the string's end state.
-TABLE_CAP bounds every enumeration here, and the kernel's exact path
-reads the same cap.  numpy is imported inside the oracle functions only,
-so importing this module does not load it.  Alphabet, Dfa and the records
+TABLE_CAP bounds every term the package counts or lists, and check_cap,
+its one comparison, refuses past it: the oracle's tables, the concept
+embedding's coordinates, and a kernel term's tables, exact or sampled
+(count.check_table_cap).  numpy is imported inside the oracle functions
+only, so importing this module does not load it.  Alphabet, Dfa and the records
 of ``kernel``, ``learner`` and ``embedding`` derive from Record, which
 behaves as a frozen dataclass, so no module of the package imports
 ``dataclasses``.
@@ -34,8 +36,10 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-# Upper bound on the n**(n*k) transition tables of one state count that an
-# enumeration lists, or that an exact kernel term counts over.
+# Upper bound on every term the package counts or lists: the n**(n*k)
+# transition tables of one state count that an enumeration lists or an
+# exact kernel term counts over, the m tables a Monte Carlo term samples,
+# and the concept embedding's coordinates (check_cap).
 TABLE_CAP = 10_000_000
 
 COMMENT_CHAR = "#"
@@ -53,6 +57,13 @@ class CapExceededError(RuntimeError):
         if hint:
             msg += f" ({hint})"
         super().__init__(msg)
+
+
+def check_cap(required: int, what: str = "transition tables", hint: str = "") -> None:
+    """Raise CapExceededError when ``required`` is past TABLE_CAP, read at
+    call time: the package's one comparison against the cap."""
+    if required > TABLE_CAP:
+        raise CapExceededError(required, TABLE_CAP, what, hint)
 
 
 class ParseError(ValueError):
@@ -238,9 +249,7 @@ def enumerate_tables(n: int, alphabet: Alphabet) -> Iterator[tuple[tuple[int, ..
     n**(n*k) exceeds TABLE_CAP.
     """
     k = len(alphabet)
-    total = table_count(n, k)
-    if total > TABLE_CAP:
-        raise CapExceededError(total, TABLE_CAP)
+    check_cap(table_count(n, k))
     for cells in itertools.product(range(n), repeat=n * k):
         yield tuple(cells[q * k : (q + 1) * k] for q in range(n))
 
@@ -313,8 +322,7 @@ def end_state_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.nda
 
     encoded = [alphabet.encode(s) for s in strings]
     total = table_count(n, len(alphabet))
-    if total > TABLE_CAP:
-        raise CapExceededError(total, TABLE_CAP)
+    check_cap(total)
     out = np.empty((total, len(strings)), dtype=np.int64)
     for ranks, cells in _table_chunks(n, len(alphabet)):
         rows = np.arange(len(ranks))

@@ -12,11 +12,13 @@ sum_{n <= u} weights[n-1] * A_n of each.  One bit-sliced counter
 two sets of tables: the accessible m-state tables in exact mode (C_m), or
 m sampled n-state tables of ``stream`` in Monte Carlo mode (A_n).  It
 skips a pair whose weight at a size is 0, and a sampled size that no
-pair weighs is never drawn.  The fixed
-``automata.TABLE_CAP`` bounds T in exact mode, as it bounds the
+pair weighs is never drawn.  The fixed ``automata.TABLE_CAP`` bounds the
+tables of one term in both modes: T in exact mode, as it bounds the
 enumeration oracle, so exact mode refuses the same state counts it always
-did; check_table_cap checks it once per path, before any count:
-kernel.check_block for a kernel block, agreement_matrix for its n.
+did, and m in Monte Carlo mode, so no term samples more tables than an
+exact one may count.  check_table_cap checks it once per path, before any
+count or draw: kernel.check_block for a kernel block, agreement_matrix for
+its n.
 
 block_counts is the one way into the counter: a kernel block counts
 each string to depth min(|s|, n_max) with the slopes of its values as
@@ -54,8 +56,9 @@ memory is one block of a sample, whatever its number of tables; the
 accessible tables are kept for the process.
 
 The names this module takes from ``automata`` and ``stream`` that a
-caller may replace (``TABLE_CAP``, ``_BLOCK_SAMPLES``, draw_table_block)
-are read through their module at call time, so each has one binding.
+caller may replace (check_cap, which reads ``TABLE_CAP``,
+``_BLOCK_SAMPLES``, draw_table_block) are read through their module at
+call time, so each has one binding.
 The counter runs on the caller's thread: it is pure Python and holds the
 GIL.
 """
@@ -69,7 +72,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from . import automata, stream
-from .automata import Alphabet, CapExceededError, table_count
+from .automata import Alphabet, table_count
 
 # One block of bit-sliced tables: (size, parts), bit t of parts[q][c][r]
 # set when table t of the block maps state q on symbol c to r.
@@ -218,13 +221,16 @@ def _sampled_blocks(n: int, k: int, master_seed: int, m: int) -> Iterable[Block]
         yield size, stream.draw_table_block(n, k, master_seed, block, size)
 
 
-def check_table_cap(n_top: int, k: int) -> None:
-    """Refuse with CapExceededError an exact block whose deepest term is
-    n_top when its table count n_top**(n_top*k) is past automata.TABLE_CAP."""
-    required = table_count(n_top, k) if n_top else 0
-    if required > automata.TABLE_CAP:
-        raise CapExceededError(required, automata.TABLE_CAP,
-                               hint="use monte-carlo mode for large state counts")
+def check_table_cap(n_top: int, k: int, m: int | None = None) -> None:
+    """Refuse with CapExceededError (automata.check_cap) a block whose
+    deepest term n_top counts past automata.TABLE_CAP tables: the
+    n_top**(n_top*k) tables of an exact term, or the m tables a Monte Carlo
+    term samples when m is given.  A block with n_top 0 has no term."""
+    if n_top and m is None:
+        automata.check_cap(table_count(n_top, k),
+                           hint="use monte-carlo mode for large state counts")
+    elif n_top:
+        automata.check_cap(m, "sampled tables per term", "raise --eps or --delta")
 
 
 def block_counts(
@@ -244,11 +250,11 @@ def block_counts(
     - exact mode: A_n = sum_{m <= n} w(n, m) * C_m with C_m counted over
       the accessible m-state tables and w(n, m) = accessible_weights(n, k),
       so C_m weighs sum_{n=m..u} weights[n-1] * w(n, m) in a pair of
-      depth u.  The caller has checked the table cap for n_top
-      (check_table_cap).
+      depth u.
 
-    Each pair of weight 0 at a size is skipped.  Entries below the
-    diagonal of a symmetric plan stay 0.
+    The caller has checked the table cap for n_top (check_table_cap), in
+    either mode.  Each pair of weight 0 at a size is skipped.  Entries
+    below the diagonal of a symmetric plan stay 0.
     """
     n_top = min(max(row_depths, default=0), max(col_depths, default=0))
     counts = [[0] * len(col_depths) for _ in row_depths]
@@ -276,7 +282,7 @@ def agreement_matrix(
     first m tables of n's stream when ``sample`` is (m, master_seed).
 
     The strings are planned as one block, the table cap is checked for n
-    in exact mode, and block_counts counts them to depth n each, with
+    (its n**(n*k) tables, or the m sampled), and block_counts counts them to depth n each, with
     weight 1 on A_n alone, so the counter is that of any block, and a
     sample is drawn for n alone.
     """
@@ -291,8 +297,7 @@ def agreement_matrix(
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
     plan = BlockPlan(rows, cols, alphabet)
-    if sample is None:
-        check_table_cap(n, len(alphabet))
+    check_table_cap(n, len(alphabet), None if sample is None else sample[0])
     return plan.expand(block_counts(plan, [n] * len(plan.row_ids), [n] * len(plan.col_ids),
                                     len(alphabet), [0] * (n - 1) + [1], sample))
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
 from . import automata
-from .automata import (Alphabet, CapExceededError, Dfa, Record, dfa_space_size, enumerate_dfas,
+from .automata import (Alphabet, Dfa, Record, check_cap, dfa_space_size, enumerate_dfas,
                        iter_strings)
 
 
@@ -158,14 +158,13 @@ def alpha_embed(x: str, universe: ConceptUniverse) -> SparseVec:
     the vector is marked truncated when the universe is too small to hold
     every coordinate the cutoff allows (n_max < |x|).  Half of each size's
     automata accept x, so the support size is known up front, and one past
-    automata.TABLE_CAP is refused with CapExceededError before any table
-    is listed.
+    automata.TABLE_CAP is refused with CapExceededError (check_cap) before
+    any table is listed.
     """
     encoded = universe.alphabet.encode(x)
     top = min(len(x), universe.n_max)
     required = sum(dfa_space_size(n, len(universe.alphabet)) // 2 for n in range(1, top + 1))
-    if required > automata.TABLE_CAP:
-        raise CapExceededError(required, automata.TABLE_CAP, what="concept coordinates")
+    check_cap(required, what="concept coordinates")
     entries: dict[FeatureKey, int] = {}
     for n in range(1, top + 1):
         holding = [[mask for mask in range(2**n) if mask >> q & 1] for q in range(n)]

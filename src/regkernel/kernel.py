@@ -362,13 +362,16 @@ def _check_float_range(n_top: int, k: int) -> None:
 
 
 def check_block(params: KernelParams, n_top: int) -> None:
-    """Refuse, before any count, a block whose deepest term is n_top: exact
-    past the table cap (count.check_table_cap), Monte Carlo paper-scaled
-    past the float range (_check_float_range).  Both grow with n, so the
-    deepest term decides for every pair of a block, or of a prediction."""
-    if params.mode == "exact":
-        count.check_table_cap(n_top, len(params.alphabet))
-    elif params.scaling == "paper":
+    """Refuse, before any count or draw, a block whose deepest term is
+    n_top: past the table cap (count.check_table_cap) in either mode, by
+    its n_top**(n_top*k) tables in exact mode and its
+    hoeffding_samples(epsilon, failure_prob) sampled tables in Monte Carlo
+    mode, then Monte Carlo paper-scaled past the float range
+    (_check_float_range).  Neither shrinks as n grows, so the deepest term
+    decides for every pair of a block, or of a prediction."""
+    m = None if params.mode == "exact" else hoeffding_samples(params.epsilon, params.failure_prob)
+    count.check_table_cap(n_top, len(params.alphabet), m)
+    if m is not None and params.scaling == "paper":
         _check_float_range(n_top, len(params.alphabet))
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from regkernel import (
     Alphabet, CapExceededError, Dataset, Dfa, KernelParams, enumerate_strings, exact_kn, exact_pn,
-    label_strings, parse_dfa,
+    label_strings, mc_pn, parse_dfa,
 )
 from regkernel.cli import main
 from regkernel.count import agreement_matrix
@@ -70,6 +70,8 @@ REFUSAL_FILES = {
                               "ba" * 39 + "bb"]),
     "exact.model": model_text("ab", n_max=2),
     "mc.model": model_text("ab", n_max=2, mode="monte-carlo", scaling="normalized"),
+    "mc-cap.model": model_text("ab", n_max=2, mode="monte-carlo", scaling="normalized",
+                               epsilon=0.0001),
     "deep.model": model_text("a" * 6, n_max=6),
     "deep-normalized.model": model_text("a" * 6, n_max=6, scaling="normalized"),
     "paper.model": model_text("b" * 80, n_max=80, mode="monte-carlo", scaling="paper"),
@@ -88,6 +90,7 @@ REFUSAL_FILES = {
 }
 EXACT_CAP = r"transition tables, above the cap of \d+ \(use monte-carlo mode"
 FLOAT_RANGE = "paper-scaled Monte Carlo sum.*use normalized scaling"
+MC_CAP = r"sampled tables per term, above the cap of \d+ \(raise --eps or --delta\)"
 SINGLE_N = {"agreement_matrix": partial(agreement_matrix, ["a", "b"]),
             "exact_kn": partial(exact_kn, "a", "b"), "exact_pn": partial(exact_pn, "a", "b")}
 
@@ -126,6 +129,23 @@ REFUSALS = [
                                      (0, None, ValueError, "state count"))],
     refusal(partial(agreement_matrix, ["a", "b"], 3, AB), Tripwire, "_sliced_agreement_counts",
             729, id="agreement_matrix-n3-cap729"),
+    # Monte Carlo past the table cap by its m sampled tables per term, at any
+    # n: m = 1,844,439,727,056,967,936 at epsilon 1e-9 and 184,443,973 at
+    # 1e-4 (delta 0.05)
+    refusal(["kernel", "--mode", "mc", "--eps", "1e-9", "--nmax", "1", "a", "b"], 3, MC_CAP,
+            id="kernel-mc-cap"),
+    *[refusal([command, "--dataset", "short.tsv", "--mode", "mc", "--eps", "0.0001", "--out",
+               "out"], 3, MC_CAP, id=f"{command}-mc-cap")
+      for command in ("gram", "train")],
+    refusal(["predict", "--model", "mc-cap.model", "--in", "deep.txt"], 3, MC_CAP,
+            id="predict-mc-cap"),
+    refusal(partial(mc_pn, "a", "b", 2, 10_000_001, AB, 0), CapExceededError, MC_CAP,
+            id="mc_pn-n2-m10000001"),
+    # 185 sampled tables pass a cap of 185, and the counter is next
+    refusal(partial(agreement_matrix, ("a", "b"), 2, AB, sample=(185, 0)), CapExceededError,
+            MC_CAP, 184, id="agreement_matrix-m185-cap184"),
+    refusal(partial(agreement_matrix, ("a", "b"), 2, AB, sample=(185, 0)), Tripwire,
+            "_sliced_agreement_counts", 185, id="agreement_matrix-m185-cap185"),
     # Monte Carlo paper scaling past the float range, first refused at
     # n = 76 over two symbols
     refusal(["kernel", "--mode", "mc", "--scaling", "paper", "--nmax", "80", "ab" * 40,

@@ -618,9 +618,12 @@ def exact_paper(ab, n_max=2):
 
 
 def test_kernel_empty_pair_is_identity_only(ab):
-    kv = kernel_value("", "", exact_paper(ab))
-    assert kv.value == 1
-    assert kv.n_used == 0 and not kv.truncated
+    # a block with no term counts no table, so no epsilon refuses it
+    for params in (exact_paper(ab),
+                   KernelParams(alphabet=ab, n_max=2, mode="monte-carlo", epsilon=1e-9)):
+        kv = kernel_value("", "", params)
+        assert kv.value == 1
+        assert kv.n_used == 0 and not kv.truncated
 
 
 def test_kernel_ab_exact(ab):

@@ -9,21 +9,21 @@ unreachable states, so the space of n-state automata over k symbols has
 exactly n**(n*k) * 2**n members.  The uniform sampler,
 stream.sample_dfas, reads the Monte Carlo kernel's own table stream.
 
-Enumerating every table with numpy is the package's independent oracle
-for the kernel: the tests check the kernel's exact counter against it,
-and ``verify --suite bounds`` and the benchmark reference are computed
-from it.  The oracle builds no Dfa: it walks the strings over every table
+Enumerating every table is the package's independent oracle for the
+kernel: the tests check the kernel's exact counter against it, and
+``verify --suite bounds`` and the benchmark reference are computed from
+it.  The oracle holds a set of tables as the bits of a Python integer and
+builds no Dfa: it walks the strings over every table at once
 (end_state_grid), and counts DFAs as (table, accepting set) pairs, one
 pass over that grid per accepting set (joint_accept_count_grid), since a
 DFA accepts a string when its accepting set holds the string's end state.
+Its grids are lists of lists of ints, as count.agreement_matrix returns.
 TABLE_CAP bounds every term the package counts or lists, and check_cap,
 its one comparison, refuses past it: the oracle's tables, the concept
 embedding's coordinates, and a kernel term's tables, exact or sampled
-(count.check_table_cap).  numpy is imported inside the oracle functions
-only, so importing this module does not load it.  Alphabet, Dfa and the records
-of ``kernel``, ``learner`` and ``embedding`` derive from Record, which
-behaves as a frozen dataclass, so no module of the package imports
-``dataclasses``.
+(count.check_table_cap).  Alphabet, Dfa and the records of ``kernel``,
+``learner`` and ``embedding`` derive from Record, which behaves as a
+frozen dataclass, so no module of the package imports ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    import numpy as np
 
 # Upper bound on every term the package counts or lists: the n**(n*k)
 # transition tables of one state count that an enumeration lists or an
@@ -267,25 +265,30 @@ def enumerate_dfas(n: int, alphabet: Alphabet) -> Iterator[Dfa]:
 # Enumeration oracle: every transition table, for tests and verification
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 18
+# A set of tables is a Python int: bit t stands for the table of rank t,
+# in the order enumerate_tables lists them (first cell most significant).
 
 
-def _table_chunks(n: int, k: int):
-    """Yield (ranks, cells) arrays covering all n**(n*k) tables in rank order.
+def _cell_masks(n: int, k: int) -> list[list[list[int]]]:
+    """masks[q][c][r]: the set of tables that map state q on symbol c to r.
 
-    cells has shape (chunk, n, k); cell (q, i) of the table with a given
-    rank is digit n*k-1-(q*k+i) of the rank in base n (first cell most
-    significant), matching enumerate_tables.
-    """
-    import numpy as np
-
+    Cell (q, c) is digit n*k-1-(q*k+c) of the rank in base n, so it holds r
+    over runs of n**(cells after it) consecutive ranks, a pattern that
+    repeats every n runs.  Each pattern is doubled up to the n**(n*k) bits
+    (dividing 2**T - 1 by 2**P - 1 instead is quadratic in T)."""
     total = table_count(n, k)
-    ncells = n * k
-    powers = np.array([n ** (ncells - 1 - i) for i in range(ncells)], dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        ranks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        cells = (ranks[:, None] // powers[None, :]) % n
-        yield ranks, cells.reshape(len(ranks), n, k)
+    cells = []
+    for cell in range(n * k):
+        run = n ** (n * k - 1 - cell)
+        values = []
+        for r in range(n):
+            bits, width = ((1 << run) - 1) << (r * run), n * run
+            while width < total:
+                bits |= bits << width
+                width *= 2
+            values.append(bits & ((1 << total) - 1))
+        cells.append(values)
+    return [cells[q * k : (q + 1) * k] for q in range(n)]
 
 
 def kn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> int:
@@ -296,7 +299,7 @@ def kn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> int:
     Much slower than exact_kn; exists so the accessible-table counter and
     the closed form can be cross-checked against the definition.
     """
-    return int(joint_accept_count_grid([x, y], n, alphabet)[0, 1])
+    return joint_accept_count_grid([x, y], n, alphabet)[0][1]
 
 
 def pn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
@@ -310,71 +313,66 @@ def pn_by_enumeration(x: str, y: str, n: int, alphabet: Alphabet) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def end_state_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
-    """(T, S) matrix of end states: row per transition table in rank order,
-    column per string.  Materializes all tables; intended for small n.
+def end_state_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> list[list[int]]:
+    """ends[j][q]: the set of tables on which string j ends in state q.
+    Holds n sets of n**(n*k) bits per string; intended for small n.
 
-    The strings are walked in sorted order over each chunk of tables, and
+    The strings are walked in sorted order over every table at once, and
     ``path`` keeps the end states of every prefix of the last string
-    walked, so a prefix that several strings share is walked once per
-    chunk."""
-    import numpy as np
-
+    walked, so a prefix that several strings share is walked once.  Each
+    symbol costs n**2 ANDs: the tables that end in r are those that end in
+    some q and map (q, symbol) to r, and the sets for distinct q are
+    disjoint, so their sum is their union."""
     encoded = [alphabet.encode(s) for s in strings]
     total = table_count(n, len(alphabet))
     check_cap(total)
-    out = np.empty((total, len(strings)), dtype=np.int64)
-    for ranks, cells in _table_chunks(n, len(alphabet)):
-        rows = np.arange(len(ranks))
-        path = [np.zeros(len(ranks), dtype=np.int64)]  # path[d]: end states of d symbols
-        previous: list[int] = []
-        for j in sorted(range(len(encoded)), key=encoded.__getitem__):
-            e = encoded[j]
-            shared = 0  # symbols e shares with the previous string
-            while shared < min(len(e), len(previous)) and e[shared] == previous[shared]:
-                shared += 1
-            del path[shared + 1 :]
-            for ci in e[shared:]:
-                path.append(cells[rows, path[-1], ci])
-            out[ranks[0] : ranks[-1] + 1, j] = path[-1]
-            previous = e
+    masks = _cell_masks(n, len(alphabet))
+    out: list[list[int]] = [[] for _ in strings]
+    path = [[(1 << total) - 1] + [0] * (n - 1)]  # path[d][q]: d symbols end in q
+    previous: list[int] = []
+    for j in sorted(range(len(encoded)), key=encoded.__getitem__):
+        e = encoded[j]
+        shared = 0  # symbols e shares with the previous string
+        while shared < min(len(e), len(previous)) and e[shared] == previous[shared]:
+            shared += 1
+        del path[shared + 1 :]
+        for ci in e[shared:]:
+            ends = path[-1]
+            path.append([sum(ends[q] & masks[q][ci][r] for q in range(n)) for r in range(n)])
+        out[j] = path[-1]
+        previous = e
     return out
 
 
-def agreement_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
-    """(S, S) matrix of pairwise table agreement counts over one shared
-    end-state grid, by enumerating every table: the oracle that
-    count.agreement_matrix(strings, n, alphabet) is checked against."""
-    import numpy as np
-
-    ends = end_state_grid(strings, n, alphabet)
-    s = len(strings)
-    counts = np.empty((s, s), dtype=np.int64)
-    for i in range(s):
-        counts[i] = (ends[:, i : i + 1] == ends).sum(axis=0)
-    return counts
+def agreement_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> list[list[int]]:
+    """Pairwise table agreement counts over one shared end-state grid, by
+    enumerating every table: the oracle that
+    count.agreement_matrix(strings, n, alphabet) is checked against.  Each
+    string's n end-state sets lie side by side in one integer, so a pair
+    agrees on the tables where the two integers share a bit."""
+    total = table_count(n, len(alphabet))
+    packed = [sum(ends << (q * total) for q, ends in enumerate(row))
+              for row in end_state_grid(strings, n, alphabet)]
+    return [[(a & b).bit_count() for b in packed] for a in packed]
 
 
-def joint_accept_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> np.ndarray:
-    """(S, S) matrix of K_n values by direct enumeration over every DFA.
+def joint_accept_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) -> list[list[int]]:
+    """K_n of every pair of strings by direct enumeration over every DFA.
 
     A DFA is a (table, accepting set) pair, and it accepts a string when
     its accepting set holds the string's end state on its table.  For each
-    of the 2**n accepting sets, one pass over the end-state grid marks the
-    (table, string) pairs it accepts, and the product of the marks with
-    themselves counts, for every pair of strings, the tables on which that
-    set accepts both.  No use of the agreement identity, so it serves as
+    of the 2**n accepting sets, a string's accepted tables are the union
+    (the sum: they are disjoint) of its end-state sets over the set's
+    states, and each pair adds the tables that accept both.  No use of the agreement identity, so it serves as
     the independent oracle for the closed-form path.
     """
-    import numpy as np
-
     ends = end_state_grid(strings, n, alphabet)
-    counts = np.zeros((len(strings), len(strings)), dtype=np.int64)
+    counts = [[0] * (i + 1) for i in range(len(ends))]  # the pairs j <= i, mirrored below
     for mask in range(2**n):
-        accepted = np.array([(mask >> q) & 1 for q in range(n)], dtype=np.float64)[ends]
-        # exact in float64: every count is at most the T <= TABLE_CAP < 2**53 tables
-        counts += (accepted.T @ accepted).astype(np.int64)
-    return counts
+        accepted = [sum(row[q] for q in range(n) if mask >> q & 1) for row in ends]
+        for i, a in enumerate(accepted):
+            counts[i] = [c + (a & b).bit_count() for c, b in zip(counts[i], accepted)]
+    return [[counts[max(i, j)][min(i, j)] for j in range(len(ends))] for i in range(len(ends))]
 
 
 def iter_strings(alphabet: Alphabet, max_len: int) -> Iterator[str]:

@@ -3,8 +3,9 @@
 Each suite returns a list of Check rows the CLI renders as a
 machine-readable pass/fail table.  The bounds suite checks integer
 identities over the enumeration oracle's count grids in
-:mod:`regkernel.automata`, so exhaustive small-instance checks stay at
-desk scale.  Every suite runs over the alphabet ``ab`` on a fixed grid;
+:mod:`regkernel.automata`, plain lists of ints like the runtime counter's,
+so exhaustive small-instance checks stay at desk scale.  Only the psd
+suite imports numpy, when it runs.  Every suite runs over the alphabet ``ab`` on a fixed grid;
 only suite_bounds takes its grid (state counts and string length) as
 parameters, so that tests can run it on a smaller one.
 """
@@ -66,20 +67,21 @@ def suite_bounds(n_values: tuple[int, ...] = (1, 2, 3), max_len: int = 6) -> lis
         space = dfa_space_size(n, len(AB))
         agree = agreement_count_grid(strings, n, AB)
         joint = joint_accept_count_grid(strings, n, AB)
-        low, high = int(agree.min()), int(agree.max())
+        low, high = min(map(min, agree)), max(map(max, agree))
         lo, hi = Fraction(t + low, 4 * t), Fraction(t + high, 4 * t)
         min_by_n[n] = lo
         checks += [
             _check(f"bounds.range.n{n}", 0 <= low and high <= t,
                    f"{count * count} ordered pairs, min={lo} max={hi}"),
-            _check(f"bounds.diagonal.n{n}", (agree.diagonal() == t).all(),
+            _check(f"bounds.diagonal.n{n}", all(agree[i][i] == t for i in range(count)),
                    "P_n(x,x) = 1/2 exactly"),
-            _check(f"bounds.two_path.n{n}", (space * (t + agree) == 4 * t * joint).all(),
+            _check(f"bounds.two_path.n{n}",
+                   all(space * (t + a) == 4 * t * j
+                       for ar, jr in zip(agree, joint) for a, j in zip(ar, jr)),
                    "closed form equals full enumeration on every pair"),
-            _check(f"bounds.runtime.n{n}",
-                   agreement_matrix(strings, n, AB) == agree.tolist(),
+            _check(f"bounds.runtime.n{n}", agreement_matrix(strings, n, AB) == agree,
                    "runtime counter equals the enumeration grid on every pair"),
-            _check(f"bounds.half_accept.n{n}", (2 * joint.diagonal() == space).all(),
+            _check(f"bounds.half_accept.n{n}", all(2 * joint[i][i] == space for i in range(count)),
                    f"every string accepted by exactly {space // 2} of {space} DFAs"),
             _check(f"bounds.upper_attained.n{n}", high == t, "diagonal pairs attain 1/2"),
         ]

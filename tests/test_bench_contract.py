@@ -7,15 +7,19 @@ bench/layers.py asks ``inspect.signature(rk.gram_matrix)`` for ``jobs``
 and skips the timing when it is gone, so ``kernel.gram_s.mc.jobs2`` is
 silently missing from the traced result.  The scripts are parsed with
 ``ast`` rather than searched with a regex, so a metric name in a string
-such as ``"cli.import_s"`` is not mistaken for an attribute.
+such as ``"cli.import_s"`` is not mistaken for an attribute.  The
+exact-gram workload's reference file is checked against the enumeration
+oracle that wrote it.
 """
 
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import regkernel as rk
+from regkernel.automata import joint_accept_count_grid
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -120,3 +124,18 @@ def test_bench_reads_of_a_monte_carlo_kernel_value_resolve():
     assert mc_kv.n_used == 3
     assert isinstance(mc_kv.certificate.samples_per_term, int)
     assert mc_kv.certificate.samples_per_term > 0
+
+
+def test_exact_gram_reference_is_the_oracle_gram():
+    # the reference the exact-gram workload checks every Gram entry
+    # against, rebuilt from its own strings and n_max as
+    # bench/make_reference.py builds it: 1 on the diagonal plus K_n of
+    # every n up to the shorter string's length
+    doc = json.loads((BENCH / "data" / "exact_gram_reference.json").read_text(encoding="utf-8"))
+    strings = doc["strings"]
+    grids = [joint_accept_count_grid(strings, n, rk.Alphabet(tuple("ab")))
+             for n in range(1, doc["n_max"] + 1)]
+    assert doc["scaling"] == "paper"
+    assert doc["values"] == [
+        [int(i == j) + sum(grid[i][j] for grid in grids[: min(len(x), len(y))])
+         for j, y in enumerate(strings)] for i, x in enumerate(strings)]

@@ -622,7 +622,7 @@ def test_verify_bounds_checks_the_closed_form_against_enumeration(monkeypatch):
 
     def off_by_one(strings, n, alphabet):
         counts = real(strings, n, alphabet)
-        counts[0, -1] += n == 2
+        counts[0][-1] += n == 2
         return counts
 
     monkeypatch.setattr(verify, "joint_accept_count_grid", off_by_one)
@@ -865,10 +865,13 @@ MODULE_LOADS = [
           "monte-carlo", ["--mode", "mc", "--nmax", "3", "--seed", "0"]).items()],
     pytest.param(["verify", "--suite", "concentration"], {"regkernel.verify"},
                  NEVER | {"numpy", "dataclasses", "inspect"}, "", id="verify-concentration"),
-    # the concept embedding reads tables, never the numpy oracle
+    # the concept embedding reads tables, and the oracle holds them as ints
     pytest.param(["verify", "--suite", "embedding"], {"regkernel.embedding"},
                  NEVER | {"numpy", "dataclasses", "inspect"}, "embedding.recovery\tPASS",
                  id="verify-embedding"),
+    pytest.param(["verify", "--suite", "bounds"], {"regkernel.verify"},
+                 NEVER | {"numpy", "dataclasses", "inspect"}, "bounds.two_path.n3\tPASS",
+                 id="verify-bounds"),
     # numpy itself loads inspect
     pytest.param(["verify", "--suite", "psd"], {"numpy"}, NEVER | {"dataclasses"},
                  "psd.min_eigenvalue\tPASS", id="verify-psd"),

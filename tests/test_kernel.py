@@ -80,18 +80,22 @@ AB, ABC = Alphabet(("a", "b")), Alphabet(("a", "b", "c"))
 UNIVERSE = {"ab": enumerate_strings(AB, 4) + ["ababa", "abbaa"], "abc": enumerate_strings(ABC, 3)}
 
 
-@cache
-def enumerated(symbols, n):
-    """(A_n, K_n, P_n) of every ordered pair of UNIVERSE[symbols] by
+def by_enumeration(strings, n, alphabet):
+    """(A_n, K_n, P_n) of every ordered pair of ``strings`` by
     enumeration: A from agreement_count_grid, and K from
     joint_accept_count_grid, which counts every (table, accepting set)
     pair and not the identity K = (T + A) * 2**n / 4 under test."""
-    alphabet, strings = Alphabet(tuple(symbols)), UNIVERSE[symbols]
-    tables = table_count(n, len(symbols))
-    agree = agreement_count_grid(strings, n, alphabet).tolist()
-    joint = joint_accept_count_grid(strings, n, alphabet).tolist()
+    tables = table_count(n, len(alphabet))
+    agree = agreement_count_grid(strings, n, alphabet)
+    joint = joint_accept_count_grid(strings, n, alphabet)
     return {(x, y): (agree[i][j], joint[i][j], Fraction(joint[i][j], tables * 2**n))
             for i, x in enumerate(strings) for j, y in enumerate(strings)}
+
+
+@cache
+def enumerated(symbols, n):
+    """by_enumeration of every ordered pair of UNIVERSE[symbols]."""
+    return by_enumeration(UNIVERSE[symbols], n, Alphabet(tuple(symbols)))
 
 
 def both_orders(*pairs):
@@ -104,7 +108,8 @@ def row(name, symbols, blocks, top, width=None, known=None, brute=()):
     ([x], [y]), or one block (rows, cols), cols None for a symmetric block;
     each is counted for n = 1..top and valued at n_max = top, with
     stream._BLOCK_SAMPLES = width (None keeps it).  ``known`` maps (x, y, n)
-    to literal answers (A_n, K_n, P_n) that stand in for enumeration.  The
+    to literal answers (A_n, K_n, P_n) that stand in for enumeration over
+    UNIVERSE, and must equal an enumeration of their own strings.  The
     pairs of the strings ``brute`` check the plain agreement oracle against
     the grids, and the per-pair oracles kn_by_enumeration and
     pn_by_enumeration against the grids and a literal count over every
@@ -123,9 +128,9 @@ EXACT_ROWS = [
         ("a", "abba"), ("aa", "a"), ("aba", "ab"), ("ba", "bb"), ("a", "aa"), ("ab", "bab")), 3),
     row("short-pairs", "ab", [([x], [y]) for x in AB3 for y in AB3], 3, known={
         ("a", "b", 2): (8, 24, Fraction(3, 8)), ("aa", "", 2): (12, 28, Fraction(7, 16))}),
-    # n = 5 has 5**10 tables, too many to list here: each A_5 was counted
-    # once by listing them, and K_5 and P_5 follow from it; "a" and "b"
-    # agree exactly when state 0 goes to one state on both symbols, on
+    # n = 5 has 5**10 tables, too many to list for all of UNIVERSE: each
+    # literal is also enumerated over the row's six strings alone; "a" and
+    # "b" agree exactly when state 0 goes to one state on both symbols, on
     # 5 * 5**8 tables
     row("n5-pairs", "ab", both_orders(("a", "b"), ("ab", "ba"), ("ababa", "abbaa")), 5, known={
         ("a", "b", 5): (5**9, 93_750_000, Fraction(3, 10)),
@@ -169,6 +174,9 @@ def test_exact_counter_matches_enumeration(monkeypatch, symbols, blocks, top, wi
         return (known.get((x, y, n)) or known.get((y, x, n)) or enumerated(symbols, n)[x, y])[item]
 
     pairs = [(rows[0], cols[0]) for rows, cols in blocks if cols and len(rows) == len(cols) == 1]
+    own = {n: by_enumeration(sorted({s for x, y, m in known if m == n for s in (x, y)}), n,
+                             alphabet) for n in {n for _, _, n in known}}
+    assert {(x, y, n): own[n][x, y] for x, y, n in known} == known
     # the strings of ``brute`` that each n-state DFA accepts, one DFA at a time
     accepted = {n: [{x for x in brute if dfa.accepts(x)} for dfa in enumerate_dfas(n, alphabet)]
                 for n in ns if brute}
@@ -222,7 +230,7 @@ def test_exact_pair_counts_match_enumeration(data, symbols):
     x, y = (data.draw(st.text(alphabet=symbols, max_size=6)) for _ in range(2))
     n = data.draw(st.integers(1, 4 if symbols == "ab" else 3))
     tables = table_count(n, len(symbols))
-    a = int(agreement_count_grid([x, y], n, alphabet)[0, 1])
+    a = agreement_count_grid([x, y], n, alphabet)[0][1]
     assert 0 <= a <= tables
     assert agreement_matrix([x], n, alphabet, [y]) == agreement_matrix([y], n, alphabet, [x]) == [
         [a]]
@@ -299,7 +307,7 @@ def test_enumerated_agreement_invariant_under_symbol_permutation(symbols, max_le
         grid = agreement_count_grid(strings, n, alphabet)
         for perm in itertools.permutations(symbols):
             permuted = [permute(s, alphabet, perm) for s in strings]
-            assert np.array_equal(agreement_count_grid(permuted, n, alphabet), grid), (n, perm)
+            assert agreement_count_grid(permuted, n, alphabet) == grid, (n, perm)
 
 
 @pytest.mark.parametrize("scaling,weights", [
@@ -325,12 +333,14 @@ def test_exact_gram_equals_per_pair_kernel_value_three_symbols(scaling, weights)
 def test_end_state_grid_matches_runs(ab):
     from regkernel import Dfa, enumerate_tables
 
+    # bit t of grid[j][q] is set when table t takes string j to state q
     strings = ["", "a", "ab", "bba"]
     grid = end_state_grid(strings, 2, ab)
     for t, table in enumerate(enumerate_tables(2, ab)):
         dfa = Dfa(n=2, alphabet=ab, table=table, accepting=frozenset())
         for j, s in enumerate(strings):
-            assert grid[t, j] == dfa.run(s)
+            assert [grid[j][q] >> t & 1 for q in range(2)] == [q == dfa.run(s) for q in range(2)]
+    assert all(ends < 1 << 16 for row in grid for ends in row)
 
 
 # ---------------------------------------------------------------------

@@ -363,8 +363,9 @@ def joint_accept_count_grid(strings: Sequence[str], n: int, alphabet: Alphabet) 
     its accepting set holds the string's end state on its table.  For each
     of the 2**n accepting sets, a string's accepted tables are the union
     (the sum: they are disjoint) of its end-state sets over the set's
-    states, and each pair adds the tables that accept both.  No use of the agreement identity, so it serves as
-    the independent oracle for the closed-form path.
+    states, and each pair adds the tables that accept both.  No use of
+    the agreement identity, so it serves as the independent oracle for the
+    closed-form path.
     """
     ends = end_state_grid(strings, n, alphabet)
     counts = [[0] * (i + 1) for i in range(len(ends))]  # the pairs j <= i, mirrored below

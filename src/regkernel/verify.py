@@ -5,9 +5,9 @@ machine-readable pass/fail table.  The bounds suite checks integer
 identities over the enumeration oracle's count grids in
 :mod:`regkernel.automata`, plain lists of ints like the runtime counter's,
 so exhaustive small-instance checks stay at desk scale.  Only the psd
-suite imports numpy, when it runs.  Every suite runs over the alphabet ``ab`` on a fixed grid;
-only suite_bounds takes its grid (state counts and string length) as
-parameters, so that tests can run it on a smaller one.
+suite imports numpy, when it runs.  Every suite runs over the alphabet
+``ab`` on a fixed grid; only suite_bounds takes its grid (state counts and
+string length) as parameters, so that tests can run it on a smaller one.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ Its grids are lists of lists of ints, as count.agreement_matrix returns.
 TABLE_CAP bounds every term the package counts or lists, and check_cap,
 its one comparison, refuses past it: the oracle's tables, the concept
 embedding's coordinates, and a kernel term's tables, exact or sampled
-(count.check_table_cap).  Alphabet, Dfa and the records of ``kernel``,
+(count.term_plan).  Alphabet, Dfa and the records of ``kernel``,
 ``learner`` and ``embedding`` derive from Record, which behaves as a
 frozen dataclass, so no module of the package imports ``dataclasses``.
 """
@@ -46,12 +46,13 @@ DFA_HEADER = "dfa v1"
 
 
 class CapExceededError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """A term, enumeration or sum would need more than its cap allows:
+    ``required`` of ``what`` against ``cap``, refused before the work."""
 
     def __init__(self, required: int, cap: int, what: str = "transition tables", hint: str = ""):
         self.required = required
         self.cap = cap
-        msg = f"enumeration requires {required} {what}, above the cap of {cap}"
+        msg = f"needs {required} {what}, above the cap of {cap}"
         if hint:
             msg += f" ({hint})"
         super().__init__(msg)

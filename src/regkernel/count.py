@@ -2,28 +2,32 @@
 same state, for every pair of a block's distinct strings.
 
 For strings x, y and a state count n, let A(n) be the number of n-state
-transition tables, out of T = n**(n*k), on which x and y end in the same
-state.  A block is planned once (BlockPlan: its distinct strings, each
-encoded once, and their prefix tries).  block_counts, given the depth u
-each pair is counted to and one integer weight per size, weights[n-1],
-returns one matrix over the block's distinct pairs, the weighted sum
-sum_{n <= u} weights[n-1] * A_n of each.  One bit-sliced counter
-(_sliced_agreement_counts) adds every weighted count into it, over one of
-two sets of tables: the accessible m-state tables in exact mode (C_m), or
-m sampled n-state tables of ``stream`` in Monte Carlo mode (A_n).  It
-skips a pair whose weight at a size is 0, and a sampled size that no
-pair weighs is never drawn.  The fixed ``automata.TABLE_CAP`` bounds the
-tables of one term in both modes: T in exact mode, as it bounds the
-enumeration oracle, so exact mode refuses the same state counts it always
-did, and m in Monte Carlo mode, so no term samples more tables than an
-exact one may count.  check_table_cap checks it once per path, before any
-count or draw: kernel.check_block for a kernel block, agreement_matrix for
-its n.
+transition tables, out of D_n, on which x and y end in the same state.
+The two modes differ only in which tables give A_n and in D_n, and
+term_plan alone decides both, for every size n <= n_top of a block: all
+T = n**(n*k) tables in exact mode, counted as the accessible m-state
+tables of every m <= n (below), or the first m tables of n's ``stream``
+in Monte Carlo mode.  Its plan lists D_n per size and the table sets,
+each with the integer weight it carries into each size.  The fixed
+``automata.TABLE_CAP`` bounds the tables of one term in both modes, T in
+exact mode, as it bounds the enumeration oracle, and m in Monte Carlo
+mode, and term_plan checks it before any set is counted or drawn, once
+per path: kernel.check_block for a kernel block, agreement_matrix for its
+n.
 
-block_counts is the one way into the counter: a kernel block counts
-each string to depth min(|s|, n_max) with the slopes of its values as
-weights, and agreement_matrix, behind exact_pn, exact_kn, mc_pn and
-verify, counts every string to one n with weight 1 on A_n alone.
+A block is planned once (BlockPlan: its distinct strings, each encoded
+once, and their prefix tries).  block_counts, given a term plan's sets,
+the depth u each pair is counted to and one integer weight per size,
+weights[n-1], returns one matrix over the block's distinct pairs, the
+weighted sum sum_{n <= u} weights[n-1] * A_n of each.  One bit-sliced
+counter (_sliced_agreement_counts) adds every set's weighted count into
+it, once per set.  It skips a pair whose weight in a set is 0, and a set
+that no pair weighs is not counted, so a sampled size that no pair
+weighs is never drawn.  block_counts is the one way into the counter: a
+kernel block counts each string to depth min(|s|, n_max) with the slopes
+of its values as weights, and agreement_matrix, behind exact_pn,
+exact_kn, mc_pn and verify, counts every string to one n with weight 1
+on A_n alone.
 
 A depends only on the part of a table that state 0 reaches.  Call a table
 accessible when state 0 reaches every state, and label its states
@@ -38,9 +42,10 @@ y end in the same state,
     A(n) = sum_{m <= n} (n-1)(n-2)...(n-m+1) * n**((n-m)*k) * C_m.
 
 So exact mode counts C_1..C_n_top, and one count of C_m serves every
-n >= m: in a pair of depth u it weighs sum_{n=m..u} weights[n-1] * w(n, m),
-w(n, m) the weights of accessible_weights, and this module alone knows
-that fold.  Over two symbols there are 1, 12, 216, 5,248 and 160,675
+n >= m: its set in the term plan weighs w(n, m) on each n >= m, w(n, m)
+the weights of accessible_weights, so in a pair of depth u it weighs
+sum_{n=m..u} weights[n-1] * w(n, m), and this module alone knows that
+fold.  Over two symbols there are 1, 12, 216, 5,248 and 160,675
 accessible tables for m = 1..5, against the 9,765,625 tables at n = 5
 alone.  accessible_tables builds them bit-sliced, and each (m, k) is built
 and cut into the counter's blocks once per process (_accessible_blocks).
@@ -68,8 +73,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import cache
-from typing import Iterable, Sequence
+from functools import cache, partial
+from typing import Callable, Iterable, Sequence
 
 from . import automata, stream
 from .automata import Alphabet, table_count
@@ -77,6 +82,10 @@ from .automata import Alphabet, table_count
 # One block of bit-sliced tables: (size, parts), bit t of parts[q][c][r]
 # set when table t of the block maps state q on symbol c to r.
 Block = tuple[int, Sequence[Sequence[Sequence[int]]]]
+# A term plan (term_plan): D_n of each size, and its table sets, each as
+# (blocks, per_size): blocks() yields the set's tables block by block, and
+# per_size[n-1] is the set's integer weight on size n.
+TermPlan = tuple[list[int], list[tuple[Callable[[], Iterable[Block]], list[int]]]]
 
 
 # ---------------------------------------------------------------------------
@@ -221,54 +230,63 @@ def _sampled_blocks(n: int, k: int, master_seed: int, m: int) -> Iterable[Block]
         yield size, stream.draw_table_block(n, k, master_seed, block, size)
 
 
-def check_table_cap(n_top: int, k: int, m: int | None = None) -> None:
-    """Refuse with CapExceededError (automata.check_cap) a block whose
-    deepest term n_top counts past automata.TABLE_CAP tables: the
-    n_top**(n_top*k) tables of an exact term, or the m tables a Monte Carlo
-    term samples when m is given.  A block with n_top 0 has no term."""
-    if n_top and m is None:
-        automata.check_cap(table_count(n_top, k),
-                           hint="use monte-carlo mode for large state counts")
-    elif n_top:
+def term_plan(n_top: int, k: int, sample: tuple[int, int] | None = None) -> TermPlan:
+    """(tables, sets): which tables each size n <= n_top of a block counts,
+    and out of how many, the one place the mode decides it.  tables[n-1]
+    is D_n, and each set is (blocks, per_size), a set of tables, read
+    block by block from blocks(), whose agreement count adds
+    per_size[n-1] times itself into A_n:
+
+    - exact mode: D_n = n**(n*k), and one set per m, the accessible
+      m-state tables with weight w(n, m) = accessible_weights(n, k)[m-1]
+      on each n >= m;
+    - ``sample`` (m, master_seed), Monte Carlo mode: D_n = m, and one set
+      per n, the first m tables of n's stream (draw_table_block, drawn
+      as they are read) with weight 1 on n alone.
+
+    No set is built or drawn until blocks() is read, and each read starts
+    afresh.  Before that, the one table-cap check (automata.check_cap)
+    refuses a plan whose deepest term counts past automata.TABLE_CAP
+    tables: n_top**(n_top*k) in exact mode, as the enumeration oracle is
+    bounded, and m in Monte Carlo mode, so no term samples more tables
+    than an exact one may count.  A plan with n_top 0 has no term.
+    """
+    ns = range(1, n_top + 1)
+    if sample is None:
+        if n_top:
+            automata.check_cap(table_count(n_top, k),
+                               hint="use monte-carlo mode for large state counts")
+        return [table_count(n, k) for n in ns], [
+            (partial(_accessible_blocks, m, k, stream._BLOCK_SAMPLES),
+             [accessible_weights(n, k)[m - 1] if n >= m else 0 for n in ns]) for m in ns]
+    m, seed = sample
+    if n_top:
         automata.check_cap(m, "sampled tables per term", "raise --eps or --delta")
+    return [m] * n_top, [(partial(_sampled_blocks, n, k, seed, m), [int(j == n) for j in ns])
+                         for n in ns]
 
 
 def block_counts(
-    plan: BlockPlan, row_depths: Sequence[int], col_depths: Sequence[int], k: int,
-    weights: Sequence[int], sample: tuple[int, int] | None = None,
+    plan: BlockPlan, sets: Iterable[tuple[Callable[[], Iterable[Block]], Sequence[int]]],
+    row_depths: Sequence[int], col_depths: Sequence[int], weights: Sequence[int],
 ) -> list[list[int]]:
     """One matrix over the plan's distinct strings: entry (i, j) is
     sum_{n <= u} weights[n-1] * A_n of distinct row i and distinct column
-    j, with u = min(row_depths[i], col_depths[j]) the pair's depth and
-    weights[n-1] the integer weight on size n.  n_top, the largest depth,
-    is min(max(row_depths), max(col_depths)), and weights has at least
-    n_top entries.
-
-    - ``sample`` (m, master_seed), Monte Carlo mode: A_n is counted over
-      the first m tables of n's stream (draw_table_block), and a size that
-      no pair weighs is not drawn;
-    - exact mode: A_n = sum_{m <= n} w(n, m) * C_m with C_m counted over
-      the accessible m-state tables and w(n, m) = accessible_weights(n, k),
-      so C_m weighs sum_{n=m..u} weights[n-1] * w(n, m) in a pair of
-      depth u.
-
-    The caller has checked the table cap for n_top (check_table_cap), in
-    either mode.  Each pair of weight 0 at a size is skipped.  Entries
-    below the diagonal of a symmetric plan stay 0.
+    j, with u = min(row_depths[i], col_depths[j]) the pair's depth,
+    weights[n-1] the integer weight on size n, and A_n summed over the
+    table sets of a term plan (term_plan, whose cap check the caller has
+    run).  A set weighs sum_{n <= u} weights[n-1] * per_size[n-1] in a
+    pair of depth u, so each set is counted once, for every size it
+    serves; a set that no pair weighs is not read (so neither built nor
+    drawn), nor a pair of weight 0 counted.  Entries below the diagonal of a
+    symmetric plan stay 0.
     """
-    n_top = min(max(row_depths, default=0), max(col_depths, default=0))
     counts = [[0] * len(col_depths) for _ in row_depths]
-    for m in range(1, n_top + 1):
-        if sample is None:
-            by_depth = [sum(weights[n - 1] * accessible_weights(n, k)[m - 1]
-                            for n in range(m, u + 1)) for u in range(n_top + 1)]
-        else:
-            by_depth = [weights[m - 1] if u >= m else 0 for u in range(n_top + 1)]
+    for blocks, per_size in sets:
+        by_depth = [0, *itertools.accumulate(map(operator.mul, weights, per_size))]
         by_row = {d: [by_depth[min(d, e)] for e in col_depths] for d in set(row_depths)}
         if any(map(any, by_row.values())):
-            blocks = (_accessible_blocks(m, k, stream._BLOCK_SAMPLES) if sample is None
-                      else _sampled_blocks(m, k, sample[1], sample[0]))
-            _sliced_agreement_counts(plan, blocks, [by_row[d] for d in row_depths], counts)
+            _sliced_agreement_counts(plan, blocks(), [by_row[d] for d in row_depths], counts)
     return counts
 
 
@@ -281,10 +299,10 @@ def agreement_matrix(
     defaults to rows), out of all n**(n*k) n-state tables, or out of the
     first m tables of n's stream when ``sample`` is (m, master_seed).
 
-    The strings are planned as one block, the table cap is checked for n
-    (its n**(n*k) tables, or the m sampled), and block_counts counts them to depth n each, with
-    weight 1 on A_n alone, so the counter is that of any block, and a
-    sample is drawn for n alone.
+    The strings are planned as one block, the term plan for n built (its
+    cap check included), and block_counts counts its sets to depth n
+    each, with weight 1 on A_n alone, so the counter is that of any
+    block, and a sample is drawn for n alone.
     """
     if sample is not None:
         try:
@@ -297,9 +315,9 @@ def agreement_matrix(
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
     plan = BlockPlan(rows, cols, alphabet)
-    check_table_cap(n, len(alphabet), None if sample is None else sample[0])
-    return plan.expand(block_counts(plan, [n] * len(plan.row_ids), [n] * len(plan.col_ids),
-                                    len(alphabet), [0] * (n - 1) + [1], sample))
+    sets = term_plan(n, len(alphabet), sample)[1]
+    return plan.expand(block_counts(plan, sets, [n] * len(plan.row_ids), [n] * len(plan.col_ids),
+                                    [0] * (n - 1) + [1]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +395,9 @@ def _accessible_blocks(m: int, k: int, width: int) -> tuple[Block, ...]:
     blocks the counter reads: block b holds tables b*width onwards, as
     (size, parts) bit-sliced as in draw_table_block.  Built and cut once
     per process for each (m, k, width), the width being
-    stream._BLOCK_SAMPLES when called.  Each mask is cut in place and its
-    full width dropped at once, so the build holds about one copy of the
-    tables, and only the cut tables are kept."""
+    stream._BLOCK_SAMPLES when term_plan runs.  Each mask is cut in place
+    and its full width dropped at once, so the build holds about one copy
+    of the tables, and only the cut tables are kept."""
     count, parts = accessible_tables(m, k)
     sizes = [min(width, count - lo) for lo in range(0, count, width)]
     for cell in itertools.chain.from_iterable(parts):

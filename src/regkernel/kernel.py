@@ -41,20 +41,24 @@ correlated.
 
 Both modes share one path, ``kernel_block``: plan, count, assemble,
 expand.  The block's plan (count.BlockPlan) decides its distinct strings
-and encodes each once.  Term n of a value is affine in A_n,
-s_n * (D_n + A_n) / (4 * D_n) with D_n the tables counted, so a pair of
-depth u = n_used has the integer numerator
-d * 1{x = y} + bases[u] + sum_{n <= u} slopes[n-1] * A_n over one
-denominator d.  _value_constants computes d, bases and slopes once per
-block, and count.block_counts returns the weighted sums of counts, one
-per distinct pair, in one matrix; how exact mode gets A_n from the
-accessible tables is count's alone.  Each distinct pair is then divided
-once (a symmetric block's upper triangle only), and the plan maps the
-result back to the block's strings.
-kernel_value, gram_matrix and prediction all read their values from it,
-and a Gram is one matrix of those values.  The single terms exact_pn,
-exact_kn and mc_pn read their A_n from count.agreement_matrix, through
-the same count.block_counts.
+and encodes each once.  Its term plan (count.term_plan, built by
+check_block, which works out the sample from the parameters) is the one
+place the mode shows: which tables give each A_n, and D_n, the number
+they are out of.  Term n of a value is affine in A_n,
+s_n * (D_n + A_n) / (4 * D_n), so a pair of depth u = n_used has the
+integer numerator d * 1{x = y} + bases[u] + sum_{n <= u} slopes[n-1] * A_n
+over one denominator d.  _value_constants computes d, bases and slopes
+once per block from the plan's D_n, and count.block_counts counts the
+plan's table sets into the weighted sums of counts, one per distinct
+pair, in one matrix.  Each distinct pair is then divided once (a
+symmetric block's upper triangle only), and the plan maps the result
+back to the block's strings.  kernel_value, gram_matrix and prediction
+all read their values from it, and a Gram is one matrix of those
+values; a Monte Carlo kernel_value with a term carries its certificate,
+and one with no term (an empty string) has no sample and none.  The
+single terms exact_pn, exact_kn and mc_pn read their A_n from
+count.agreement_matrix, through the same term plan and
+count.block_counts.
 
 numpy is imported only inside ``GramMatrix.to_array``, and fractions
 only inside exact_pn: the runtime paths and the sampler are pure
@@ -310,13 +314,13 @@ def _summation_limit(x: str, y: str, params: KernelParams) -> tuple[int, bool]:
     return n_used, n_used < limit
 
 
-def _value_constants(params: KernelParams, n_top: int) -> tuple[int, list[int], list[int]]:
+def _value_constants(params: KernelParams, tables: list[int]) -> tuple[int, list[int], list[int]]:
     """(d, bases, slopes): the integer constants that value every pair of a
-    block whose pairs sum at most n_top terms, computed once per block.
+    block, computed once per block from its term plan's tables, D_n =
+    tables[n-1] for each of its sizes (count.term_plan).
 
     Term n of a value is s_n * (D_n + A_n) / (4 * D_n), affine in A_n: D_n
-    is the number of tables A_n is out of (n**(n*k) in exact mode, m
-    sampled in Monte Carlo mode) and s_n is |DFA space of n| in paper
+    is the number of tables A_n is out of, and s_n is |DFA space of n| in paper
     scaling (so an exact term is K_n = (T + A) * 2**n / 4, as exact_kn
     counts it) and w_n in normalized scaling.  Over one common denominator
     d, the value of a pair of depth u = n_used with identity term
@@ -330,11 +334,7 @@ def _value_constants(params: KernelParams, n_top: int) -> tuple[int, list[int], 
     (int true division rounds correctly, as float() of the rational sum
     would)."""
     k = len(params.alphabet)
-    ns = range(1, n_top + 1)
-    if params.mode == "exact":
-        tables = [table_count(n, k) for n in ns]
-    else:
-        tables = [hoeffding_samples(params.epsilon, params.failure_prob)] * n_top
+    ns = range(1, len(tables) + 1)
     if params.scaling == "paper":
         ratios = [(dfa_space_size(n, k), t) for n, t in zip(ns, tables)]
     else:  # w_n / D_n, with w_n's exact binary value
@@ -361,18 +361,21 @@ def _check_float_range(n_top: int, k: int) -> None:
                                    hint="values overflow a float past it; use normalized scaling")
 
 
-def check_block(params: KernelParams, n_top: int) -> None:
-    """Refuse, before any count or draw, a block whose deepest term is
-    n_top: past the table cap (count.check_table_cap) in either mode, by
-    its n_top**(n_top*k) tables in exact mode and its
+def check_block(params: KernelParams, n_top: int) -> count.TermPlan:
+    """The term plan (count.term_plan) of a block whose deepest term is
+    n_top, refused before any count or draw: past the table cap in either
+    mode, by its n_top**(n_top*k) tables in exact mode and its
     hoeffding_samples(epsilon, failure_prob) sampled tables in Monte Carlo
     mode, then Monte Carlo paper-scaled past the float range
     (_check_float_range).  Neither shrinks as n grows, so the deepest term
-    decides for every pair of a block, or of a prediction."""
-    m = None if params.mode == "exact" else hoeffding_samples(params.epsilon, params.failure_prob)
-    count.check_table_cap(n_top, len(params.alphabet), m)
-    if m is not None and params.scaling == "paper":
+    decides for every pair of a block, or of a prediction.  The sample,
+    (m, master_seed), is worked out from params here alone."""
+    sample = None if params.mode == "exact" else (
+        hoeffding_samples(params.epsilon, params.failure_prob), params.master_seed)
+    plan = count.term_plan(n_top, len(params.alphabet), sample)
+    if sample is not None and params.scaling == "paper":
         _check_float_range(n_top, len(params.alphabet))
+    return plan
 
 
 def kernel_block(
@@ -388,15 +391,14 @@ def kernel_block(
 
     Every block plans, counts, assembles, then expands.  The plan
     (count.BlockPlan) decides the distinct rows and columns and encodes
-    each once.  _value_constants, computed once per block, gives the
-    common denominator d, for each depth u the constant bases[u], and
-    the weight slopes[n-1] of each size.  count.block_counts, counting
-    each string to its depth min(|s|, n_max), returns one matrix over the
-    distinct strings whose entry is sum_{n <= u} slopes[n-1] * A_n for the
-    pair's depth u: A_n over the first hoeffding_samples(epsilon,
-    failure_prob) tables of n's stream in Monte Carlo mode, and over all
-    tables in exact mode.  Each
-    distinct pair is then valued once (only j >= i of a symmetric block)
+    each once, and check_block gives the term plan: D_n and the table
+    sets of each size.  _value_constants, computed once per block from
+    D_n, gives the common denominator d, for each depth u the constant
+    bases[u], and the weight slopes[n-1] of each size.
+    count.block_counts, counting the plan's sets for each string to its
+    depth min(|s|, n_max), returns one matrix over the distinct strings
+    whose entry is sum_{n <= u} slopes[n-1] * A_n for the pair's depth u.
+    Each distinct pair is then valued once (only j >= i of a symmetric block)
     as (d * 1{x = y} + bases[u] + total) / d, and plan.expand mirrors a
     symmetric block and maps the distinct pairs back to the block's
     strings.  kernel_value, gram_matrix and prediction all read their
@@ -407,11 +409,9 @@ def kernel_block(
     col_lens = row_lens if plan.symmetric else [min(len(s), params.n_max) for s in plan.col_ids]
     n_top = min(max(row_lens, default=0), max(col_lens, default=0))
 
-    check_block(params, n_top)
-    d, bases, slopes = _value_constants(params, n_top)
-    sample = None if params.mode == "exact" else (
-        hoeffding_samples(params.epsilon, params.failure_prob), params.master_seed)
-    block = count.block_counts(plan, row_lens, col_lens, len(params.alphabet), slopes, sample)
+    tables, sets = check_block(params, n_top)
+    d, bases, slopes = _value_constants(params, tables)
+    block = count.block_counts(plan, sets, row_lens, col_lens, slopes)
 
     integral = params.mode == "exact" and params.scaling == "paper"
     cols = list(plan.col_ids)
@@ -429,11 +429,13 @@ def kernel_value(x: str, y: str, params: KernelParams) -> KernelValue:
     n = 1..min(|x|, |y|, n_max).  The value is the 1 x 1 kernel_block of
     the pair, so it is symmetric in (x, y) and equal to the entry of any
     Gram matrix that contains both strings, bit for bit in every mode.
+    A Monte Carlo value carries an ApproxCertificate when n_used >= 1, the
+    values whose term plan has a sampled set.
     """
     value = kernel_block([x], [y], params)[0][0]
     n_used, truncated = _summation_limit(x, y, params)
     cert = None
-    if params.mode == "monte-carlo":
+    if params.mode == "monte-carlo" and n_used:
         m = hoeffding_samples(params.epsilon, params.failure_prob)
         cert = ApproxCertificate(params.epsilon, params.failure_prob, m, params.master_seed)
     return KernelValue(value, params.mode, params.scaling, n_used, truncated, cert)

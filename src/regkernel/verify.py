@@ -52,8 +52,8 @@ def suite_bounds(n_values: tuple[int, ...] = (1, 2, 3), max_len: int = 6) -> lis
     1/4 <= P_n <= 1/2 is 0 <= A <= T; P_n(x, x) = 1/2 is diag(A) = T; the
     closed form agrees with full DFA enumeration, P_n = J / S, when
     S * (T + A) = 4T * J; exactly half the space accepts any single string
-    when 2 * diag(J) = S; and the runtime counter (agreement_matrix, through
-    the block_counts every kernel block counts with) equals A.  The
+    when 2 * diag(J) = S; and the runtime counter (agreement_matrix: the
+    term plan and block_counts every kernel block counts with) equals A.  The
     products stay below 2**63 for every n the table cap allows.  Also
     reports that the lower bound is approached as n grows.
     """

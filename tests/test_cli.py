@@ -343,6 +343,12 @@ def test_kernel_mc_prints_certificate(capsys):
     assert "samples_per_term=185" in lines[1]
     assert "bound=hoeffding-per-entry" in lines[1]
     assert "master_seed=5" in lines[1]
+    # no term is sampled for an empty string, so no certificate is printed,
+    # even for an epsilon whose m the table cap would refuse at n_used >= 1
+    for x, y, eps in (("", "", "1e-9"), ("", "ab", "0.1")):
+        code, stdout, _ = run_cli(capsys, "kernel", "--mode", "mc", "--eps", eps, x, y)
+        assert code == 0
+        assert stdout.splitlines() == ["1" if x == y else "0"]
 
 
 # ---------------------------------------------------------------------

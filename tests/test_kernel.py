@@ -196,8 +196,9 @@ def test_exact_counter_matches_enumeration(monkeypatch, symbols, blocks, top, wi
             (expected(x, y, n, 1), expected(x, y, n, 2))), (x, y, n)
     for x, y in pairs:
         # weight 1 on A_n alone, counted to the pair's depth, top
-        assert [count.block_counts(count.BlockPlan([x], [y], alphabet), [top], [top],
-                                   len(symbols), [int(j == n) for j in ns])
+        assert [count.block_counts(count.BlockPlan([x], [y], alphabet),
+                                   count.term_plan(top, len(symbols))[1], [top], [top],
+                                   [int(j == n) for j in ns])
                 for n in ns] == [[[expected(x, y, n)]] for n in ns], (x, y)
     for scaling, weights in SCALINGS:
         params = KernelParams(alphabet=alphabet, n_max=top, mode="exact", scaling=scaling,
@@ -265,7 +266,8 @@ def test_weighted_counts_are_weights_times_agreement(data, sampled, symmetric):
         return real(n, *args)
 
     with mock.patch.object(stream, "draw_table_block", recording):
-        got = count.block_counts(plan, row_depths, col_depths, 2, weights, sample)
+        got = count.block_counts(plan, count.term_plan(n_top, 2, sample)[1], row_depths,
+                                 col_depths, weights)
     agree = {n: agreement_matrix(rows, n, AB, None if symmetric else cols, sample)
              for n in range(1, n_top + 1)}
     assert drawn == ([n for n in agree if weights[n - 1]] if sampled else [])
@@ -468,14 +470,28 @@ def test_accessible_table_counts_known_answer():
     assert [accessible_tables(m, 3)[0] for m in range(1, 4)] == [1, 56, 7965]
 
 
-@pytest.mark.parametrize("k,n_top", [(2, 4), (3, 3)])
-def test_accessible_weights_partition_the_tables(k, n_top):
-    # every n-state table has exactly one accessible part, relabelled
-    from regkernel.count import accessible_tables, accessible_weights
+@pytest.mark.parametrize("k,n_top,sample", [
+    pytest.param(2, 4, None, id="2-4"), pytest.param(3, 3, None, id="3-3"),
+    pytest.param(2, 4, (37, 9), id="2-4-sampled"), pytest.param(3, 3, (5, 0), id="3-3-sampled")])
+def test_accessible_weights_partition_the_tables(k, n_top, sample):
+    # every n-state table has exactly one accessible part, relabelled, so an
+    # exact term plan's sets, weighted, hold each of the n**(n*k) tables
+    # once; a Monte Carlo plan's set of size n is n's first m tables,
+    # weighing n alone
+    from regkernel.count import accessible_tables, accessible_weights, term_plan
 
-    for n in range(1, n_top + 1):
+    tables, sets = term_plan(n_top, k, sample)
+    ns = range(1, n_top + 1)
+    if sample:
+        assert tables == [sample[0]] * n_top
+        assert [per_size for _, per_size in sets] == [[int(j == n) for j in ns] for n in ns]
+        assert [sum(size for size, _ in blocks()) for blocks, _ in sets] == tables
+        return
+    for n in ns:
         sizes = [accessible_tables(m, k)[0] for m in range(1, n + 1)]
         assert sum(w * size for w, size in zip(accessible_weights(n, k), sizes)) == n ** (n * k)
+        assert sum(per_size[n - 1] * sum(size for size, _ in blocks())
+                   for blocks, per_size in sets) == n ** (n * k) == tables[n - 1]
 
 
 def canonical_accessible_form(table, k):
@@ -628,12 +644,14 @@ def exact_paper(ab, n_max=2):
 
 
 def test_kernel_empty_pair_is_identity_only(ab):
-    # a block with no term counts no table, so no epsilon refuses it
+    # a block with no term counts no table, so no epsilon refuses it, and
+    # a Monte Carlo value with no sampled term carries no certificate
     for params in (exact_paper(ab),
                    KernelParams(alphabet=ab, n_max=2, mode="monte-carlo", epsilon=1e-9)):
         kv = kernel_value("", "", params)
         assert kv.value == 1
         assert kv.n_used == 0 and not kv.truncated
+        assert kv.certificate is None
 
 
 def test_kernel_ab_exact(ab):

@@ -4,8 +4,9 @@ Each suite returns a list of Check rows the CLI renders as a
 machine-readable pass/fail table.  The bounds suite checks integer
 identities over the enumeration oracle's count grids in
 :mod:`regkernel.automata`, plain lists of ints like the runtime counter's,
-so exhaustive small-instance checks stay at desk scale.  Only the psd
-suite imports numpy, when it runs.  Every suite runs over the alphabet
+so exhaustive small-instance checks stay at desk scale, and the psd suite
+proves its Gram positive definite in exact integers: no suite imports
+numpy or computes a float eigenvalue.  Every suite runs over the alphabet
 ``ab`` on a fixed grid; only suite_bounds takes its grid (state counts and
 string length) as parameters, so that tests can run it on a smaller one.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .automata import (
     Alphabet,
@@ -260,25 +261,39 @@ def suite_concentration() -> list[Check]:
     return checks
 
 
-def suite_psd() -> list[Check]:
-    """Gram positive semidefiniteness: the minimum eigenvalue of the exact
-    paper Gram of the first 20 strings over ``ab`` at n_max 2 may dip
-    below zero only by floating round-off."""
-    import numpy as np
+def _positive_definite(matrix: Sequence[Sequence[int]]) -> bool:
+    """Whether a square integer matrix is symmetric positive definite, by
+    Sylvester's criterion: every leading principal minor is positive.
+    Bareiss's fraction-free elimination (Math. Comp. 1968) leaves the k-th
+    minor as the k-th pivot and divides exactly, so no float is computed."""
+    n = len(matrix)
+    if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
+        return False
+    a = [list(row) for row in matrix]
+    previous = 1
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return True
 
+
+def suite_psd() -> list[Check]:
+    """Gram positive definiteness, which implies PSD: the exact paper Gram
+    of the first 20 strings over ``ab`` at n_max 2, in integers, is
+    I + sum_n K_n over distinct strings, so its minimum eigenvalue is at
+    least 1, and _positive_definite proves it positive with no tolerance."""
     strings = enumerate_strings(AB, 5)[:20]
     params = KernelParams(alphabet=AB, n_max=2, mode="exact", scaling="paper")
-    gram = gram_matrix(strings, params)
-    matrix = gram.to_array()
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    min_eig = float(eigenvalues[0])
-    tolerance = 1e-9 * float(matrix.diagonal().max())
     return [
         _check(
             "psd.min_eigenvalue",
-            min_eig >= -tolerance,
-            f"min eigenvalue {min_eig:.6e} over {len(strings)} strings "
-            f"(tolerance {-tolerance:.1e})",
+            _positive_definite(gram_matrix(strings, params).values),
+            f"min eigenvalue > 0: all {len(strings)} leading principal minors positive "
+            "(exact integers)",
         )
     ]
 

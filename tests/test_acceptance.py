@@ -126,7 +126,9 @@ def test_criterion_5_embedding_kernel_duality():
 
 
 def test_criterion_6_gram_psd():
-    """Exact Gram on 20 strings: minimum eigenvalue above -1e-9 x max diagonal."""
+    """Exact paper Gram on 20 strings: every leading principal minor is a
+    positive integer, so by Sylvester's criterion the Gram is positive
+    definite, with no float and no tolerance."""
     report_rows("6 Gram PSD", verify.suite_psd(), ["psd.min_eigenvalue"])
 
 

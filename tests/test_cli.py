@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from regkernel import (
-    Alphabet, CapExceededError, Dataset, Dfa, KernelParams, enumerate_strings, exact_kn, exact_pn,
-    label_strings, mc_pn, parse_dfa,
+    Alphabet, CapExceededError, Dataset, Dfa, GramMatrix, KernelParams, enumerate_strings,
+    exact_kn, exact_pn, gram_matrix, label_strings, mc_pn, parse_dfa,
 )
 from regkernel.cli import main
 from regkernel.count import agreement_matrix
@@ -120,14 +120,14 @@ REFUSALS = [
     refusal(["predict", "--model", "deep.model", "--in", "deep-second.txt"], 3, EXACT_CAP,
             id="predict-exact-cap-second-chunk"),
     # the single-n path, which no command takes, checks the cap at n itself:
-    # 3**6 = 729 tables at n = 3 pass a cap of 729, and the counter is next
+    # 3**6 = 729 tables at n = 3 pass a cap of 729, and the table build is next
     *[refusal(partial(f, n, AB), error, pattern, cap,
               id=f"{name}-n{n}" + (f"-cap{cap}" if cap else ""))
       for name, f in SINGLE_N.items()
       for n, cap, error, pattern in ((6, None, CapExceededError, EXACT_CAP),
                                      (3, 728, CapExceededError, EXACT_CAP),
                                      (0, None, ValueError, "state count"))],
-    refusal(partial(agreement_matrix, ["a", "b"], 3, AB), Tripwire, "_sliced_agreement_counts",
+    refusal(partial(agreement_matrix, ["a", "b"], 3, AB), Tripwire, "accessible_tables",
             729, id="agreement_matrix-n3-cap729"),
     # Monte Carlo past the table cap by its m sampled tables per term, at any
     # n: m = 1,844,439,727,056,967,936 at epsilon 1e-9 and 184,443,973 at
@@ -192,8 +192,10 @@ def test_refused_before_any_work(tmp_path, capsys, monkeypatch, run, expect, pat
     # sample the draw: work begun before the refusal trips a wire
     from regkernel import count, kernel, stream
 
-    for module, name in ((stream, "draw_table_block"), (count, "_sliced_agreement_counts"),
-                         (kernel, "_value_constants")):
+    # tables cached by an earlier test would hide an eager build
+    count._accessible_blocks.cache_clear()
+    for module, name in ((stream, "draw_table_block"), (count, "accessible_tables"),
+                         (count, "_sliced_agreement_counts"), (kernel, "_value_constants")):
         monkeypatch.setattr(module, name, partial(trip, name))
     if cap is not None:
         monkeypatch.setattr("regkernel.automata.TABLE_CAP", cap)
@@ -581,6 +583,43 @@ def test_verify_psd_suite(capsys):
     assert any("eigenvalue" in row[2] for row in rows)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1, 2], [2, 1]],  # second minor -3
+    [[0, 0], [0, 1]],  # first minor 0
+    [[1, 0], [3, 1]],  # minors 1 and 1, but x = (1, -1) gives x'Mx = -1
+], ids=["negative-minor", "zero-minor", "asymmetric"])
+def test_positive_definite_check_rejects_literals(matrix):
+    from regkernel import verify
+
+    assert not verify._positive_definite(matrix)
+
+
+def test_positive_definite_check_accepts_an_exact_gram(ab):
+    from regkernel import verify
+
+    gram = gram_matrix(["", "a", "b", "ab", "ba"], KernelParams(alphabet=ab, n_max=3))
+    assert verify._positive_definite(gram.values)
+
+
+def test_verify_psd_rejects_a_corrupted_gram(monkeypatch):
+    # corrupting the pair (0, 19) leaves the first 19 leading minors as
+    # they were, so only the last one can see that [[1, 35], [35, 34]] is
+    # an indefinite principal submatrix
+    from regkernel import verify
+
+    real = verify.gram_matrix
+
+    def corrupted(strings, params):
+        gram = real(strings, params)
+        values = [list(row) for row in gram.values]
+        values[0][-1] = values[-1][0] = values[0][0] + values[-1][-1]
+        return GramMatrix(gram.strings, params, tuple(map(tuple, values)))
+
+    assert verify.suite_psd()[0].passed
+    monkeypatch.setattr(verify, "gram_matrix", corrupted)
+    assert not verify.suite_psd()[0].passed
+
+
 def test_verify_concentration_suite(capsys):
     # every row is a deterministic function of seeds 0..999, so the table is
     # pinned whole: a change to how the suite counts its samples shows here
@@ -878,9 +917,9 @@ MODULE_LOADS = [
     pytest.param(["verify", "--suite", "bounds"], {"regkernel.verify"},
                  NEVER | {"numpy", "dataclasses", "inspect"}, "bounds.two_path.n3\tPASS",
                  id="verify-bounds"),
-    # numpy itself loads inspect
-    pytest.param(["verify", "--suite", "psd"], {"numpy"}, NEVER | {"dataclasses"},
-                 "psd.min_eigenvalue\tPASS", id="verify-psd"),
+    pytest.param(["verify", "--suite", "psd"], {"regkernel.verify"},
+                 NEVER | {"numpy", "dataclasses", "inspect"}, "psd.min_eigenvalue\tPASS",
+                 id="verify-psd"),
 ]
 
 
